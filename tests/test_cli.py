@@ -230,6 +230,12 @@ class TestVerify:
         for check_id in failing:
             assert check_id in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_grid_exit_1(self, tmp_path, capsys):
+        code, _, err = run(capsys, "verify", "--ts", "1000", "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert "FAIL  eigen.analog" in err
+
     def test_alias_grid_exit_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "8", "--nmax", "8")
         assert code == 4

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from convfourier import convolution, fourier
 from convfourier.fourier import sampled_harmonic
 from convfourier.generators import gaussian
 from convfourier.harness import (
@@ -71,9 +73,7 @@ class TestRegistry:
     def test_tolerances_declared_with_justification(self):
         for spec in REGISTRY:
             assert isinstance(spec.justification, str) and spec.justification
-            assert spec.tolerance is None or (
-                isinstance(spec.tolerance, float) and spec.tolerance >= 0.0
-            )
+            assert isinstance(spec.tolerance, float) and spec.tolerance >= 0.0
 
 
 class TestGridParams:
@@ -127,6 +127,40 @@ class TestRunAll:
             if c.skipped:
                 assert "skipped" in c.note
         assert report.passed
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_runner_error_fails_not_skips(self):
+        # e^(a t) overflows at ts=1000: the check must fail, not disappear
+        report = run_all(GridParams(ts=1000.0))
+        check = next(c for c in report.checks if c.id == "eigen.analog")
+        assert not check.skipped and not check.passed
+        assert check.residual == math.inf
+        assert "ValueError" in check.note
+        assert not report.passed
+
+    def test_first_order_derivative_fails_both_derivative_checks(self, monkeypatch):
+        def forward_difference(f):
+            diff = (f.samples[2:] - f.samples[1:-1]) / f.ts
+            return SampledSignal(ts=f.ts, start=f.start + 1, samples=diff)
+
+        monkeypatch.setattr(convolution, "derivative", forward_difference)
+        checks = {c.id: c for c in run_all().checks}
+        for check_id in ("conv.derivative", "ft.derivative"):
+            # a first-order scheme halves the residual: ratio 2, worst |ratio - 4| near 2
+            assert not checks[check_id].passed, check_id
+            assert checks[check_id].residual == pytest.approx(2.0, abs=0.1), check_id
+
+    def test_fs_forward_checks_recovered_coefficients(self, monkeypatch):
+        exact = fourier.fourier_coefficients
+
+        def conjugated(f, n_max):
+            spectrum = exact(f, n_max)
+            return dataclasses.replace(spectrum, coeffs=np.conj(spectrum.coeffs))
+
+        monkeypatch.setattr(fourier, "fourier_coefficients", conjugated)
+        checks = {c.id: c for c in run_all().checks}
+        assert not checks["fs.forward"].passed
+        assert checks["eigen.periodic_analog"].passed
 
     def test_tol_scale_tightens(self):
         report = run_all(tol_scale=1e-9)
