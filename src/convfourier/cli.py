@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,13 +52,19 @@ def _write_output(text: str, path: str):
 def _generate(args):
     if args.ts is None:
         raise SignalFormatError("--gen requires --ts")
-    if args.gen == "pulse":
-        return gen.pulse(args.ts, width=args.width)
-    if args.n is None:
+    if not (math.isfinite(args.ts) and args.ts > 0):
+        raise SignalFormatError(f"--ts must be finite and > 0, got {args.ts}")
+    if args.gen != "pulse" and args.n is None:
         raise SignalFormatError(f"--gen {args.gen} requires --n")
-    if args.gen == "cos":
-        return gen.cosine(args.n, args.ts)
-    return gen.square(args.n, args.ts)
+    try:
+        if args.gen == "pulse":
+            return gen.pulse(args.ts, width=args.width)
+        if args.gen == "cos":
+            return gen.cosine(args.n, args.ts)
+        return gen.square(args.n, args.ts)
+    except (ValueError, OverflowError) as exc:
+        # a generator's precondition on --n or --width
+        raise SignalFormatError(f"--gen {args.gen}: {exc}") from None
 
 
 def _single_input(args):

@@ -6,8 +6,10 @@ circular versions of both for periodic signals.  Convolving any of them
 with an exponential signal multiplies the exponential by a constant
 factor; the ``exp_factor_*`` functions compute that factor directly.
 
-All sums are evaluated in a fixed order (ascending support index), so
-identical inputs give bit-identical outputs.
+Linear convolutions are direct sums (``np.convolve``); circular ones go
+through the FFT (``ifft(fft(a) * fft(b))``).  Outputs are deterministic
+for identical inputs.  The ``exp_factor_*`` power and Riemann sums are
+computed term by term and serve as the independent reference.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    periodize,
 )
 
 __all__ = [
@@ -65,20 +68,9 @@ def _require_same_ts(f, g):
         raise GridMismatchError(f"ts mismatch: {f.ts} != {g.ts}")
 
 
-def _acc_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution, accumulated in ascending order of a's index."""
-    out = np.zeros(a.size + b.size - 1, dtype=np.complex128)
-    for i in range(a.size):
-        out[i : i + b.size] += a[i] * b
-    return out
-
-
 def _circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wrap-around convolution of two period-N sample arrays."""
-    n = a.size
-    # G[m, k] = b[(k - m) mod n]; output k is the dot product a . G[:, k]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return a @ b[idx]
+    """Wrap-around convolution of two period-N sample arrays (convolution theorem)."""
+    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
 
 
 def discrete_convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
@@ -86,7 +78,7 @@ def discrete_convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
         return DiscreteSignal(start=start, samples=np.empty(0, dtype=np.complex128))
-    return DiscreteSignal(start=start, samples=_acc_convolve(f.samples, g.samples))
+    return DiscreteSignal(start=start, samples=np.convolve(f.samples, g.samples))
 
 
 def approx_analog_convolve(f: SampledSignal, g: SampledSignal) -> SampledSignal:
@@ -100,7 +92,7 @@ def approx_analog_convolve(f: SampledSignal, g: SampledSignal) -> SampledSignal:
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
         return SampledSignal(ts=f.ts, start=start, samples=np.empty(0, dtype=np.complex128))
-    return SampledSignal(ts=f.ts, start=start, samples=f.ts * _acc_convolve(f.samples, g.samples))
+    return SampledSignal(ts=f.ts, start=start, samples=f.ts * np.convolve(f.samples, g.samples))
 
 
 def periodic_convolve_discrete(
@@ -132,25 +124,14 @@ def mixed_convolve(h, f):
     (scaled by ts in the analog case).
     """
     if isinstance(h, SampledSignal) and isinstance(f, PeriodicSampledSignal):
-        _require_same_ts(h, f)
-        scale = h.ts
-        periodic = True
-    elif isinstance(h, DiscreteSignal) and isinstance(f, PeriodicDiscreteSignal):
-        scale = 1.0
-        periodic = False
-    else:
-        raise TypeError(
-            f"mixed_convolve needs (SampledSignal, PeriodicSampledSignal) or "
-            f"(DiscreteSignal, PeriodicDiscreteSignal), got "
-            f"({type(h).__name__}, {type(f).__name__})"
-        )
-    n = f.samples.size
-    out = np.zeros(n, dtype=np.complex128)
-    for i in range(len(h)):
-        out += h.samples[i] * np.roll(f.samples, (h.start + i) % n)
-    if periodic:
-        return PeriodicSampledSignal(ts=f.ts, samples=scale * out)
-    return PeriodicDiscreteSignal(samples=out)
+        return periodic_convolve_analog(periodize(h, f.period_samples), f)
+    if isinstance(h, DiscreteSignal) and isinstance(f, PeriodicDiscreteSignal):
+        return periodic_convolve_discrete(periodize(h, f.period), f)
+    raise TypeError(
+        f"mixed_convolve needs (SampledSignal, PeriodicSampledSignal) or "
+        f"(DiscreteSignal, PeriodicDiscreteSignal), got "
+        f"({type(h).__name__}, {type(f).__name__})"
+    )
 
 
 def _require_kind(p: ExpParam, kind: ExpKind):

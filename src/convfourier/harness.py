@@ -229,6 +229,21 @@ def _window_lhs(f, expo, ks: np.ndarray) -> np.ndarray:
 # public single-identity checks
 # --------------------------------------------------------------------------
 
+def _harmonic_product(check_id, convolve, f, g, n, tolerance) -> IdentityCheck:
+    """Compare (convolve(f, g) (*) x_n) against F(n) G(n) x_n on g's period
+    grid, where F and G are the one-period Riemann factors at a = j n omega0."""
+    period = g.period_samples
+    if 2 * abs(int(n)) >= period:
+        raise AliasingError(f"harmonic {n} is not below the alias limit for N={period}")
+    a = 1j * n * (_TWO_PI / g.period_t)
+    xn = four.sampled_harmonic(n, period, g.ts)
+    lhs = conv.periodic_convolve_analog(convolve(f, g), xn).samples
+    fn = _riemann_sum(f.samples, f.times(), f.ts, a)
+    gn = _riemann_sum(g.samples, g.times(), g.ts, a)
+    residual, scale = _max_err(lhs, fn * gn * xn.samples)
+    return _finish(_spec(check_id), tolerance, residual, scale)
+
+
 def check_fs_conv_time(
     f: sig.PeriodicSampledSignal,
     g: sig.PeriodicSampledSignal,
@@ -241,17 +256,7 @@ def check_fs_conv_time(
     """
     if f.ts != g.ts or f.period_samples != g.period_samples:
         raise sig.GridMismatchError("f and g must share ts and period")
-    period = f.period_samples
-    if 2 * abs(int(n)) >= period:
-        raise AliasingError(f"harmonic {n} is not below the alias limit for N={period}")
-    omega0 = _TWO_PI / f.period_t
-    xn = four.sampled_harmonic(n, period, f.ts)
-    lhs = conv.periodic_convolve_analog(conv.periodic_convolve_analog(f, g), xn).samples
-    fn = _riemann_sum(f.samples, f.times(), f.ts, 1j * n * omega0)
-    gn = _riemann_sum(g.samples, g.times(), g.ts, 1j * n * omega0)
-    rhs = gn * fn * xn.samples
-    residual, scale = _max_err(lhs, rhs)
-    return _finish(_spec("fs.conv_time"), tolerance, residual, scale)
+    return _harmonic_product("fs.conv_time", conv.periodic_convolve_analog, f, g, n, tolerance)
 
 
 def check_fs_conv_freq(
@@ -310,17 +315,7 @@ def check_fs_mixed(
     scaled by the response's own factor, ((h*u) (*) x_n) = U(n) H(n) x_n."""
     if h.ts != u.ts:
         raise sig.GridMismatchError(f"ts mismatch: {h.ts} != {u.ts}")
-    period = u.period_samples
-    if 2 * abs(int(n)) >= period:
-        raise AliasingError(f"harmonic {n} is not below the alias limit for N={period}")
-    omega0 = _TWO_PI / u.period_t
-    xn = four.sampled_harmonic(n, period, u.ts)
-    lhs = conv.periodic_convolve_analog(conv.mixed_convolve(h, u), xn).samples
-    un = _riemann_sum(u.samples, u.times(), u.ts, 1j * n * omega0)
-    hn = _riemann_sum(h.samples, h.times(), h.ts, 1j * n * omega0)
-    rhs = un * hn * xn.samples
-    residual, scale = _max_err(lhs, rhs)
-    return _finish(_spec("fs.lti_mixed"), tolerance, residual, scale)
+    return _harmonic_product("fs.lti_mixed", conv.mixed_convolve, h, u, n, tolerance)
 
 
 _FT_GRID_STEP = math.pi / 8
@@ -645,7 +640,12 @@ def _run_dft_forward(grid, rng):
         n = int(rng.integers(0, grid.n))
         xn = four.harmonic_signal(n, grid.n)
         lhs = conv.periodic_convolve_discrete(f, xn).samples
-        return _max_err(lhs, spectrum.values[n] * xn.samples)
+        r1, s1 = _max_err(lhs, spectrum.values[n] * xn.samples)
+        # the direct N-term power sum keeps an independent side: both of the
+        # above run on the FFT
+        p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
+        r2, s2 = _max_err(spectrum.values[n], conv.exp_factor_periodic_discrete(f, p).value)
+        return max(r1, r2), max(s1, s2)
 
     return _worst_over(10, trial)
 
@@ -879,7 +879,7 @@ REGISTRY: tuple = (
         "eigen.periodic_analog",
         "circular convolution with a sampled harmonic scales it by the one-period factor",
         1e-9,
-        "roots of unity wrap exactly under index modulo; roundoff only",
+        "FFT circular convolution against the one-period Riemann sum; roundoff only",
         _run_eigen_periodic_analog,
         needs_harmonics=True,
     ),
@@ -887,7 +887,7 @@ REGISTRY: tuple = (
         "eigen.periodic_discrete",
         "circular convolution with a root-of-unity exponential scales it by the N-term factor",
         1e-10,
-        "roots of unity wrap exactly under index modulo; roundoff only",
+        "FFT circular convolution against the direct N-term power sum; roundoff only",
         _run_eigen_periodic_discrete,
         needs_harmonics=True,
     ),
@@ -912,7 +912,8 @@ REGISTRY: tuple = (
         "dft.forward",
         "periodic discrete exponentials are eigensignals of circular convolution",
         1e-10,
-        "plain N-term sums; roundoff only",
+        "FFT spectrum against FFT circular convolution and the direct N-term power sum; "
+        "roundoff only",
         _run_dft_forward,
         needs_harmonics=True,
     ),
@@ -920,7 +921,7 @@ REGISTRY: tuple = (
         "dft.inverse",
         "the spectrum convolved with the conjugate exponential returns N times the sample",
         1e-10,
-        "plain N-term sums plus the N^2-sum round trip; roundoff only",
+        "FFT circular convolution plus the fft/ifft round trip; roundoff only",
         _run_dft_inverse,
         needs_harmonics=True,
     ),
@@ -949,7 +950,7 @@ REGISTRY: tuple = (
         "fs.conv_time",
         "time-domain circular convolution multiplies one-period harmonic factors",
         1e-9,
-        "exact reindexing over a full period; roundoff only",
+        "convolution theorem over a full period; FFT roundoff only",
         _run_fs_conv_time,
         needs_harmonics=True,
     ),

@@ -174,7 +174,7 @@ def _read_json(text: str):
         ts = _parse_float(str(ts), "ts")
     n = data.get("n")
     if n is not None:
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise SignalFormatError(f"'n' must be an integer, got {n!r}")
     rows_raw = data.get("rows")
     if not isinstance(rows_raw, list):

@@ -114,6 +114,13 @@ class TestDftIdft:
         assert code == 2
         assert "periodic-discrete" in err
 
+    def test_json_bool_period_exit_2(self, tmp_path, capsys):
+        f = write(tmp_path / "f.json", '{"kind": "periodic-discrete", "n": true, "rows": [[0, 1, 0]]}')
+        code, out, err = run(capsys, "dft", f)
+        assert code == 2
+        assert out == ""
+        assert "'n' must be an integer" in err
+
 
 class TestSeries:
     def test_cosine_coefficients(self, capsys):
@@ -185,6 +192,30 @@ class TestFt:
             "-1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("ts", ["0", "-0.25", "nan", "inf"])
+    def test_bad_gen_ts_exit_2(self, capsys, ts):
+        code, _, err = run(
+            capsys, "ft", "--gen", "pulse", "--ts", ts, "--omega-min", "0", "--omega-max", "1", "--omega-step", "1"
+        )
+        assert code == 2
+        assert "--ts must be finite and > 0" in err
+
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ["cos", "--n", "0", "--ts", "0.25"],
+            ["square", "--n", "3", "--ts", "0.25"],
+            ["pulse", "--ts", "0.3"],
+            ["pulse", "--ts", "0.25", "--width", "inf"],
+        ],
+    )
+    def test_generator_precondition_exit_2(self, capsys, gen_args):
+        code, _, err = run(
+            capsys, "ft", "--gen", *gen_args, "--omega-min", "0", "--omega-max", "1", "--omega-step", "1"
+        )
+        assert code == 2
+        assert err.startswith(f"error: --gen {gen_args[0]}:")
 
 
 class TestStdinStdout:

@@ -182,7 +182,7 @@ class TestPeriodicConvolveDiscrete:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        for n in (1, 2, 5, 9):
+        for n in (1, 2, 5, 9, 96, 257):
             f = rand_values(rng, n)
             g = rand_values(rng, n)
             out = periodic_convolve_discrete(

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from convfourier.convolution import exp_factor_periodic_analog, exp_factor_periodic_discrete
+from convfourier.convolution import (
+    exp_factor_periodic_analog,
+    exp_factor_periodic_discrete,
+    periodic_convolve_discrete,
+)
 from convfourier.fourier import (
     DftSpectrum,
     SeriesSpectrum,
@@ -217,7 +222,7 @@ class TestDft:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(25)
-        for n in (1, 2, 3, 7, 16):
+        for n in (1, 2, 3, 7, 16, 96, 257):
             vals = rand_values(rng, n)
             got = dft(PeriodicDiscreteSignal(vals)).values
             want = dft_brute(list(vals))
@@ -240,7 +245,7 @@ class TestDft:
             assert abs(values[20 - n] - values[n].conjugate()) <= 1e-12 * max(1.0, abs(values[n]))
 
     def test_consistency_with_periodic_factor(self):
-        # the plain DFT sum and the generic power-series factor must agree
+        # the FFT-based DFT and the direct power-series factor must agree
         rng = np.random.default_rng(28)
         for n_samples in (2, 7, 16, 64):
             f = PeriodicDiscreteSignal(rand_values(rng, n_samples))
@@ -278,6 +283,25 @@ class TestIdft:
         out = idft(dft(PeriodicDiscreteSignal(f)))
         assert np.max(np.abs(out.samples - f)) <= 1e-12 * max(1.0, np.abs(f).max())
 
+
+def test_kernels_at_2048_stay_linear_in_memory():
+    # an N x N complex matrix at N = 2048 alone takes 64 MiB
+    rng = np.random.default_rng(32)
+    f = PeriodicDiscreteSignal(rand_values(rng, 2048))
+    spectrum = dft(f)
+    kernels = {
+        "dft": lambda: dft(f),
+        "idft": lambda: idft(spectrum),
+        "periodic_convolve_discrete": lambda: periodic_convolve_discrete(f, f),
+    }
+    for name, kernel in kernels.items():
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (name, peak)
 
 class TestDftOrthogonality:
     def test_dc_pair(self):

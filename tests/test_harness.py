@@ -162,6 +162,17 @@ class TestRunAll:
         assert not checks["fs.forward"].passed
         assert checks["eigen.periodic_analog"].passed
 
+    def test_dft_forward_keeps_a_direct_side(self, monkeypatch):
+        # a shared FFT fault scales both FFT-based sides alike; the direct
+        # power-sum leg must still catch it
+        circular, dft = convolution._circular_convolve, fourier.dft
+        monkeypatch.setattr(convolution, "_circular_convolve", lambda a, b: 2 * circular(a, b))
+        monkeypatch.setattr(
+            fourier, "dft", lambda f: fourier.DftSpectrum(values=2 * dft(f).values)
+        )
+        checks = {c.id: c for c in run_all().checks}
+        assert not checks["dft.forward"].passed
+
     def test_tol_scale_tightens(self):
         report = run_all(tol_scale=1e-9)
         assert not report.passed
