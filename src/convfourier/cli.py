@@ -19,7 +19,7 @@ from . import generators as gen
 from .harness import GridParams, run_all
 from .io import (
     SignalFormatError,
-    read_signal_text,
+    read_signal,
     series_table_text,
     signal_kind,
     signal_text,
@@ -28,17 +28,6 @@ from .io import (
 from .signals import AliasingError, GridMismatchError, PeriodicDiscreteSignal
 
 _GENERATORS = ("pulse", "cos", "square")
-
-
-def _read_input(path: str):
-    if path == "-":
-        return read_signal_text(sys.stdin.read())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SignalFormatError(f"cannot read {path}: {exc}") from None
-    return read_signal_text(text)
 
 
 def _write_output(text: str, path: str):
@@ -72,7 +61,7 @@ def _single_input(args):
         return _generate(args)
     if args.input is None:
         raise SignalFormatError("provide an input file or --gen NAME")
-    return _read_input(args.input)
+    return read_signal(args.input)
 
 
 _CONV_OPS = {
@@ -84,8 +73,8 @@ _CONV_OPS = {
 
 
 def _cmd_conv(args) -> int:
-    f = _read_input(args.first)
-    g = _read_input(args.second)
+    f = read_signal(args.first)
+    g = read_signal(args.second)
     kind_f, kind_g = signal_kind(f), signal_kind(g)
     mode = args.mode or kind_f
     if kind_f != mode or kind_g != mode:
@@ -122,6 +111,8 @@ def _cmd_idft(args) -> int:
 def _cmd_series(args) -> int:
     f = _single_input(args)
     _require_kind(f, "periodic-analog", "series input")
+    if args.nmax < 0:
+        raise SignalFormatError(f"--nmax must be >= 0, got {args.nmax}")
     spectrum = four.fourier_coefficients(f, args.nmax)
     _write_output(series_table_text(spectrum, args.format), args.out)
     return 0
@@ -130,6 +121,8 @@ def _cmd_series(args) -> int:
 def _cmd_ft(args) -> int:
     f = _single_input(args)
     _require_kind(f, "analog", "ft input")
+    if not all(map(math.isfinite, (args.omega_min, args.omega_max, args.omega_step))):
+        raise SignalFormatError("--omega-min, --omega-max and --omega-step must be finite")
     if args.omega_step <= 0:
         raise SignalFormatError(f"--omega-step must be > 0, got {args.omega_step}")
     if args.omega_max < args.omega_min:
@@ -142,8 +135,14 @@ def _cmd_ft(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = GridParams(n=args.n, ts=args.ts, n_max=args.nmax)
-    report = run_all(grid=grid, seed=args.seed, tol_scale=args.tol_scale)
+    try:
+        grid = GridParams(n=args.n, ts=args.ts, n_max=args.nmax)
+        report = run_all(grid=grid, seed=args.seed, tol_scale=args.tol_scale)
+    except AliasingError:
+        raise
+    except ValueError as exc:
+        # a bad --n, --ts, --nmax or --tol-scale; run_all records each check's own errors
+        raise SignalFormatError(str(exc)) from None
     _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     if args.out != "-":
         for c in report.checks:
@@ -220,19 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception type -> exit code; 1 is kept for a failed verification
+_EXIT_CODES = {SignalFormatError: 2, GridMismatchError: 3, AliasingError: 4}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SignalFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GridMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AliasingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
 
 
 def entry_point():

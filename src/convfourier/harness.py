@@ -138,13 +138,14 @@ def _unit_disk(rng, size):
 
 
 def _trig_poly(grid: GridParams, coeffs) -> sig.PeriodicSampledSignal:
-    """One period of sum_n c_n e^(j n omega0 t); coeffs hold c_n for n = -n_max..n_max."""
+    """One period of sum_n c_n e^(j n omega0 t); coeffs hold c_n for n = -n_max..n_max.
+
+    The sum is N times the inverse DFT of the c_n placed at n mod N.
+    """
     n_max = (len(coeffs) - 1) // 2
-    samples = np.zeros(grid.n, dtype=np.complex128)
-    k = np.arange(grid.n)
-    for c, n in zip(coeffs, range(-n_max, n_max + 1)):
-        samples += c * np.exp(2j * np.pi * ((n * k) % grid.n) / grid.n)
-    return sig.PeriodicSampledSignal(ts=grid.ts, samples=samples)
+    spectrum = np.zeros(grid.n, dtype=np.complex128)
+    spectrum[np.arange(-n_max, n_max + 1) % grid.n] = coeffs
+    return sig.PeriodicSampledSignal(ts=grid.ts, samples=grid.n * np.fft.ifft(spectrum))
 
 
 def _random_trig_poly(rng, grid: GridParams) -> sig.PeriodicSampledSignal:
@@ -1051,8 +1052,8 @@ def run_all(grid: GridParams | None = None, seed: int = 42, tol_scale: float = 1
     """
     grid = GridParams() if grid is None else grid
     tol_scale = float(tol_scale)
-    if tol_scale <= 0:
-        raise ValueError(f"tol_scale must be > 0, got {tol_scale}")
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tol_scale must be finite and > 0, got {tol_scale}")
     streams = np.random.SeedSequence(int(seed)).spawn(len(REGISTRY))
     checks = []
     for spec, stream in zip(REGISTRY, streams):

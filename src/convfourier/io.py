@@ -11,16 +11,19 @@ CSV layout::
 analog kinds carry ``ts``, periodic kinds carry ``n``.  Aperiodic rows must
 be contiguous and strictly increasing (the first index is the start);
 periodic rows must be exactly 0..N-1.  The JSON mirror stores the same
-fields as ``{"kind": ..., "ts": ..., "n": ..., "rows": [[index, re, im], ...]}``.
-Numbers are written with 17 significant digits so a write/read round trip
-is exact.
+fields as ``{"kind": ..., "ts": ..., "n": ..., "rows": [[index, re, im], ...]}``
+with JSON numbers: the index an integer, ``ts``, ``re`` and ``im`` integers
+or floats (strings and booleans are rejected).  CSV numbers are written with
+17 significant digits and JSON numbers as the shortest round-tripping repr,
+so a write/read round trip is exact, signed zeros included.  The series and
+spectrum tables use the same layouts with their own metadata and columns.
 """
 
 from __future__ import annotations
 
-import io as _io
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -48,115 +51,127 @@ class SignalFormatError(ValueError):
     """A signal file does not parse or violates the schema."""
 
 
-_KINDS = ("discrete", "analog", "periodic-discrete", "periodic-analog")
+# kind <-> signal type; analog kinds carry ts, periodic kinds carry n
+_TYPES = {
+    "discrete": DiscreteSignal,
+    "analog": SampledSignal,
+    "periodic-discrete": PeriodicDiscreteSignal,
+    "periodic-analog": PeriodicSampledSignal,
+}
 
 
 def signal_kind(signal) -> str:
-    if isinstance(signal, DiscreteSignal):
-        return "discrete"
-    if isinstance(signal, SampledSignal):
-        return "analog"
-    if isinstance(signal, PeriodicDiscreteSignal):
-        return "periodic-discrete"
-    if isinstance(signal, PeriodicSampledSignal):
-        return "periodic-analog"
+    for kind, cls in _TYPES.items():
+        if isinstance(signal, cls):
+            return kind
     raise TypeError(f"not a signal type: {type(signal).__name__}")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# --------------------------------------------------------------------------
+# reading
+# --------------------------------------------------------------------------
 
-
-def _parse_float(text: str, what: str) -> float:
+def _ints(cells, what: str) -> list:
     try:
-        value = float(text)
+        return list(map(int, cells))
     except ValueError:
-        raise SignalFormatError(f"{what} is not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise SignalFormatError(f"{what} must be finite, got {text!r}")
-    return value
+        for cell in cells:
+            try:
+                int(cell)
+            except ValueError:
+                raise SignalFormatError(f"{what} is not an integer: {cell.strip()!r}") from None
+        raise
 
 
-def _parse_int(text: str, what: str) -> int:
+def _floats(cells, what: str) -> np.ndarray:
+    """float64 column of number texts or JSON numbers; the first bad cell is named."""
     try:
-        return int(text)
-    except ValueError:
-        raise SignalFormatError(f"{what} is not an integer: {text!r}") from None
+        column = np.fromiter(map(float, cells), np.float64, len(cells))
+        if np.isfinite(column).all():
+            return column
+    except (ValueError, OverflowError):
+        pass
+    for cell in cells:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise SignalFormatError(f"{what} is not a number: {cell.strip()!r}") from None
+        except OverflowError:  # a JSON integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise SignalFormatError(f"{what} must be finite, got {str(cell).strip()!r}")
+    raise AssertionError("a cell failed to parse but none is bad")
 
 
-def _build_signal(kind, ts, n, rows):
-    if kind not in _KINDS:
-        raise SignalFormatError(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+def _build_signal(kind, ts, n, index, re, im):
+    """The signal of one parsed file: ``index`` holds ints, ``re``/``im`` finite floats."""
+    if kind not in _TYPES:
+        raise SignalFormatError(f"unknown kind {kind!r}; expected one of {', '.join(_TYPES)}")
     periodic = kind.startswith("periodic")
-    analog = kind.endswith("analog")
-    if analog:
+    fields = {}
+    if kind.endswith("analog"):
         if ts is None:
             raise SignalFormatError(f"kind={kind} requires ts metadata")
         if ts <= 0:
             raise SignalFormatError(f"ts must be > 0, got {ts}")
-    indices = [r[0] for r in rows]
-    values = np.asarray([complex(r[1], r[2]) for r in rows], dtype=np.complex128)
+        fields["ts"] = ts
+    start = index[0] if index else 0
+    # object dtype keeps indices beyond int64 exact
+    contiguous = np.array_equal(np.asarray(index, dtype=object) - start, np.arange(len(index)))
     if periodic:
         if n is None:
             raise SignalFormatError(f"kind={kind} requires n metadata")
-        if n != len(rows):
-            raise SignalFormatError(f"metadata says n={n} but file has {len(rows)} rows")
-        if indices != list(range(n)):
+        if n != len(index):
+            raise SignalFormatError(f"metadata says n={n} but file has {len(index)} rows")
+        if start != 0 or not contiguous:
             raise SignalFormatError("periodic rows must cover exactly the indices 0..N-1 in order")
-        if kind == "periodic-discrete":
-            return PeriodicDiscreteSignal(samples=values)
-        return PeriodicSampledSignal(ts=ts, samples=values)
-    if indices and indices != list(range(indices[0], indices[0] + len(indices))):
-        raise SignalFormatError("indices must be contiguous and strictly increasing")
-    start = indices[0] if indices else 0
-    if kind == "discrete":
-        return DiscreteSignal(start=start, samples=values)
-    return SampledSignal(ts=ts, start=start, samples=values)
+    else:
+        if not contiguous:
+            raise SignalFormatError("indices must be contiguous and strictly increasing")
+        fields["start"] = start
+    # filled part by part, so signed zeros survive
+    samples = np.empty(len(index), dtype=np.complex128)
+    samples.real = re
+    samples.imag = im
+    return _TYPES[kind](samples=samples, **fields)
 
 
 def _read_csv(text: str):
-    kind = ts = n = None
-    lines = text.splitlines()
-    body_at = 0
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
-            body_at = i + 1
-            continue
-        if not stripped.startswith("#"):
-            body_at = i
-            break
-        body_at = i + 1
-        for token in stripped.lstrip("#").split():
-            if "=" not in token:
-                raise SignalFormatError(f"bad metadata token {token!r}")
-            key, _, value = token.partition("=")
-            if key == "kind":
-                kind = value
-            elif key == "ts":
-                ts = _parse_float(value, "ts")
-            elif key == "n":
-                n = _parse_int(value, "n")
-            else:
-                raise SignalFormatError(f"unknown metadata key {key!r}")
-    if kind is None:
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    body_at = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    meta = {}
+    for token in " ".join(ln.lstrip("#") for ln in lines[:body_at]).split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise SignalFormatError(f"bad metadata token {token!r}")
+        if key not in ("kind", "ts", "n"):
+            raise SignalFormatError(f"unknown metadata key {key!r}")
+        meta[key] = value
+    if "kind" not in meta:
         raise SignalFormatError("missing '# kind=...' metadata line")
-    body = [ln.strip() for ln in lines[body_at:] if ln.strip()]
+    ts = float(_floats([meta["ts"]], "ts")[0]) if "ts" in meta else None
+    n = _ints([meta["n"]], "n")[0] if "n" in meta else None
+    body = lines[body_at:]
     if not body or body[0].replace(" ", "") != "index,re,im":
         raise SignalFormatError("expected header row 'index,re,im'")
-    rows = []
-    for line in body[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise SignalFormatError(f"expected 3 columns, got {len(parts)}: {line!r}")
-        rows.append(
-            (
-                _parse_int(parts[0], "index"),
-                _parse_float(parts[1], "re"),
-                _parse_float(parts[2], "im"),
-            )
-        )
-    return _build_signal(kind, ts, n, rows)
+    rows = body[1:]
+    for line in rows:
+        if line.count(",") != 2:
+            raise SignalFormatError(f"expected 3 columns, got {line.count(',') + 1}: {line!r}")
+    cells = ",".join(rows).split(",") if rows else []
+    index = _ints(cells[0::3], "index")
+    re, im = _floats(cells[1::3], "re"), _floats(cells[2::3], "im")
+    return _build_signal(meta["kind"], ts, n, index, re, im)
+
+
+def _json_column(cells, what: str, integer: bool = False):
+    """A column of JSON numbers: a list of ints, or a float64 array (never a bool)."""
+    types = {int} if integer else {int, float}
+    if not {type(c) for c in cells} <= types:
+        bad = next(c for c in cells if type(c) not in types)
+        noun = "an integer" if integer else "a number"
+        raise SignalFormatError(f"{what} is not {noun}: {json.dumps(bad)}")
+    return cells if integer else _floats(cells, what)
 
 
 def _read_json(text: str):
@@ -171,26 +186,20 @@ def _read_json(text: str):
         raise SignalFormatError("missing or non-string 'kind'")
     ts = data.get("ts")
     if ts is not None:
-        ts = _parse_float(str(ts), "ts")
+        ts = float(_json_column([ts], "ts")[0])
     n = data.get("n")
-    if n is not None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise SignalFormatError(f"'n' must be an integer, got {n!r}")
-    rows_raw = data.get("rows")
-    if not isinstance(rows_raw, list):
+    if n is not None and type(n) is not int:
+        raise SignalFormatError(f"'n' must be an integer, got {n!r}")
+    rows = data.get("rows")
+    if not isinstance(rows, list):
         raise SignalFormatError("missing 'rows' list")
-    rows = []
-    for row in rows_raw:
+    for row in rows:
         if not (isinstance(row, list) and len(row) == 3):
             raise SignalFormatError(f"each row must be [index, re, im], got {row!r}")
-        rows.append(
-            (
-                _parse_int(str(row[0]), "index"),
-                _parse_float(str(row[1]), "re"),
-                _parse_float(str(row[2]), "im"),
-            )
-        )
-    return _build_signal(kind, ts, n, rows)
+    index = _json_column([row[0] for row in rows], "index", integer=True)
+    re = _json_column([row[1] for row in rows], "re")
+    im = _json_column([row[2] for row in rows], "im")
+    return _build_signal(kind, ts, n, index, re, im)
 
 
 def read_signal_text(text: str):
@@ -204,48 +213,54 @@ def read_signal_text(text: str):
 
 
 def read_signal(path: str):
-    """Read a signal file; '-' is not handled here (the CLI reads stdin itself)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_signal_text(fh.read())
+    """Read a signal file, or standard input when ``path`` is ``-``.
+
+    A file that cannot be opened or read raises ``SignalFormatError``.
+    """
+    if path == "-":
+        return read_signal_text(sys.stdin.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SignalFormatError(f"cannot read {path}: {exc}") from None
+    return read_signal_text(text)
 
 
-def _metadata(signal) -> tuple:
-    kind = signal_kind(signal)
-    ts = getattr(signal, "ts", None)
-    n = signal.period_samples if isinstance(signal, PeriodicSampledSignal) else (
-        signal.period if isinstance(signal, PeriodicDiscreteSignal) else None
-    )
-    start = getattr(signal, "start", 0)
-    return kind, ts, n, start
+# --------------------------------------------------------------------------
+# writing
+# --------------------------------------------------------------------------
+
+def _table_text(meta: dict, header: str, columns, fmt: str) -> str:
+    """Every table's text: CSV under a ``# key=value`` line, or the JSON mirror.
+
+    ``meta`` lists the metadata in output order.  ``columns`` are equal-length
+    arrays or ranges; an integer column is written as integers, every other
+    one as floats (17 significant digits in CSV).
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if fmt == "json":
+        payload = {**meta, "rows": [list(row) for row in zip(*columns)]}
+        return json.dumps(payload, indent=2) + "\n"
+    tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
+    row = ",".join("{}" if c and type(c[0]) is int else "{:.17g}" for c in columns)
+    lines = ["# " + " ".join(tokens), header, *map(row.format, *columns)]
+    return "\n".join(lines) + "\n"
 
 
 def signal_text(signal, fmt: str = "csv") -> str:
     """Serialize a signal to CSV or JSON text."""
-    kind, ts, n, start = _metadata(signal)
-    indices = range(start, start + signal.samples.size) if n is None else range(n)
-    if fmt == "json":
-        payload = {"kind": kind}
-        if ts is not None:
-            payload["ts"] = ts
-        if n is not None:
-            payload["n"] = n
-        payload["rows"] = [
-            [int(i), float(v.real), float(v.imag)] for i, v in zip(indices, signal.samples)
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    meta = [f"kind={kind}"]
-    if ts is not None:
-        meta.append(f"ts={_fmt(ts)}")
-    if n is not None:
-        meta.append(f"n={n}")
-    out = _io.StringIO()
-    out.write("# " + " ".join(meta) + "\n")
-    out.write("index,re,im\n")
-    for i, v in zip(indices, signal.samples):
-        out.write(f"{i},{_fmt(v.real)},{_fmt(v.imag)}\n")
-    return out.getvalue()
+    kind = signal_kind(signal)
+    meta = {"kind": kind}
+    if kind.endswith("analog"):
+        meta["ts"] = signal.ts
+    if kind.startswith("periodic"):
+        meta["n"] = signal.samples.size
+    start = getattr(signal, "start", 0)
+    index = range(start, start + signal.samples.size)
+    return _table_text(meta, "index,re,im", [index, signal.samples.real, signal.samples.imag], fmt)
 
 
 def write_signal(signal, path: str, fmt: str = "csv"):
@@ -256,44 +271,15 @@ def write_signal(signal, path: str, fmt: str = "csv"):
 def series_table_text(spectrum: SeriesSpectrum, fmt: str = "csv") -> str:
     """Coefficient table: C_n plus the one-period factor column F(n) = T * C_n."""
     t = spectrum.period_t
-    if fmt == "json":
-        payload = {
-            "kind": "series",
-            "t": t,
-            "omega0": spectrum.omega0,
-            "n_max": spectrum.n_max,
-            "rows": [
-                [int(n), c.real, c.imag, (t * c).real, (t * c).imag]
-                for n, c in zip(spectrum.harmonics(), spectrum.coeffs)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    out = _io.StringIO()
-    out.write(f"# kind=series t={_fmt(t)} omega0={_fmt(spectrum.omega0)} n_max={spectrum.n_max}\n")
-    out.write("n,c_re,c_im,f_re,f_im\n")
-    for n, c in zip(spectrum.harmonics(), spectrum.coeffs):
-        f = t * c
-        out.write(f"{n},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(f.real)},{_fmt(f.imag)}\n")
-    return out.getvalue()
+    meta = {"kind": "series", "t": t, "omega0": spectrum.omega0, "n_max": spectrum.n_max}
+    c = spectrum.coeffs
+    # F(n) as the complex product (T + 0j) * C_n, whose signed zeros differ from T * Re, T * Im
+    f_re, f_im = t * c.real - 0.0 * c.imag, t * c.imag + 0.0 * c.real
+    columns = [spectrum.harmonics(), c.real, c.imag, f_re, f_im]
+    return _table_text(meta, "n,c_re,c_im,f_re,f_im", columns, fmt)
 
 
 def transform_table_text(spectrum: TransformSpectrum, fmt: str = "csv") -> str:
     """Frequency table of F(omega) values."""
-    if fmt == "json":
-        payload = {
-            "kind": "spectrum",
-            "rows": [
-                [float(w), v.real, v.imag] for w, v in zip(spectrum.omegas, spectrum.values)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    out = _io.StringIO()
-    out.write("# kind=spectrum\n")
-    out.write("omega,re,im\n")
-    for w, v in zip(spectrum.omegas, spectrum.values):
-        out.write(f"{_fmt(w)},{_fmt(v.real)},{_fmt(v.imag)}\n")
-    return out.getvalue()
+    columns = [spectrum.omegas, spectrum.values.real, spectrum.values.imag]
+    return _table_text({"kind": "spectrum"}, "omega,re,im", columns, fmt)

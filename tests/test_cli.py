@@ -78,6 +78,24 @@ class TestConv:
         assert data["kind"] == "discrete"
         assert data["rows"][2] == [2, 3.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "discrete", "rows": [[0, "1.5", 0]]}',
+            '{"kind": "analog", "ts": "0.5", "rows": [[0, 1, 0]]}',
+            '{"kind": "discrete", "rows": [[true, 1, 0]]}',
+            '{"kind": "discrete", "rows": [[1.0, 1, 0]]}',
+        ],
+        ids=["string-sample", "string-ts", "bool-index", "float-index"],
+    )
+    def test_json_numbers_must_be_typed_exit_2(self, tmp_path, capsys, text):
+        # JSON rows hold JSON numbers: an integer index, integer or float samples and ts
+        f = write(tmp_path / "f.json", text)
+        code, out, err = run(capsys, "conv", f, f)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "is not a" in err
+
 
 class TestDftIdft:
     def test_delta_to_ones(self, tmp_path, capsys):
@@ -229,6 +247,37 @@ class TestStdinStdout:
         code, out, _ = run(capsys, "dft", "-")
         assert code == 0
         assert "index,re,im" in out
+
+
+# Bad arguments exit 2 with one "error:" line.  Each case used to raise out of
+# main (a traceback, exit 1), give a wrong verdict (--tol-scale nan or inf,
+# exit 1) or write a NaN frequency row (--omega-step inf, exit 0).
+def pulse_ft(omega_min, omega_max, omega_step):
+    return ["ft", "--gen", "pulse", "--ts", "0.25", "--omega-min", omega_min,
+            "--omega-max", omega_max, "--omega-step", omega_step]
+
+
+BAD_ARGUMENTS = [
+    ["verify", "--ts", "nan"],
+    ["verify", "--n", "0"],
+    ["verify", "--tol-scale", "0"],
+    ["verify", "--tol-scale", "nan"],
+    ["verify", "--tol-scale", "inf"],
+    pulse_ft("0", "1", "nan"),
+    pulse_ft("nan", "1", "1"),
+    pulse_ft("0", "inf", "1"),
+    pulse_ft("0", "1", "inf"),
+    ["series", "--gen", "cos", "--n", "16", "--ts", "0.0625", "--nmax", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestVerify:

@@ -177,6 +177,12 @@ class TestRunAll:
         report = run_all(tol_scale=1e-9)
         assert not report.passed
 
+    @pytest.mark.parametrize("tol_scale", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_scale_must_be_finite_and_positive(self, tol_scale):
+        # nan would fail every check and inf would fail a tolerance-0 check (0 * inf = nan)
+        with pytest.raises(ValueError, match="tol_scale must be finite and > 0"):
+            run_all(tol_scale=tol_scale)
+
     def test_report_dict_shape(self):
         d = run_all().to_dict()
         assert set(d) == {"seed", "grid_params", "passed", "checks"}

@@ -1,8 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from convfourier.cli import main
 from convfourier.fourier import SeriesSpectrum, TransformSpectrum
 from convfourier.io import (
     SignalFormatError,
@@ -58,6 +60,14 @@ class TestRoundTrip:
         write_signal(signal, str(path))
         back = read_signal(str(path))
         assert np.array_equal(back.samples, signal.samples)
+
+    def test_read_signal_stdin_and_unreadable_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(signal_text(SIGNALS[0])))
+        assert np.array_equal(read_signal("-").samples, SIGNALS[0].samples)
+        with pytest.raises(SignalFormatError, match="cannot read"):
+            read_signal(str(tmp_path / "missing.csv"))
+        with pytest.raises(SignalFormatError, match="cannot read"):
+            read_signal(str(tmp_path))
 
     def test_empty_aperiodic(self):
         signal = DiscreteSignal(0, [])
@@ -164,6 +174,17 @@ class TestTables:
         assert data["kind"] == "series"
         assert data["rows"][1] == [0, 1.0, 0.0, 1.0, 0.0]
 
+    def test_factor_column_is_the_complex_product(self):
+        # (T + 0j) * C_n: an underflowing T * Im and a T * (-0.0) come out as +0
+        t = 1e-167
+        spectrum = SeriesSpectrum(
+            period_t=t, omega0=2 * math.pi / t, coeffs=np.array([0j, complex(1, -5e-324), -1j])
+        )
+        assert series_table_text(spectrum).splitlines()[3:] == [
+            "0,1,-4.9406564584124654e-324,1e-167,0",
+            "1,-0,-1,0,-1e-167",
+        ]
+
     def test_transform_table(self):
         spectrum = TransformSpectrum(
             omegas=np.array([-1.0, 0.0, 1.0]), values=np.array([1j, 2.0, -1j])
@@ -173,3 +194,221 @@ class TestTables:
         assert lines[0] == "# kind=spectrum"
         assert lines[1] == "omega,re,im"
         assert lines[3] == "0,2,0"
+
+
+# ---------------------------------------------------------------------------
+# The file contract, byte for byte: a -0.0 sample and a value that needs 17
+# significant digits in every kind and table, in CSV and JSON.
+# ---------------------------------------------------------------------------
+
+PINNED_SAMPLES = np.array([complex(-0.0, 1 / 3), complex(0.1, -0.0)])
+PINNED_SIGNALS = {
+    "discrete": DiscreteSignal(-2, PINNED_SAMPLES),
+    "analog": SampledSignal(0.1, 3, PINNED_SAMPLES),
+    "periodic-discrete": PeriodicDiscreteSignal(PINNED_SAMPLES),
+    "periodic-analog": PeriodicSampledSignal(1 / 3, PINNED_SAMPLES),
+}
+PINNED_SERIES = SeriesSpectrum(
+    period_t=2.0, omega0=math.pi, coeffs=np.array([complex(-0.0, 1 / 3), 0.1, complex(2 / 3, -0.0)])
+)
+PINNED_SPECTRUM = TransformSpectrum(omegas=np.array([-0.5, 1 / 3]), values=PINNED_SAMPLES)
+
+PINNED = {
+    ("discrete", "csv"): """\
+# kind=discrete
+index,re,im
+-2,-0,0.33333333333333331
+-1,0.10000000000000001,-0
+""",
+    ("discrete", "json"): """\
+{
+  "kind": "discrete",
+  "rows": [
+    [
+      -2,
+      -0.0,
+      0.3333333333333333
+    ],
+    [
+      -1,
+      0.1,
+      -0.0
+    ]
+  ]
+}
+""",
+    ("analog", "csv"): """\
+# kind=analog ts=0.10000000000000001
+index,re,im
+3,-0,0.33333333333333331
+4,0.10000000000000001,-0
+""",
+    ("analog", "json"): """\
+{
+  "kind": "analog",
+  "ts": 0.1,
+  "rows": [
+    [
+      3,
+      -0.0,
+      0.3333333333333333
+    ],
+    [
+      4,
+      0.1,
+      -0.0
+    ]
+  ]
+}
+""",
+    ("periodic-discrete", "csv"): """\
+# kind=periodic-discrete n=2
+index,re,im
+0,-0,0.33333333333333331
+1,0.10000000000000001,-0
+""",
+    ("periodic-discrete", "json"): """\
+{
+  "kind": "periodic-discrete",
+  "n": 2,
+  "rows": [
+    [
+      0,
+      -0.0,
+      0.3333333333333333
+    ],
+    [
+      1,
+      0.1,
+      -0.0
+    ]
+  ]
+}
+""",
+    ("periodic-analog", "csv"): """\
+# kind=periodic-analog ts=0.33333333333333331 n=2
+index,re,im
+0,-0,0.33333333333333331
+1,0.10000000000000001,-0
+""",
+    ("periodic-analog", "json"): """\
+{
+  "kind": "periodic-analog",
+  "ts": 0.3333333333333333,
+  "n": 2,
+  "rows": [
+    [
+      0,
+      -0.0,
+      0.3333333333333333
+    ],
+    [
+      1,
+      0.1,
+      -0.0
+    ]
+  ]
+}
+""",
+    ("series", "csv"): """\
+# kind=series t=2 omega0=3.1415926535897931 n_max=1
+n,c_re,c_im,f_re,f_im
+-1,-0,0.33333333333333331,-0,0.66666666666666663
+0,0.10000000000000001,0,0.20000000000000001,0
+1,0.66666666666666663,-0,1.3333333333333333,0
+""",
+    ("spectrum", "csv"): """\
+# kind=spectrum
+omega,re,im
+-0.5,-0,0.33333333333333331
+0.33333333333333331,0.10000000000000001,-0
+""",
+    ("series", "json"): """\
+{
+  "kind": "series",
+  "t": 2.0,
+  "omega0": 3.141592653589793,
+  "n_max": 1,
+  "rows": [
+    [
+      -1,
+      -0.0,
+      0.3333333333333333,
+      -0.0,
+      0.6666666666666666
+    ],
+    [
+      0,
+      0.1,
+      0.0,
+      0.2,
+      0.0
+    ],
+    [
+      1,
+      0.6666666666666666,
+      -0.0,
+      1.3333333333333333,
+      0.0
+    ]
+  ]
+}
+""",
+    ("spectrum", "json"): """\
+{
+  "kind": "spectrum",
+  "rows": [
+    [
+      -0.5,
+      -0.0,
+      0.3333333333333333
+    ],
+    [
+      0.3333333333333333,
+      0.1,
+      -0.0
+    ]
+  ]
+}
+""",
+}
+
+
+SIGNAL_KEYS = [key for key in PINNED if key[0] in PINNED_SIGNALS]
+
+
+class TestPinnedText:
+    @pytest.mark.parametrize("key", SIGNAL_KEYS, ids="-".join)
+    def test_signal_text(self, key):
+        kind, fmt = key
+        assert signal_text(PINNED_SIGNALS[kind], fmt) == PINNED[key]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_series_table_text(self, fmt):
+        assert series_table_text(PINNED_SERIES, fmt) == PINNED[("series", fmt)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_transform_table_text(self, fmt):
+        assert transform_table_text(PINNED_SPECTRUM, fmt) == PINNED[("spectrum", fmt)]
+
+    @pytest.mark.parametrize("key", SIGNAL_KEYS, ids="-".join)
+    def test_read_then_write_is_identity(self, key):
+        text = PINNED[key]
+        assert signal_text(read_signal_text(text), key[1]) == text
+
+    def test_index_beyond_int64_keeps_its_bytes(self, tmp_path, capsys):
+        text = "# kind=discrete\nindex,re,im\n100000000000000000000000,1,0.25\n100000000000000000000001,2,0.5\n"
+        src = tmp_path / "big.csv"
+        src.write_text(text)
+        delta = tmp_path / "delta.csv"
+        delta.write_text("# kind=discrete\nindex,re,im\n0,1,0\n")
+        assert main(["conv", str(src), str(delta)]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_400_digit_json_sample_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "huge.json"
+        src.write_text('{"kind": "discrete", "rows": [[0, 1' + "0" * 399 + ', 0]]}')
+        assert main(["conv", str(src), str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: re must be finite")
