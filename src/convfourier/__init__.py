@@ -22,7 +22,6 @@ from .convolution import (
     shift,
 )
 from .fourier import (
-    ComparisonReport,
     DftSpectrum,
     ResidualReport,
     SeriesSpectrum,

@@ -1,7 +1,8 @@
 """Command-line interface: convolve signal files, run transforms, verify identities.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 grid or
-period mismatch, 4 alias-window or precondition violation.
+period mismatch, 4 alias-window or precondition violation, or a result
+beyond the float64 range.
 """
 
 from __future__ import annotations
@@ -81,7 +82,14 @@ def _cmd_conv(args) -> int:
         raise GridMismatchError(
             f"mode={mode} but inputs have kind={kind_f} and kind={kind_g}"
         )
-    result = _CONV_OPS[mode](f, g)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = _CONV_OPS[mode](f, g)
+    except GridMismatchError:
+        raise
+    except ValueError as exc:
+        # finite inputs whose convolution overflows to non-finite samples
+        raise OverflowError(f"{mode} convolution overflows float64: {exc}") from None
     _write_output(signal_text(result, args.format), args.out)
     return 0
 
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # exception type -> exit code; 1 is kept for a failed verification
-_EXIT_CODES = {SignalFormatError: 2, GridMismatchError: 3, AliasingError: 4}
+_EXIT_CODES = {SignalFormatError: 2, GridMismatchError: 3, AliasingError: 4, OverflowError: 4}
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,12 @@ Riemann factor at a = j omega on a uniform frequency grid.  ``dft`` and
 ``idft`` run on ``np.fft``; the direct N-term power sum
 ``exp_factor_periodic_discrete`` is the independent reference they are
 checked against.
+
+Every other transform here is one call of the Riemann sum
+``convolution._riemann_sum`` per output point: per frequency for the
+coefficients and the Fourier transform, per output time for the series
+synthesis and the inverse transform.  No M x L kernel matrix is built, so
+memory stays linear in the input and output sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ __all__ = [
     "DftSpectrum",
     "TransformSpectrum",
     "ResidualReport",
-    "ComparisonReport",
     "harmonic_signal",
     "sampled_harmonic",
     "fourier_coefficients",
@@ -162,27 +167,11 @@ class ResidualReport:
     scale: float
 
 
-@dataclass(frozen=True, eq=False)
-class ComparisonReport:
-    """Pointwise comparison of two spectra over a set of harmonic indices."""
-
-    indices: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: float
-    scale: float
-
-
-def _compare(indices, lhs, rhs) -> ComparisonReport:
-    lhs = np.asarray(lhs, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    diff = np.abs(lhs - rhs)
-    return ComparisonReport(
-        indices=np.asarray(indices),
-        lhs=lhs,
-        rhs=rhs,
-        residual=float(diff.max()) if diff.size else 0.0,
-        scale=float(np.abs(rhs).max()) if rhs.size else 0.0,
+def _compare(lhs: np.ndarray, rhs: np.ndarray) -> ResidualReport:
+    """Max-norm residual of two nonempty arrays, scaled by the right side."""
+    return ResidualReport(
+        residual=float(np.abs(lhs - rhs).max()),
+        scale=float(np.abs(rhs).max()),
     )
 
 
@@ -237,15 +226,18 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
 def series_synthesize(
     spectrum: SeriesSpectrum, ts: float, start: int, count: int
 ) -> SampledSignal:
-    """Truncated synthesis sum_{|n| <= n_max} C_n e^(j n omega0 t) on a grid."""
+    """Truncated synthesis sum_{|n| <= n_max} C_n e^(j n omega0 t) on a grid.
+
+    Each output sample is one Riemann sum over the harmonics: unit weight,
+    "times" n omega0 and a = -j t.
+    """
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     t = (int(start) + np.arange(count)) * float(ts)
-    acc = np.zeros(count, dtype=np.complex128)
-    for n in range(-spectrum.n_max, spectrum.n_max + 1):
-        acc += spectrum.coeffs[spectrum.n_max + n] * np.exp(1j * n * spectrum.omega0 * t)
-    return SampledSignal(ts=ts, start=start, samples=acc)
+    freqs = spectrum.harmonics() * spectrum.omega0
+    samples = [_riemann_sum(spectrum.coeffs, freqs, 1.0, -1j * tk) for tk in t]
+    return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
 
 
 def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
@@ -259,11 +251,7 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     x = sampled_harmonic(n, f.period_samples, f.ts)
     lhs = periodic_convolve_analog(f, x).samples
     factor = _riemann_sum(f.samples, f.times(), f.ts, 1j * n * (_TWO_PI / f.period_t))
-    rhs = factor * x.samples
-    return ResidualReport(
-        residual=float(np.abs(lhs - rhs).max()),
-        scale=float(np.abs(rhs).max()),
-    )
+    return _compare(lhs, factor * x.samples)
 
 
 def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
@@ -294,27 +282,30 @@ def dft_orthogonality(m: int, n: int, period: int) -> ResidualReport:
 def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
     """Riemann-sum Fourier transform of a finite-support signal.
 
-    F(omega) = ts * sum_k f(k ts) e^(-j omega k ts), evaluated at every
-    frequency of the (uniform) grid.
+    F(omega) = ts * sum_k f(k ts) e^(-j omega k ts) is the eigenfactor of f
+    at a = j omega: one Riemann sum per frequency of the (uniform) grid.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    if len(f) == 0:
-        return TransformSpectrum(omegas=omegas, values=np.zeros(omegas.size, dtype=np.complex128))
-    kernel = np.exp(-1j * np.outer(omegas, f.times()))
-    return TransformSpectrum(omegas=omegas, values=f.ts * (kernel @ f.samples))
+    times = f.times()
+    values = [_riemann_sum(f.samples, times, f.ts, 1j * w) for w in omegas]
+    return TransformSpectrum(omegas=omegas, values=np.array(values, dtype=np.complex128))
 
 
 def inverse_fourier_transform(
     spectrum: TransformSpectrum, ts: float, start: int, count: int
 ) -> SampledSignal:
-    """Band-and-grid-truncated inverse: (1/2pi) * dw * sum F(w) e^(j w t)."""
+    """Band-and-grid-truncated inverse: (1/2pi) * dw * sum F(w) e^(j w t).
+
+    Each output sample is one Riemann sum over the frequency grid, with
+    weight dw / 2pi and a = -j t.
+    """
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    dw = spectrum.delta_omega
+    weight = spectrum.delta_omega / _TWO_PI
     t = (int(start) + np.arange(count)) * float(ts)
-    kernel = np.exp(1j * np.outer(t, spectrum.omegas))
-    return SampledSignal(ts=ts, start=start, samples=(dw / _TWO_PI) * (kernel @ spectrum.values))
+    samples = [_riemann_sum(spectrum.values, spectrum.omegas, weight, -1j * tk) for tk in t]
+    return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
 
 
 def _support_extent(f: SampledSignal) -> int:
@@ -329,7 +320,7 @@ def ft_discretize(
     spectrum: TransformSpectrum,
     periodized: PeriodicSampledSignal,
     source: SampledSignal,
-) -> ComparisonReport:
+) -> ResidualReport:
     """Compare F(n omega0) against T * C_n of the periodized signal.
 
     ``spectrum`` must be sampled on the omega0 lattice of the period
@@ -355,11 +346,8 @@ def ft_discretize(
         )
     n_max = int(np.abs(harmonics).max()) if harmonics.size else 0
     _check_alias_window(n_max, n_samples)
-    coeffs = fourier_coefficients(periodized, n_max)
-    rhs = np.asarray(
-        [period_t * coeffs.coefficient(n) for n in harmonics], dtype=np.complex128
-    )
-    return _compare(harmonics, spectrum.values, rhs)
+    coeffs = fourier_coefficients(periodized, n_max).coeffs
+    return _compare(spectrum.values, period_t * coeffs[n_max + harmonics])
 
 
 def periodize_spectrum(
@@ -394,7 +382,7 @@ def periodize_spectrum(
     return TransformSpectrum(omegas=spectrum.omegas, values=out)
 
 
-def dft_vs_series(f_d: PeriodicDiscreteSignal, spectrum: SeriesSpectrum) -> ComparisonReport:
+def dft_vs_series(f_d: PeriodicDiscreteSignal, spectrum: SeriesSpectrum) -> ResidualReport:
     """Compare the DFT of one period of samples against N * C_n.
 
     ``f_d`` must hold the N per-period samples of the analog signal whose
@@ -403,8 +391,5 @@ def dft_vs_series(f_d: PeriodicDiscreteSignal, spectrum: SeriesSpectrum) -> Comp
     """
     n = f_d.period
     _check_alias_window(spectrum.n_max, n)
-    transform = dft(f_d)
-    harmonics = spectrum.harmonics()
-    lhs = np.asarray([transform.value(h) for h in harmonics], dtype=np.complex128)
-    rhs = n * spectrum.coeffs
-    return _compare(harmonics, lhs, rhs)
+    lhs = dft(f_d).values[spectrum.harmonics() % n]
+    return _compare(lhs, n * spectrum.coeffs)

@@ -109,10 +109,10 @@ class Report:
         }
 
 
-def _finish(spec, tolerance, residual, scale, note="") -> IdentityCheck:
+def _finish(spec, residual, scale, note="", tol_scale=1.0) -> IdentityCheck:
     residual = float(residual)
     scale = float(scale)
-    tolerance = float(tolerance)
+    tolerance = float(spec.tolerance * tol_scale)
     return IdentityCheck(
         id=spec.id,
         description=spec.description,
@@ -230,7 +230,7 @@ def _window_lhs(f, expo, ks: np.ndarray) -> np.ndarray:
 # public single-identity checks
 # --------------------------------------------------------------------------
 
-def _harmonic_product(check_id, convolve, f, g, n, tolerance) -> IdentityCheck:
+def _harmonic_product(check_id, convolve, f, g, n) -> IdentityCheck:
     """Compare (convolve(f, g) (*) x_n) against F(n) G(n) x_n on g's period
     grid, where F and G are the one-period Riemann factors at a = j n omega0."""
     period = g.period_samples
@@ -242,14 +242,13 @@ def _harmonic_product(check_id, convolve, f, g, n, tolerance) -> IdentityCheck:
     fn = _riemann_sum(f.samples, f.times(), f.ts, a)
     gn = _riemann_sum(g.samples, g.times(), g.ts, a)
     residual, scale = _max_err(lhs, fn * gn * xn.samples)
-    return _finish(_spec(check_id), tolerance, residual, scale)
+    return _finish(_spec(check_id), residual, scale)
 
 
 def check_fs_conv_time(
     f: sig.PeriodicSampledSignal,
     g: sig.PeriodicSampledSignal,
     n: int,
-    tolerance: float = 1e-9,
 ) -> IdentityCheck:
     """Circular convolution in time multiplies the harmonic factors.
 
@@ -257,15 +256,14 @@ def check_fs_conv_time(
     """
     if f.ts != g.ts or f.period_samples != g.period_samples:
         raise sig.GridMismatchError("f and g must share ts and period")
-    return _harmonic_product("fs.conv_time", conv.periodic_convolve_analog, f, g, n, tolerance)
+    return _harmonic_product("fs.conv_time", conv.periodic_convolve_analog, f, g, n)
 
 
 def check_fs_conv_freq(
     f: sig.PeriodicSampledSignal,
     g: sig.PeriodicSampledSignal,
     t_index: int,
-    n_max: int | None = None,
-    tolerance: float = 1e-8,
+    n_max: int,
 ) -> IdentityCheck:
     """Discrete convolution of two coefficient spectra synthesizes T^2 f(t) g(t).
 
@@ -278,7 +276,7 @@ def check_fs_conv_freq(
     period = f.period_samples
     period_t = f.period_t
     limit = (period - 1) // 2
-    n_max = limit if n_max is None else int(n_max)
+    n_max = int(n_max)
     if n_max > limit:
         raise AliasingError(f"n_max={n_max} exceeds the alias-free window for N={period}")
     probe = min(n_max + 1, limit)
@@ -303,20 +301,19 @@ def check_fs_conv_freq(
     lhs = _window_lhs(fg, lambda k: _dexp(p, k), ks)
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))
     residual, scale = _max_err(lhs, product * _dexp(p, ks))
-    return _finish(_spec("fs.conv_freq"), tolerance, residual, scale)
+    return _finish(_spec("fs.conv_freq"), residual, scale)
 
 
 def check_fs_mixed(
     h: sig.SampledSignal,
     u: sig.PeriodicSampledSignal,
     n: int,
-    tolerance: float = 1e-8,
 ) -> IdentityCheck:
     """Periodic input through a finite impulse response: each harmonic is
     scaled by the response's own factor, ((h*u) (*) x_n) = U(n) H(n) x_n."""
     if h.ts != u.ts:
         raise sig.GridMismatchError(f"ts mismatch: {h.ts} != {u.ts}")
-    return _harmonic_product("fs.lti_mixed", conv.mixed_convolve, h, u, n, tolerance)
+    return _harmonic_product("fs.lti_mixed", conv.mixed_convolve, h, u, n)
 
 
 _FT_GRID_STEP = math.pi / 8
@@ -355,8 +352,7 @@ def check_ft_properties(f: sig.SampledSignal, selector="abcdef", rng=None, g=Non
         if key not in properties:
             raise ValueError(f"unknown transform property selector {key!r}")
         check_id, run = properties[key]
-        spec = _spec(check_id)
-        checks.append(_finish(spec, spec.tolerance, *run()))
+        checks.append(_finish(_spec(check_id), *run()))
     return checks
 
 
@@ -1077,7 +1073,7 @@ def run_all(grid: GridParams | None = None, seed: int = 42, tol_scale: float = 1
         except Exception as exc:
             # a check that cannot be computed is a failure, never a skip
             result = math.inf, 0.0, f"failed: {type(exc).__name__}: {exc}"
-        checks.append(_finish(spec, spec.tolerance * tol_scale, *result))
+        checks.append(_finish(spec, *result, tol_scale=tol_scale))
     return Report(
         checks=tuple(checks),
         seed=int(seed),

@@ -121,6 +121,8 @@ def _build_signal(kind, ts, n, index, re, im):
     if periodic:
         if n is None:
             raise SignalFormatError(f"kind={kind} requires n metadata")
+        if n < 1:
+            raise SignalFormatError(f"kind={kind} needs n >= 1, got n={n}")
         if n != len(index):
             raise SignalFormatError(f"metadata says n={n} but file has {len(index)} rows")
         if start != 0 or not contiguous:
@@ -177,7 +179,7 @@ def _json_column(cells, what: str, integer: bool = False):
 def _read_json(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond the int-string limit
         raise SignalFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SignalFormatError("JSON signal must be an object")
@@ -215,14 +217,16 @@ def read_signal_text(text: str):
 def read_signal(path: str):
     """Read a signal file, or standard input when ``path`` is ``-``.
 
-    A file that cannot be opened or read raises ``SignalFormatError``.
+    Input that cannot be opened, read or decoded as UTF-8 raises
+    ``SignalFormatError``.
     """
-    if path == "-":
-        return read_signal_text(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SignalFormatError(f"cannot read {path}: {exc}") from None
     return read_signal_text(text)
 

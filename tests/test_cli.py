@@ -79,6 +79,25 @@ class TestConv:
         assert data["rows"][2] == [2, 3.0, 0.0]
 
     @pytest.mark.parametrize(
+        "kind", ["discrete", "analog ts=1", "periodic-discrete n=2", "periodic-analog ts=1 n=2"]
+    )
+    def test_overflow_exit_4(self, tmp_path, capsys, kind):
+        # finite samples whose convolution leaves the float64 range
+        f = write(tmp_path / "f.csv", f"# kind={kind}\nindex,re,im\n0,1e308,0\n1,1e308,0\n")
+        code, out, err = run(capsys, "conv", f, f)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+
+    def test_period_mismatch_exit_3(self, tmp_path, capsys):
+        f = write(tmp_path / "f.csv", "# kind=periodic-discrete n=2\nindex,re,im\n0,1,0\n1,2,0\n")
+        g = write(tmp_path / "g.csv", "# kind=periodic-discrete n=1\nindex,re,im\n0,1,0\n")
+        code, _, err = run(capsys, "conv", f, g)
+        assert code == 3
+        assert "period mismatch" in err
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"kind": "discrete", "rows": [[0, "1.5", 0]]}',
@@ -194,6 +213,14 @@ class TestFt:
         assert code == 2
         assert "--ts" in err
 
+    def test_frequency_count_overflow_exit_4(self, capsys):
+        # (omega_max - omega_min) / omega_step overflows to inf
+        code, out, err = run(capsys, "ft", "--gen", "pulse", "--ts", "0.25", "--omega-min=-1e308",
+                             "--omega-max", "1e308", "--omega-step", "1")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_step_exit_2(self, capsys):
         code, _, _ = run(
             capsys,
@@ -234,6 +261,29 @@ class TestFt:
         )
         assert code == 2
         assert err.startswith(f"error: --gen {gen_args[0]}:")
+
+
+# Unreadable input exits 2 with one "error:" line; each used to raise out of
+# main (a traceback, exit 1).
+UNREADABLE = {
+    "json-no-rows": b'{"kind": "periodic-discrete", "n": 0, "rows": []}',
+    "csv-no-rows": b"# kind=periodic-discrete n=0\nindex,re,im\n",
+    "latin-1": "# kind=periodic-discrete n=1\n# \xe9t\xe9\nindex,re,im\n0,1,0\n".encode("latin-1"),
+    "long-json-int": b'{"kind": "periodic-discrete", "n": 1, "rows": [[0, ' + b"1" * 5001 + b", 0]]}",
+}
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("data", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, stdin):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, "dft", "-" if stdin else str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestStdinStdout:

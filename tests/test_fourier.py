@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from convfourier.convolution import (
+    exp_factor_analog,
     exp_factor_periodic_analog,
     exp_factor_periodic_discrete,
     periodic_convolve_discrete,
@@ -284,16 +285,7 @@ class TestIdft:
         assert np.max(np.abs(out.samples - f)) <= 1e-12 * max(1.0, np.abs(f).max())
 
 
-def test_kernels_at_2048_stay_linear_in_memory():
-    # an N x N complex matrix at N = 2048 alone takes 64 MiB
-    rng = np.random.default_rng(32)
-    f = PeriodicDiscreteSignal(rand_values(rng, 2048))
-    spectrum = dft(f)
-    kernels = {
-        "dft": lambda: dft(f),
-        "idft": lambda: idft(spectrum),
-        "periodic_convolve_discrete": lambda: periodic_convolve_discrete(f, f),
-    }
+def assert_peak_under_8_mib(kernels):
     for name, kernel in kernels.items():
         tracemalloc.start()
         try:
@@ -302,6 +294,30 @@ def test_kernels_at_2048_stay_linear_in_memory():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, (name, peak)
+
+
+def test_kernels_at_2048_stay_linear_in_memory():
+    # an N x N complex matrix at N = 2048 alone takes 64 MiB
+    rng = np.random.default_rng(32)
+    f = PeriodicDiscreteSignal(rand_values(rng, 2048))
+    spectrum = dft(f)
+    assert_peak_under_8_mib({
+        "dft": lambda: dft(f),
+        "idft": lambda: idft(spectrum),
+        "periodic_convolve_discrete": lambda: periodic_convolve_discrete(f, f),
+    })
+
+
+def test_transforms_stay_linear_in_memory():
+    # a 401 x 12289 complex kernel matrix alone takes 75 MiB, a 2048 x 401 one 12.5 MiB
+    f = gaussian(1.0 / 1024.0, 6.0)
+    omegas = 0.125 + 0.25 * np.arange(-200, 201)
+    spectrum = fourier_transform(f, omegas)
+    assert_peak_under_8_mib({
+        "fourier_transform": lambda: fourier_transform(f, omegas),
+        "inverse_fourier_transform": lambda: inverse_fourier_transform(spectrum, f.ts, -1024, 2048),
+    })
+
 
 class TestDftOrthogonality:
     def test_dc_pair(self):
@@ -357,6 +373,20 @@ class TestFourierTransform:
             got = fourier_transform(f, [w]).values[0]
             want = riemann_factor_brute(list(vals), -5, 0.125, 1j * w)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_transform_is_the_eigenfactor(self):
+        # F(omega) is f's eigenfactor at a = j omega, bit for bit; the grid avoids omega = 0
+        rng = np.random.default_rng(36)
+        omegas = 0.125 + 0.25 * np.arange(-160, 160)
+        signals = [
+            gaussian(1.0 / 32.0, 4.0),
+            SampledSignal(0.125, -5, rand_values(rng, 11)),
+            SampledSignal(0.0625, 40, rand_values(rng, 300)),
+        ]
+        for f in signals:
+            got = fourier_transform(f, omegas).values
+            want = np.array([exp_factor_analog(f, analog_exponent(1j * w)).value for w in omegas])
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_signal(self):
         spectrum = fourier_transform(SampledSignal(0.5, 0, []), [0.0, 1.0])
