@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -110,16 +111,24 @@ class Report:
 
 
 def _finish(spec, residual, scale, note="", tol_scale=1.0) -> IdentityCheck:
+    """The verdict on one runner result.  A NaN residual or a non-finite scale
+    fails with residual inf and a note: ``max(1.0, nan)`` is 1.0, and an
+    infinite scale would pass any finite residual."""
     residual = float(residual)
     scale = float(scale)
     tolerance = float(spec.tolerance * tol_scale)
+    passed = residual <= tolerance * max(1.0, scale)
+    if math.isnan(residual) or not math.isfinite(scale):
+        fault = f"failed: non-finite residual {residual!r}, scale {scale!r}"
+        note = f"{note}; {fault}" if note else fault
+        residual, passed = math.inf, False
     return IdentityCheck(
         id=spec.id,
         description=spec.description,
         residual=residual,
         scale=scale,
         tolerance=tolerance,
-        passed=bool(residual <= tolerance * max(1.0, scale)),
+        passed=bool(passed),
         note=note,
     )
 
@@ -192,12 +201,17 @@ def _same_signal(out, want):
     return residual, scale
 
 
+def _worst(a, b):
+    """max(a, b), or NaN if either is NaN (``max(0.0, nan)`` is 0.0)."""
+    return a if a >= b or a != a else b
+
+
 def _worst_over(trials: int, trial):
     """Runner result holding the largest residual and scale of ``trials`` calls of trial()."""
     residual = scale = 0.0
     for _ in range(trials):
         r, s = trial()
-        residual, scale = max(residual, r), max(scale, s)
+        residual, scale = _worst(residual, r), _worst(scale, s)
     return residual, scale, ""
 
 
@@ -207,7 +221,7 @@ def _halving_ratios(residual_at, steps):
     residuals = [residual_at(ts) for ts in steps]
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     note = "halving ratios " + ", ".join(f"{q:.3f}" for q in ratios) + " (want 4)"
-    return max(abs(q - 4.0) for q in ratios), 1.0, note
+    return reduce(_worst, (abs(q - 4.0) for q in ratios)), 1.0, note
 
 
 def _dexp(p: sig.ExpParam, ks) -> np.ndarray:
@@ -447,7 +461,7 @@ def _ft_time_scale(f: sig.SampledSignal):
     coarse = sig.SampledSignal(2 * f.ts, dec.start, dec.samples)
     rhs2 = 0.5 * four.fourier_transform(coarse, omegas / 2.0).values
     r2, s2 = _max_err(lhs2, rhs2)
-    return max(residual, r2), max(scale, s2), ""
+    return _worst(residual, r2), _worst(scale, s2), ""
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +526,7 @@ def _run_mixed_associativity(grid, rng):
         a = conv.periodic_convolve_discrete(conv.mixed_convolve(h, f), g)
         b = conv.mixed_convolve(h, conv.periodic_convolve_discrete(f, g))
         r2, s2 = _max_err(a.samples, b.samples)
-        return max(r1, r2), max(s1, s2)
+        return _worst(r1, r2), _worst(s1, s2)
 
     return _worst_over(5, trial)
 
@@ -539,7 +553,7 @@ def _run_time_shift(grid, rng):
         base = conv.shift(conv.discrete_convolve(f, g), lag)
         r1, s1 = _same_signal(conv.discrete_convolve(conv.shift(f, lag), g), base)
         r2, s2 = _same_signal(conv.discrete_convolve(f, conv.shift(g, lag)), base)
-        return max(r1, r2), max(s1, s2)
+        return _worst(r1, r2), _worst(s1, s2)
 
     return _worst_over(10, trial)
 
@@ -642,7 +656,7 @@ def _run_dft_forward(grid, rng):
         # above run on the FFT
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
         r2, s2 = _max_err(spectrum.values[n], conv.exp_factor_periodic_discrete(f, p).value)
-        return max(r1, r2), max(s1, s2)
+        return _worst(r1, r2), _worst(s1, s2)
 
     return _worst_over(10, trial)
 
@@ -657,7 +671,7 @@ def _run_dft_inverse(grid, rng):
         lhs = conv.periodic_convolve_discrete(spec_signal, xbar).samples
         r1, s1 = _max_err(lhs, grid.n * f.value(k) * xbar.samples)
         r2, s2 = _max_err(four.idft(spectrum).samples, f.samples)
-        return max(r1, r2), max(s1, s2)
+        return _worst(r1, r2), _worst(s1, s2)
 
     return _worst_over(10, trial)
 
@@ -669,7 +683,7 @@ def _run_dft_orthogonality(grid, rng):
     else:
         pairs = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(200)]
         pairs += [(k, k) for k in range(0, n, max(1, n // 16))]
-    residual = max(four.dft_orthogonality(m, k, n).residual for m, k in pairs)
+    residual = reduce(_worst, (four.dft_orthogonality(m, k, n).residual for m, k in pairs))
     return residual, float(n), f"{len(pairs)} pairs"
 
 
@@ -765,7 +779,7 @@ def _run_ft_sampling(grid, rng):
     rep = (k + per_period // 2) % per_period - per_period // 2
     masked = four.TransformSpectrum(omegas=omegas, values=np.where(rep == k, vals, 0.0))
     rebuilt = four.periodize_spectrum(masked, omega_s, 2)
-    residual = max(residual, float(np.abs(rebuilt.values - vals).max()))
+    residual = _worst(residual, float(np.abs(rebuilt.values - vals).max()))
     # the reversed sample sequence carries the periodized spectrum as its factor
     reversed_f = conv.scale_time(f, -1)
     g = sig.DiscreteSignal(reversed_f.start, reversed_f.samples)
@@ -775,7 +789,7 @@ def _run_ft_sampling(grid, rng):
             for w in omegas
         ]
     )
-    residual = max(residual, float(np.abs(lhs - rebuilt.values).max()))
+    residual = _worst(residual, float(np.abs(lhs - rebuilt.values).max()))
     return residual, scale, ""
 
 

@@ -179,7 +179,9 @@ def _json_column(cells, what: str, integer: bool = False):
 def _read_json(text: str):
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer beyond the int-string limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer beyond the int-string limit, or nesting
+        # deeper than the interpreter's recursion limit
         raise SignalFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SignalFormatError("JSON signal must be an object")
@@ -241,13 +243,24 @@ def _table_text(meta: dict, header: str, columns, fmt: str) -> str:
     ``meta`` lists the metadata in output order.  ``columns`` are equal-length
     arrays or ranges; an integer column is written as integers, every other
     one as floats (17 significant digits in CSV).
+
+    The JSON text is exactly ``json.dumps({**meta, "rows": rows}, indent=2)``
+    plus a newline, but ``json`` formats only the metadata head and each
+    column's numbers (compact, so its C encoder runs; with ``indent`` it runs
+    the pure-Python one); this function owns the ``indent=2`` layout of the
+    rows around those number tokens.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     if fmt == "json":
-        payload = {**meta, "rows": [list(row) for row in zip(*columns)]}
-        return json.dumps(payload, indent=2) + "\n"
+        head = json.dumps({**meta, "rows": []}, indent=2)
+        if not columns[0]:
+            return head + "\n"
+        tokens = [json.dumps(c)[1:-1].split(", ") for c in columns]
+        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*tokens)))
+        # head ends in '"rows": []\n}'; the rows go between its brackets
+        return head[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}\n"
     tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
     row = ",".join("{}" if c and type(c[0]) is int else "{:.17g}" for c in columns)
     lines = ["# " + " ".join(tokens), header, *map(row.format, *columns)]

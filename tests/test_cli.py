@@ -270,6 +270,7 @@ UNREADABLE = {
     "csv-no-rows": b"# kind=periodic-discrete n=0\nindex,re,im\n",
     "latin-1": "# kind=periodic-discrete n=1\n# \xe9t\xe9\nindex,re,im\n0,1,0\n".encode("latin-1"),
     "long-json-int": b'{"kind": "periodic-discrete", "n": 1, "rows": [[0, ' + b"1" * 5001 + b", 0]]}",
+    "deep-json": b"[" * 100000 + b"]" * 100000,
 }
 
 

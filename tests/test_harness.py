@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from convfourier import convolution, fourier
+from convfourier import convolution, fourier, harness
 from convfourier.fourier import sampled_harmonic
 from convfourier.generators import gaussian
 from convfourier.harness import (
@@ -172,6 +172,66 @@ class TestRunAll:
         )
         checks = {c.id: c for c in run_all().checks}
         assert not checks["dft.forward"].passed
+
+    def test_all_nan_transform_fails_its_checks(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a fold that drops NaN trials reports a pass
+        def all_nan(f, omegas):
+            omegas = np.asarray(omegas, dtype=float)
+            return fourier.TransformSpectrum(omegas=omegas, values=np.full(omegas.size, np.nan + 0j))
+
+        monkeypatch.setattr(fourier, "fourier_transform", all_nan)
+        checks = {c.id: c for c in run_all().checks}
+        for check_id in ("ft.forward", "ft.conv_time"):
+            assert not checks[check_id].passed, check_id
+            assert checks[check_id].residual == math.inf, check_id
+            assert "non-finite" in checks[check_id].note, check_id
+
+    def test_nan_trial_mid_fold_fails(self, monkeypatch):
+        # the fourth of 10 trials sees a NaN spectrum, after finite residuals
+        exact, calls = fourier.fourier_transform, []
+
+        def one_nan(f, omegas):
+            calls.append(None)
+            spectrum = exact(f, omegas)
+            if len(calls) == 4:
+                spectrum = dataclasses.replace(spectrum, values=np.full_like(spectrum.values, np.nan))
+            return spectrum
+
+        monkeypatch.setattr(fourier, "fourier_transform", one_nan)
+        monkeypatch.setattr(harness, "REGISTRY", (harness._spec("ft.forward"),))
+        (check,) = run_all().checks
+        assert len(calls) == 10
+        assert not check.passed
+        assert check.residual == math.inf
+
+    def test_nan_last_halving_ratio_fails(self, monkeypatch):
+        # the finest of three steps yields NaN: the ratios are [~4, nan]
+        exact = fourier.fourier_transform
+
+        def nan_at_finest(f, omegas):
+            spectrum = exact(f, omegas)
+            if f.ts == 1 / 64:
+                spectrum = dataclasses.replace(spectrum, values=np.full_like(spectrum.values, np.nan))
+            return spectrum
+
+        monkeypatch.setattr(fourier, "fourier_transform", nan_at_finest)
+        monkeypatch.setattr(harness, "REGISTRY", (harness._spec("ft.derivative"),))
+        (check,) = run_all().checks
+        assert not check.passed
+        assert check.residual == math.inf
+        assert "nan" in check.note
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_fails(self, monkeypatch, scale):
+        # max(1.0, nan) is 1.0 and tolerance * inf passes anything
+        spec = dataclasses.replace(
+            harness._spec("conv.commutativity"), runner=lambda grid, rng: (0.0, scale, "")
+        )
+        monkeypatch.setattr(harness, "REGISTRY", (spec,))
+        (check,) = run_all().checks
+        assert not check.passed
+        assert check.residual == math.inf
+        assert check.note == f"failed: non-finite residual 0.0, scale {scale!r}"
 
     def test_tol_scale_tightens(self):
         report = run_all(tol_scale=1e-9)

@@ -1,13 +1,17 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfourier.cli import main
 from convfourier.fourier import SeriesSpectrum, TransformSpectrum
 from convfourier.io import (
     SignalFormatError,
+    _table_text,
     read_signal,
     read_signal_text,
     series_table_text,
@@ -412,3 +416,69 @@ class TestPinnedText:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: re must be finite")
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps(..., indent=2), its reference layout
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# spectrum columns may hold NaN and infinities; signal samples may not
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+ROW_COUNTS = st.one_of(st.just(0), st.just(1), st.integers(2, 60))
+METAS = st.sampled_from([
+    {"kind": "spectrum"},
+    {"kind": "analog", "ts": 0.1},
+    {"kind": "periodic-discrete", "n": 3},
+    {"kind": "series", "t": 2.0, "omega0": math.pi, "n_max": 7},
+])
+
+
+@st.composite
+def tables(draw):
+    rows = draw(ROW_COUNTS)
+    width = draw(st.sampled_from([3, 5]))
+    start = draw(st.integers(-(2**70), 2**70))
+    index = draw(st.sampled_from([
+        range(start, start + rows),  # beyond int64 when |start| is large
+        np.arange(rows, dtype=np.int64) - rows // 2,
+    ]))
+    floats = [np.array(draw(st.lists(ANY_FLOAT, min_size=rows, max_size=rows)), dtype=np.float64)
+              for _ in range(width - 1)]
+    return draw(METAS), [index, *floats]
+
+
+# a signal of each kind from its samples and (aperiodic kinds only) its start
+SIGNAL_TYPES = {
+    "discrete": lambda samples, start: DiscreteSignal(start, samples),
+    "analog": lambda samples, start: SampledSignal(0.1, start, samples),
+    "periodic-discrete": lambda samples, start: PeriodicDiscreteSignal(samples),
+    "periodic-analog": lambda samples, start: PeriodicSampledSignal(0.1, samples),
+}
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables())
+    def test_json_table_is_json_dumps_indent_2(self, table):
+        meta, columns = table
+        lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+        want = json.dumps({**meta, "rows": [list(row) for row in zip(*lists)]}, indent=2) + "\n"
+        assert _table_text(meta, "h", columns, "json") == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(list(SIGNAL_TYPES)),
+        samples=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40),
+        start=st.integers(-(2**70), 2**70),
+    )
+    def test_signal_json_round_trips_bit_for_bit(self, kind, samples, start):
+        values = np.empty(len(samples), dtype=np.complex128)
+        values.real, values.imag = np.array(samples).T
+        signal = SIGNAL_TYPES[kind](values, start)
+        back = read_signal_text(signal_text(signal, "json"))
+        assert type(back) is type(signal)
+        assert back.samples.tobytes() == signal.samples.tobytes()
+        assert getattr(back, "start", None) == getattr(signal, "start", None)
+
