@@ -41,16 +41,7 @@ from .fourier import (
     series_synthesize,
 )
 from .generators import cosine, gaussian, pulse, square
-from .harness import (
-    GridParams,
-    IdentityCheck,
-    Report,
-    check_fs_conv_freq,
-    check_fs_conv_time,
-    check_fs_mixed,
-    check_ft_properties,
-    run_all,
-)
+from .harness import GridParams, IdentityCheck, Report, run_all
 from .io import SignalFormatError, read_signal, read_signal_text, signal_text, write_signal
 from .signals import (
     AliasingError,

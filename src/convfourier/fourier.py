@@ -223,6 +223,17 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     return SeriesSpectrum(period_t=period_t, omega0=omega0, coeffs=coeffs)
 
 
+def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSignal:
+    """weight * sum_m values[m] e^(j freqs[m] t) at t = (start + k) ts, k < count:
+    one Riemann sum per output time, with "times" freqs and a = -j t."""
+    count = int(count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    t = (int(start) + np.arange(count)) * float(ts)
+    samples = [_riemann_sum(values, freqs, weight, -1j * tk) for tk in t]
+    return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
+
+
 def series_synthesize(
     spectrum: SeriesSpectrum, ts: float, start: int, count: int
 ) -> SampledSignal:
@@ -231,13 +242,8 @@ def series_synthesize(
     Each output sample is one Riemann sum over the harmonics: unit weight,
     "times" n omega0 and a = -j t.
     """
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    t = (int(start) + np.arange(count)) * float(ts)
     freqs = spectrum.harmonics() * spectrum.omega0
-    samples = [_riemann_sum(spectrum.coeffs, freqs, 1.0, -1j * tk) for tk in t]
-    return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
+    return _synthesize(spectrum.coeffs, freqs, 1.0, ts, start, count)
 
 
 def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
@@ -299,13 +305,8 @@ def inverse_fourier_transform(
     Each output sample is one Riemann sum over the frequency grid, with
     weight dw / 2pi and a = -j t.
     """
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
     weight = spectrum.delta_omega / _TWO_PI
-    t = (int(start) + np.arange(count)) * float(ts)
-    samples = [_riemann_sum(spectrum.values, spectrum.omegas, weight, -1j * tk) for tk in t]
-    return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
+    return _synthesize(spectrum.values, spectrum.omegas, weight, ts, start, count)
 
 
 def _support_extent(f: SampledSignal) -> int:
@@ -373,12 +374,10 @@ def periodize_spectrum(
     size = spectrum.values.size
     out = np.zeros(size, dtype=np.complex128)
     for r in range(-replicas, replicas + 1):
-        shifted = np.zeros(size, dtype=np.complex128)
         lo = max(0, r * step)
         hi = min(size, size + r * step)
         if lo < hi:
-            shifted[lo:hi] = spectrum.values[lo - r * step : hi - r * step]
-        out += shifted
+            out[lo:hi] += spectrum.values[lo - r * step : hi - r * step]
     return TransformSpectrum(omegas=spectrum.omegas, values=out)
 
 

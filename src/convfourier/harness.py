@@ -33,10 +33,6 @@ __all__ = [
     "CheckSpec",
     "REGISTRY",
     "registry_ids",
-    "check_fs_conv_time",
-    "check_fs_conv_freq",
-    "check_fs_mixed",
-    "check_ft_properties",
     "run_all",
 ]
 
@@ -131,10 +127,6 @@ def _finish(spec, residual, scale, note="", tol_scale=1.0) -> IdentityCheck:
         passed=bool(passed),
         note=note,
     )
-
-
-def _spec(check_id):
-    return next(spec for spec in REGISTRY if spec.id == check_id)
 
 
 # --------------------------------------------------------------------------
@@ -241,12 +233,13 @@ def _window_lhs(f, expo, ks: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# public single-identity checks
+# registry runners: each takes (grid, rng) and returns (residual, scale, note)
 # --------------------------------------------------------------------------
 
-def _harmonic_product(check_id, convolve, f, g, n) -> IdentityCheck:
-    """Compare (convolve(f, g) (*) x_n) against F(n) G(n) x_n on g's period
-    grid, where F and G are the one-period Riemann factors at a = j n omega0."""
+def _harmonic_product(convolve, f, g, n):
+    """Residual and scale of (convolve(f, g) (*) x_n) against F(n) G(n) x_n on
+    g's period grid, where F and G are the one-period Riemann factors at
+    a = j n omega0."""
     period = g.period_samples
     if 2 * abs(int(n)) >= period:
         raise AliasingError(f"harmonic {n} is not below the alias limit for N={period}")
@@ -255,42 +248,20 @@ def _harmonic_product(check_id, convolve, f, g, n) -> IdentityCheck:
     lhs = conv.periodic_convolve_analog(convolve(f, g), xn).samples
     fn = _riemann_sum(f.samples, f.times(), f.ts, a)
     gn = _riemann_sum(g.samples, g.times(), g.ts, a)
-    residual, scale = _max_err(lhs, fn * gn * xn.samples)
-    return _finish(_spec(check_id), residual, scale)
+    return _max_err(lhs, fn * gn * xn.samples)
 
 
-def check_fs_conv_time(
-    f: sig.PeriodicSampledSignal,
-    g: sig.PeriodicSampledSignal,
-    n: int,
-) -> IdentityCheck:
-    """Circular convolution in time multiplies the harmonic factors.
-
-    Compares ((f (*) g) (*) x_n) against G(n) F(n) x_n on the shared grid.
-    """
-    if f.ts != g.ts or f.period_samples != g.period_samples:
-        raise sig.GridMismatchError("f and g must share ts and period")
-    return _harmonic_product("fs.conv_time", conv.periodic_convolve_analog, f, g, n)
-
-
-def check_fs_conv_freq(
-    f: sig.PeriodicSampledSignal,
-    g: sig.PeriodicSampledSignal,
-    t_index: int,
-    n_max: int,
-) -> IdentityCheck:
-    """Discrete convolution of two coefficient spectra synthesizes T^2 f(t) g(t).
+def _fs_conv_freq(f, g, t_index, n_max):
+    """Residual and scale of the discrete convolution of two coefficient
+    spectra, which synthesizes T^2 f(t) g(t).
 
     Both inputs must be band-limited; if a resolvable coefficient just
     outside the window is not negligible the window is reported as too
     small.
     """
-    if f.ts != g.ts or f.period_samples != g.period_samples:
-        raise sig.GridMismatchError("f and g must share ts and period")
     period = f.period_samples
     period_t = f.period_t
     limit = (period - 1) // 2
-    n_max = int(n_max)
     if n_max > limit:
         raise AliasingError(f"n_max={n_max} exceeds the alias-free window for N={period}")
     probe = min(n_max + 1, limit)
@@ -309,25 +280,12 @@ def check_fs_conv_freq(
     f_sig = sig.DiscreteSignal(-n_max, period_t * spec_f.coeffs[lo:hi])
     g_sig = sig.DiscreteSignal(-n_max, period_t * spec_g.coeffs[lo:hi])
     fg = conv.discrete_convolve(f_sig, g_sig)
-    t = int(t_index) * f.ts
+    t = t_index * f.ts
     p = sig.discrete_base(complex(np.exp(-1j * (_TWO_PI / period_t) * t)))
     ks = np.arange(-8, 9)
     lhs = _window_lhs(fg, lambda k: _dexp(p, k), ks)
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))
-    residual, scale = _max_err(lhs, product * _dexp(p, ks))
-    return _finish(_spec("fs.conv_freq"), residual, scale)
-
-
-def check_fs_mixed(
-    h: sig.SampledSignal,
-    u: sig.PeriodicSampledSignal,
-    n: int,
-) -> IdentityCheck:
-    """Periodic input through a finite impulse response: each harmonic is
-    scaled by the response's own factor, ((h*u) (*) x_n) = U(n) H(n) x_n."""
-    if h.ts != u.ts:
-        raise sig.GridMismatchError(f"ts mismatch: {h.ts} != {u.ts}")
-    return _harmonic_product("fs.lti_mixed", conv.mixed_convolve, h, u, n)
+    return _max_err(lhs, product * _dexp(p, ks))
 
 
 _FT_GRID_STEP = math.pi / 8
@@ -339,40 +297,15 @@ def _ft_grid():
 
 
 def _ft_signal(grid: GridParams) -> sig.SampledSignal:
+    """Smooth input of the ft.* property checks, spectrally inside |omega| <= 16 pi;
+    ft.derivative and ft.duality run on their own fixed grids instead."""
     return gen.gaussian(grid.ts, max(6.0, 3.0 * grid.ts))
 
 
-def check_ft_properties(f: sig.SampledSignal, selector="abcdef", rng=None, g=None, t0=None) -> list:
-    """Frequency-domain behaviour of convolution, products, derivative,
-    shifting, duality and rescaling; one residual per selected property.
-
-    f should be smooth and spectrally inside |omega| <= 16 pi; the
-    derivative and duality properties run on their own fixed grids (a
-    Gaussian at ts = 1/16, 1/32, 1/64 and the unit pulse).  The
-    convolution partner ``g`` and the shift ``t0`` default to a fixed bump
-    and a random on-grid lag.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    properties = {
-        "a": ("ft.conv_time", lambda: _ft_conv_time(f, rng, g)),
-        "b": ("ft.conv_freq", lambda: _ft_conv_freq(f, rng)),
-        "c": ("ft.derivative", _ft_derivative),
-        "d": ("ft.time_shift", lambda: _ft_time_shift(f, rng, t0)),
-        "e": ("ft.duality", _ft_duality),
-        "f": ("ft.time_scale", lambda: _ft_time_scale(f)),
-    }
-    checks = []
-    for key in selector:
-        if key not in properties:
-            raise ValueError(f"unknown transform property selector {key!r}")
-        check_id, run = properties[key]
-        checks.append(_finish(_spec(check_id), *run()))
-    return checks
-
-
-def _ft_conv_time(f: sig.SampledSignal, rng, g=None):
+def _run_ft_conv_time(grid, rng):
+    f = _ft_signal(grid)
     ts = f.ts
-    g = _bump(ts, 3.0, 2.0) if g is None else g
+    g = _bump(ts, 3.0, 2.0)
     fg = conv.approx_analog_convolve(f, g)
     ks = np.arange(-4, 5)
 
@@ -386,7 +319,8 @@ def _ft_conv_time(f: sig.SampledSignal, rng, g=None):
     return _worst_over(3, trial)
 
 
-def _ft_conv_freq(f: sig.SampledSignal, rng):
+def _run_ft_conv_freq(grid, rng):
+    f = _ft_signal(grid)
     ts = f.ts
     g = _bump(ts, 4.0, 2.0)
     dw = _FT_GRID_STEP
@@ -415,22 +349,23 @@ def _ft_derivative_residual(ts: float) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def _ft_derivative():
+def _run_ft_derivative(grid, rng):
     # the central difference has symbol sin(w ts)/ts = w - w^3 ts^2/6 + ...;
     # the ladder is fixed so the gate does not depend on the caller's grid
     return _halving_ratios(_ft_derivative_residual, (1 / 16, 1 / 32, 1 / 64))
 
 
-def _ft_time_shift(f: sig.SampledSignal, rng, t0=None):
+def _run_ft_time_shift(grid, rng):
+    f = _ft_signal(grid)
     omegas = _ft_grid()
-    lag = int(rng.integers(-16, 17)) * f.ts if t0 is None else float(t0)
+    lag = int(rng.integers(-16, 17)) * f.ts
     lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
     rhs = np.exp(-1j * omegas * lag) * four.fourier_transform(f, omegas).values
     residual, scale = _max_err(lhs, rhs)
     return residual, scale, ""
 
 
-def _ft_duality():
+def _run_ft_duality(grid, rng):
     # oracle-calibrated fixed grid: pulse at ts=1/64, spectrum on |w| <= 32 pi
     ts = 1.0 / 64.0
     p = gen.pulse(ts)
@@ -449,7 +384,8 @@ def _ft_duality():
     return residual, scale, note
 
 
-def _ft_time_scale(f: sig.SampledSignal):
+def _run_ft_time_scale(grid, rng):
+    f = _ft_signal(grid)
     omegas = _ft_grid()
     # a = -1: time reversal flips the frequency axis exactly
     lhs = four.fourier_transform(conv.scale_time(f, -1), omegas).values
@@ -463,10 +399,6 @@ def _ft_time_scale(f: sig.SampledSignal):
     r2, s2 = _max_err(lhs2, rhs2)
     return _worst(residual, r2), _worst(scale, s2), ""
 
-
-# --------------------------------------------------------------------------
-# registry runners: each takes (grid, rng) and returns (residual, scale, note)
-# --------------------------------------------------------------------------
 
 def _run_commutativity(grid, rng):
     def trial():
@@ -579,8 +511,12 @@ def _run_eigen_analog(grid, rng):
         if a == 0:
             a = 1j
         ks = np.arange(f.start - 4, f.end + 4)
-        lhs = _window_lhs(f, lambda k: np.exp(a * k * ts), ks)
-        return _max_err(lhs, _riemann_sum(f.samples, f.times(), ts, a) * np.exp(a * ks * ts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # at a large ts e^(a t) overflows: SampledSignal rejects a
+            # non-finite window, and _finish fails a non-finite right side
+            lhs = _window_lhs(f, lambda k: np.exp(a * k * ts), ks)
+            rhs = _riemann_sum(f.samples, f.times(), ts, a) * np.exp(a * ks * ts)
+        return _max_err(lhs, rhs)
 
     return _worst_over(10, trial)
 
@@ -722,8 +658,8 @@ def _run_fs_conv_time(grid, rng):
     def trial():
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
-        c = check_fs_conv_time(f, g, int(rng.integers(-grid.n_max, grid.n_max + 1)))
-        return c.residual, c.scale
+        n = int(rng.integers(-grid.n_max, grid.n_max + 1))
+        return _harmonic_product(conv.periodic_convolve_analog, f, g, n)
 
     return _worst_over(5, trial)
 
@@ -732,18 +668,19 @@ def _run_fs_conv_freq(grid, rng):
     def trial():
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
-        c = check_fs_conv_freq(f, g, int(rng.integers(0, grid.n)), n_max=grid.n_max)
-        return c.residual, c.scale
+        return _fs_conv_freq(f, g, int(rng.integers(0, grid.n)), grid.n_max)
 
     return _worst_over(5, trial)
 
 
 def _run_fs_lti_mixed(grid, rng):
+    # periodic input through a finite impulse response: each harmonic is
+    # scaled by the response's own factor, ((h*u) (*) x_n) = U(n) H(n) x_n
     def trial():
         h = _random_sampled(rng, grid.ts, max_len=min(16, grid.n))
         u = _random_trig_poly(rng, grid)
-        c = check_fs_mixed(h, u, int(rng.integers(-grid.n_max, grid.n_max + 1)))
-        return c.residual, c.scale
+        n = int(rng.integers(-grid.n_max, grid.n_max + 1))
+        return _harmonic_product(conv.mixed_convolve, h, u, n)
 
     return _worst_over(5, trial)
 
@@ -986,14 +923,14 @@ REGISTRY: tuple = (
         "spectrum of a time-domain convolution is the product of the spectra",
         1e-10,
         "Riemann factors of the scaled convolution factor exactly",
-        lambda grid, rng: _ft_conv_time(_ft_signal(grid), rng),
+        _run_ft_conv_time,
     ),
     CheckSpec(
         "ft.conv_freq",
         "convolving two spectra synthesizes 2*pi times the product signal",
         1e-8,
         "identity is exact against the grid-truncated reconstructions",
-        lambda grid, rng: _ft_conv_freq(_ft_signal(grid), rng),
+        _run_ft_conv_freq,
     ),
     CheckSpec(
         "ft.derivative",
@@ -1001,28 +938,28 @@ REGISTRY: tuple = (
         0.5,
         "central-difference symbol error is w^3 ts^2/6: halving ts must quarter the residual "
         "(ratio 4 +- 0.5) on a fixed Gaussian ladder ts = 1/16, 1/32, 1/64",
-        lambda grid, rng: _ft_derivative(),
+        _run_ft_derivative,
     ),
     CheckSpec(
         "ft.time_shift",
         "an on-grid time shift multiplies the spectrum by a linear phase",
         1e-10,
         "phase factors of shifted grid times; roundoff only",
-        lambda grid, rng: _ft_time_shift(_ft_signal(grid), rng),
+        _run_ft_time_shift,
     ),
     CheckSpec(
         "ft.duality",
         "transforming a spectrum again returns 2*pi times the time-reversed signal",
         0.05,
         "fixed oracle-calibrated grid; residual dominated by band truncation (measured 0.014)",
-        lambda grid, rng: _ft_duality(),
+        _run_ft_duality,
     ),
     CheckSpec(
         "ft.time_scale",
         "grid-exact rescaling maps the spectrum to (1/|a|) F(omega/a)",
         1e-10,
         "reversal and decimation are exact reindexings of the Riemann sums",
-        lambda grid, rng: _ft_time_scale(_ft_signal(grid)),
+        _run_ft_time_scale,
     ),
     CheckSpec(
         "ft.discretize",

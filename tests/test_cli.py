@@ -361,11 +361,19 @@ class TestVerify:
         for check_id in failing:
             assert check_id in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_grid_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--ts", "1000", "--out", str(tmp_path / "r.json"))
         assert code == 1
         assert "FAIL  eigen.analog" in err
+        *status, last = err.splitlines()
+        assert last == "verification failed: eigen.analog"
+        assert len(status) == 31
+        assert all(line.split("  ")[0] in ("pass", "FAIL") for line in status)
+        assert "Warning" not in err
+        # a RuntimeWarning, raised as an error under pytest, would be the note instead
+        report = json.loads((tmp_path / "r.json").read_text())
+        check = next(c for c in report["checks"] if c["id"] == "eigen.analog")
+        assert check["note"] == "failed: ValueError: samples contain non-finite values"
 
     def test_alias_grid_exit_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "8", "--nmax", "8")

@@ -4,27 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from convfourier import convolution, fourier, harness
+from convfourier import convolution, fourier, harness, signals
 from convfourier.fourier import sampled_harmonic
-from convfourier.generators import gaussian
-from convfourier.harness import (
-    REGISTRY,
-    GridParams,
-    IdentityCheck,
-    check_fs_conv_freq,
-    check_fs_conv_time,
-    check_fs_mixed,
-    check_ft_properties,
-    registry_ids,
-    run_all,
-)
-from convfourier.signals import (
-    AliasingError,
-    GridMismatchError,
-    PeriodicSampledSignal,
-    SampledSignal,
-    delta_approx,
-)
+from convfourier.harness import REGISTRY, GridParams, IdentityCheck, registry_ids, run_all
+from convfourier.signals import AliasingError, PeriodicSampledSignal, SampledSignal, delta_approx
 
 # one id per identity in the catalog
 EXPECTED_IDS = (
@@ -61,6 +44,131 @@ EXPECTED_IDS = (
     "dft.vs_series",
 )
 
+SPECS = {spec.id: spec for spec in REGISTRY}
+
+
+def verdict(check_id, result):
+    """The harness verdict on a (residual, scale) pair or a runner result."""
+    return harness._finish(SPECS[check_id], *result)
+
+
+# Mutation adequacy (DeMillo, Lipton & Sayward, "Hints on test data selection",
+# IEEE Computer 11(4):34, 1978): each named fault is a plausible slip in the
+# library, patched at every binding of the faulted name, and listed with the
+# checks that must fail under it.  A check that no fault can fail is a gate
+# that cannot fail.
+_exact_coefficients = fourier.fourier_coefficients
+_exact_fft = np.fft.fft
+_exact_discrete = convolution.discrete_convolve
+_exact_analog = convolution.approx_analog_convolve
+_exact_circular = convolution._circular_convolve
+_exact_riemann = convolution._riemann_sum
+
+
+def all_nan_transform(f, omegas):
+    omegas = np.asarray(omegas, dtype=float)
+    return fourier.TransformSpectrum(omegas=omegas, values=np.full(omegas.size, np.nan + 0j))
+
+
+def conjugated_coefficients(f, n_max):
+    spectrum = _exact_coefficients(f, n_max)
+    return dataclasses.replace(spectrum, coeffs=np.conj(spectrum.coeffs))
+
+
+def forward_difference(f):
+    diff = (f.samples[2:] - f.samples[1:-1]) / f.ts
+    return SampledSignal(ts=f.ts, start=f.start + 1, samples=diff)
+
+
+def _started_at(convolve, start_of):
+    """convolve, with the output's start index replaced by start_of(f, g)."""
+    return lambda f, g: dataclasses.replace(convolve(f, g), start=start_of(f, g))
+
+
+def _discrete_conjugating(f, g):
+    return _exact_discrete(f, signals.DiscreteSignal(g.start, np.conj(g.samples)))
+
+
+def _analog_without_ts(f, g):
+    out = _exact_analog(f, g)
+    return dataclasses.replace(out, samples=out.samples / f.ts)
+
+
+def _riemann_flipped(samples, times, ts, a):
+    return _exact_riemann(samples, times, ts, -a)
+
+
+FAULTS = {
+    "all-nan fourier_transform": (
+        [(fourier, "fourier_transform", all_nan_transform)],
+        {"ft.forward", "ft.inverse", "ft.conv_time", "ft.conv_freq", "ft.derivative",
+         "ft.time_shift", "ft.duality", "ft.time_scale", "ft.discretize", "ft.sampling"},
+    ),
+    "conjugated fourier_coefficients": (
+        [(fourier, "fourier_coefficients", conjugated_coefficients)],
+        {"fs.forward", "fs.inverse", "fs.conv_freq", "ft.discretize", "dft.vs_series"},
+    ),
+    "fft scaled by 1+1e-6": (
+        [(np.fft, "fft", lambda a: _exact_fft(a) * (1 + 1e-6))],
+        {"eigen.periodic_analog", "eigen.periodic_discrete", "dft.forward", "dft.inverse",
+         "dft.orthogonality", "fs.conv_time", "fs.lti_mixed", "dft.vs_series"},
+    ),
+    "discrete_convolve start +1": (
+        [(convolution, "discrete_convolve", _started_at(_exact_discrete, lambda f, g: f.start + g.start + 1))],
+        {"conv.identity_discrete", "eigen.discrete", "fs.inverse", "fs.conv_freq"},
+    ),
+    "discrete_convolve start f.start - g.start": (
+        [(convolution, "discrete_convolve", _started_at(_exact_discrete, lambda f, g: f.start - g.start))],
+        {"conv.identity_discrete", "conv.time_shift", "eigen.discrete", "fs.inverse",
+         "fs.conv_freq"},
+    ),
+    "discrete_convolve conjugating g": (
+        [(convolution, "discrete_convolve", _discrete_conjugating)],
+        {"conv.commutativity", "conv.associativity", "conv.identity_discrete",
+         "eigen.discrete", "fs.inverse", "fs.conv_freq"},
+    ),
+    "approx_analog_convolve without ts": (
+        [(convolution, "approx_analog_convolve", _analog_without_ts)],
+        {"conv.identity_analog", "conv.derivative", "eigen.analog", "ft.forward",
+         "ft.inverse", "ft.conv_time", "ft.conv_freq"},
+    ),
+    "approx_analog_convolve start f.start - g.start": (
+        [(convolution, "approx_analog_convolve", _started_at(_exact_analog, lambda f, g: f.start - g.start))],
+        {"conv.time_scale", "eigen.analog", "ft.forward", "ft.inverse", "ft.conv_time",
+         "ft.conv_freq"},
+    ),
+    "_circular_convolve conjugating b": (
+        [(convolution, "_circular_convolve", lambda a, b: _exact_circular(a, np.conj(b)))],
+        {"conv.mixed_associativity", "eigen.periodic_analog", "eigen.periodic_discrete",
+         "dft.forward", "dft.inverse", "dft.orthogonality", "fs.conv_time", "fs.lti_mixed"},
+    ),
+    "_riemann_sum exponent sign flipped": (
+        # imported by name into fourier and harness
+        [(module, "_riemann_sum", _riemann_flipped) for module in (convolution, fourier, harness)],
+        {"eigen.analog", "eigen.periodic_analog", "fs.forward", "fs.inverse", "ft.forward",
+         "fs.conv_time", "fs.conv_freq", "fs.lti_mixed", "ft.derivative", "ft.time_shift",
+         "dft.vs_series"},
+    ),
+    "forward-difference derivative": (
+        [(convolution, "derivative", forward_difference)],
+        {"conv.derivative", "ft.derivative"},
+    ),
+}
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_fails_its_checks(self, monkeypatch, fault):
+        patches, must_fail = FAULTS[fault]
+        for module, name, replacement in patches:
+            monkeypatch.setattr(module, name, replacement)
+        failed = {c.id for c in run_all().checks if not c.passed}
+        assert must_fail <= failed, sorted(must_fail - failed)
+
+    def test_every_check_can_fail(self):
+        caught = set().union(*(must_fail for _, must_fail in FAULTS.values()))
+        assert caught == set(EXPECTED_IDS)
+
 
 class TestRegistry:
     def test_catalog_complete(self):
@@ -74,6 +182,15 @@ class TestRegistry:
         for spec in REGISTRY:
             assert isinstance(spec.justification, str) and spec.justification
             assert isinstance(spec.tolerance, float) and spec.tolerance >= 0.0
+
+    def test_runners_are_distinct_module_functions(self):
+        # profiles and per-check spans then name one function per check
+        runners = [spec.runner for spec in REGISTRY]
+        assert len(set(runners)) == len(runners)
+        for spec in REGISTRY:
+            name = spec.runner.__qualname__
+            assert name.startswith("_run_"), spec.id
+            assert getattr(harness, name) is spec.runner, spec.id
 
 
 class TestGridParams:
@@ -128,21 +245,23 @@ class TestRunAll:
                 assert "skipped" in c.note
         assert report.passed
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_runner_error_fails_not_skips(self):
         # e^(a t) overflows at ts=1000: the check must fail, not disappear
         report = run_all(GridParams(ts=1000.0))
         check = next(c for c in report.checks if c.id == "eigen.analog")
         assert not check.skipped and not check.passed
         assert check.residual == math.inf
-        assert "ValueError" in check.note
+        assert check.note == "failed: ValueError: samples contain non-finite values"
         assert not report.passed
 
-    def test_first_order_derivative_fails_both_derivative_checks(self, monkeypatch):
-        def forward_difference(f):
-            diff = (f.samples[2:] - f.samples[1:-1]) / f.ts
-            return SampledSignal(ts=f.ts, start=f.start + 1, samples=diff)
+    def test_overflowing_right_side_fails_without_warning(self):
+        # at ts=60 the window stays finite but e^(a t) on the right side overflows;
+        # a RuntimeWarning, raised as an error under pytest, would be the note instead
+        check = next(c for c in run_all(GridParams(ts=60.0)).checks if c.id == "eigen.analog")
+        assert not check.passed
+        assert check.note == "failed: non-finite residual inf, scale inf"
 
+    def test_first_order_derivative_fails_both_derivative_checks(self, monkeypatch):
         monkeypatch.setattr(convolution, "derivative", forward_difference)
         checks = {c.id: c for c in run_all().checks}
         for check_id in ("conv.derivative", "ft.derivative"):
@@ -151,13 +270,7 @@ class TestRunAll:
             assert checks[check_id].residual == pytest.approx(2.0, abs=0.1), check_id
 
     def test_fs_forward_checks_recovered_coefficients(self, monkeypatch):
-        exact = fourier.fourier_coefficients
-
-        def conjugated(f, n_max):
-            spectrum = exact(f, n_max)
-            return dataclasses.replace(spectrum, coeffs=np.conj(spectrum.coeffs))
-
-        monkeypatch.setattr(fourier, "fourier_coefficients", conjugated)
+        monkeypatch.setattr(fourier, "fourier_coefficients", conjugated_coefficients)
         checks = {c.id: c for c in run_all().checks}
         assert not checks["fs.forward"].passed
         assert checks["eigen.periodic_analog"].passed
@@ -175,11 +288,7 @@ class TestRunAll:
 
     def test_all_nan_transform_fails_its_checks(self, monkeypatch):
         # max(0.0, nan) is 0.0: a fold that drops NaN trials reports a pass
-        def all_nan(f, omegas):
-            omegas = np.asarray(omegas, dtype=float)
-            return fourier.TransformSpectrum(omegas=omegas, values=np.full(omegas.size, np.nan + 0j))
-
-        monkeypatch.setattr(fourier, "fourier_transform", all_nan)
+        monkeypatch.setattr(fourier, "fourier_transform", all_nan_transform)
         checks = {c.id: c for c in run_all().checks}
         for check_id in ("ft.forward", "ft.conv_time"):
             assert not checks[check_id].passed, check_id
@@ -198,7 +307,7 @@ class TestRunAll:
             return spectrum
 
         monkeypatch.setattr(fourier, "fourier_transform", one_nan)
-        monkeypatch.setattr(harness, "REGISTRY", (harness._spec("ft.forward"),))
+        monkeypatch.setattr(harness, "REGISTRY", (SPECS["ft.forward"],))
         (check,) = run_all().checks
         assert len(calls) == 10
         assert not check.passed
@@ -215,7 +324,7 @@ class TestRunAll:
             return spectrum
 
         monkeypatch.setattr(fourier, "fourier_transform", nan_at_finest)
-        monkeypatch.setattr(harness, "REGISTRY", (harness._spec("ft.derivative"),))
+        monkeypatch.setattr(harness, "REGISTRY", (SPECS["ft.derivative"],))
         (check,) = run_all().checks
         assert not check.passed
         assert check.residual == math.inf
@@ -225,7 +334,7 @@ class TestRunAll:
     def test_non_finite_scale_fails(self, monkeypatch, scale):
         # max(1.0, nan) is 1.0 and tolerance * inf passes anything
         spec = dataclasses.replace(
-            harness._spec("conv.commutativity"), runner=lambda grid, rng: (0.0, scale, "")
+            SPECS["conv.commutativity"], runner=lambda grid, rng: (0.0, scale, "")
         )
         monkeypatch.setattr(harness, "REGISTRY", (spec,))
         (check,) = run_all().checks
@@ -254,14 +363,17 @@ class TestRunAll:
 
 
 class TestCheckFsConvTime:
+    """fs.conv_time through its helper ``_harmonic_product``."""
+
     def test_self_pairing_harmonic(self):
         n_samples, ts = 32, 1.0 / 32.0
         x1 = sampled_harmonic(1, n_samples, ts)
-        check = check_fs_conv_time(x1, x1, 1)
+        circular = convolution.periodic_convolve_analog
+        check = verdict("fs.conv_time", harness._harmonic_product(circular, x1, x1, 1))
         # both sides are T^2 x_1
         assert check.passed
         assert check.scale == pytest.approx((n_samples * ts) ** 2, rel=1e-9)
-        check0 = check_fs_conv_time(x1, x1, 5)
+        check0 = verdict("fs.conv_time", harness._harmonic_product(circular, x1, x1, 5))
         assert check0.passed
         assert check0.scale <= 1e-12
 
@@ -269,45 +381,41 @@ class TestCheckFsConvTime:
         n_samples, ts = 16, 0.125
         z = PeriodicSampledSignal(ts, np.zeros(n_samples))
         f = sampled_harmonic(2, n_samples, ts)
-        check = check_fs_conv_time(f, z, 1)
-        assert check.residual == 0.0
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            check_fs_conv_time(
-                PeriodicSampledSignal(0.5, np.ones(4)),
-                PeriodicSampledSignal(0.25, np.ones(4)),
-                1,
-            )
+        residual, _ = harness._harmonic_product(convolution.periodic_convolve_analog, f, z, 1)
+        assert residual == 0.0
 
 
 class TestCheckFsConvFreq:
+    """fs.conv_freq through its helper ``_fs_conv_freq``."""
+
     def test_constants(self):
         n_samples, ts = 16, 1.0 / 16.0
         ones = PeriodicSampledSignal(ts, np.ones(n_samples))
-        check = check_fs_conv_freq(ones, ones, t_index=3, n_max=2)
-        assert check.passed
+        assert verdict("fs.conv_freq", harness._fs_conv_freq(ones, ones, 3, 2)).passed
 
     def test_zero_partner(self):
         n_samples, ts = 16, 1.0 / 16.0
         f = sampled_harmonic(1, n_samples, ts)
         z = PeriodicSampledSignal(ts, np.zeros(n_samples))
-        check = check_fs_conv_freq(f, z, t_index=0, n_max=3)
-        assert check.residual == 0.0
+        residual, _ = harness._fs_conv_freq(f, z, 0, 3)
+        assert residual == 0.0
 
     def test_window_too_small_reported(self):
         n_samples, ts = 32, 1.0 / 32.0
         f = sampled_harmonic(5, n_samples, ts)
         with pytest.raises(AliasingError):
-            check_fs_conv_freq(f, f, t_index=0, n_max=4)
+            harness._fs_conv_freq(f, f, 0, 4)
 
 
 class TestCheckFsMixed:
+    """fs.lti_mixed through ``_harmonic_product`` with the mixed convolution."""
+
     def test_identity_response(self):
         # h = narrow identity pulse: reduces to the plain eigenrelation
         n_samples, ts = 32, 1.0 / 32.0
         u = sampled_harmonic(2, n_samples, ts)
-        check = check_fs_mixed(delta_approx(ts), u, 2)
+        result = harness._harmonic_product(convolution.mixed_convolve, delta_approx(ts), u, 2)
+        check = verdict("fs.lti_mixed", result)
         assert check.passed
         assert check.scale == pytest.approx(n_samples * ts, rel=1e-9)
 
@@ -315,49 +423,23 @@ class TestCheckFsMixed:
         n_samples, ts = 32, 1.0 / 32.0
         u = sampled_harmonic(1, n_samples, ts)
         h = SampledSignal(ts, 0, [0.5 / ts, 0.5 / ts])
-        check = check_fs_mixed(h, u, 1)
+        check = verdict("fs.lti_mixed", harness._harmonic_product(convolution.mixed_convolve, h, u, 1))
         assert check.passed
         # U(1) = T and H(1) = (1 + e^{-j w0 ts}) / 2
         period_t = n_samples * ts
         h1 = 0.5 * (1 + np.exp(-2j * math.pi / period_t * ts))
         assert check.scale == pytest.approx(abs(period_t * h1), rel=1e-9)
 
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            check_fs_mixed(SampledSignal(0.5, 0, [1.0]), PeriodicSampledSignal(0.25, np.ones(4)), 0)
-
-
-@pytest.fixture(scope="module")
-def smooth():
-    return gaussian(1.0 / 64.0, 6.0)
-
 
 class TestCheckFtProperties:
-    def test_all_selectors_pass(self, smooth):
-        checks = check_ft_properties(smooth, selector="abcdef", rng=np.random.default_rng(3))
-        assert [c.id for c in checks] == [
-            "ft.conv_time",
-            "ft.conv_freq",
-            "ft.derivative",
-            "ft.time_shift",
-            "ft.duality",
-            "ft.time_scale",
-        ]
-        assert all(c.passed for c in checks)
+    """The ft.* runners, on a random stream other than run_all's."""
 
-    def test_zero_shift_gives_zero_residual(self, smooth):
-        check = check_ft_properties(smooth, selector="d", t0=0.0)[0]
-        assert check.residual == 0.0
+    def test_all_selectors_pass(self):
+        rng = np.random.default_rng(3)
+        ft_ids = [i for i in EXPECTED_IDS if i.startswith("ft.")]
+        assert all(verdict(i, SPECS[i].runner(GridParams(), rng)).passed for i in ft_ids)
 
-    def test_identity_partner_reduces_to_eigenrelation(self, smooth):
-        check = check_ft_properties(smooth, selector="a", g=delta_approx(smooth.ts))[0]
-        assert check.passed
-
-    def test_unknown_selector(self, smooth):
-        with pytest.raises(ValueError):
-            check_ft_properties(smooth, selector="z")
-
-    def test_identity_check_invariant(self, smooth):
-        check = check_ft_properties(smooth, selector="c")[0]
+    def test_identity_check_invariant(self):
+        check = verdict("ft.derivative", SPECS["ft.derivative"].runner(GridParams(), None))
         assert isinstance(check, IdentityCheck)
         assert check.passed == (check.residual <= check.tolerance * max(1.0, check.scale))
