@@ -1,8 +1,8 @@
 """Command-line interface: convolve signal files, run transforms, verify identities.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 grid or
-period mismatch, 4 alias-window or precondition violation, or a result
-beyond the float64 range.
+period mismatch, 4 alias-window or precondition violation, a result
+beyond the float64 range, or an ``ft`` request beyond the work budget.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from .io import (
 from .signals import AliasingError, GridMismatchError, PeriodicDiscreteSignal
 
 _GENERATORS = ("pulse", "cos", "square")
+
+# work budget of `ft`, checked before any array is built: the transform is
+# one L-term Riemann sum per frequency, about 30 ns a term
+_FT_MAX_FREQUENCIES = 2**22
+_FT_MAX_TERMS = 2**30
 
 
 def _write_output(text: str, path: str):
@@ -136,6 +141,12 @@ def _cmd_ft(args) -> int:
     if args.omega_max < args.omega_min:
         raise SignalFormatError("--omega-max must be >= --omega-min")
     count = int(round((args.omega_max - args.omega_min) / args.omega_step)) + 1
+    length = f.samples.size
+    if count > _FT_MAX_FREQUENCIES or count * length > _FT_MAX_TERMS:
+        raise OverflowError(
+            f"ft work budget exceeded: M={count} frequencies x L={length} samples; "
+            f"the limit is M <= {_FT_MAX_FREQUENCIES} and L*M <= {_FT_MAX_TERMS} terms"
+        )
     omegas = args.omega_min + np.arange(count) * args.omega_step
     spectrum = four.fourier_transform(f, omegas)
     _write_output(transform_table_text(spectrum, args.format), args.out)

@@ -41,7 +41,14 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GridParams:
-    """Period grid used by the randomized periodic checks."""
+    """Grid of the randomized checks: n samples per period at spacing ts,
+    harmonics |n| <= n_max.
+
+    ft.forward, ft.discretize and ft.sampling follow ts, because their
+    identities are about the grid.  The seven ft.* property checks
+    (inverse, conv_time, conv_freq, derivative, time_shift, duality,
+    time_scale) ignore it and run on fixed oracle inputs at ts = 1/64.
+    """
 
     n: int = 64
     ts: float = 1.0 / 64.0
@@ -229,7 +236,12 @@ def _window_lhs(f, expo, ks: np.ndarray) -> np.ndarray:
         out = conv.approx_analog_convolve(f, sig.SampledSignal(f.ts, g_start, expo(g_idx)))
     else:
         out = conv.discrete_convolve(f, sig.DiscreteSignal(g_start, expo(g_idx)))
-    return np.array([out.value(int(k)) for k in ks])
+    return out.samples[ks - out.start]
+
+
+def _eigenrelation(f, expo, factor, ks: np.ndarray):
+    """Residual and scale of (f * e)(k) against factor * e(k) for k in ks."""
+    return _max_err(_window_lhs(f, expo, ks), factor * expo(ks))
 
 
 # --------------------------------------------------------------------------
@@ -282,12 +294,11 @@ def _fs_conv_freq(f, g, t_index, n_max):
     fg = conv.discrete_convolve(f_sig, g_sig)
     t = t_index * f.ts
     p = sig.discrete_base(complex(np.exp(-1j * (_TWO_PI / period_t) * t)))
-    ks = np.arange(-8, 9)
-    lhs = _window_lhs(fg, lambda k: _dexp(p, k), ks)
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))
-    return _max_err(lhs, product * _dexp(p, ks))
+    return _eigenrelation(fg, lambda k: _dexp(p, k), product, np.arange(-8, 9))
 
 
+_FT_TS = 1.0 / 64.0
 _FT_GRID_STEP = math.pi / 8
 _FT_GRID_HALF = 128  # |omega| <= 16 pi
 
@@ -296,14 +307,20 @@ def _ft_grid():
     return np.arange(-_FT_GRID_HALF, _FT_GRID_HALF + 1) * _FT_GRID_STEP
 
 
-def _ft_signal(grid: GridParams) -> sig.SampledSignal:
-    """Smooth input of the ft.* property checks, spectrally inside |omega| <= 16 pi;
-    ft.derivative and ft.duality run on their own fixed grids instead."""
-    return gen.gaussian(grid.ts, max(6.0, 3.0 * grid.ts))
+def _ft_signal() -> sig.SampledSignal:
+    """Input of the ft.* property checks: e^(-t^2) on |t| <= 6 at ts = 1/64.
+
+    Its spectrum lies inside the fixed frequency grid |omega| <= 16 pi, and
+    it is the same whatever grid the caller runs, so these checks never mix
+    the caller's ts with a frequency grid calibrated for another one.
+    ft.derivative runs on its own fixed ladder of steps, ft.duality on a pulse
+    at this ts.
+    """
+    return gen.gaussian(_FT_TS, 6.0)
 
 
 def _run_ft_conv_time(grid, rng):
-    f = _ft_signal(grid)
+    f = _ft_signal()
     ts = f.ts
     g = _bump(ts, 3.0, 2.0)
     fg = conv.approx_analog_convolve(f, g)
@@ -311,16 +328,15 @@ def _run_ft_conv_time(grid, rng):
 
     def trial():
         w = float(rng.uniform(-12.0, 12.0))
-        lhs = _window_lhs(fg, lambda k: np.exp(1j * w * k * ts), ks)
         fw = four.fourier_transform(f, [w]).values[0]
         gw = four.fourier_transform(g, [w]).values[0]
-        return _max_err(lhs, gw * fw * np.exp(1j * w * ks * ts))
+        return _eigenrelation(fg, lambda k: np.exp(1j * w * k * ts), gw * fw, ks)
 
     return _worst_over(3, trial)
 
 
 def _run_ft_conv_freq(grid, rng):
-    f = _ft_signal(grid)
+    f = _ft_signal()
     ts = f.ts
     g = _bump(ts, 4.0, 2.0)
     dw = _FT_GRID_STEP
@@ -332,12 +348,11 @@ def _run_ft_conv_freq(grid, rng):
     fg_w = conv.approx_analog_convolve(f_w, g_w)
     t0_index = int(rng.integers(-8, 9))
     t0 = t0_index * ts
-    ks = np.arange(-8, 9)
-    lhs = _window_lhs(fg_w, lambda k: np.exp(-1j * (k * dw) * t0), ks)
     fhat = four.inverse_fourier_transform(f_spec, ts, t0_index, 1).samples[0]
     ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
-    rhs = _TWO_PI * (_TWO_PI * fhat * ghat) * np.exp(-1j * (ks * dw) * t0)
-    residual, scale = _max_err(lhs, rhs)
+    factor = _TWO_PI * (_TWO_PI * fhat * ghat)
+    ks = np.arange(-8, 9)
+    residual, scale = _eigenrelation(fg_w, lambda k: np.exp(-1j * (k * dw) * t0), factor, ks)
     return residual, scale, ""
 
 
@@ -356,7 +371,7 @@ def _run_ft_derivative(grid, rng):
 
 
 def _run_ft_time_shift(grid, rng):
-    f = _ft_signal(grid)
+    f = _ft_signal()
     omegas = _ft_grid()
     lag = int(rng.integers(-16, 17)) * f.ts
     lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
@@ -366,10 +381,9 @@ def _run_ft_time_shift(grid, rng):
 
 
 def _run_ft_duality(grid, rng):
-    # oracle-calibrated fixed grid: pulse at ts=1/64, spectrum on |w| <= 32 pi
-    ts = 1.0 / 64.0
-    p = gen.pulse(ts)
-    dw = math.pi / 8
+    # oracle-calibrated fixed grid: pulse at _FT_TS, spectrum on |w| <= 32 pi
+    p = gen.pulse(_FT_TS)
+    dw = _FT_GRID_STEP
     k_half = 256
     omegas = np.arange(-k_half, k_half + 1) * dw
     spec = four.fourier_transform(p, omegas)
@@ -385,7 +399,7 @@ def _run_ft_duality(grid, rng):
 
 
 def _run_ft_time_scale(grid, rng):
-    f = _ft_signal(grid)
+    f = _ft_signal()
     omegas = _ft_grid()
     # a = -1: time reversal flips the frequency axis exactly
     lhs = four.fourier_transform(conv.scale_time(f, -1), omegas).values
@@ -514,9 +528,8 @@ def _run_eigen_analog(grid, rng):
         with np.errstate(over="ignore", invalid="ignore"):
             # at a large ts e^(a t) overflows: SampledSignal rejects a
             # non-finite window, and _finish fails a non-finite right side
-            lhs = _window_lhs(f, lambda k: np.exp(a * k * ts), ks)
-            rhs = _riemann_sum(f.samples, f.times(), ts, a) * np.exp(a * ks * ts)
-        return _max_err(lhs, rhs)
+            factor = _riemann_sum(f.samples, f.times(), ts, a)
+            return _eigenrelation(f, lambda k: np.exp(a * k * ts), factor, ks)
 
     return _worst_over(10, trial)
 
@@ -527,8 +540,7 @@ def _run_eigen_discrete(grid, rng):
         mag = rng.uniform(0.5, 2.0)
         p = sig.discrete_base(mag * np.exp(2j * np.pi * rng.uniform()))
         ks = np.arange(f.start - 4, f.end + 4)
-        lhs = _window_lhs(f, lambda k: _dexp(p, k), ks)
-        return _max_err(lhs, conv.exp_factor_discrete(f, p).value * _dexp(p, ks))
+        return _eigenrelation(f, lambda k: _dexp(p, k), conv.exp_factor_discrete(f, p).value, ks)
 
     return _worst_over(20, trial)
 
@@ -574,8 +586,7 @@ def _run_fs_inverse(grid, rng):
         f_sig = sig.DiscreteSignal(-grid.n_max, period_t * spectrum.coeffs)
         k0 = int(rng.integers(0, grid.n))
         p = sig.discrete_base(complex(np.exp(-1j * grid.omega0 * (k0 * grid.ts))))
-        lhs = _window_lhs(f_sig, lambda k: _dexp(p, k), ks)
-        return _max_err(lhs, period_t * f.value(k0) * _dexp(p, ks))
+        return _eigenrelation(f_sig, lambda k: _dexp(p, k), period_t * f.value(k0), ks)
 
     return _worst_over(5, trial)
 
@@ -630,26 +641,27 @@ def _run_ft_forward(grid, rng):
         f = _random_sampled(rng, ts)
         w = float(rng.uniform(-0.5, 0.5) * math.pi / ts)
         ks = np.arange(f.start - 4, f.end + 4)
-        lhs = _window_lhs(f, lambda k: np.exp(1j * w * k * ts), ks)
         fw = four.fourier_transform(f, [w]).values[0]
-        return _max_err(lhs, fw * np.exp(1j * w * ks * ts))
+        return _eigenrelation(f, lambda k: np.exp(1j * w * k * ts), fw, ks)
 
     return _worst_over(10, trial)
 
 
 def _run_ft_inverse(grid, rng):
-    ts = grid.ts
+    f = _ft_signal()
+    ts = f.ts
     dw = _FT_GRID_STEP
-    spectrum = four.fourier_transform(_ft_signal(grid), _ft_grid())
+    spectrum = four.fourier_transform(f, _ft_grid())
     spec_signal = sig.SampledSignal(dw, -_FT_GRID_HALF, spectrum.values)
     ks = np.arange(-8, 9)
 
     def trial():
         t0_index = int(rng.integers(-round(2.0 / ts), round(2.0 / ts) + 1))
         t0 = t0_index * ts
-        lhs = _window_lhs(spec_signal, lambda k: np.exp(-1j * (k * dw) * t0), ks)
         fhat = four.inverse_fourier_transform(spectrum, ts, t0_index, 1).samples[0]
-        return _max_err(lhs, _TWO_PI * fhat * np.exp(-1j * (ks * dw) * t0))
+        return _eigenrelation(
+            spec_signal, lambda k: np.exp(-1j * (k * dw) * t0), _TWO_PI * fhat, ks
+        )
 
     return _worst_over(5, trial)
 

@@ -8,9 +8,10 @@ CSV layout::
     ...
 
 ``kind`` is one of discrete, analog, periodic-discrete, periodic-analog;
-analog kinds carry ``ts``, periodic kinds carry ``n``.  Aperiodic rows must
-be contiguous and strictly increasing (the first index is the start);
-periodic rows must be exactly 0..N-1.  The JSON mirror stores the same
+analog kinds carry ``ts``, periodic kinds carry ``n``, and a file that gives
+a kind metadata it does not carry, or any other key, is rejected.
+Aperiodic rows must be contiguous and strictly increasing (the first index
+is the start); periodic rows must be exactly 0..N-1.  The JSON mirror stores the same
 fields as ``{"kind": ..., "ts": ..., "n": ..., "rows": [[index, re, im], ...]}``
 with JSON numbers: the index an integer, ``ts``, ``re`` and ``im`` integers
 or floats (strings and booleans are rejected).  CSV numbers are written with
@@ -51,7 +52,9 @@ class SignalFormatError(ValueError):
     """A signal file does not parse or violates the schema."""
 
 
-# kind <-> signal type; analog kinds carry ts, periodic kinds carry n
+# the metadata keys of a signal file; analog kinds carry ts, periodic kinds carry n
+_META_KEYS = ("kind", "ts", "n")
+# kind <-> signal type
 _TYPES = {
     "discrete": DiscreteSignal,
     "analog": SampledSignal,
@@ -108,6 +111,10 @@ def _build_signal(kind, ts, n, index, re, im):
     if kind not in _TYPES:
         raise SignalFormatError(f"unknown kind {kind!r}; expected one of {', '.join(_TYPES)}")
     periodic = kind.startswith("periodic")
+    if ts is not None and not kind.endswith("analog"):
+        raise SignalFormatError(f"kind={kind} takes no ts metadata")
+    if n is not None and not periodic:
+        raise SignalFormatError(f"kind={kind} takes no n metadata")
     fields = {}
     if kind.endswith("analog"):
         if ts is None:
@@ -146,7 +153,7 @@ def _read_csv(text: str):
         key, eq, value = token.partition("=")
         if not eq:
             raise SignalFormatError(f"bad metadata token {token!r}")
-        if key not in ("kind", "ts", "n"):
+        if key not in _META_KEYS:
             raise SignalFormatError(f"unknown metadata key {key!r}")
         meta[key] = value
     if "kind" not in meta:
@@ -185,6 +192,9 @@ def _read_json(text: str):
         raise SignalFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SignalFormatError("JSON signal must be an object")
+    unknown = [key for key in data if key not in (*_META_KEYS, "rows")]
+    if unknown:
+        raise SignalFormatError(f"unknown metadata key {unknown[0]!r}")
     kind = data.get("kind")
     if not isinstance(kind, str):
         raise SignalFormatError("missing or non-string 'kind'")

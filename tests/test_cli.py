@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from convfourier import fourier
 from convfourier.cli import main
 from convfourier.io import read_signal
 
@@ -221,6 +222,27 @@ class TestFt:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            # 10^12 frequencies: np.arange alone would ask for 7.28 TiB
+            ["--ts", "0.25", "--omega-min", "0", "--omega-max", "1", "--omega-step", "1e-12"],
+            # 2^20 samples x 2048 frequencies: 2^31 terms, over a minute of sums
+            ["--ts", str(2.0**-20), "--omega-min", "0", "--omega-max", "2047", "--omega-step", "1"],
+        ],
+        ids=["frequencies", "terms"],
+    )
+    def test_work_budget_exit_4(self, capsys, monkeypatch, gen_args):
+        def unbudgeted(f, omegas):
+            raise AssertionError("the ft work budget did not fire")
+
+        monkeypatch.setattr(fourier, "fourier_transform", unbudgeted)
+        code, out, err = run(capsys, "ft", "--gen", "pulse", *gen_args)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ft work budget exceeded: M=") and err.count("\n") == 1
+        assert "L=" in err and "limit" in err
+
     def test_bad_step_exit_2(self, capsys):
         code, _, _ = run(
             capsys,
@@ -282,6 +304,25 @@ def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, stdin):
     if stdin:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code, out, err = run(capsys, "dft", "-" if stdin else str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Metadata a kind does not carry, or an unknown key, is a parse error; each
+# of these used to be dropped and the file read as a valid signal.
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("f.json", '{"kind": "discrete", "ts": -3, "n": 99, "rows": [[0, 1, 0]]}'),
+        ("f.csv", "# kind=analog ts=0.5 n=7\nindex,re,im\n0,1,0\n1,1,0\n"),
+        ("f.json", '{"kind": "analog", "ts": 0.5, "tss": 0.5, "rows": [[0, 1, 0]]}'),
+    ],
+    ids=["json-discrete-ts-n", "csv-analog-n", "json-unknown-key"],
+)
+def test_metadata_the_kind_does_not_carry_exit_2(tmp_path, capsys, name, text):
+    f = write(tmp_path / name, text)
+    code, out, err = run(capsys, "conv", f, f)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

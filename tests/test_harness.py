@@ -261,6 +261,12 @@ class TestRunAll:
         assert not check.passed
         assert check.note == "failed: non-finite residual inf, scale inf"
 
+    def test_coarse_grid_passes_ft_conv_freq(self):
+        # a Gaussian sampled at ts=500 against the fixed |omega| <= 16 pi grid
+        # failed on synthesis roundoff (relative 2.2e-8 against tolerance 1e-8)
+        check = next(c for c in run_all(GridParams(ts=500.0)).checks if c.id == "ft.conv_freq")
+        assert check.passed
+
     def test_first_order_derivative_fails_both_derivative_checks(self, monkeypatch):
         monkeypatch.setattr(convolution, "derivative", forward_difference)
         checks = {c.id: c for c in run_all().checks}
@@ -438,6 +444,17 @@ class TestCheckFtProperties:
         rng = np.random.default_rng(3)
         ft_ids = [i for i in EXPECTED_IDS if i.startswith("ft.")]
         assert all(verdict(i, SPECS[i].runner(GridParams(), rng)).passed for i in ft_ids)
+
+    @pytest.mark.parametrize(
+        "check_id",
+        ["ft.inverse", "ft.conv_time", "ft.conv_freq", "ft.derivative", "ft.time_shift",
+         "ft.duality", "ft.time_scale"],
+    )
+    def test_property_checks_run_on_a_fixed_oracle(self, check_id):
+        # the caller's grid, even one as coarse as ts = 4, must not reach their inputs
+        runner = SPECS[check_id].runner
+        coarse = GridParams(n=16, ts=4.0, n_max=2)
+        assert runner(coarse, np.random.default_rng(3)) == runner(GridParams(), np.random.default_rng(3))
 
     def test_identity_check_invariant(self):
         check = verdict("ft.derivative", SPECS["ft.derivative"].runner(GridParams(), None))
