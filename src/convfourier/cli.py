@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 grid or
 period mismatch, 4 alias-window or precondition violation, a result
-beyond the float64 range, or an ``ft`` request beyond the work budget.
+beyond the float64 range, or a request beyond its command's work budget.
 """
 
 from __future__ import annotations
@@ -30,10 +30,44 @@ from .signals import AliasingError, GridMismatchError, PeriodicDiscreteSignal
 
 _GENERATORS = ("pulse", "cos", "square")
 
-# work budget of `ft`, checked before any array is built: the transform is
-# one L-term Riemann sum per frequency, about 30 ns a term
+# Work budget of every command, checked before any array is built.  At each
+# limit, on a 2-vCPU Xeon: `ft` and `series` (one L-term Riemann sum per
+# output point) take about 60 s for 2^30 terms, linear `conv` (np.convolve)
+# 4.4 s for 2^33 multiply-adds, `verify` 20-32 s at n*(2*nmax+1) = 2^24, and
+# a 2^24-sample `--gen` signal about 1 GiB of memory.
+_GEN_MAX_SAMPLES = 2**24
 _FT_MAX_FREQUENCIES = 2**22
-_FT_MAX_TERMS = 2**30
+_MAX_TERMS = 2**30
+_CONV_MAX_MACS = 2**33
+_VERIFY_MAX_N = 2**16
+_VERIFY_MAX_WORK = 2**24
+
+
+def _check_budget(command: str, sizes: str, *bounds):
+    """Raise OverflowError (exit 4) when a (name, value, limit) bound is exceeded."""
+    if any(value > limit for _, value, limit in bounds):
+        limits = ", ".join(f"{name} <= {limit}" for name, _, limit in bounds)
+        raise OverflowError(f"{command} work budget exceeded: {sizes}; the limit is {limits}")
+
+
+def _finite(what: str, compute, *args):
+    """compute(*args), with a result beyond the float64 range raised as OverflowError.
+
+    NumPy's overflow warnings are silenced; a signal constructor rejects a
+    non-finite sample with ValueError, and a spectrum with a non-finite
+    number, metadata included, is rejected here.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = compute(*args)
+    except (GridMismatchError, AliasingError, SignalFormatError):
+        raise
+    except ValueError as exc:
+        raise OverflowError(f"{what} overflows float64: {exc}") from None
+    numbers = [v for v in vars(result).values() if isinstance(v, (float, np.ndarray))]
+    if not all(np.isfinite(v).all() for v in numbers):
+        raise OverflowError(f"{what} overflows float64: the result is not finite")
+    return result
 
 
 def _write_output(text: str, path: str):
@@ -51,6 +85,10 @@ def _generate(args):
         raise SignalFormatError(f"--ts must be finite and > 0, got {args.ts}")
     if args.gen != "pulse" and args.n is None:
         raise SignalFormatError(f"--gen {args.gen} requires --n")
+    if args.gen == "pulse" and not math.isfinite(args.width):
+        raise SignalFormatError(f"--gen pulse: width must be finite, got {args.width}")
+    samples = args.width / args.ts if args.gen == "pulse" else args.n
+    _check_budget(f"--gen {args.gen}", f"{samples} samples", ("samples", samples, _GEN_MAX_SAMPLES))
     try:
         if args.gen == "pulse":
             return gen.pulse(args.ts, width=args.width)
@@ -87,14 +125,12 @@ def _cmd_conv(args) -> int:
         raise GridMismatchError(
             f"mode={mode} but inputs have kind={kind_f} and kind={kind_g}"
         )
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = _CONV_OPS[mode](f, g)
-    except GridMismatchError:
-        raise
-    except ValueError as exc:
-        # finite inputs whose convolution overflows to non-finite samples
-        raise OverflowError(f"{mode} convolution overflows float64: {exc}") from None
+    if mode in ("discrete", "analog"):
+        _check_budget(
+            "conv", f"{len(f)} x {len(g)} samples",
+            ("len(f)*len(g)", len(f) * len(g), _CONV_MAX_MACS),
+        )
+    result = _finite(f"{mode} convolution", _CONV_OPS[mode], f, g)
     _write_output(signal_text(result, args.format), args.out)
     return 0
 
@@ -108,7 +144,7 @@ def _require_kind(signal, wanted: str, what: str):
 def _cmd_dft(args) -> int:
     f = _single_input(args)
     _require_kind(f, "periodic-discrete", "dft input")
-    spectrum = four.dft(f)
+    spectrum = _finite("dft", four.dft, f)
     _write_output(signal_text(PeriodicDiscreteSignal(spectrum.values), args.format), args.out)
     return 0
 
@@ -116,7 +152,7 @@ def _cmd_dft(args) -> int:
 def _cmd_idft(args) -> int:
     f = _single_input(args)
     _require_kind(f, "periodic-discrete", "idft input")
-    result = four.idft(four.DftSpectrum(values=f.samples))
+    result = _finite("idft", four.idft, four.DftSpectrum(values=f.samples))
     _write_output(signal_text(result, args.format), args.out)
     return 0
 
@@ -126,7 +162,12 @@ def _cmd_series(args) -> int:
     _require_kind(f, "periodic-analog", "series input")
     if args.nmax < 0:
         raise SignalFormatError(f"--nmax must be >= 0, got {args.nmax}")
-    spectrum = four.fourier_coefficients(f, args.nmax)
+    length, harmonics = f.samples.size, 2 * args.nmax + 1
+    _check_budget(
+        "series", f"L={length} samples x {harmonics} harmonics",
+        ("L*(2*nmax+1)", length * harmonics, _MAX_TERMS),
+    )
+    spectrum = _finite("series", four.fourier_coefficients, f, args.nmax)
     _write_output(series_table_text(spectrum, args.format), args.out)
     return 0
 
@@ -142,13 +183,19 @@ def _cmd_ft(args) -> int:
         raise SignalFormatError("--omega-max must be >= --omega-min")
     count = int(round((args.omega_max - args.omega_min) / args.omega_step)) + 1
     length = f.samples.size
-    if count > _FT_MAX_FREQUENCIES or count * length > _FT_MAX_TERMS:
-        raise OverflowError(
-            f"ft work budget exceeded: M={count} frequencies x L={length} samples; "
-            f"the limit is M <= {_FT_MAX_FREQUENCIES} and L*M <= {_FT_MAX_TERMS} terms"
-        )
+    _check_budget(
+        "ft", f"M={count} frequencies x L={length} samples",
+        ("M", count, _FT_MAX_FREQUENCIES), ("L*M", count * length, _MAX_TERMS),
+    )
     omegas = args.omega_min + np.arange(count) * args.omega_step
-    spectrum = four.fourier_transform(f, omegas)
+    try:
+        four._check_uniform_grid(omegas)
+    except ValueError as exc:
+        raise SignalFormatError(
+            f"--omega-step {args.omega_step} is not resolved in float64 near "
+            f"--omega-min {args.omega_min}: {exc}"
+        ) from None
+    spectrum = _finite("ft", four.fourier_transform, f, omegas)
     _write_output(transform_table_text(spectrum, args.format), args.out)
     return 0
 
@@ -156,6 +203,11 @@ def _cmd_ft(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         grid = GridParams(n=args.n, ts=args.ts, n_max=args.nmax)
+        _check_budget(
+            "verify", f"n={grid.n}, nmax={grid.n_max}",
+            ("n", grid.n, _VERIFY_MAX_N),
+            ("n*(2*nmax+1)", grid.n * (2 * grid.n_max + 1), _VERIFY_MAX_WORK),
+        )
         report = run_all(grid=grid, seed=args.seed, tol_scale=args.tol_scale)
     except AliasingError:
         raise

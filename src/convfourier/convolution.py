@@ -10,6 +10,9 @@ Linear convolutions are direct sums (``np.convolve``); circular ones go
 through the FFT (``ifft(fft(a) * fft(b))``).  Outputs are deterministic
 for identical inputs.  The ``exp_factor_*`` power and Riemann sums are
 computed term by term and serve as the independent reference.
+A periodic signal's factor is the sum over its stored period, so the
+``exp_factor_periodic_*`` names are the aperiodic functions themselves.
+``fourier`` and ``harness`` call ``_riemann_sum`` through this module.
 """
 
 from __future__ import annotations
@@ -156,33 +159,26 @@ def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a: complex) 
         return complex(ts * np.add.reduce(samples * np.exp(-a * times)))
 
 
-def exp_factor_discrete(f: DiscreteSignal, p: ExpParam) -> EigenFactor:
-    """Factor F(a) = sum_n f(n) a^(-n) over f's support.
+def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam) -> EigenFactor:
+    """Factor F(a) = sum_n f(n) a^(-n) over f's support (n = 0..N-1 if periodic).
 
     Convolving f with g(k) = a^k yields F(a) * g; a non-finite sum is
     rejected because the convolution is then ill-defined.
     """
     _require_kind(p, ExpKind.DISCRETE_BASE)
-    indices = f.start + np.arange(len(f))
+    indices = getattr(f, "start", 0) + np.arange(f.samples.size)
     return EigenFactor(param=p, value=_power_sum(f.samples, indices, p.a))
 
 
-def exp_factor_analog(f: SampledSignal, p: ExpParam) -> EigenFactor:
-    """Riemann factor F(a) = ts * sum_k f(k ts) e^(-a k ts) over f's support."""
+def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> EigenFactor:
+    """Riemann factor F(a) = ts * sum_k f(k ts) e^(-a k ts) over f's support,
+    the stored window [0, T) for a periodic signal."""
     _require_kind(p, ExpKind.ANALOG_EXPONENT)
     return EigenFactor(param=p, value=_riemann_sum(f.samples, f.times(), f.ts, p.a))
 
 
-def exp_factor_periodic_analog(f: PeriodicSampledSignal, p: ExpParam) -> EigenFactor:
-    """One-period Riemann factor, integrated over the stored window [0, T)."""
-    _require_kind(p, ExpKind.ANALOG_EXPONENT)
-    return EigenFactor(param=p, value=_riemann_sum(f.samples, f.times(), f.ts, p.a))
-
-
-def exp_factor_periodic_discrete(f: PeriodicDiscreteSignal, p: ExpParam) -> EigenFactor:
-    """Exact N-term factor F(a) = sum_{n=0}^{N-1} f(n) a^(-n)."""
-    _require_kind(p, ExpKind.DISCRETE_BASE)
-    return EigenFactor(param=p, value=_power_sum(f.samples, np.arange(f.period), p.a))
+exp_factor_periodic_analog = exp_factor_analog
+exp_factor_periodic_discrete = exp_factor_discrete
 
 
 def _on_grid_lag(t0: float, ts: float) -> int:

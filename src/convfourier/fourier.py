@@ -13,17 +13,20 @@ Every other transform here is one call of the Riemann sum
 ``convolution._riemann_sum`` per output point: per frequency for the
 coefficients and the Fourier transform, per output time for the series
 synthesis and the inverse transform.  No M x L kernel matrix is built, so
-memory stays linear in the input and output sizes.
+memory stays linear in the input and output sizes.  The library's one
+alias-window test (2|n| < N) is ``_check_alias_window`` and its one
+max-norm comparison is ``_compare``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .convolution import _riemann_sum, periodic_convolve_analog, periodic_convolve_discrete
+from . import convolution as conv
 from .signals import (
     AliasingError,
     GridMismatchError,
@@ -134,12 +137,7 @@ class TransformSpectrum:
             raise ValueError("omegas and values must be matching 1-d arrays")
         if omegas.size == 0:
             raise ValueError("spectrum needs at least one frequency")
-        if omegas.size > 1:
-            steps = np.diff(omegas)
-            if np.any(steps <= 0):
-                raise ValueError("omegas must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                raise ValueError("omegas must be uniformly spaced")
+        _check_uniform_grid(omegas)
         omegas.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
@@ -159,19 +157,32 @@ class TransformSpectrum:
         return complex(self.values[i])
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Max-norm deviation between the two sides of an identity."""
+def _check_uniform_grid(omegas: np.ndarray):
+    """Reject a frequency grid that is not strictly increasing and uniform."""
+    if omegas.size > 1:
+        steps = np.diff(omegas)
+        if np.any(steps <= 0):
+            raise ValueError("omegas must be strictly increasing")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+            raise ValueError("omegas must be uniformly spaced")
+
+
+class ResidualReport(NamedTuple):
+    """Max-norm deviation max |lhs - rhs| between the two sides of an identity,
+    and the scale max |rhs| a tolerance is relative to; unpacks as a pair."""
 
     residual: float
     scale: float
 
 
-def _compare(lhs: np.ndarray, rhs: np.ndarray) -> ResidualReport:
-    """Max-norm residual of two nonempty arrays, scaled by the right side."""
+def _compare(lhs, rhs) -> ResidualReport:
+    """Max-norm residual of two arrays or scalars, scaled by the right side;
+    an empty side counts as 0, and a NaN is kept."""
+    lhs = np.asarray(lhs)
+    rhs = np.asarray(rhs)
     return ResidualReport(
-        residual=float(np.abs(lhs - rhs).max()),
-        scale=float(np.abs(rhs).max()),
+        residual=float(np.abs(lhs - rhs).max()) if lhs.size else 0.0,
+        scale=float(np.abs(rhs).max()) if rhs.size else 0.0,
     )
 
 
@@ -196,6 +207,7 @@ def sampled_harmonic(n: int, period: int, ts: float) -> PeriodicSampledSignal:
 
 
 def _check_alias_window(n_max: int, period: int):
+    """Reject a harmonic window |n| <= n_max outside 2 n_max < period."""
     if not 0 <= n_max:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if 2 * n_max >= period:
@@ -218,7 +230,7 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     times = f.times()
     coeffs = np.empty(2 * n_max + 1, dtype=np.complex128)
     for n in range(-n_max, n_max + 1):
-        factor = _riemann_sum(f.samples, times, f.ts, 1j * n * omega0)
+        factor = conv._riemann_sum(f.samples, times, f.ts, 1j * n * omega0)
         coeffs[n_max + n] = factor / period_t
     return SeriesSpectrum(period_t=period_t, omega0=omega0, coeffs=coeffs)
 
@@ -230,7 +242,7 @@ def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSig
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     t = (int(start) + np.arange(count)) * float(ts)
-    samples = [_riemann_sum(values, freqs, weight, -1j * tk) for tk in t]
+    samples = [conv._riemann_sum(values, freqs, weight, -1j * tk) for tk in t]
     return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
 
 
@@ -255,8 +267,8 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     n = int(n)
     _check_alias_window(abs(n), f.period_samples)
     x = sampled_harmonic(n, f.period_samples, f.ts)
-    lhs = periodic_convolve_analog(f, x).samples
-    factor = _riemann_sum(f.samples, f.times(), f.ts, 1j * n * (_TWO_PI / f.period_t))
+    lhs = conv.periodic_convolve_analog(f, x).samples
+    factor = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * n * (_TWO_PI / f.period_t))
     return _compare(lhs, factor * x.samples)
 
 
@@ -277,12 +289,9 @@ def dft_orthogonality(m: int, n: int, period: int) -> ResidualReport:
         raise ValueError(f"need 0 <= m, n < N, got m={m}, n={n}, N={period}")
     xm = harmonic_signal(m, period)
     xn = harmonic_signal(n, period)
-    lhs = periodic_convolve_discrete(xm, xn).samples
+    lhs = conv.periodic_convolve_discrete(xm, xn).samples
     rhs = (period if m == n else 0.0) * xn.samples
-    return ResidualReport(
-        residual=float(np.abs(lhs - rhs).max()),
-        scale=float(period),
-    )
+    return ResidualReport(_compare(lhs, rhs).residual, float(period))
 
 
 def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
@@ -293,7 +302,7 @@ def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     times = f.times()
-    values = [_riemann_sum(f.samples, times, f.ts, 1j * w) for w in omegas]
+    values = [conv._riemann_sum(f.samples, times, f.ts, 1j * w) for w in omegas]
     return TransformSpectrum(omegas=omegas, values=np.array(values, dtype=np.complex128))
 
 

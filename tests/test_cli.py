@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from convfourier import fourier
+from convfourier import cli, fourier, generators, signals
 from convfourier.cli import main
 from convfourier.io import read_signal
 
@@ -419,3 +423,222 @@ class TestVerify:
     def test_alias_grid_exit_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "8", "--nmax", "8")
         assert code == 4
+
+
+def one_error_line(code, out, err, want):
+    assert code == want
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+
+
+# finite samples whose results leave the float64 range
+OVERFLOWING = {
+    "pd.csv": "# kind=periodic-discrete n=2\nindex,re,im\n0,1e308,0\n1,1e308,0\n",
+    "pa.csv": "# kind=periodic-analog ts=1 n=2\nindex,re,im\n0,1e308,0\n1,1e308,0\n",
+    "a.csv": "# kind=analog ts=1\nindex,re,im\n0,1e308,0\n1,1e308,0\n",
+}
+
+
+# A result beyond float64 exits 4 in every command.  dft, idft and the
+# subnormal-ts series used to end in a traceback; the other three exited 0
+# and wrote nan (ts=1e308 with a RuntimeWarning).
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dft", "pd.csv"],
+        ["idft", "pd.csv"],
+        ["series", "pa.csv", "--nmax", "0"],
+        ["ft", "a.csv", "--omega-min", "0", "--omega-max", "0", "--omega-step", "1"],
+        ["series", "--gen", "cos", "--ts", "5e-324", "--n", "16", "--nmax", "1"],
+        ["series", "--gen", "cos", "--ts", "1e308", "--n", "16", "--nmax", "0"],
+    ],
+    ids=" ".join,
+)
+def test_result_beyond_float64_exit_4(tmp_path, capsys, argv):
+    files = {name: write(tmp_path / name, text) for name, text in OVERFLOWING.items()}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    one_error_line(code, out, err, 4)
+    assert "overflows float64" in err
+
+
+def test_unresolvable_frequency_grid_exit_2(tmp_path, capsys):
+    # 0.015625 is below the float64 spacing (16) at 1e17: the grid does not increase
+    f = write(tmp_path / "f.csv", DISCRETE_A.replace("kind=discrete", "kind=analog ts=1"))
+    code, out, err = run(capsys, "ft", f, "--omega-min", "1e17",
+                         "--omega-max", "1.000000000000001e17", "--omega-step", "0.015625")
+    one_error_line(code, out, err, 2)
+    assert "--omega-step" in err
+
+
+def test_subnormal_ts_verify_fails_without_warning(tmp_path, capsys):
+    # omega0 and the ft.forward frequency are infinite at ts = 5e-324; a
+    # RuntimeWarning, raised as an error under pytest, would be a check's note
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, "verify", "--n", "64", "--ts", "5e-324", "--nmax", "7",
+                       "--out", str(out_path))
+    assert code == 1
+    assert "Warning" not in err
+    report = json.loads(out_path.read_text())
+    assert not [c["note"] for c in report["checks"] if "Warning" in c["note"]]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work budget did not fire")
+
+
+# Over-budget requests exit 4 before any array is built: the heavy function
+# is patched to raise, so nothing large is allocated.
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [
+        # a 1.56e10-sample pulse: MemoryError after asking for 233 GiB
+        (["ft", "--gen", "pulse", "--ts", "1e-12", "--width", "0.015625", "--omega-min", "0",
+          "--omega-max", "0", "--omega-step", "1"], generators, "pulse"),
+        (["series", "--gen", "cos", "--n", str(2**24 + 1), "--ts", "1", "--nmax", "0"],
+         generators, "cosine"),
+        (["series", "--gen", "square", "--n", str(2**24 + 2), "--ts", "1", "--nmax", "0"],
+         generators, "square"),
+        # 32770 samples x 32769 harmonics: 2^30 + 98306 terms
+        (["series", "--gen", "cos", "--n", "32770", "--ts", "1", "--nmax", "16384"],
+         fourier, "fourier_coefficients"),
+        (["verify", "--n", str(2**16 + 1)], cli, "run_all"),
+        # n * (2 nmax + 1) = 2^16 * 257 > 2^24
+        (["verify", "--n", str(2**16), "--nmax", "128"], cli, "run_all"),
+    ],
+    ids=["gen-pulse", "gen-cos", "gen-square", "series", "verify-n", "verify-work"],
+)
+def test_work_budget_of_every_command_exit_4(tmp_path, capsys, monkeypatch, argv, module, name):
+    monkeypatch.setattr(module, name, _refuse)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    one_error_line(code, out, err, 4)
+    assert "work budget exceeded" in err and "limit is" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_linear_conv_work_budget_exit_4(capsys, monkeypatch):
+    # 2^17 x (2^16 + 1) multiply-adds is over 2^33
+    inputs = {"f": signals.DiscreteSignal(0, np.zeros(2**17)),
+              "g": signals.DiscreteSignal(0, np.zeros(2**16 + 1))}
+    monkeypatch.setattr(cli, "read_signal", inputs.__getitem__)
+    monkeypatch.setitem(cli._CONV_OPS, "discrete", _refuse)
+    code, out, err = run(capsys, "conv", "f", "g")
+    one_error_line(code, out, err, 4)
+    assert "conv work budget exceeded: 131072 x 65537 samples" in err
+
+
+# Property test over argument vectors and small, often malformed signal files
+# (MacIver et al., "Hypothesis: a new approach to property-based testing",
+# JOSS 4(43):1891, 2019).  Values come from small sets that include the
+# float64 extremes, so every admitted request stays small; a huge request is
+# only ever refused by a work budget.
+POSITIVE = ["1", "0.25", "16", "1e308", "5e-324", "1e17", repr(float(np.nextafter(1e17, np.inf)))]
+FINITE = POSITIVE + ["0", "-1", "-1e308"]
+NUMBERS = FINITE + ["nan", "inf"]
+COUNTS = ["-1", "0", "1", "2", "3", "16", str(2**25)]
+KINDS = ["discrete", "analog", "periodic-discrete", "periodic-analog"]
+number = st.sampled_from(NUMBERS)
+
+
+def _json_value(text):
+    for parse in (int, float):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+    return text
+
+
+@st.composite
+def signal_files(draw, kind):
+    """A well-formed signal file of the kind, or one with a single defect."""
+    periodic = kind.startswith("periodic")
+    start = 0 if periodic else draw(st.sampled_from([0, -3, 10**23]))
+    finite = st.sampled_from(FINITE)
+    samples = draw(st.lists(st.tuples(finite, finite), min_size=1, max_size=4))
+    rows = [[str(start + i), re, im] for i, (re, im) in enumerate(samples)]
+    meta = {"kind": kind}
+    if "analog" in kind:
+        meta["ts"] = draw(st.sampled_from(POSITIVE))
+    if periodic:
+        meta["n"] = str(len(rows))
+    defect = draw(st.sampled_from([None, None, None, "kind", "ts", "n", "cell", "truncate"]))
+    if defect == "kind":
+        meta["kind"] = draw(st.sampled_from(["series", *KINDS]))
+    elif defect in ("ts", "n"):
+        meta[defect] = draw(st.sampled_from(NUMBERS + COUNTS))
+    elif defect == "cell":
+        cell = draw(st.sampled_from(["x", "", "1.5", "true", "nan", "inf"]))
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] = cell
+    if draw(st.booleans()):
+        text = json.dumps({**{k: _json_value(v) for k, v in meta.items()},
+                           "rows": [[_json_value(cell) for cell in row] for row in rows]})
+    else:
+        head = " ".join(f"{k}={v}" for k, v in meta.items())
+        text = f"# {head}\nindex,re,im\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text[: draw(st.integers(0, len(text) - 1))] if defect == "truncate" else text
+
+
+# an input is the file F or a built-in signal
+generated = st.tuples(st.sampled_from(["pulse", "cos", "square"]), st.sampled_from(COUNTS),
+                      number, number).map(
+    lambda g: ["--gen", g[0], "--n", g[1], "--ts", g[2], "--width", g[3]])
+single_input = st.one_of(st.just(["F"]), generated)
+
+
+INPUT_KIND = {"dft": "periodic-discrete", "idft": "periodic-discrete",
+              "series": "periodic-analog", "ft": "analog"}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, text of file F, text of file G) for one command."""
+    command = draw(st.sampled_from(["conv", "dft", "idft", "series", "ft", "verify"]))
+    kind = INPUT_KIND.get(command) or draw(st.sampled_from(KINDS))
+    f, g = draw(signal_files(kind)), draw(signal_files(kind))
+    return draw(arguments(command)), f, g
+
+
+@st.composite
+def arguments(draw, command):
+    omega = st.one_of(st.sampled_from(["0", "1", "-16", "16", "0.25"]), number)
+    if command == "verify":
+        # n and nmax stay small: verify admits up to n * (2 nmax + 1) = 2^24
+        return ["verify", "--n", draw(st.sampled_from(["1", "2", "3", "16", "0"])),
+                "--ts", draw(number), "--nmax", draw(st.sampled_from(["0", "1", "2", "3", "-1"])),
+                "--tol-scale", draw(st.sampled_from(["1", "1e-300", "nan"]))]
+    if command == "conv":
+        argv = ["conv", "F", "G", *draw(st.sampled_from([[], ["--mode", "discrete"]]))]
+    elif command in ("dft", "idft"):
+        argv = [command, "F"]
+    elif command == "series":
+        argv = ["series", *draw(single_input), "--nmax", draw(st.sampled_from(COUNTS))]
+    else:
+        argv = ["ft", *draw(single_input), "--omega-min", draw(omega),
+                "--omega-max", draw(omega), "--omega-step", draw(omega)]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+OVERFLOWING_PD = OVERFLOWING["pd.csv"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=command_lines())
+@example(case=(["dft", "F"], OVERFLOWING_PD, ""))
+@example(case=(["verify", "--n", "16", "--ts", "5e-324", "--nmax", "2"], "", ""))
+def test_any_command_line_keeps_the_exit_contract(tmp_path_factory, case):
+    argv, f, g = case
+    folder = tmp_path_factory.mktemp("argv")
+    (folder / "F").write_text(f)
+    (folder / "G").write_text(g)
+    argv = [str(folder / a) if a in ("F", "G") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the vector
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), argv
+    assert code != 1 or argv[0] == "verify", argv
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+    assert not caught, [str(w.message) for w in caught]

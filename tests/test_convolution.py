@@ -395,6 +395,11 @@ class TestExpFactorPeriodic:
         want = power_factor_brute(list(vals), 0, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_one_factor_per_exponential_family(self):
+        # a periodic factor is the aperiodic sum over the stored period
+        assert exp_factor_periodic_analog is exp_factor_analog
+        assert exp_factor_periodic_discrete is exp_factor_discrete
+
 
 class TestEigenFactor:
     def test_rejects_nonfinite(self):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from convfourier import fourier
 from convfourier.convolution import (
     exp_factor_analog,
     exp_factor_periodic_analog,
@@ -344,6 +345,14 @@ class TestDftOrthogonality:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             dft_orthogonality(0, 4, 4)
+
+
+def test_residual_report_is_a_pair():
+    # the one comparison: max |lhs - rhs| against max |rhs|, an empty side counting as 0
+    residual, scale = report = fourier._compare(np.array([1.0, 3.0]), np.array([1.0, -1.0]))
+    assert (residual, scale) == (report.residual, report.scale) == (4.0, 1.0)
+    assert tuple(fourier._compare(np.empty(0), np.empty(0))) == (0.0, 0.0)
+    assert tuple(dft_orthogonality(1, 2, 8)) == (dft_orthogonality(1, 2, 8).residual, 8.0)
 
 
 class TestFourierTransform:

@@ -143,8 +143,8 @@ FAULTS = {
          "dft.forward", "dft.inverse", "dft.orthogonality", "fs.conv_time", "fs.lti_mixed"},
     ),
     "_riemann_sum exponent sign flipped": (
-        # imported by name into fourier and harness
-        [(module, "_riemann_sum", _riemann_flipped) for module in (convolution, fourier, harness)],
+        # one binding: fourier and harness call it through the convolution module
+        [(convolution, "_riemann_sum", _riemann_flipped)],
         {"eigen.analog", "eigen.periodic_analog", "fs.forward", "fs.inverse", "ft.forward",
          "fs.conv_time", "fs.conv_freq", "fs.lti_mixed", "ft.derivative", "ft.time_shift",
          "dft.vs_series"},
@@ -435,6 +435,22 @@ class TestCheckFsMixed:
         period_t = n_samples * ts
         h1 = 0.5 * (1 + np.exp(-2j * math.pi / period_t * ts))
         assert check.scale == pytest.approx(abs(period_t * h1), rel=1e-9)
+
+
+class TestFtSampling:
+    @pytest.mark.parametrize("ts", [1e-5, 1 / 64, 0.3])
+    def test_transforms_a_64_sample_pulse_at_the_grid_ts(self, monkeypatch, ts):
+        # the pulse was 1/ts samples wide, so its work grew without bound as ts shrank
+        exact, transformed = fourier.fourier_transform, []
+
+        def recording(f, omegas):
+            transformed.append((len(f), f.ts))
+            return exact(f, omegas)
+
+        monkeypatch.setattr(fourier, "fourier_transform", recording)
+        check = verdict("ft.sampling", SPECS["ft.sampling"].runner(GridParams(ts=ts), None))
+        assert transformed == [(64, ts)]
+        assert check.passed
 
 
 class TestCheckFtProperties:
