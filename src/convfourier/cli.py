@@ -33,9 +33,11 @@ _GENERATORS = ("pulse", "cos", "square")
 # Work budget of every command, checked before any array is built.  At each
 # limit, on a 2-vCPU Xeon: `ft` and `series` (one L-term Riemann sum per
 # output point) take about 60 s for 2^30 terms, linear `conv` (np.convolve)
-# 4.4 s for 2^33 multiply-adds, `verify` 20-32 s at n*(2*nmax+1) = 2^24, and
-# a 2^24-sample `--gen` signal about 1 GiB of memory.
-_GEN_MAX_SAMPLES = 2**24
+# 4.4 s for 2^33 multiply-adds, and `verify` 20-32 s at n*(2*nmax+1) = 2^24.
+# The `--gen` limit bounds memory, not time: the samples, their copies and the
+# Riemann sum's temporaries are full-length arrays, so a 2^22-sample pulse,
+# cosine or square wave peaks near 256 MiB resident (2^24 samples: 926 MiB).
+_GEN_MAX_SAMPLES = 2**22
 _FT_MAX_FREQUENCIES = 2**22
 _MAX_TERMS = 2**30
 _CONV_MAX_MACS = 2**33
@@ -71,11 +73,16 @@ def _finite(what: str, compute, *args):
 
 
 def _write_output(text: str, path: str):
+    """Write text to path, or to standard output when path is ``-``; a path
+    that cannot be written raises SignalFormatError (exit 2)."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SignalFormatError(f"cannot write {path}: {exc}") from None
 
 
 def _generate(args):
@@ -217,11 +224,10 @@ def _cmd_verify(args) -> int:
     _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     if args.out != "-":
         for c in report.checks:
-            status = "skip" if c.skipped else ("pass" if c.passed else "FAIL")
-            print(f"{status}  {c.id}", file=sys.stderr)
+            print(f"{'pass' if c.passed else 'FAIL'}  {c.id}", file=sys.stderr)
     if report.passed:
         return 0
-    failing = ", ".join(c.id for c in report.checks if not c.passed and not c.skipped)
+    failing = ", ".join(c.id for c in report.checks if not c.passed)
     print(f"verification failed: {failing}", file=sys.stderr)
     return 1
 

@@ -14,8 +14,9 @@ Every other transform here is one call of the Riemann sum
 coefficients and the Fourier transform, per output time for the series
 synthesis and the inverse transform.  No M x L kernel matrix is built, so
 memory stays linear in the input and output sizes.  The library's one
-alias-window test (2|n| < N) is ``_check_alias_window`` and its one
-max-norm comparison is ``_compare``.
+alias-window test (2|n| < N) is ``_check_alias_window``, its one
+max-norm comparison is ``_compare``, and its one circular eigenrelation
+f (*) x = factor * x is ``_circular_eigenrelation``.
 """
 
 from __future__ import annotations
@@ -186,6 +187,14 @@ def _compare(lhs, rhs) -> ResidualReport:
     )
 
 
+def _circular_eigenrelation(f, x, factor) -> ResidualReport:
+    """Residual of f (*) x = factor * x over one period, with the analog or the
+    discrete circular convolution by f's family."""
+    analog = isinstance(f, PeriodicSampledSignal)
+    convolve = conv.periodic_convolve_analog if analog else conv.periodic_convolve_discrete
+    return _compare(convolve(f, x).samples, factor * x.samples)
+
+
 def _unit_root_samples(n: int, count: int) -> np.ndarray:
     """e^(j 2 pi n k / count) for k = 0..count-1, with the angle reduced mod count."""
     k = (int(n) * np.arange(count)) % count
@@ -267,9 +276,8 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     n = int(n)
     _check_alias_window(abs(n), f.period_samples)
     x = sampled_harmonic(n, f.period_samples, f.ts)
-    lhs = conv.periodic_convolve_analog(f, x).samples
     factor = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * n * (_TWO_PI / f.period_t))
-    return _compare(lhs, factor * x.samples)
+    return _circular_eigenrelation(f, x, factor)
 
 
 def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
@@ -287,11 +295,9 @@ def dft_orthogonality(m: int, n: int, period: int) -> ResidualReport:
     m, n, period = int(m), int(n), int(period)
     if not (0 <= m < period and 0 <= n < period):
         raise ValueError(f"need 0 <= m, n < N, got m={m}, n={n}, N={period}")
-    xm = harmonic_signal(m, period)
     xn = harmonic_signal(n, period)
-    lhs = conv.periodic_convolve_discrete(xm, xn).samples
-    rhs = (period if m == n else 0.0) * xn.samples
-    return ResidualReport(_compare(lhs, rhs).residual, float(period))
+    report = _circular_eigenrelation(harmonic_signal(m, period), xn, period if m == n else 0.0)
+    return ResidualReport(report.residual, float(period))
 
 
 def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:

@@ -73,7 +73,11 @@ class GridParams:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Outcome of one identity check."""
+    """Outcome of one identity check.
+
+    ``skipped`` is always False: every check runs on every grid.  The field
+    stays so that report files keep their layout and their readers work.
+    """
 
     id: str
     description: str
@@ -95,7 +99,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.skipped)
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -241,10 +245,9 @@ def _harmonic_product(convolve, f, g, n):
     four._check_alias_window(abs(int(n)), period)
     a = 1j * n * (_TWO_PI / g.period_t)
     xn = four.sampled_harmonic(n, period, g.ts)
-    lhs = conv.periodic_convolve_analog(convolve(f, g), xn).samples
     fn = conv._riemann_sum(f.samples, f.times(), f.ts, a)
     gn = conv._riemann_sum(g.samples, g.times(), g.ts, a)
-    return four._compare(lhs, fn * gn * xn.samples)
+    return four._circular_eigenrelation(convolve(f, g), xn, fn * gn)
 
 
 def _fs_conv_freq(f, g, t_index, n_max):
@@ -541,8 +544,7 @@ def _run_eigen_periodic_discrete(grid, rng):
         n = int(rng.integers(0, grid.n))
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
         xn = four.harmonic_signal(n, grid.n)
-        lhs = conv.periodic_convolve_discrete(f, xn).samples
-        return four._compare(lhs, conv.exp_factor_periodic_discrete(f, p).value * xn.samples)
+        return four._circular_eigenrelation(f, xn, conv.exp_factor_periodic_discrete(f, p).value)
 
     return _worst_over(10, trial)
 
@@ -576,9 +578,7 @@ def _run_dft_forward(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         n = int(rng.integers(0, grid.n))
-        xn = four.harmonic_signal(n, grid.n)
-        lhs = conv.periodic_convolve_discrete(f, xn).samples
-        r1, s1 = four._compare(lhs, spectrum.values[n] * xn.samples)
+        r1, s1 = four._circular_eigenrelation(f, four.harmonic_signal(n, grid.n), spectrum.values[n])
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
@@ -595,8 +595,7 @@ def _run_dft_inverse(grid, rng):
         spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
         k = int(rng.integers(0, grid.n))
         xbar = sig.PeriodicDiscreteSignal(np.conj(four.harmonic_signal(k, grid.n).samples))
-        lhs = conv.periodic_convolve_discrete(spec_signal, xbar).samples
-        r1, s1 = four._compare(lhs, grid.n * f.value(k) * xbar.samples)
+        r1, s1 = four._circular_eigenrelation(spec_signal, xbar, grid.n * f.value(k))
         r2, s2 = four._compare(four.idft(spectrum).samples, f.samples)
         return _worst(r1, r2), _worst(s1, s2)
 
@@ -742,7 +741,6 @@ class CheckSpec:
     tolerance: float
     justification: str
     runner: Callable
-    needs_harmonics: bool = False
 
 
 REGISTRY: tuple = (
@@ -822,7 +820,6 @@ REGISTRY: tuple = (
         1e-9,
         "FFT circular convolution against the one-period Riemann sum; roundoff only",
         _run_eigen_periodic_analog,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "eigen.periodic_discrete",
@@ -830,7 +827,6 @@ REGISTRY: tuple = (
         1e-10,
         "FFT circular convolution against the direct N-term power sum; roundoff only",
         _run_eigen_periodic_discrete,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "fs.forward",
@@ -838,7 +834,6 @@ REGISTRY: tuple = (
         1e-9,
         "band-limited input, exact root-of-unity sums; roundoff only",
         _run_fs_forward,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "fs.inverse",
@@ -847,7 +842,6 @@ REGISTRY: tuple = (
         1e-9,
         "finite coefficient window of a band-limited signal; roundoff only",
         _run_fs_inverse,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "dft.forward",
@@ -856,7 +850,6 @@ REGISTRY: tuple = (
         "FFT spectrum against FFT circular convolution and the direct N-term power sum; "
         "roundoff only",
         _run_dft_forward,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "dft.inverse",
@@ -864,7 +857,6 @@ REGISTRY: tuple = (
         1e-10,
         "FFT circular convolution plus the fft/ifft round trip; roundoff only",
         _run_dft_inverse,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "dft.orthogonality",
@@ -893,7 +885,6 @@ REGISTRY: tuple = (
         1e-9,
         "convolution theorem over a full period; FFT roundoff only",
         _run_fs_conv_time,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "fs.conv_freq",
@@ -901,7 +892,6 @@ REGISTRY: tuple = (
         1e-8,
         "finite spectra of band-limited signals make the convolution a finite sum",
         _run_fs_conv_freq,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "fs.lti_mixed",
@@ -909,7 +899,6 @@ REGISTRY: tuple = (
         1e-8,
         "mixed fold plus circular convolution are exact finite sums",
         _run_fs_lti_mixed,
-        needs_harmonics=True,
     ),
     CheckSpec(
         "ft.conv_time",
@@ -974,7 +963,6 @@ REGISTRY: tuple = (
         1e-10,
         "both sides reduce to the same root-of-unity sums via independent code paths",
         _run_dft_vs_series,
-        needs_harmonics=True,
     ),
 )
 
@@ -986,9 +974,10 @@ def registry_ids() -> tuple:
 def run_all(grid: GridParams | None = None, seed: int = 42, tol_scale: float = 1.0) -> Report:
     """Execute every registered check; deterministic under a fixed seed.
 
-    Individual failures are recorded in the report, never raised.  Checks
-    that need harmonics the grid cannot represent are marked skipped; a
-    check whose runner raises fails with an infinite residual.
+    Individual failures are recorded in the report, never raised.  Every
+    check runs on every grid (at n_max = 0 the periodic checks run on
+    harmonic 0), and a check whose runner raises fails with an infinite
+    residual; no check is ever skipped.
     """
     grid = GridParams() if grid is None else grid
     tol_scale = float(tol_scale)
@@ -997,20 +986,6 @@ def run_all(grid: GridParams | None = None, seed: int = 42, tol_scale: float = 1
     streams = np.random.SeedSequence(int(seed)).spawn(len(REGISTRY))
     checks = []
     for spec, stream in zip(REGISTRY, streams):
-        if spec.needs_harmonics and grid.n_max < 1:
-            checks.append(
-                IdentityCheck(
-                    id=spec.id,
-                    description=spec.description,
-                    residual=0.0,
-                    scale=0.0,
-                    tolerance=spec.tolerance,
-                    passed=True,
-                    skipped=True,
-                    note="skipped: grid too small to represent a nonzero harmonic",
-                )
-            )
-            continue
         rng = np.random.default_rng(stream)
         try:
             # a grid beyond the float64 range (e^(a t) at a large ts, an

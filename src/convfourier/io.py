@@ -9,7 +9,7 @@ CSV layout::
 
 ``kind`` is one of discrete, analog, periodic-discrete, periodic-analog;
 analog kinds carry ``ts``, periodic kinds carry ``n``, and a file that gives
-a kind metadata it does not carry, or any other key, is rejected.
+a kind metadata it does not carry, any other key, or a key twice is rejected.
 Aperiodic rows must be contiguous and strictly increasing (the first index
 is the start); periodic rows must be exactly 0..N-1.  The JSON mirror stores the same
 fields as ``{"kind": ..., "ts": ..., "n": ..., "rows": [[index, re, im], ...]}``
@@ -155,6 +155,8 @@ def _read_csv(text: str):
             raise SignalFormatError(f"bad metadata token {token!r}")
         if key not in _META_KEYS:
             raise SignalFormatError(f"unknown metadata key {key!r}")
+        if key in meta:
+            raise SignalFormatError(f"repeated metadata key {key!r}")
         meta[key] = value
     if "kind" not in meta:
         raise SignalFormatError("missing '# kind=...' metadata line")
@@ -183,9 +185,19 @@ def _json_column(cells, what: str, integer: bool = False):
     return cells if integer else _floats(cells, what)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a repeated key is rejected, not overwritten."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise SignalFormatError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _read_json(text: str):
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an integer beyond the int-string limit, or nesting
         # deeper than the interpreter's recursion limit

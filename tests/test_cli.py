@@ -313,16 +313,25 @@ def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, stdin):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Metadata a kind does not carry, or an unknown key, is a parse error; each
-# of these used to be dropped and the file read as a valid signal.
+# Metadata a kind does not carry, an unknown key or a repeated key is a parse
+# error; each of these used to be dropped, or the last value kept, and the
+# file read as a valid signal.
 @pytest.mark.parametrize(
     "name,text",
     [
         ("f.json", '{"kind": "discrete", "ts": -3, "n": 99, "rows": [[0, 1, 0]]}'),
         ("f.csv", "# kind=analog ts=0.5 n=7\nindex,re,im\n0,1,0\n1,1,0\n"),
         ("f.json", '{"kind": "analog", "ts": 0.5, "tss": 0.5, "rows": [[0, 1, 0]]}'),
+        ("f.csv", "# kind=analog ts=0.5 ts=0.25\nindex,re,im\n0,1,0\n"),
+        ("f.csv", "# kind=discrete\n# kind=discrete\nindex,re,im\n0,1,0\n"),
+        ("f.csv", "# kind=periodic-discrete n=1 n=1\nindex,re,im\n0,1,0\n"),
+        ("f.json", '{"kind": "analog", "ts": 0.5, "ts": 0.25, "rows": [[0, 1, 0]]}'),
+        ("f.json", '{"kind": "discrete", "kind": "discrete", "rows": [[0, 1, 0]]}'),
+        ("f.json", '{"kind": "periodic-discrete", "n": 1, "n": 1, "rows": [[0, 1, 0]]}'),
     ],
-    ids=["json-discrete-ts-n", "csv-analog-n", "json-unknown-key"],
+    ids=["json-discrete-ts-n", "csv-analog-n", "json-unknown-key", "csv-repeated-ts",
+         "csv-repeated-kind", "csv-repeated-n", "json-repeated-ts", "json-repeated-kind",
+         "json-repeated-n"],
 )
 def test_metadata_the_kind_does_not_carry_exit_2(tmp_path, capsys, name, text):
     f = write(tmp_path / name, text)
@@ -376,6 +385,34 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+# An --out that cannot be written exits 2 with one "error:" line in every
+# command; a directory or a missing parent used to end in a traceback (exit 1).
+@pytest.mark.parametrize("target", ["folder", "missing/out"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conv", "F", "F"],
+        ["dft", "P"],
+        ["idft", "P"],
+        ["series", "--gen", "cos", "--n", "8", "--ts", "1", "--nmax", "1"],
+        ["ft", "--gen", "pulse", "--ts", "0.25", "--omega-min", "0", "--omega-max", "1",
+         "--omega-step", "1"],
+        ["verify", "--n", "16", "--nmax", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exit_2(tmp_path, capsys, argv, target):
+    files = {"F": write(tmp_path / "f.csv", DISCRETE_A),
+             "P": write(tmp_path / "p.csv", "# kind=periodic-discrete n=1\nindex,re,im\n0,1,0\n")}
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / target
+    code, stdout, err = run(capsys, *(files.get(a, a) for a in argv), "--out", str(out))
+    one_error_line(code, stdout, err, 2)
+    assert f"cannot write {out}" in err
+    assert list(folder.iterdir()) == [] and not (tmp_path / "missing").exists()
+
+
 class TestVerify:
     def test_default_run_passes(self, tmp_path, capsys):
         out_path = str(tmp_path / "report.json")
@@ -384,11 +421,18 @@ class TestVerify:
         report = json.loads(open(out_path).read())
         assert report["passed"] is True
         assert len(report["checks"]) == 31
-        assert all(
-            c["residual"] <= c["tolerance"] * max(1.0, c["scale"])
-            for c in report["checks"]
-            if not c["skipped"]
-        )
+        assert all(c["residual"] <= c["tolerance"] * max(1.0, c["scale"]) for c in report["checks"])
+
+    def test_nmax_0_runs_every_check(self, tmp_path, capsys):
+        # the periodic checks run on harmonic 0; none is reported as skipped
+        code, out, err = run(capsys, "verify", "--nmax", "0", "--out", str(tmp_path / "r.json"))
+        assert code == 0
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 31
+        assert all(line.startswith("pass  ") for line in lines)
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert not [c["id"] for c in report["checks"] if c["skipped"] or not c["passed"]]
 
     def test_reports_byte_identical(self, tmp_path, capsys):
         p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -499,6 +543,13 @@ def _refuse(*args, **kwargs):
          generators, "cosine"),
         (["series", "--gen", "square", "--n", str(2**24 + 2), "--ts", "1", "--nmax", "0"],
          generators, "square"),
+        # the --gen limit bounds memory: 2^22 samples peak near 256 MiB resident
+        (["ft", "--gen", "pulse", "--ts", "1", "--width", str(2**22 + 1), "--omega-min", "0",
+          "--omega-max", "0", "--omega-step", "1"], generators, "pulse"),
+        (["series", "--gen", "cos", "--n", str(2**22 + 1), "--ts", "1", "--nmax", "0"],
+         generators, "cosine"),
+        (["series", "--gen", "square", "--n", str(2**22 + 1), "--ts", "1", "--nmax", "0"],
+         generators, "square"),
         # 32770 samples x 32769 harmonics: 2^30 + 98306 terms
         (["series", "--gen", "cos", "--n", "32770", "--ts", "1", "--nmax", "16384"],
          fourier, "fourier_coefficients"),
@@ -506,7 +557,8 @@ def _refuse(*args, **kwargs):
         # n * (2 nmax + 1) = 2^16 * 257 > 2^24
         (["verify", "--n", str(2**16), "--nmax", "128"], cli, "run_all"),
     ],
-    ids=["gen-pulse", "gen-cos", "gen-square", "series", "verify-n", "verify-work"],
+    ids=["gen-pulse", "gen-cos", "gen-square", "gen-pulse-2^22+1", "gen-cos-2^22+1",
+         "gen-square-2^22+1", "series", "verify-n", "verify-work"],
 )
 def test_work_budget_of_every_command_exit_4(tmp_path, capsys, monkeypatch, argv, module, name):
     monkeypatch.setattr(module, name, _refuse)
@@ -597,14 +649,20 @@ def command_lines(draw):
     return draw(arguments(command)), f, g
 
 
+# --out targets besides standard output: a file in the example's folder, the
+# folder itself and a path under a missing directory
+OUT_PATHS = {"OUT": "out", "DIR": "", "MISSING": "missing/out"}
+
+
 @st.composite
 def arguments(draw, command):
+    out = ["--out", draw(st.sampled_from(["-", *OUT_PATHS]))]
     omega = st.one_of(st.sampled_from(["0", "1", "-16", "16", "0.25"]), number)
     if command == "verify":
         # n and nmax stay small: verify admits up to n * (2 nmax + 1) = 2^24
         return ["verify", "--n", draw(st.sampled_from(["1", "2", "3", "16", "0"])),
                 "--ts", draw(number), "--nmax", draw(st.sampled_from(["0", "1", "2", "3", "-1"])),
-                "--tol-scale", draw(st.sampled_from(["1", "1e-300", "nan"]))]
+                "--tol-scale", draw(st.sampled_from(["1", "1e-300", "nan"])), *out]
     if command == "conv":
         argv = ["conv", "F", "G", *draw(st.sampled_from([[], ["--mode", "discrete"]]))]
     elif command in ("dft", "idft"):
@@ -614,7 +672,7 @@ def arguments(draw, command):
     else:
         argv = ["ft", *draw(single_input), "--omega-min", draw(omega),
                 "--omega-max", draw(omega), "--omega-step", draw(omega)]
-    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"])), *out]
 
 
 OVERFLOWING_PD = OVERFLOWING["pd.csv"]
@@ -624,12 +682,15 @@ OVERFLOWING_PD = OVERFLOWING["pd.csv"]
 @given(case=command_lines())
 @example(case=(["dft", "F"], OVERFLOWING_PD, ""))
 @example(case=(["verify", "--n", "16", "--ts", "5e-324", "--nmax", "2"], "", ""))
+@example(case=(["series", "--gen", "cos", "--n", "8", "--ts", "1", "--nmax", "1", "--out", "DIR"],
+               "", ""))
 def test_any_command_line_keeps_the_exit_contract(tmp_path_factory, case):
     argv, f, g = case
     folder = tmp_path_factory.mktemp("argv")
     (folder / "F").write_text(f)
     (folder / "G").write_text(g)
-    argv = [str(folder / a) if a in ("F", "G") else a for a in argv]
+    paths = {"F": "F", "G": "G", **OUT_PATHS}
+    argv = [str(folder / paths[a]) if a in paths else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:

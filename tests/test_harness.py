@@ -169,6 +169,19 @@ class TestFaultMatrix:
         caught = set().union(*(must_fail for _, must_fail in FAULTS.values()))
         assert caught == set(EXPECTED_IDS)
 
+    def test_every_check_can_fail_without_harmonics(self, monkeypatch):
+        # at n_max = 0 the periodic checks run on harmonic 0 alone, and each
+        # must still be able to fail (at n = 1, ts = 1 conv.identity_analog
+        # cannot: ts * (1/ts) is exact there)
+        grid = GridParams(n=16, ts=1 / 16, n_max=0)
+        caught = set()
+        for patches, _ in FAULTS.values():
+            with monkeypatch.context() as patched:
+                for module, name, replacement in patches:
+                    patched.setattr(module, name, replacement)
+                caught |= {c.id for c in run_all(grid).checks if not c.passed}
+        assert caught == set(EXPECTED_IDS)
+
 
 class TestRegistry:
     def test_catalog_complete(self):
@@ -221,8 +234,7 @@ class TestRunAll:
     def test_invariant_passed_matches_residual(self):
         report = run_all()
         for c in report.checks:
-            if not c.skipped:
-                assert c.passed == (c.residual <= c.tolerance * max(1.0, c.scale))
+            assert c.passed == (c.residual <= c.tolerance * max(1.0, c.scale))
 
     def test_deterministic(self):
         a = run_all(seed=5)
@@ -234,15 +246,18 @@ class TestRunAll:
         b = run_all(seed=6)
         assert a.to_dict() != b.to_dict()
 
-    def test_degenerate_grid_skips(self):
-        report = run_all(GridParams(n=1, ts=1.0, n_max=0))
-        skipped = {c.id for c in report.checks if c.skipped}
-        assert "fs.forward" in skipped
-        assert "dft.vs_series" in skipped
-        assert "conv.commutativity" not in skipped
-        for c in report.checks:
-            if c.skipped:
-                assert "skipped" in c.note
+    @pytest.mark.parametrize(
+        "grid",
+        [GridParams(n=1, ts=1.0, n_max=0), GridParams(n=2, ts=0.5, n_max=0),
+         GridParams(n=16, ts=1 / 16, n_max=0)],
+        ids=["n1", "n2", "n16"],
+    )
+    def test_every_check_runs_without_harmonics(self, grid):
+        # no verdict is "skipped": at n_max = 0 the periodic checks run on harmonic 0
+        report = run_all(grid)
+        assert len(report.checks) == len(EXPECTED_IDS)
+        assert not [c.id for c in report.checks if c.skipped]
+        assert [c.id for c in report.checks if not c.passed] == []
         assert report.passed
 
     def test_runner_error_fails_not_skips(self):
