@@ -13,8 +13,6 @@ from .convolution import (
     discrete_convolve,
     exp_factor_analog,
     exp_factor_discrete,
-    exp_factor_periodic_analog,
-    exp_factor_periodic_discrete,
     mixed_convolve,
     periodic_convolve_analog,
     periodic_convolve_discrete,

@@ -10,9 +10,9 @@ Linear convolutions are direct sums (``np.convolve``); circular ones go
 through the FFT (``ifft(fft(a) * fft(b))``).  Outputs are deterministic
 for identical inputs.  The ``exp_factor_*`` power and Riemann sums are
 computed term by term and serve as the independent reference.
-A periodic signal's factor is the sum over its stored period, so the
-``exp_factor_periodic_*`` names are the aperiodic functions themselves.
-``fourier`` and ``harness`` call ``_riemann_sum`` through this module.
+A periodic signal's factor is the sum over its stored period, so one
+factor function serves each exponential family, periodic or not.
+``fourier``, ``harness`` and ``cli`` import this module, never a name from it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "mixed_convolve",
     "exp_factor_discrete",
     "exp_factor_analog",
-    "exp_factor_periodic_analog",
-    "exp_factor_periodic_discrete",
     "shift",
     "scale_time",
     "derivative",
@@ -175,10 +173,6 @@ def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> 
     the stored window [0, T) for a periodic signal."""
     _require_kind(p, ExpKind.ANALOG_EXPONENT)
     return EigenFactor(param=p, value=_riemann_sum(f.samples, f.times(), f.ts, p.a))
-
-
-exp_factor_periodic_analog = exp_factor_analog
-exp_factor_periodic_discrete = exp_factor_discrete
 
 
 def _on_grid_lag(t0: float, ts: float) -> int:

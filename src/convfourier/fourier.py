@@ -6,7 +6,7 @@ Riemann factor at a = j n omega0 (divided by T), the DFT is the exact
 N-term factor at the N-th roots of unity, and the Fourier transform is the
 Riemann factor at a = j omega on a uniform frequency grid.  ``dft`` and
 ``idft`` run on ``np.fft``; the direct N-term power sum
-``exp_factor_periodic_discrete`` is the independent reference they are
+``convolution.exp_factor_discrete`` is the independent reference they are
 checked against.
 
 Every other transform here is one call of the Riemann sum
@@ -15,14 +15,14 @@ coefficients and the Fourier transform, per output time for the series
 synthesis and the inverse transform.  No M x L kernel matrix is built, so
 memory stays linear in the input and output sizes.  The library's one
 alias-window test (2|n| < N) is ``_check_alias_window``, its one
-max-norm comparison is ``_compare``, and its one circular eigenrelation
-f (*) x = factor * x is ``_circular_eigenrelation``.
+max-norm comparison is ``_compare``, and its one eigenrelation
+f * e = factor * e, for all four convolutions, is ``_eigenrelation``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -63,31 +63,28 @@ _TWO_PI = 2.0 * math.pi
 class SeriesSpectrum:
     """Fourier series coefficients C_n on the window |n| <= n_max.
 
-    ``coeffs[n_max + n]`` holds C_n; omega0 = 2*pi / period_t is the
-    fundamental (rad/s).  The factor picked up by the harmonic e^(j n w0 t)
-    under one-period convolution is T * C_n.
+    ``coeffs[n_max + n]`` holds C_n.  The factor picked up by the harmonic
+    e^(j n w0 t) under one-period convolution is T * C_n.
     """
 
     period_t: float
-    omega0: float
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         period_t = float(self.period_t)
-        omega0 = float(self.omega0)
         if period_t <= 0:
             raise ValueError(f"period must be > 0, got {period_t}")
-        if abs(omega0 * period_t - _TWO_PI) > 1e-12 * _TWO_PI:
-            raise ValueError(
-                f"omega0 * period must equal 2*pi, got {omega0 * period_t}"
-            )
         coeffs = np.asarray(self.coeffs, dtype=np.complex128).copy()
         if coeffs.ndim != 1 or coeffs.size % 2 != 1:
             raise ValueError("coefficients must cover a symmetric window -n_max..n_max")
         coeffs.setflags(write=False)
         object.__setattr__(self, "period_t", period_t)
-        object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def omega0(self) -> float:
+        """The fundamental 2*pi / period_t (rad/s); never stored separately."""
+        return _TWO_PI / self.period_t
 
     @property
     def n_max(self) -> int:
@@ -187,32 +184,41 @@ def _compare(lhs, rhs) -> ResidualReport:
     )
 
 
-def _circular_eigenrelation(f, x, factor) -> ResidualReport:
-    """Residual of f (*) x = factor * x over one period, with the analog or the
-    discrete circular convolution by f's family."""
-    analog = isinstance(f, PeriodicSampledSignal)
-    convolve = conv.periodic_convolve_analog if analog else conv.periodic_convolve_discrete
-    return _compare(convolve(f, x).samples, factor * x.samples)
+def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
+    """Residual of f * e = factor * e, e(k) = expo(k), by the convolution of f's
+    family: circular over one period when ``ks`` is None, else linear at the
+    sorted indices ``ks``, with e on exactly the indices that overlap f from
+    some k, so every overlap is complete."""
+    analog = isinstance(f, (SampledSignal, PeriodicSampledSignal))
+    if ks is None:
+        convolve = conv.periodic_convolve_analog if analog else conv.periodic_convolve_discrete
+        e = expo(np.arange(f.samples.size))
+        return _compare(convolve(f, replace(f, samples=e)).samples, factor * e)
+    convolve = conv.approx_analog_convolve if analog else conv.discrete_convolve
+    e_start = int(ks[0]) - (f.end - 1)
+    e_idx = np.arange(e_start, int(ks[-1]) - f.start + 1)
+    out = convolve(f, replace(f, start=e_start, samples=expo(e_idx)))
+    return _compare(out.samples[ks - out.start], factor * expo(ks))
 
 
-def _unit_root_samples(n: int, count: int) -> np.ndarray:
-    """e^(j 2 pi n k / count) for k = 0..count-1, with the angle reduced mod count."""
-    k = (int(n) * np.arange(count)) % count
-    return np.exp(2j * np.pi * k / count)
+def _unit_roots(n: int, period: int):
+    """Index function k -> e^(j 2 pi n k / period), with the angle n k reduced mod period."""
+    n, period = int(n), int(period)
+    return lambda k: np.exp(2j * np.pi * ((n * k) % period) / period)
 
 
 def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:
     """Periodic discrete exponential x_n(k) = e^(j n (2 pi / N) k)."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    return PeriodicDiscreteSignal(samples=_unit_root_samples(n, period))
+    return PeriodicDiscreteSignal(samples=_unit_roots(n, period)(np.arange(period)))
 
 
 def sampled_harmonic(n: int, period: int, ts: float) -> PeriodicSampledSignal:
     """One period of the analog harmonic e^(j n omega0 t) sampled at spacing ts."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    return PeriodicSampledSignal(ts=ts, samples=_unit_root_samples(n, period))
+    return PeriodicSampledSignal(ts=ts, samples=_unit_roots(n, period)(np.arange(period)))
 
 
 def _check_alias_window(n_max: int, period: int):
@@ -241,7 +247,7 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     for n in range(-n_max, n_max + 1):
         factor = conv._riemann_sum(f.samples, times, f.ts, 1j * n * omega0)
         coeffs[n_max + n] = factor / period_t
-    return SeriesSpectrum(period_t=period_t, omega0=omega0, coeffs=coeffs)
+    return SeriesSpectrum(period_t=period_t, coeffs=coeffs)
 
 
 def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSignal:
@@ -275,9 +281,8 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     """
     n = int(n)
     _check_alias_window(abs(n), f.period_samples)
-    x = sampled_harmonic(n, f.period_samples, f.ts)
     factor = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * n * (_TWO_PI / f.period_t))
-    return _circular_eigenrelation(f, x, factor)
+    return _eigenrelation(f, _unit_roots(n, f.period_samples), factor)
 
 
 def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
@@ -295,8 +300,8 @@ def dft_orthogonality(m: int, n: int, period: int) -> ResidualReport:
     m, n, period = int(m), int(n), int(period)
     if not (0 <= m < period and 0 <= n < period):
         raise ValueError(f"need 0 <= m, n < N, got m={m}, n={n}, N={period}")
-    xn = harmonic_signal(n, period)
-    report = _circular_eigenrelation(harmonic_signal(m, period), xn, period if m == n else 0.0)
+    xm = harmonic_signal(m, period)
+    report = _eigenrelation(xm, _unit_roots(n, period), period if m == n else 0.0)
     return ResidualReport(report.residual, float(period))
 
 

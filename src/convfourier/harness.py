@@ -178,7 +178,8 @@ def _random_sampled(rng, ts, max_len=16, start_lo=-8, start_hi=8) -> sig.Sampled
 
 
 # --------------------------------------------------------------------------
-# comparison helpers; every max-norm residual is fourier._compare
+# comparison helpers; every max-norm residual is fourier._compare, and every
+# eigenrelation f * e = factor * e is fourier._eigenrelation
 # --------------------------------------------------------------------------
 
 def _same_signal(out, want):
@@ -212,25 +213,9 @@ def _halving_ratios(residual_at, steps):
     return reduce(_worst, (abs(q - 4.0) for q in ratios)), 1.0, note
 
 
-def _dexp(p: sig.ExpParam, ks) -> np.ndarray:
-    return np.array([sig.eval_discrete_exponential(p, int(k)) for k in ks])
-
-
-def _window_lhs(f, expo, ks: np.ndarray) -> np.ndarray:
-    """(f * e)(k) for k in ks, with the exponential e = expo(indices) built on
-    exactly the indices that overlap f from some k, so every overlap is complete."""
-    g_start = int(ks[0]) - (f.end - 1)
-    g_idx = np.arange(g_start, int(ks[-1]) - f.start + 1)
-    if isinstance(f, sig.SampledSignal):
-        out = conv.approx_analog_convolve(f, sig.SampledSignal(f.ts, g_start, expo(g_idx)))
-    else:
-        out = conv.discrete_convolve(f, sig.DiscreteSignal(g_start, expo(g_idx)))
-    return out.samples[ks - out.start]
-
-
-def _eigenrelation(f, expo, factor, ks: np.ndarray):
-    """Residual and scale of (f * e)(k) against factor * e(k) for k in ks."""
-    return four._compare(_window_lhs(f, expo, ks), factor * expo(ks))
+def _dexp(p: sig.ExpParam):
+    """Index function k -> a^k of the discrete exponential with parameter p."""
+    return lambda ks: np.array([sig.eval_discrete_exponential(p, int(k)) for k in ks])
 
 
 # --------------------------------------------------------------------------
@@ -244,10 +229,9 @@ def _harmonic_product(convolve, f, g, n):
     period = g.period_samples
     four._check_alias_window(abs(int(n)), period)
     a = 1j * n * (_TWO_PI / g.period_t)
-    xn = four.sampled_harmonic(n, period, g.ts)
     fn = conv._riemann_sum(f.samples, f.times(), f.ts, a)
     gn = conv._riemann_sum(g.samples, g.times(), g.ts, a)
-    return four._circular_eigenrelation(convolve(f, g), xn, fn * gn)
+    return four._eigenrelation(convolve(f, g), four._unit_roots(n, period), fn * gn)
 
 
 def _fs_conv_freq(f, g, t_index, n_max):
@@ -281,7 +265,7 @@ def _fs_conv_freq(f, g, t_index, n_max):
     t = t_index * f.ts
     p = sig.discrete_base(complex(np.exp(-1j * (_TWO_PI / period_t) * t)))
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))
-    return _eigenrelation(fg, lambda k: _dexp(p, k), product, np.arange(-8, 9))
+    return four._eigenrelation(fg, _dexp(p), product, np.arange(-8, 9))
 
 
 _FT_TS = 1.0 / 64.0
@@ -316,7 +300,7 @@ def _run_ft_conv_time(grid, rng):
         w = float(rng.uniform(-12.0, 12.0))
         fw = four.fourier_transform(f, [w]).values[0]
         gw = four.fourier_transform(g, [w]).values[0]
-        return _eigenrelation(fg, lambda k: np.exp(1j * w * k * ts), gw * fw, ks)
+        return four._eigenrelation(fg, lambda k: np.exp(1j * w * k * ts), gw * fw, ks)
 
     return _worst_over(3, trial)
 
@@ -338,7 +322,9 @@ def _run_ft_conv_freq(grid, rng):
     ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
     factor = _TWO_PI * (_TWO_PI * fhat * ghat)
     ks = np.arange(-8, 9)
-    residual, scale = _eigenrelation(fg_w, lambda k: np.exp(-1j * (k * dw) * t0), factor, ks)
+    residual, scale = four._eigenrelation(
+        fg_w, lambda k: np.exp(-1j * (k * dw) * t0), factor, ks
+    )
     return residual, scale, ""
 
 
@@ -513,7 +499,7 @@ def _run_eigen_analog(grid, rng):
             a = 1j
         ks = np.arange(f.start - 4, f.end + 4)
         factor = conv._riemann_sum(f.samples, f.times(), ts, a)
-        return _eigenrelation(f, lambda k: np.exp(a * k * ts), factor, ks)
+        return four._eigenrelation(f, lambda k: np.exp(a * k * ts), factor, ks)
 
     return _worst_over(10, trial)
 
@@ -524,7 +510,7 @@ def _run_eigen_discrete(grid, rng):
         mag = rng.uniform(0.5, 2.0)
         p = sig.discrete_base(mag * np.exp(2j * np.pi * rng.uniform()))
         ks = np.arange(f.start - 4, f.end + 4)
-        return _eigenrelation(f, lambda k: _dexp(p, k), conv.exp_factor_discrete(f, p).value, ks)
+        return four._eigenrelation(f, _dexp(p), conv.exp_factor_discrete(f, p).value, ks)
 
     return _worst_over(20, trial)
 
@@ -543,8 +529,8 @@ def _run_eigen_periodic_discrete(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         n = int(rng.integers(0, grid.n))
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        xn = four.harmonic_signal(n, grid.n)
-        return four._circular_eigenrelation(f, xn, conv.exp_factor_periodic_discrete(f, p).value)
+        factor = conv.exp_factor_discrete(f, p).value
+        return four._eigenrelation(f, four._unit_roots(n, grid.n), factor)
 
     return _worst_over(10, trial)
 
@@ -568,7 +554,7 @@ def _run_fs_inverse(grid, rng):
         f_sig = sig.DiscreteSignal(-grid.n_max, period_t * spectrum.coeffs)
         k0 = int(rng.integers(0, grid.n))
         p = sig.discrete_base(complex(np.exp(-1j * grid.omega0 * (k0 * grid.ts))))
-        return _eigenrelation(f_sig, lambda k: _dexp(p, k), period_t * f.value(k0), ks)
+        return four._eigenrelation(f_sig, _dexp(p), period_t * f.value(k0), ks)
 
     return _worst_over(5, trial)
 
@@ -578,11 +564,11 @@ def _run_dft_forward(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         n = int(rng.integers(0, grid.n))
-        r1, s1 = four._circular_eigenrelation(f, four.harmonic_signal(n, grid.n), spectrum.values[n])
+        r1, s1 = four._eigenrelation(f, four._unit_roots(n, grid.n), spectrum.values[n])
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        r2, s2 = four._compare(spectrum.values[n], conv.exp_factor_periodic_discrete(f, p).value)
+        r2, s2 = four._compare(spectrum.values[n], conv.exp_factor_discrete(f, p).value)
         return _worst(r1, r2), _worst(s1, s2)
 
     return _worst_over(10, trial)
@@ -594,8 +580,8 @@ def _run_dft_inverse(grid, rng):
         spectrum = four.dft(f)
         spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
         k = int(rng.integers(0, grid.n))
-        xbar = sig.PeriodicDiscreteSignal(np.conj(four.harmonic_signal(k, grid.n).samples))
-        r1, s1 = four._circular_eigenrelation(spec_signal, xbar, grid.n * f.value(k))
+        xk = four._unit_roots(k, grid.n)
+        r1, s1 = four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k))
         r2, s2 = four._compare(four.idft(spectrum).samples, f.samples)
         return _worst(r1, r2), _worst(s1, s2)
 
@@ -621,7 +607,7 @@ def _run_ft_forward(grid, rng):
         w = float(rng.uniform(-0.5, 0.5) * math.pi / ts)
         ks = np.arange(f.start - 4, f.end + 4)
         fw = four.fourier_transform(f, [w]).values[0]
-        return _eigenrelation(f, lambda k: np.exp(1j * w * k * ts), fw, ks)
+        return four._eigenrelation(f, lambda k: np.exp(1j * w * k * ts), fw, ks)
 
     return _worst_over(10, trial)
 
@@ -638,7 +624,7 @@ def _run_ft_inverse(grid, rng):
         t0_index = int(rng.integers(-round(2.0 / ts), round(2.0 / ts) + 1))
         t0 = t0_index * ts
         fhat = four.inverse_fourier_transform(spectrum, ts, t0_index, 1).samples[0]
-        return _eigenrelation(
+        return four._eigenrelation(
             spec_signal, lambda k: np.exp(-1j * (k * dw) * t0), _TWO_PI * fhat, ks
         )
 

@@ -14,7 +14,8 @@ Aperiodic rows must be contiguous and strictly increasing (the first index
 is the start); periodic rows must be exactly 0..N-1.  The JSON mirror stores the same
 fields as ``{"kind": ..., "ts": ..., "n": ..., "rows": [[index, re, im], ...]}``
 with JSON numbers: the index an integer, ``ts``, ``re`` and ``im`` integers
-or floats (strings and booleans are rejected).  CSV numbers are written with
+or floats (strings and booleans are rejected).  A CSV value or cell with a
+'_' or a non-ASCII character is rejected.  CSV numbers are written with
 17 significant digits and JSON numbers as the shortest round-tripping repr,
 so a write/read round trip is exact, signed zeros included.  The series and
 spectrum tables use the same layouts with their own metadata and columns.
@@ -170,6 +171,13 @@ def _read_csv(text: str):
         if line.count(",") != 2:
             raise SignalFormatError(f"expected 3 columns, got {line.count(',') + 1}: {line!r}")
     cells = ",".join(rows).split(",") if rows else []
+    if not text.isascii() or "_" in text:
+        # int() and float() read '1_5' as 15 and accept non-ASCII digits
+        named = [("ts", meta.get("ts", "")), ("n", meta.get("n", ""))]
+        for what, cell in named + list(zip(("index", "re", "im") * len(rows), cells)):
+            if "_" in cell or not cell.isascii():
+                bad = f"{what} holds a '_' or a non-ASCII character: {cell.strip()!r}"
+                raise SignalFormatError(bad)
     index = _ints(cells[0::3], "index")
     re, im = _floats(cells[1::3], "re"), _floats(cells[2::3], "im")
     return _build_signal(meta["kind"], ts, n, index, re, im)

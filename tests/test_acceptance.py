@@ -13,8 +13,8 @@ import numpy as np
 from convfourier.cli import main
 from convfourier.convolution import (
     derivative,
+    exp_factor_analog,
     exp_factor_discrete,
-    exp_factor_periodic_analog,
     mixed_convolve,
     periodic_convolve_analog,
     periodic_convolve_discrete,
@@ -138,7 +138,7 @@ def test_criterion_5_bridge_identities():
     ok &= abs(spectrum.coefficient(-1) - 0.5) <= 1e-10 * 0.5
     values = dft(PeriodicDiscreteSignal(f.samples)).values
     ok &= abs(values[1] - n_samples / 2) <= 1e-10 * (n_samples / 2)
-    factor = exp_factor_periodic_analog(f, analog_exponent(1j * 2 * math.pi / period_t)).value
+    factor = exp_factor_analog(f, analog_exponent(1j * 2 * math.pi / period_t)).value
     ok &= abs(factor - period_t * spectrum.coefficient(1)) <= 1e-10 * abs(factor)
     # random band-limited cases, coefficients cross-checked against a brute oracle
     rng = np.random.default_rng(105)
@@ -156,7 +156,7 @@ def test_criterion_5_bridge_identities():
             f_d_n = values[n % n_samples]
             ok &= abs(f_d_n - n_samples * c_n) <= 1e-10 * max(1.0, abs(f_d_n))
             if n != 0:
-                factor = exp_factor_periodic_analog(f, analog_exponent(1j * n * omega0)).value
+                factor = exp_factor_analog(f, analog_exponent(1j * n * omega0)).value
                 ok &= abs(factor - period_t * c_n) <= 1e-10 * max(1.0, abs(factor))
     _report(5, "bridge identities: factor = T C_n and DFT = N C_n", ok, time.time() - start, 2.0)
 

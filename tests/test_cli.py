@@ -290,13 +290,17 @@ class TestFt:
 
 
 # Unreadable input exits 2 with one "error:" line; each used to raise out of
-# main (a traceback, exit 1).
+# main (a traceback, exit 1), except the digit-group and non-ASCII numerals,
+# which used to be read as other numbers (exit 0).
 UNREADABLE = {
     "json-no-rows": b'{"kind": "periodic-discrete", "n": 0, "rows": []}',
     "csv-no-rows": b"# kind=periodic-discrete n=0\nindex,re,im\n",
     "latin-1": "# kind=periodic-discrete n=1\n# \xe9t\xe9\nindex,re,im\n0,1,0\n".encode("latin-1"),
     "long-json-int": b'{"kind": "periodic-discrete", "n": 1, "rows": [[0, ' + b"1" * 5001 + b", 0]]}",
     "deep-json": b"[" * 100000 + b"]" * 100000,
+    "digit-group-cell": b"# kind=periodic-discrete n=1\nindex,re,im\n0,1_5,0\n",
+    "digit-group-index": b"# kind=periodic-discrete n=1\nindex,re,im\n0_0,1,0\n",
+    "non-ascii-digit": "# kind=periodic-discrete n=1\nindex,re,im\n0,\u0661,0\n".encode(),
 }
 
 
@@ -313,9 +317,10 @@ def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, stdin):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Metadata a kind does not carry, an unknown key or a repeated key is a parse
-# error; each of these used to be dropped, or the last value kept, and the
-# file read as a valid signal.
+# Metadata a kind does not carry, an unknown key, a repeated key or a value
+# Python reads but no CSV number holds ('0_5' read as 5) is a parse error;
+# each of these used to be dropped, or the last value kept or misread, and
+# the file read as a valid signal.
 @pytest.mark.parametrize(
     "name,text",
     [
@@ -328,10 +333,13 @@ def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, stdin):
         ("f.json", '{"kind": "analog", "ts": 0.5, "ts": 0.25, "rows": [[0, 1, 0]]}'),
         ("f.json", '{"kind": "discrete", "kind": "discrete", "rows": [[0, 1, 0]]}'),
         ("f.json", '{"kind": "periodic-discrete", "n": 1, "n": 1, "rows": [[0, 1, 0]]}'),
+        ("f.csv", "# kind=analog ts=0_5\nindex,re,im\n0,1_5,0\n"),
+        ("f.csv", "# kind=periodic-discrete n=0_2\nindex,re,im\n0,1,0\n1,1,0\n"),
+        ("f.csv", "# kind=analog ts=0.\u0665\nindex,re,im\n0,1,0\n"),
     ],
     ids=["json-discrete-ts-n", "csv-analog-n", "json-unknown-key", "csv-repeated-ts",
          "csv-repeated-kind", "csv-repeated-n", "json-repeated-ts", "json-repeated-kind",
-         "json-repeated-n"],
+         "json-repeated-n", "csv-digit-group-ts", "csv-digit-group-n", "csv-non-ascii-ts"],
 )
 def test_metadata_the_kind_does_not_carry_exit_2(tmp_path, capsys, name, text):
     f = write(tmp_path / name, text)

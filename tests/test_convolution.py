@@ -13,8 +13,6 @@ from convfourier.convolution import (
     discrete_convolve,
     exp_factor_analog,
     exp_factor_discrete,
-    exp_factor_periodic_analog,
-    exp_factor_periodic_discrete,
     mixed_convolve,
     periodic_convolve_analog,
     periodic_convolve_discrete,
@@ -214,7 +212,7 @@ class TestPeriodicConvolveAnalog:
         f = PeriodicSampledSignal(ts, samples)
         x1 = sampled_harmonic(1, n_samples, ts)
         out = periodic_convolve_analog(f, x1)
-        factor = exp_factor_periodic_analog(f, analog_exponent(2j * math.pi)).value
+        factor = exp_factor_analog(f, analog_exponent(2j * math.pi)).value
         assert np.max(np.abs(out.samples - factor * x1.samples)) <= 1e-12 * abs(factor)
 
     def test_grid_mismatch_rejected(self):
@@ -352,7 +350,7 @@ class TestExpFactorPeriodic:
         period_t = n_samples * ts
         for n in (1, 5, -8):
             x = sampled_harmonic(n, n_samples, ts)
-            factor = exp_factor_periodic_analog(
+            factor = exp_factor_analog(
                 x, analog_exponent(1j * n * 2 * math.pi / period_t)
             ).value
             assert abs(factor - period_t) <= 1e-12 * period_t
@@ -362,43 +360,38 @@ class TestExpFactorPeriodic:
         omega0 = 2 * math.pi / (n_samples * ts)
         for m, n in ((0, 3), (2, 5), (-7, 7)):
             x = sampled_harmonic(m, n_samples, ts)
-            factor = exp_factor_periodic_analog(x, analog_exponent(1j * n * omega0)).value
+            factor = exp_factor_analog(x, analog_exponent(1j * n * omega0)).value
             assert abs(factor) <= 1e-12
 
     def test_constant_against_fundamental(self):
         ts = 1.0 / 32.0
         f = PeriodicSampledSignal(ts, 3.5 * np.ones(32))
-        factor = exp_factor_periodic_analog(f, analog_exponent(2j * math.pi)).value
+        factor = exp_factor_analog(f, analog_exponent(2j * math.pi)).value
         assert abs(factor) <= 1e-12
 
     def test_periodic_discrete_delta(self):
         d = np.zeros(6, dtype=complex)
         d[0] = 1
-        factor = exp_factor_periodic_discrete(PeriodicDiscreteSignal(d), discrete_base(0.7j))
+        factor = exp_factor_discrete(PeriodicDiscreteSignal(d), discrete_base(0.7j))
         assert factor.value == 1 + 0j
 
     def test_fourth_roots_cancel(self):
         f = PeriodicDiscreteSignal([1, 1, 1, 1])
-        factor = exp_factor_periodic_discrete(f, discrete_base(1j)).value
+        factor = exp_factor_discrete(f, discrete_base(1j)).value
         assert abs(factor) <= 1e-15
 
     def test_ones_at_base_one(self):
         f = PeriodicDiscreteSignal([1, 1, 1, 1])
-        assert exp_factor_periodic_discrete(f, discrete_base(1)).value == 4 + 0j
+        assert exp_factor_discrete(f, discrete_base(1)).value == 4 + 0j
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(14)
         vals = rand_values(rng, 8)
         f = PeriodicDiscreteSignal(vals)
         a = 1.3 - 0.4j
-        got = exp_factor_periodic_discrete(f, discrete_base(a)).value
+        got = exp_factor_discrete(f, discrete_base(a)).value
         want = power_factor_brute(list(vals), 0, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_one_factor_per_exponential_family(self):
-        # a periodic factor is the aperiodic sum over the stored period
-        assert exp_factor_periodic_analog is exp_factor_analog
-        assert exp_factor_periodic_discrete is exp_factor_discrete
 
 
 class TestEigenFactor:

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from convfourier import convolution as conv
 from convfourier import fourier
 from convfourier.convolution import (
     exp_factor_analog,
-    exp_factor_periodic_analog,
-    exp_factor_periodic_discrete,
+    exp_factor_discrete,
     periodic_convolve_discrete,
 )
 from convfourier.fourier import (
@@ -32,6 +32,7 @@ from convfourier.fourier import (
 from convfourier.generators import cosine, gaussian, pulse, square
 from convfourier.signals import (
     AliasingError,
+    DiscreteSignal,
     GridMismatchError,
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
@@ -41,7 +42,7 @@ from convfourier.signals import (
     periodize,
 )
 
-from oracles import dft_brute, riemann_factor_brute
+from oracles import conv_brute, dft_brute, power_factor_brute, riemann_factor_brute
 
 
 def rand_values(rng, n):
@@ -60,12 +61,8 @@ def band_limited(rng, n_samples, ts, n_max):
 
 
 class TestSpectrumTypes:
-    def test_series_spectrum_validates_omega0(self):
-        with pytest.raises(ValueError):
-            SeriesSpectrum(period_t=1.0, omega0=1.0, coeffs=np.zeros(3))
-
     def test_series_coefficient_lookup(self):
-        s = SeriesSpectrum(period_t=1.0, omega0=2 * math.pi, coeffs=np.array([1j, 2.0, 3.0]))
+        s = SeriesSpectrum(period_t=1.0, coeffs=np.array([1j, 2.0, 3.0]))
         assert s.n_max == 1
         assert s.coefficient(-1) == 1j
         assert s.coefficient(0) == 2.0
@@ -140,7 +137,7 @@ class TestFourierCoefficients:
             if n == 0:
                 factor = riemann_factor_brute(list(f.samples), 0, f.ts, 0j)
             else:
-                factor = exp_factor_periodic_analog(
+                factor = exp_factor_analog(
                     f, analog_exponent(1j * n * spectrum.omega0)
                 ).value
             assert abs(spectrum.coefficient(n) - factor / period_t) <= 1e-12
@@ -148,7 +145,7 @@ class TestFourierCoefficients:
 
 class TestSeriesSynthesize:
     def test_dc_only(self):
-        s = SeriesSpectrum(period_t=2.0, omega0=math.pi, coeffs=np.array([0, 3.5 + 1j, 0]))
+        s = SeriesSpectrum(period_t=2.0, coeffs=np.array([0, 3.5 + 1j, 0]))
         out = series_synthesize(s, ts=0.25, start=0, count=8)
         assert np.allclose(out.samples, 3.5 + 1j, atol=1e-14)
 
@@ -255,7 +252,7 @@ class TestDft:
             scale = max(1.0, np.abs(values).max())
             for n in range(n_samples):
                 a = complex(np.exp(2j * np.pi * n / n_samples))
-                factor = exp_factor_periodic_discrete(f, discrete_base(a)).value
+                factor = exp_factor_discrete(f, discrete_base(a)).value
                 assert abs(factor - values[n]) <= 1e-13 * scale
 
 
@@ -353,6 +350,62 @@ def test_residual_report_is_a_pair():
     assert (residual, scale) == (report.residual, report.scale) == (4.0, 1.0)
     assert tuple(fourier._compare(np.empty(0), np.empty(0))) == (0.0, 0.0)
     assert tuple(dft_orthogonality(1, 2, 8)) == (dft_orthogonality(1, 2, 8).residual, 8.0)
+
+
+# The four convolutions of the eigenrelation f * e = factor * e: each case
+# gives (f, e as an index function, its factor from a brute oracle, ks).
+def linear_discrete(rng):
+    f = DiscreteSignal(-3, rand_values(rng, 9))
+    a = 1.05 * np.exp(0.7j)
+    factor = power_factor_brute(list(f.samples), f.start, a)
+    return f, lambda k: np.array([a ** int(i) for i in k]), factor, np.arange(-7, 10)
+
+
+def linear_analog(rng):
+    f = SampledSignal(0.125, -4, rand_values(rng, 9))
+    a = 0.3 + 2j
+    factor = riemann_factor_brute(list(f.samples), f.start, f.ts, a)
+    return f, lambda k: np.exp(a * k * f.ts), factor, np.arange(-8, 9)
+
+
+def circular_discrete(rng):
+    f = PeriodicDiscreteSignal(rand_values(rng, 12))
+    factor = power_factor_brute(list(f.samples), 0, np.exp(2j * np.pi * 5 / 12))
+    return f, lambda k: np.exp(2j * np.pi * 5 * k / 12), factor, None
+
+
+def circular_analog(rng):
+    f = PeriodicSampledSignal(1.0 / 16.0, rand_values(rng, 16))
+    factor = riemann_factor_brute(list(f.samples), 0, f.ts, 3j * 2 * np.pi / f.period_t)
+    return f, lambda k: np.exp(2j * np.pi * 3 * k / 16), factor, None
+
+
+@pytest.mark.parametrize(
+    "family", [linear_discrete, linear_analog, circular_discrete, circular_analog],
+    ids=lambda family: family.__name__,
+)
+def test_eigenrelation_of_every_convolution(monkeypatch, family):
+    f, expo, factor, ks = family(np.random.default_rng(31))
+    residual, scale = fourier._eigenrelation(f, expo, factor, ks)
+    assert residual <= 1e-12 * max(1.0, scale)
+    residual, scale = fourier._eigenrelation(f, expo, factor * (1 + 1e-6), ks)
+    assert residual >= 1e-7 * scale
+    if ks is None:
+        return
+    # the left side is the kernel's output, checked at every k against a
+    # double loop over an exponential wider than the overlapping indices
+    name = "approx_analog_convolve" if isinstance(f, SampledSignal) else "discrete_convolve"
+    kernel, outs = getattr(conv, name), []
+    monkeypatch.setattr(conv, name, lambda x, y: outs.append(kernel(x, y)) or outs[-1])
+    fourier._eigenrelation(f, expo, factor, ks)
+    (out,) = outs
+    lo = int(ks[0]) - f.end - 2
+    start, want = conv_brute(
+        list(f.samples), f.start, list(expo(np.arange(lo, int(ks[-1]) - f.start + 3))), lo
+    )
+    for k in ks:
+        want_k = getattr(f, "ts", 1.0) * want[k - start]
+        assert abs(out.value(k) - want_k) <= 1e-12 * max(1.0, abs(want_k))
 
 
 class TestFourierTransform:

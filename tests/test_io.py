@@ -126,6 +126,21 @@ class TestCsvParsing:
         with pytest.raises(SignalFormatError, match="metadata"):
             read_signal_text("# kind=discrete color=red\nindex,re,im\n0,1,0\n")
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("# kind=analog ts=0_5\nindex,re,im\n0,1_5,0\n", "ts .* '0_5'"),
+            ("# kind=periodic-discrete n=0_2\nindex,re,im\n0,1,0\n1,1,0\n", "n .* '0_2'"),
+            ("# kind=discrete\nindex,re,im\n1_0,1,0\n", "index .* '1_0'"),
+            ("# kind=discrete\nindex,re,im\n0,1,0\n1,0,1_5\n", "im .* '1_5'"),
+            ("# kind=discrete\nindex,re,im\n0,\uff11,0\n", "re .* '\uff11'"),
+        ],
+    )
+    def test_digit_group_or_non_ascii_numeral_named(self, text, named):
+        # int() and float() would read '1_5' as 15 and a full-width digit as 1
+        with pytest.raises(SignalFormatError, match=named):
+            read_signal_text(text)
+
     def test_wrong_column_count(self):
         with pytest.raises(SignalFormatError, match="columns"):
             read_signal_text("# kind=discrete\nindex,re,im\n0,1\n")
@@ -160,9 +175,7 @@ class TestJsonParsing:
 
 class TestTables:
     def test_series_table_has_factor_column(self):
-        spectrum = SeriesSpectrum(
-            period_t=2.0, omega0=math.pi, coeffs=np.array([0.25j, 1.0, 0.5])
-        )
+        spectrum = SeriesSpectrum(period_t=2.0, coeffs=np.array([0.25j, 1.0, 0.5]))
         text = series_table_text(spectrum)
         lines = text.strip().splitlines()
         assert lines[1] == "n,c_re,c_im,f_re,f_im"
@@ -173,7 +186,7 @@ class TestTables:
     def test_series_table_json(self):
         import json
 
-        spectrum = SeriesSpectrum(period_t=1.0, omega0=2 * math.pi, coeffs=np.array([0, 1.0, 0]))
+        spectrum = SeriesSpectrum(period_t=1.0, coeffs=np.array([0, 1.0, 0]))
         data = json.loads(series_table_text(spectrum, "json"))
         assert data["kind"] == "series"
         assert data["rows"][1] == [0, 1.0, 0.0, 1.0, 0.0]
@@ -181,9 +194,7 @@ class TestTables:
     def test_factor_column_is_the_complex_product(self):
         # (T + 0j) * C_n: an underflowing T * Im and a T * (-0.0) come out as +0
         t = 1e-167
-        spectrum = SeriesSpectrum(
-            period_t=t, omega0=2 * math.pi / t, coeffs=np.array([0j, complex(1, -5e-324), -1j])
-        )
+        spectrum = SeriesSpectrum(period_t=t, coeffs=np.array([0j, complex(1, -5e-324), -1j]))
         assert series_table_text(spectrum).splitlines()[3:] == [
             "0,1,-4.9406564584124654e-324,1e-167,0",
             "1,-0,-1,0,-1e-167",
@@ -213,7 +224,7 @@ PINNED_SIGNALS = {
     "periodic-analog": PeriodicSampledSignal(1 / 3, PINNED_SAMPLES),
 }
 PINNED_SERIES = SeriesSpectrum(
-    period_t=2.0, omega0=math.pi, coeffs=np.array([complex(-0.0, 1 / 3), 0.1, complex(2 / 3, -0.0)])
+    period_t=2.0, coeffs=np.array([complex(-0.0, 1 / 3), 0.1, complex(2 / 3, -0.0)])
 )
 PINNED_SPECTRUM = TransformSpectrum(omegas=np.array([-0.5, 1 / 3]), values=PINNED_SAMPLES)
 
