@@ -188,7 +188,9 @@ def _cmd_ft(args) -> int:
         raise SignalFormatError(f"--omega-step must be > 0, got {args.omega_step}")
     if args.omega_max < args.omega_min:
         raise SignalFormatError("--omega-max must be >= --omega-min")
-    count = int(round((args.omega_max - args.omega_min) / args.omega_step)) + 1
+    # omega = min + k step for every k with omega <= max; a span within 1e-9
+    # of a whole number of steps keeps its last frequency
+    count = math.floor((args.omega_max - args.omega_min) / args.omega_step + 1e-9) + 1
     length = f.samples.size
     _check_budget(
         "ft", f"M={count} frequencies x L={length} samples",
@@ -215,11 +217,11 @@ def _cmd_verify(args) -> int:
             ("n", grid.n, _VERIFY_MAX_N),
             ("n*(2*nmax+1)", grid.n * (2 * grid.n_max + 1), _VERIFY_MAX_WORK),
         )
-        report = run_all(grid=grid, seed=args.seed, tol_scale=args.tol_scale)
+        report = run_all(grid=grid, seed=args.seed)
     except AliasingError:
         raise
     except ValueError as exc:
-        # a bad --n, --ts, --nmax or --tol-scale; run_all records each check's own errors
+        # a bad --n, --ts or --nmax; run_all records each check's own errors
         raise SignalFormatError(str(exc)) from None
     _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     if args.out != "-":
@@ -289,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64, help="samples per period")
     p.add_argument("--ts", type=float, default=1.0 / 64.0, help="grid spacing (seconds)")
     p.add_argument("--nmax", type=int, default=8, help="harmonic window for random signals")
-    p.add_argument("--tol-scale", type=float, default=1.0, help="multiply every tolerance")
     p.add_argument("--out", default="-", help="report path ('-' for stdout)")
     p.set_defaults(func=_cmd_verify)
 

@@ -110,13 +110,14 @@ class Report:
         }
 
 
-def _finish(spec, residual, scale, note="", tol_scale=1.0) -> IdentityCheck:
-    """The verdict on one runner result.  A NaN residual or a non-finite scale
-    fails with residual inf and a note: ``max(1.0, nan)`` is 1.0, and an
-    infinite scale would pass any finite residual."""
+def _finish(spec, residual, scale, note="") -> IdentityCheck:
+    """The verdict on one runner result: it passes when residual <= tolerance
+    * max(1, scale), with the registry's declared tolerance.  A NaN residual
+    or a non-finite scale fails with residual inf and a note: ``max(1.0, nan)``
+    is 1.0, and an infinite scale would pass any finite residual."""
     residual = float(residual)
     scale = float(scale)
-    tolerance = float(spec.tolerance * tol_scale)
+    tolerance = float(spec.tolerance)
     passed = residual <= tolerance * max(1.0, scale)
     if math.isnan(residual) or not math.isfinite(scale):
         fault = f"failed: non-finite residual {residual!r}, scale {scale!r}"
@@ -171,10 +172,10 @@ def _random_discrete(rng, max_len=16, start_lo=-8, start_hi=8) -> sig.DiscreteSi
     return sig.DiscreteSignal(start, _unit_disk(rng, length))
 
 
-def _random_sampled(rng, ts, max_len=16, start_lo=-8, start_hi=8) -> sig.SampledSignal:
-    length = int(rng.integers(1, max_len + 1))
-    start = int(rng.integers(start_lo, start_hi + 1))
-    return sig.SampledSignal(ts, start, _unit_disk(rng, length))
+def _random_sampled(rng, ts, max_len=16) -> sig.SampledSignal:
+    """_random_discrete's samples on the grid of spacing ts."""
+    f = _random_discrete(rng, max_len)
+    return sig.SampledSignal(ts, f.start, f.samples)
 
 
 # --------------------------------------------------------------------------
@@ -195,13 +196,18 @@ def _worst(a, b):
     return a if a >= b or a != a else b
 
 
-def _worst_over(trials: int, trial):
-    """Runner result holding the largest residual and scale of ``trials`` calls of trial()."""
+def _worst_of(reports):
+    """The largest residual and the largest scale of (residual, scale) pairs,
+    each folded by _worst from 0.0 so that a NaN is kept."""
     residual = scale = 0.0
-    for _ in range(trials):
-        r, s = trial()
+    for r, s in reports:
         residual, scale = _worst(residual, r), _worst(scale, s)
-    return residual, scale, ""
+    return residual, scale
+
+
+def _worst_over(trials: int, trial):
+    """The worst residual and scale of ``trials`` calls of trial()."""
+    return _worst_of(trial() for _ in range(trials))
 
 
 def _halving_ratios(residual_at, steps):
@@ -219,7 +225,8 @@ def _dexp(p: sig.ExpParam):
 
 
 # --------------------------------------------------------------------------
-# registry runners: each takes (grid, rng) and returns (residual, scale, note)
+# registry runners: each takes (grid, rng) and returns (residual, scale) or
+# (residual, scale, note)
 # --------------------------------------------------------------------------
 
 def _harmonic_product(convolve, f, g, n):
@@ -322,10 +329,7 @@ def _run_ft_conv_freq(grid, rng):
     ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
     factor = _TWO_PI * (_TWO_PI * fhat * ghat)
     ks = np.arange(-8, 9)
-    residual, scale = four._eigenrelation(
-        fg_w, lambda k: np.exp(-1j * (k * dw) * t0), factor, ks
-    )
-    return residual, scale, ""
+    return four._eigenrelation(fg_w, lambda k: np.exp(-1j * (k * dw) * t0), factor, ks)
 
 
 def _ft_derivative_residual(ts: float) -> float:
@@ -348,8 +352,7 @@ def _run_ft_time_shift(grid, rng):
     lag = int(rng.integers(-16, 17)) * f.ts
     lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
     rhs = np.exp(-1j * omegas * lag) * four.fourier_transform(f, omegas).values
-    residual, scale = four._compare(lhs, rhs)
-    return residual, scale, ""
+    return four._compare(lhs, rhs)
 
 
 def _run_ft_duality(grid, rng):
@@ -376,14 +379,12 @@ def _run_ft_time_scale(grid, rng):
     # a = -1: time reversal flips the frequency axis exactly
     lhs = four.fourier_transform(conv.scale_time(f, -1), omegas).values
     rhs = four.fourier_transform(f, omegas).values[::-1]
-    residual, scale = four._compare(lhs, rhs)
     # a = 2: matches 1/2 F(w/2) with F taken on the decimated (coarse) grid
     dec = conv.scale_time(f, 2)
     lhs2 = four.fourier_transform(dec, omegas).values
     coarse = sig.SampledSignal(2 * f.ts, dec.start, dec.samples)
     rhs2 = 0.5 * four.fourier_transform(coarse, omegas / 2.0).values
-    r2, s2 = four._compare(lhs2, rhs2)
-    return _worst(residual, r2), _worst(scale, s2), ""
+    return _worst_of((four._compare(lhs, rhs), four._compare(lhs2, rhs2)))
 
 
 def _run_commutativity(grid, rng):
@@ -438,14 +439,13 @@ def _run_mixed_associativity(grid, rng):
         g = _random_trig_poly(rng, grid)
         a = conv.periodic_convolve_analog(conv.mixed_convolve(h, f), g)
         b = conv.mixed_convolve(h, conv.periodic_convolve_analog(f, g))
-        r1, s1 = four._compare(a.samples, b.samples)
+        sampled = four._compare(a.samples, b.samples)
         h = _random_discrete(rng)
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, n))
         g = sig.PeriodicDiscreteSignal(_unit_disk(rng, n))
         a = conv.periodic_convolve_discrete(conv.mixed_convolve(h, f), g)
         b = conv.mixed_convolve(h, conv.periodic_convolve_discrete(f, g))
-        r2, s2 = four._compare(a.samples, b.samples)
-        return _worst(r1, r2), _worst(s1, s2)
+        return _worst_of((sampled, four._compare(a.samples, b.samples)))
 
     return _worst_over(5, trial)
 
@@ -470,9 +470,9 @@ def _run_time_shift(grid, rng):
         g = _random_discrete(rng)
         lag = int(rng.integers(-6, 7))
         base = conv.shift(conv.discrete_convolve(f, g), lag)
-        r1, s1 = _same_signal(conv.discrete_convolve(conv.shift(f, lag), g), base)
-        r2, s2 = _same_signal(conv.discrete_convolve(f, conv.shift(g, lag)), base)
-        return _worst(r1, r2), _worst(s1, s2)
+        lhs_f = conv.discrete_convolve(conv.shift(f, lag), g)
+        lhs_g = conv.discrete_convolve(f, conv.shift(g, lag))
+        return _worst_of((_same_signal(lhs_f, base), _same_signal(lhs_g, base)))
 
     return _worst_over(10, trial)
 
@@ -564,12 +564,12 @@ def _run_dft_forward(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         n = int(rng.integers(0, grid.n))
-        r1, s1 = four._eigenrelation(f, four._unit_roots(n, grid.n), spectrum.values[n])
+        eigen = four._eigenrelation(f, four._unit_roots(n, grid.n), spectrum.values[n])
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        r2, s2 = four._compare(spectrum.values[n], conv.exp_factor_discrete(f, p).value)
-        return _worst(r1, r2), _worst(s1, s2)
+        power_sum = conv.exp_factor_discrete(f, p).value
+        return _worst_of((eigen, four._compare(spectrum.values[n], power_sum)))
 
     return _worst_over(10, trial)
 
@@ -581,9 +581,8 @@ def _run_dft_inverse(grid, rng):
         spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
         k = int(rng.integers(0, grid.n))
         xk = four._unit_roots(k, grid.n)
-        r1, s1 = four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k))
-        r2, s2 = four._compare(four.idft(spectrum).samples, f.samples)
-        return _worst(r1, r2), _worst(s1, s2)
+        eigen = four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k))
+        return _worst_of((eigen, four._compare(four.idft(spectrum).samples, f.samples)))
 
     return _worst_over(10, trial)
 
@@ -671,9 +670,7 @@ def _run_ft_discretize(grid, rng):
     omega0 = _TWO_PI / period_t
     n_max = min(max(grid.n_max, 1), (n_window - 1) // 2)
     omegas = np.arange(-n_max, n_max + 1) * omega0
-    spectrum = four.fourier_transform(f, omegas)
-    report = four.ft_discretize(spectrum, folded, f)
-    return report.residual, report.scale, ""
+    return four.ft_discretize(four.fourier_transform(f, omegas), folded, f)
 
 
 def _run_ft_sampling(grid, rng):
@@ -706,7 +703,7 @@ def _run_ft_sampling(grid, rng):
         ]
     )
     residual = _worst(residual, float(np.abs(lhs - rebuilt.values).max()))
-    return residual, scale, ""
+    return residual, scale
 
 
 def _run_dft_vs_series(grid, rng):
@@ -957,18 +954,16 @@ def registry_ids() -> tuple:
     return tuple(spec.id for spec in REGISTRY)
 
 
-def run_all(grid: GridParams | None = None, seed: int = 42, tol_scale: float = 1.0) -> Report:
+def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:
     """Execute every registered check; deterministic under a fixed seed.
 
-    Individual failures are recorded in the report, never raised.  Every
-    check runs on every grid (at n_max = 0 the periodic checks run on
-    harmonic 0), and a check whose runner raises fails with an infinite
-    residual; no check is ever skipped.
+    Each check is judged by ``_finish`` against its declared tolerance, which
+    no argument rescales.  Individual failures are recorded in the report,
+    never raised.  Every check runs on every grid (at n_max = 0 the periodic
+    checks run on harmonic 0), and a check whose runner raises fails with an
+    infinite residual; no check is ever skipped.
     """
     grid = GridParams() if grid is None else grid
-    tol_scale = float(tol_scale)
-    if not (math.isfinite(tol_scale) and tol_scale > 0):
-        raise ValueError(f"tol_scale must be finite and > 0, got {tol_scale}")
     streams = np.random.SeedSequence(int(seed)).spawn(len(REGISTRY))
     checks = []
     for spec, stream in zip(REGISTRY, streams):
@@ -982,7 +977,7 @@ def run_all(grid: GridParams | None = None, seed: int = 42, tol_scale: float = 1
         except Exception as exc:
             # a check that cannot be computed is a failure, never a skip
             result = math.inf, 0.0, f"failed: {type(exc).__name__}: {exc}"
-        checks.append(_finish(spec, *result, tol_scale=tol_scale))
+        checks.append(_finish(spec, *result))
     return Report(
         checks=tuple(checks),
         seed=int(seed),

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convfourier import cli, fourier, generators, signals
-from convfourier.cli import main
+from convfourier.cli import build_parser, main
 from convfourier.io import read_signal
+from test_harness import FAULTS
 
 
 def run(capsys, *argv):
@@ -218,6 +219,21 @@ class TestFt:
         assert code == 2
         assert "--ts" in err
 
+    @pytest.mark.parametrize(
+        "omega_max, omega_step, rows",
+        [
+            # a span of 1.67 steps rounded to 2 wrote a row at 1.2
+            ("1", "0.6", [0.0, 0.6]),
+            # 0.3 / 0.1 is 2.9999999999999996 in float64: a span within 1e-9
+            # of a whole number of steps keeps its last frequency
+            ("0.3", "0.1", [0.0, 0.1, 0.2, 0.30000000000000004]),
+        ],
+    )
+    def test_frequencies_end_at_omega_max(self, capsys, omega_max, omega_step, rows):
+        code, out, _ = run(capsys, *pulse_ft("0", omega_max, omega_step))
+        assert code == 0
+        assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == rows
+
     def test_frequency_count_overflow_exit_4(self, capsys):
         # (omega_max - omega_min) / omega_step overflows to inf
         code, out, err = run(capsys, "ft", "--gen", "pulse", "--ts", "0.25", "--omega-min=-1e308",
@@ -363,8 +379,8 @@ class TestStdinStdout:
 
 
 # Bad arguments exit 2 with one "error:" line.  Each case used to raise out of
-# main (a traceback, exit 1), give a wrong verdict (--tol-scale nan or inf,
-# exit 1) or write a NaN frequency row (--omega-step inf, exit 0).
+# main (a traceback, exit 1) or write a NaN frequency row (--omega-step inf,
+# exit 0).
 def pulse_ft(omega_min, omega_max, omega_step):
     return ["ft", "--gen", "pulse", "--ts", "0.25", "--omega-min", omega_min,
             "--omega-max", omega_max, "--omega-step", omega_step]
@@ -373,9 +389,6 @@ def pulse_ft(omega_min, omega_max, omega_step):
 BAD_ARGUMENTS = [
     ["verify", "--ts", "nan"],
     ["verify", "--n", "0"],
-    ["verify", "--tol-scale", "0"],
-    ["verify", "--tol-scale", "nan"],
-    ["verify", "--tol-scale", "inf"],
     pulse_ft("0", "1", "nan"),
     pulse_ft("nan", "1", "1"),
     pulse_ft("0", "inf", "1"),
@@ -448,15 +461,22 @@ class TestVerify:
         assert main(["verify", "--seed", "7", "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_tightened_tolerances_exit_1(self, tmp_path, capsys):
-        code, _, err = run(capsys, "verify", "--tol-scale", "1e-9", "--out", str(tmp_path / "r.json"))
+    def test_fault_exit_1_names_every_failing_check(self, tmp_path, capsys, monkeypatch):
+        # a broken build fails against the declared tolerances, and no option
+        # can scale them until it passes
+        patches, must_fail = FAULTS["fft scaled by 1+1e-6"]
+        for module, name, replacement in patches:
+            monkeypatch.setattr(module, name, replacement)
+        code, _, err = run(capsys, "verify", "--out", str(tmp_path / "r.json"))
         assert code == 1
-        report = json.loads(open(tmp_path / "r.json").read())
+        report = json.loads((tmp_path / "r.json").read_text())
         failing = [c["id"] for c in report["checks"] if not c["passed"]]
-        assert failing
-        assert "verification failed" in err
-        for check_id in failing:
-            assert check_id in err
+        assert must_fail <= set(failing)
+        assert err.splitlines()[-1] == "verification failed: " + ", ".join(failing)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tol-scale", "1e6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol-scale" in capsys.readouterr().err
 
     def test_overflowing_grid_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--ts", "1000", "--out", str(tmp_path / "r.json"))
@@ -670,7 +690,7 @@ def arguments(draw, command):
         # n and nmax stay small: verify admits up to n * (2 nmax + 1) = 2^24
         return ["verify", "--n", draw(st.sampled_from(["1", "2", "3", "16", "0"])),
                 "--ts", draw(number), "--nmax", draw(st.sampled_from(["0", "1", "2", "3", "-1"])),
-                "--tol-scale", draw(st.sampled_from(["1", "1e-300", "nan"])), *out]
+                *out]
     if command == "conv":
         argv = ["conv", "F", "G", *draw(st.sampled_from([[], ["--mode", "discrete"]]))]
     elif command in ("dft", "idft"):
@@ -690,6 +710,7 @@ OVERFLOWING_PD = OVERFLOWING["pd.csv"]
 @given(case=command_lines())
 @example(case=(["dft", "F"], OVERFLOWING_PD, ""))
 @example(case=(["verify", "--n", "16", "--ts", "5e-324", "--nmax", "2"], "", ""))
+@example(case=(["verify", "--n", "16", "--ts", "0.0625", "--nmax", "2"], "", ""))
 @example(case=(["series", "--gen", "cos", "--n", "8", "--ts", "1", "--nmax", "1", "--out", "DIR"],
                "", ""))
 def test_any_command_line_keeps_the_exit_contract(tmp_path_factory, case):
@@ -711,3 +732,16 @@ def test_any_command_line_keeps_the_exit_contract(tmp_path_factory, case):
     assert code != 1 or argv[0] == "verify", argv
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
     assert not caught, [str(w.message) for w in caught]
+
+
+SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(SUBCOMMANDS)), data=st.data())
+def test_arguments_emit_only_known_options(command, data):
+    # an option the parser does not know ends every example in argparse's
+    # exit 2, which the exit-contract test would still pass
+    argv = data.draw(arguments(command))
+    known = SUBCOMMANDS[argv[0]]._option_string_actions
+    assert [a for a in argv if a.startswith("--") and a.split("=")[0] not in known] == []
