@@ -31,12 +31,14 @@ from .signals import AliasingError, GridMismatchError, PeriodicDiscreteSignal
 _GENERATORS = ("pulse", "cos", "square")
 
 # Work budget of every command, checked before any array is built.  At each
-# limit, on a 2-vCPU Xeon: `ft` and `series` (one L-term Riemann sum per
-# output point) take about 60 s for 2^30 terms, linear `conv` (np.convolve)
-# 4.4 s for 2^33 multiply-adds, and `verify` 20-32 s at n*(2*nmax+1) = 2^24.
-# The `--gen` limit bounds memory, not time: the samples, their copies and the
-# Riemann sum's temporaries are full-length arrays, so a 2^22-sample pulse,
-# cosine or square wave peaks near 256 MiB resident (2^24 samples: 926 MiB).
+# limit, on a 2-vCPU Xeon: `ft` and `series` (one batched Riemann sum over
+# all output points) take 2.3-10 s for 2^30 terms (10 s for 2^22 frequencies
+# of a 256-sample signal, where the exps dominate), linear `conv`
+# (np.convolve) 4.4 s for 2^33 multiply-adds, and `verify` about 7 s at
+# n*(2*nmax+1) = 2^24.  The `--gen` limit bounds memory, not time: the
+# samples, their copies, their times and the Riemann sum's zero-padded copy
+# are full-length arrays, so a 2^22-sample pulse, cosine or square wave peaks
+# near 200 MiB resident.
 _GEN_MAX_SAMPLES = 2**22
 _FT_MAX_FREQUENCIES = 2**22
 _MAX_TERMS = 2**30
@@ -244,8 +246,21 @@ def _add_io_flags(p, with_gen: bool):
         p.add_argument("--width", type=float, default=1.0, help="pulse width for --gen pulse")
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise _UsageError, so that ``main``
+    returns 2 with one ``error:`` line instead of argparse printing its usage
+    and exiting; ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convfourier",
         description="Convolution, Fourier series, DFT and Fourier transform on signal files.",
     )
@@ -298,12 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # exception type -> exit code; 1 is kept for a failed verification
-_EXIT_CODES = {SignalFormatError: 2, GridMismatchError: 3, AliasingError: 4, OverflowError: 4}
+_EXIT_CODES = {
+    SignalFormatError: 2,
+    _UsageError: 2,
+    GridMismatchError: 3,
+    AliasingError: 4,
+    OverflowError: 4,
+}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

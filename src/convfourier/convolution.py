@@ -8,15 +8,27 @@ factor; the ``exp_factor_*`` functions compute that factor directly.
 
 Linear convolutions are direct sums (``np.convolve``); circular ones go
 through the FFT (``ifft(fft(a) * fft(b))``).  Outputs are deterministic
-for identical inputs.  The ``exp_factor_*`` power and Riemann sums are
-computed term by term and serve as the independent reference.
-A periodic signal's factor is the sum over its stored period, so one
-factor function serves each exponential family, periodic or not.
+for identical inputs.  The ``exp_factor_*`` power and Riemann sums serve
+as the independent reference.  A periodic signal's factor is the sum over
+its stored period, so one factor function serves each exponential family,
+periodic or not.
+
+``_riemann_sum`` is the one kernel behind every analog factor and every
+transform in ``fourier``: ts * sum_k s_k e^(-a_m t_k) for a whole array of
+exponents a_m in one call.  It assumes the times form an arithmetic
+progression t_k = t_0 + k h and splits each exponential into a two-level
+table, e^(-a t_(jb+i)) = e^(-a t_(jb)) e^(-a (t_i - t_0)) with
+b = ceil(sqrt(L)), so M exponents over L samples take O(M sqrt(L)) exps,
+O(M L) multiply-adds and O(L + block) memory.  Each exponent's value is
+contracted on its own, never through BLAS, so it does not depend on the
+other exponents of the call: the Fourier transform at omega is the
+eigenfactor at a = j omega bit for bit.
 ``fourier``, ``harness`` and ``cli`` import this module, never a name from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,12 +161,70 @@ def _power_sum(samples: np.ndarray, indices: np.ndarray, a: complex) -> complex:
         return complex(np.add.reduce(samples * np.power(a, -indices.astype(np.float64))))
 
 
-def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a: complex) -> complex:
-    """ts * sum_k samples[k] * e^(-a t_k); accepts a = 0 (unit weight)."""
+# Each row block of ``_riemann_sum`` holds at most this many entries per
+# table, so a call's temporaries stay near three such tables (48 KiB) for any
+# number of exponents; at 2^11 the ft.* checks raised verify's peak by 30 KiB.
+_RIEMANN_BLOCK = 2**10
+# The largest |Re a| * (t_i - t_0) of a fine-table entry: e^700 is finite in
+# float64 (which overflows above e^709.78).
+_EXP_REACH = 700.0
+
+
+def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a) -> np.ndarray:
+    """ts * sum_k samples[k] e^(-a_m t_k) for each exponent a_m of the 1-d array a.
+
+    ``times`` must be an arithmetic progression t_k = t_0 + k h.  With
+    b = ceil(sqrt(L)) the samples are zero-padded into nb = ceil(L / b) rows
+    of b, and term jb + i is weighted by coarse[j] * fine[i], where
+    coarse[j] = e^(-a t_(jb)) and fine[i] = e^(-a (t_i - t_0)).  An exponent
+    with |Re a| (b - 1) |h| > 700 gets the largest b that keeps every fine
+    entry finite; b = 1 is the direct sum.  a = 0 is a unit weight.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    out = np.zeros(a.size, dtype=np.complex128)
     if samples.size == 0:
-        return 0j
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return complex(ts * np.add.reduce(samples * np.exp(-a * times)))
+        return out
+    width = math.isqrt(samples.size - 1) + 1
+    step = abs(float(times[1] - times[0])) if samples.size > 1 else 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        # non-finite results are caught by the EigenFactor finiteness check
+        reach = np.abs(a.real) * step
+        capped = np.fmax(1.0, 1.0 + np.floor(_EXP_REACH / reach))
+        widths = np.where(reach * (width - 1) <= _EXP_REACH, width, capped).astype(np.int64)
+        for b in set(widths.tolist()):
+            rows = np.flatnonzero(widths == b)
+            out[rows] = _table_sum(samples, times, ts, a[rows], b)
+    return out
+
+
+def _table_sum(samples, times, ts, a, b: int) -> np.ndarray:
+    """_riemann_sum at one table width b, in row blocks of _RIEMANN_BLOCK entries;
+    each block is one _contract call, so its tables are freed before the next."""
+    count = -(-samples.size // b)
+    blocks = np.zeros(count * b, dtype=np.complex128)
+    blocks[: samples.size] = samples
+    blocks = blocks.reshape(count, b)
+    # complex here, so that einsum casts no copy of them per block
+    offsets = (times[:b] - times[0]).astype(np.complex128)
+    starts = times[::b].astype(np.complex128)
+    rows = max(1, _RIEMANN_BLOCK // max(b, count))
+    out = np.empty(a.size, dtype=np.complex128)
+    for lo in range(0, a.size, rows):
+        out[lo : lo + rows] = _contract(blocks, offsets, starts, -a[lo : lo + rows])
+    return ts * out
+
+
+def _contract(blocks, offsets, starts, na) -> np.ndarray:
+    """sum_j e^(na starts[j]) sum_i blocks[j, i] e^(na offsets[i]) for each na.
+
+    Every product goes through einsum, which builds the tables without the
+    broadcast buffers of a ufunc and contracts each row on its own.
+    """
+    fine = np.einsum("m,i->mi", na, offsets)
+    coarse = np.einsum("m,j->mj", na, starts)
+    np.exp(fine, out=fine)
+    np.exp(coarse, out=coarse)
+    return np.einsum("mj,mj->m", coarse, np.einsum("ji,mi->mj", blocks, fine))
 
 
 def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam) -> EigenFactor:
@@ -172,7 +242,7 @@ def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> 
     """Riemann factor F(a) = ts * sum_k f(k ts) e^(-a k ts) over f's support,
     the stored window [0, T) for a periodic signal."""
     _require_kind(p, ExpKind.ANALOG_EXPONENT)
-    return EigenFactor(param=p, value=_riemann_sum(f.samples, f.times(), f.ts, p.a))
+    return EigenFactor(param=p, value=_riemann_sum(f.samples, f.times(), f.ts, np.array([p.a]))[0])
 
 
 def _on_grid_lag(t0: float, ts: float) -> int:

@@ -9,14 +9,20 @@ Riemann factor at a = j omega on a uniform frequency grid.  ``dft`` and
 ``convolution.exp_factor_discrete`` is the independent reference they are
 checked against.
 
-Every other transform here is one call of the Riemann sum
-``convolution._riemann_sum`` per output point: per frequency for the
-coefficients and the Fourier transform, per output time for the series
-synthesis and the inverse transform.  No M x L kernel matrix is built, so
-memory stays linear in the input and output sizes.  The library's one
-alias-window test (2|n| < N) is ``_check_alias_window``, its one
-max-norm comparison is ``_compare``, and its one eigenrelation
-f * e = factor * e, for all four convolutions, is ``_eigenrelation``.
+Every other transform here is one call of the batched Riemann sum
+``convolution._riemann_sum``, with one exponent per output point: a = j omega
+per frequency for the coefficients and the Fourier transform, a = -j t per
+output time for the series synthesis and the inverse transform, whose
+"times" are the frequencies.  Its two-level exponential table takes
+O(M sqrt(L)) exps, O(M L) multiply-adds and O(L + block) memory for M outputs
+of an L-term sum, and no M x L kernel matrix is built.  It needs the times,
+or the frequencies, to be an arithmetic progression, and each output is
+computed on its own, so ``fourier_transform(f, ws).values[i]`` is the
+eigenfactor ``exp_factor_analog(f, analog_exponent(1j * ws[i]))`` bit for
+bit.  The library's one alias-window test (2|n| < N) is
+``_check_alias_window``, its one max-norm comparison is ``_compare``, and
+its one eigenrelation f * e = factor * e, for all four convolutions, is
+``_eigenrelation``.
 """
 
 from __future__ import annotations
@@ -241,24 +247,20 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     n_max = int(n_max)
     _check_alias_window(n_max, f.period_samples)
     period_t = f.period_t
-    omega0 = _TWO_PI / period_t
-    times = f.times()
-    coeffs = np.empty(2 * n_max + 1, dtype=np.complex128)
-    for n in range(-n_max, n_max + 1):
-        factor = conv._riemann_sum(f.samples, times, f.ts, 1j * n * omega0)
-        coeffs[n_max + n] = factor / period_t
-    return SeriesSpectrum(period_t=period_t, coeffs=coeffs)
+    a = 1j * np.arange(-n_max, n_max + 1) * (_TWO_PI / period_t)
+    factors = conv._riemann_sum(f.samples, f.times(), f.ts, a)
+    return SeriesSpectrum(period_t=period_t, coeffs=factors / period_t)
 
 
 def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSignal:
     """weight * sum_m values[m] e^(j freqs[m] t) at t = (start + k) ts, k < count:
-    one Riemann sum per output time, with "times" freqs and a = -j t."""
+    the Riemann sum with "times" freqs and one exponent a = -j t per output time."""
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     t = (int(start) + np.arange(count)) * float(ts)
-    samples = [conv._riemann_sum(values, freqs, weight, -1j * tk) for tk in t]
-    return SampledSignal(ts=ts, start=start, samples=np.array(samples, dtype=np.complex128))
+    samples = conv._riemann_sum(values, freqs, weight, -1j * t)
+    return SampledSignal(ts=ts, start=start, samples=samples)
 
 
 def series_synthesize(
@@ -266,8 +268,8 @@ def series_synthesize(
 ) -> SampledSignal:
     """Truncated synthesis sum_{|n| <= n_max} C_n e^(j n omega0 t) on a grid.
 
-    Each output sample is one Riemann sum over the harmonics: unit weight,
-    "times" n omega0 and a = -j t.
+    Each output sample is the Riemann sum over the harmonics with unit
+    weight, "times" n omega0 and a = -j t.
     """
     freqs = spectrum.harmonics() * spectrum.omega0
     return _synthesize(spectrum.coeffs, freqs, 1.0, ts, start, count)
@@ -281,7 +283,8 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     """
     n = int(n)
     _check_alias_window(abs(n), f.period_samples)
-    factor = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * n * (_TWO_PI / f.period_t))
+    a = np.array([1j * n * (_TWO_PI / f.period_t)])
+    factor = conv._riemann_sum(f.samples, f.times(), f.ts, a)[0]
     return _eigenrelation(f, _unit_roots(n, f.period_samples), factor)
 
 
@@ -309,12 +312,11 @@ def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
     """Riemann-sum Fourier transform of a finite-support signal.
 
     F(omega) = ts * sum_k f(k ts) e^(-j omega k ts) is the eigenfactor of f
-    at a = j omega: one Riemann sum per frequency of the (uniform) grid.
+    at a = j omega, for every frequency of the (uniform) grid in one Riemann sum.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    times = f.times()
-    values = [conv._riemann_sum(f.samples, times, f.ts, 1j * w) for w in omegas]
-    return TransformSpectrum(omegas=omegas, values=np.array(values, dtype=np.complex128))
+    values = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * omegas)
+    return TransformSpectrum(omegas=omegas, values=values)
 
 
 def inverse_fourier_transform(
@@ -322,7 +324,7 @@ def inverse_fourier_transform(
 ) -> SampledSignal:
     """Band-and-grid-truncated inverse: (1/2pi) * dw * sum F(w) e^(j w t).
 
-    Each output sample is one Riemann sum over the frequency grid, with
+    Each output sample is the Riemann sum over the frequency grid with
     weight dw / 2pi and a = -j t.
     """
     weight = spectrum.delta_omega / _TWO_PI

@@ -6,6 +6,7 @@ term-by-term sums for factors and transforms.
 """
 
 import cmath
+import math
 
 
 def conv_brute(f_vals, f_start, g_vals, g_start):
@@ -71,3 +72,14 @@ def riemann_factor_brute(vals, start, ts, a):
         t = (start + i) * ts
         total += v * cmath.exp(-a * t)
     return ts * total
+
+
+def riemann_sum_fsum(vals, times, ts, a):
+    """ts * sum_k f_k e^(-a t_k) with one cmath.exp per term and compensated
+    (math.fsum) sums of the real and imaginary parts, together with the
+    absolute mass ts * sum_k |f_k e^(-a t_k)| that bounds the rounding error
+    of any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, section 4.2)."""
+    terms = [complex(v) * cmath.exp(-a * float(t)) for v, t in zip(vals, times)]
+    total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    return ts * total, ts * math.fsum(abs(z) for z in terms)

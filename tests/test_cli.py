@@ -406,6 +406,34 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+# A command line argparse rejects returns 2 from main with one "error:" line;
+# it used to raise SystemExit(2) out of main after two stderr lines (usage:
+# and "convfourier: error: ...").
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["verify", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["ft", "--omega-min", "0"], "the following arguments are required"),
+        (["dft", "a", "b"], "unrecognized arguments: b"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_usage_error_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    one_error_line(code, out, err, 2)
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ft", "--help"]], ids=" ".join)
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: convfourier")
+
+
 # An --out that cannot be written exits 2 with one "error:" line in every
 # command; a directory or a missing parent used to end in a traceback (exit 1).
 @pytest.mark.parametrize("target", ["folder", "missing/out"])
@@ -473,10 +501,9 @@ class TestVerify:
         failing = [c["id"] for c in report["checks"] if not c["passed"]]
         assert must_fail <= set(failing)
         assert err.splitlines()[-1] == "verification failed: " + ", ".join(failing)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--tol-scale", "1e6"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tol-scale" in capsys.readouterr().err
+        code, out, err = run(capsys, "verify", "--tol-scale", "1e6")
+        one_error_line(code, out, err, 2)
+        assert "unrecognized arguments: --tol-scale" in err
 
     def test_overflowing_grid_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--ts", "1000", "--out", str(tmp_path / "r.json"))
@@ -724,10 +751,7 @@ def test_any_command_line_keeps_the_exit_contract(tmp_path_factory, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the vector
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2, 3, 4), argv
     assert code != 1 or argv[0] == "verify", argv
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convfourier import convolution
 from convfourier.convolution import (
     EigenFactor,
     approx_analog_convolve,
@@ -20,7 +21,8 @@ from convfourier.convolution import (
     shift,
 )
 from convfourier.fourier import harmonic_signal, sampled_harmonic
-from convfourier.generators import pulse
+from convfourier.generators import gaussian, pulse
+from convfourier.harness import _ft_grid, _ft_signal
 from convfourier.signals import (
     DiscreteSignal,
     GridMismatchError,
@@ -40,6 +42,7 @@ from oracles import (
     periodic_conv_brute,
     power_factor_brute,
     riemann_factor_brute,
+    riemann_sum_fsum,
 )
 
 finite_complex = st.complex_numbers(
@@ -342,6 +345,78 @@ class TestExpFactorAnalog:
         got = exp_factor_analog(f, analog_exponent(a)).value
         want = riemann_factor_brute(list(vals), -4, 0.125, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def riemann_bound(samples, times, a, mass):
+    """Rounding bound of the two-level Riemann sum against the compensated oracle:
+    u * mass * (2 b + 2 nb + |Im a| max|t| + 8), b = ceil(sqrt(L)), nb = ceil(L / b)."""
+    b = math.isqrt(len(samples) - 1) + 1
+    nb = -(-len(samples) // b)
+    return 2.0**-53 * mass * (2 * b + 2 * nb + abs(a.imag) * np.abs(times).max() + 8)
+
+
+def assert_matches_fsum(samples, times, ts, a):
+    got = convolution._riemann_sum(samples, times, ts, a)
+    for am, value in zip(a, got):
+        want, mass = riemann_sum_fsum(samples, times, ts, am)
+        assert abs(value - want) <= riemann_bound(samples, times, am, mass), (am, value, want)
+
+
+class TestRiemannSum:
+    """The batched two-level-table kernel behind every analog factor and transform."""
+
+    def test_ft_oracle_769_by_257(self):
+        f = _ft_signal()
+        assert_matches_fsum(f.samples, f.times(), f.ts, 1j * _ft_grid())
+
+    def test_cli_files_ft_12289_by_9(self):
+        # the cli-files benchmark's ft input: a shifted Gaussian at ts = 1/1024, |t - t0| <= 6
+        f = gaussian(1.0 / 1024.0, 6.0)
+        assert f.samples.size == 12289
+        times = f.times() + 0.25
+        omegas = -17.875 + 0.25 * np.arange(0, 401, 50)
+        assert_matches_fsum(1.5 * f.samples, times, f.ts, 1j * omegas)
+
+    def test_random_signal_at_ts_0_3(self):
+        rng = np.random.default_rng(71)
+        f = SampledSignal(0.3, -120, rand_values(rng, 300))
+        omegas = np.linspace(-math.pi / 0.3, math.pi / 0.3, 33)
+        assert_matches_fsum(f.samples, f.times(), f.ts, 1j * omegas - 0.05)
+
+    def test_complex_exponents_on_16_samples(self):
+        rng = np.random.default_rng(72)
+        f = SampledSignal(0.125, -4, rand_values(rng, 16))
+        a = rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-8.0, 8.0, 12)
+        assert_matches_fsum(f.samples, f.times(), f.ts, a)
+
+    @pytest.mark.parametrize("length", [769, 8200, 12289])
+    def test_batch_equals_one_at_a_time(self, length):
+        # bit for bit, over more rows than one row block holds and with rows
+        # of three table widths: uncapped, capped and the direct sum (b = 1)
+        rng = np.random.default_rng(length)
+        samples = rand_values(rng, length)
+        times = (np.arange(length) - length // 2) * 0.01
+        b = math.isqrt(length - 1) + 1
+        per_block = convolution._RIEMANN_BLOCK // b
+        a = 1j * rng.uniform(-60.0, 60.0, per_block + 7)
+        a[::5] += 700.0 / (0.01 * (b - 1)) * 1.5
+        a[::7] -= 1e9
+        batched = convolution._riemann_sum(samples, times, 0.01, a)
+        single = [convolution._riemann_sum(samples, times, 0.01, a[i : i + 1])[0] for i in range(a.size)]
+        assert batched.tobytes() == np.array(single).tobytes()
+
+    def test_capped_table_keeps_underflow_at_zero(self):
+        # e^(100 t) underflows on t in [-1000, -901]; uncapped, a 10-wide fine
+        # table would reach e^900 = inf and turn 0 * inf into NaN
+        f = SampledSignal(1.0, -1000, np.ones(100))
+        assert exp_factor_analog(f, analog_exponent(-100.0)).value == 0j
+        with pytest.raises(ValueError, match="not finite"):
+            exp_factor_analog(f, analog_exponent(100.0))
+
+    def test_empty_samples_and_no_exponents(self):
+        empty = convolution._riemann_sum(np.empty(0, complex), np.empty(0), 0.5, [1j, 2j])
+        assert empty.tobytes() == np.zeros(2, complex).tobytes()
+        assert convolution._riemann_sum(np.ones(3, complex), np.arange(3.0), 1.0, []).size == 0
 
 
 class TestExpFactorPeriodic:

@@ -30,6 +30,7 @@ from convfourier.fourier import (
     series_synthesize,
 )
 from convfourier.generators import cosine, gaussian, pulse, square
+from convfourier.harness import _ft_grid, _ft_signal
 from convfourier.signals import (
     AliasingError,
     DiscreteSignal,
@@ -42,7 +43,14 @@ from convfourier.signals import (
     periodize,
 )
 
-from oracles import conv_brute, dft_brute, power_factor_brute, riemann_factor_brute
+from oracles import (
+    conv_brute,
+    dft_brute,
+    power_factor_brute,
+    riemann_factor_brute,
+    riemann_sum_fsum,
+)
+from test_convolution import riemann_bound
 
 
 def rand_values(rng, n):
@@ -444,6 +452,7 @@ class TestFourierTransform:
             gaussian(1.0 / 32.0, 4.0),
             SampledSignal(0.125, -5, rand_values(rng, 11)),
             SampledSignal(0.0625, 40, rand_values(rng, 300)),
+            gaussian(1.0 / 1024.0, 6.0),
         ]
         for f in signals:
             got = fourier_transform(f, omegas).values
@@ -455,7 +464,32 @@ class TestFourierTransform:
         assert np.array_equal(spectrum.values, np.zeros(2, dtype=complex))
 
 
+def test_transform_of_the_ft_oracle_stays_under_0_17_mib():
+    # the batched Riemann sum works in row blocks; all 257 rows of one
+    # 769-sample table would hold about 0.33 MiB
+    f, omegas = _ft_signal(), _ft_grid()
+    tracemalloc.start()
+    try:
+        fourier_transform(f, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.17 * 2**20, peak
+
+
 class TestInverseFourierTransform:
+    def test_linspace_grid_matches_compensated_sum(self):
+        # np.linspace steps are uniform only to rounding, which the table's
+        # split t_(jb + i) = t_(jb) + (t_i - t_0) must absorb
+        rng = np.random.default_rng(37)
+        omegas = np.linspace(-37.0, 41.0, 613)
+        spectrum = TransformSpectrum(omegas=omegas, values=rand_values(rng, omegas.size))
+        weight = spectrum.delta_omega / (2 * math.pi)
+        out = inverse_fourier_transform(spectrum, ts=0.05, start=-40, count=81)
+        for t, got in zip(out.times(), out.samples):
+            want, mass = riemann_sum_fsum(spectrum.values, omegas, weight, -1j * t)
+            assert abs(got - want) <= riemann_bound(omegas, omegas, -1j * t, mass), (t, got, want)
+
     def test_zero_spectrum(self):
         spectrum = TransformSpectrum(omegas=np.linspace(-4, 4, 17), values=np.zeros(17))
         out = inverse_fourier_transform(spectrum, ts=0.25, start=-4, count=9)

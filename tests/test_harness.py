@@ -66,6 +66,7 @@ _exact_discrete = convolution.discrete_convolve
 _exact_analog = convolution.approx_analog_convolve
 _exact_circular = convolution._circular_convolve
 _exact_riemann = convolution._riemann_sum
+_exact_scale_time = convolution.scale_time
 
 
 def all_nan_transform(f, omegas):
@@ -99,6 +100,13 @@ def _analog_without_ts(f, g):
 
 def _riemann_flipped(samples, times, ts, a):
     return _exact_riemann(samples, times, ts, -a)
+
+
+def _odd_phase_scale_time(f, a):
+    """scale_time, but a = 2 keeps f's odd-indexed samples, one sample off."""
+    if a == 2:
+        f = SampledSignal(f.ts, f.start - 1, f.samples)
+    return _exact_scale_time(f, a)
 
 
 FAULTS = {
@@ -151,6 +159,10 @@ FAULTS = {
         {"eigen.analog", "eigen.periodic_analog", "fs.forward", "fs.inverse", "ft.forward",
          "fs.conv_time", "fs.conv_freq", "fs.lti_mixed", "ft.derivative", "ft.time_shift",
          "dft.vs_series"},
+    ),
+    "scale_time decimates from the odd phase": (
+        [(convolution, "scale_time", _odd_phase_scale_time)],
+        {"ft.time_scale"},
     ),
     "forward-difference derivative": (
         [(convolution, "derivative", forward_difference)],
