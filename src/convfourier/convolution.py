@@ -7,7 +7,8 @@ with an exponential signal multiplies the exponential by a constant
 factor; the ``exp_factor_*`` functions compute that factor directly.
 
 Linear convolutions are direct sums (``np.convolve``); circular ones go
-through the FFT (``ifft(fft(a) * fft(b))``).  Outputs are deterministic
+through the FFT (``ifft(fft(a) * fft(b))``), with one ``fft`` call on the
+stacked pair.  Outputs are deterministic
 for identical inputs.  The ``exp_factor_*`` power and Riemann sums serve
 as the independent reference.  A periodic signal's factor is the sum over
 its stored period, so one factor function serves each exponential family,
@@ -22,7 +23,9 @@ b = ceil(sqrt(L)), so M exponents over L samples take O(M sqrt(L)) exps,
 O(M L) multiply-adds and O(L + block) memory.  Each exponent's value is
 contracted on its own, never through BLAS, so it does not depend on the
 other exponents of the call: the Fourier transform at omega is the
-eigenfactor at a = j omega bit for bit.
+eigenfactor at a = j omega bit for bit.  ``_power_sum`` is its discrete
+twin, sum_n s_n a_m^(-n) for a whole array of bases a_m, worked in row
+blocks of at most ``_RIEMANN_BLOCK`` powers.
 ``fourier``, ``harness`` and ``cli`` import this module, never a name from it.
 """
 
@@ -69,7 +72,7 @@ class EigenFactor:
 
     def __post_init__(self):
         value = complex(self.value)
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValueError(
                 "eigenfactor is not finite; the convolution is ill-defined for this parameter"
             )
@@ -82,8 +85,13 @@ def _require_same_ts(f, g):
 
 
 def _circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wrap-around convolution of two period-N sample arrays (convolution theorem)."""
-    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+    """Wrap-around convolution of two period-N sample arrays (convolution theorem).
+
+    One ``fft`` call transforms the stacked pair; each row equals its own
+    ``fft`` bit for bit.
+    """
+    fa, fb = np.fft.fft(np.array((a, b)))
+    return np.fft.ifft(fa * fb)
 
 
 def discrete_convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
@@ -152,22 +160,37 @@ def _require_kind(p: ExpParam, kind: ExpKind):
         raise ValueError(f"expected a {kind.value} parameter, got {p.kind.value}")
 
 
-def _power_sum(samples: np.ndarray, indices: np.ndarray, a: complex) -> complex:
-    """sum_n samples[n] * a^(-indices[n]) with a fixed summation order."""
-    if samples.size == 0:
-        return 0j
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        # non-finite results are caught by the EigenFactor finiteness check
-        return complex(np.add.reduce(samples * np.power(a, -indices.astype(np.float64))))
-
-
-# Each row block of ``_riemann_sum`` holds at most this many entries per
-# table, so a call's temporaries stay near three such tables (48 KiB) for any
-# number of exponents; at 2^11 the ft.* checks raised verify's peak by 30 KiB.
+# Each row block of ``_riemann_sum`` and ``_power_sum`` holds at most this
+# many entries per table, so a call's temporaries stay near three such tables
+# (48 KiB) for any number of exponents; at 2^11 the ft.* checks raised
+# verify's peak by 30 KiB.
 _RIEMANN_BLOCK = 2**10
 # The largest |Re a| * (t_i - t_0) of a fine-table entry: e^700 is finite in
 # float64 (which overflows above e^709.78).
 _EXP_REACH = 700.0
+
+
+def _power_sum(samples: np.ndarray, indices: np.ndarray, a) -> np.ndarray:
+    """sum_n samples[n] a_m^(-indices[n]) for each base a_m of the 1-d array a.
+
+    Rows go in blocks of at most _RIEMANN_BLOCK powers, and each row is
+    reduced on its own in a fixed order, so a base's value does not depend
+    on the other bases of the call.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    out = np.zeros(a.size, dtype=np.complex128)
+    if samples.size == 0:
+        return out
+    exponents = -indices.astype(np.float64)
+    rows = max(1, _RIEMANN_BLOCK // samples.size)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # non-finite results are caught by the EigenFactor finiteness check
+        for lo in range(0, a.size, rows):
+            # one statement, so a block's temporaries are freed before the next
+            out[lo : lo + rows] = np.add.reduce(
+                samples * np.power(a[lo : lo + rows, None], exponents), axis=1
+            )
+    return out
 
 
 def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a) -> np.ndarray:
@@ -189,6 +212,9 @@ def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a) -> np.nda
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         # non-finite results are caught by the EigenFactor finiteness check
         reach = np.abs(a.real) * step
+        if reach.max(initial=0.0) * (width - 1) <= _EXP_REACH:
+            # every exponent takes the full width: one table pass, no grouping
+            return _table_sum(samples, times, ts, a, width)
         capped = np.fmax(1.0, 1.0 + np.floor(_EXP_REACH / reach))
         widths = np.where(reach * (width - 1) <= _EXP_REACH, width, capped).astype(np.int64)
         for b in set(widths.tolist()):
@@ -235,7 +261,7 @@ def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam)
     """
     _require_kind(p, ExpKind.DISCRETE_BASE)
     indices = getattr(f, "start", 0) + np.arange(f.samples.size)
-    return EigenFactor(param=p, value=_power_sum(f.samples, indices, p.a))
+    return EigenFactor(param=p, value=_power_sum(f.samples, indices, np.array([p.a]))[0])
 
 
 def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> EigenFactor:

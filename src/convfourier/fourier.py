@@ -78,8 +78,8 @@ class SeriesSpectrum:
 
     def __post_init__(self):
         period_t = float(self.period_t)
-        if period_t <= 0:
-            raise ValueError(f"period must be > 0, got {period_t}")
+        if not (math.isfinite(period_t) and period_t > 0):
+            raise ValueError(f"period must be finite and > 0, got {period_t}")
         coeffs = np.asarray(self.coeffs, dtype=np.complex128).copy()
         if coeffs.ndim != 1 or coeffs.size % 2 != 1:
             raise ValueError("coefficients must cover a symmetric window -n_max..n_max")

@@ -140,7 +140,7 @@ def _finish(spec, residual, scale, note="") -> IdentityCheck:
 
 def _unit_disk(rng, size):
     """Uniform draws from the complex unit disk."""
-    return np.sqrt(rng.uniform(0, 1, size)) * np.exp(2j * np.pi * rng.uniform(0, 1, size))
+    return np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
 
 
 def _trig_poly(grid: GridParams, coeffs) -> sig.PeriodicSampledSignal:
@@ -693,13 +693,8 @@ def _run_ft_sampling(grid, rng):
     residual = _worst(residual, float(np.abs(rebuilt.values - vals).max()))
     # the reversed sample sequence carries the periodized spectrum as its factor
     reversed_f = conv.scale_time(f, -1)
-    g = sig.DiscreteSignal(reversed_f.start, reversed_f.samples)
-    lhs = np.array(
-        [
-            ts * conv.exp_factor_discrete(g, sig.discrete_base(complex(np.exp(-1j * w * ts)))).value
-            for w in omegas
-        ]
-    )
+    indices = reversed_f.start + np.arange(len(reversed_f))
+    lhs = ts * conv._power_sum(reversed_f.samples, indices, np.exp(-1j * omegas * ts))
     residual = _worst(residual, float(np.abs(lhs - rebuilt.values).max()))
     return residual, scale
 

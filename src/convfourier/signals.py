@@ -47,10 +47,12 @@ class AliasingError(ValueError):
 
 
 def _as_complex_array(values, *, what: str = "samples") -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).copy()
+    # one copy, so a later write to the caller's array cannot reach the
+    # signal; a complex value is finite only when both parts are
+    arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contain non-finite values")
     arr.setflags(write=False)
     return arr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -389,10 +390,11 @@ class TestRiemannSum:
         a = rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-8.0, 8.0, 12)
         assert_matches_fsum(f.samples, f.times(), f.ts, a)
 
-    @pytest.mark.parametrize("length", [769, 8200, 12289])
+    @pytest.mark.parametrize("length", [16, 769, 8200, 12289])
     def test_batch_equals_one_at_a_time(self, length):
         # bit for bit, over more rows than one row block holds and with rows
-        # of three table widths: uncapped, capped and the direct sum (b = 1)
+        # of three table widths: uncapped, capped and the direct sum (b = 1);
+        # one at a time, an uncapped row takes the one-table pass
         rng = np.random.default_rng(length)
         samples = rand_values(rng, length)
         times = (np.arange(length) - length // 2) * 0.01
@@ -417,6 +419,64 @@ class TestRiemannSum:
         empty = convolution._riemann_sum(np.empty(0, complex), np.empty(0), 0.5, [1j, 2j])
         assert empty.tobytes() == np.zeros(2, complex).tobytes()
         assert convolution._riemann_sum(np.ones(3, complex), np.arange(3.0), 1.0, []).size == 0
+
+
+class TestPowerSum:
+    """The batched power sum behind every discrete factor."""
+
+    @staticmethod
+    def one_base(samples, indices, a):
+        # the per-base sum in the kernel's own summation order
+        return complex(np.add.reduce(samples * np.power(complex(a), -indices.astype(np.float64))))
+
+    @pytest.mark.parametrize("length", [1, 7, 64, 129, 1500])
+    def test_batch_equals_one_base(self, length):
+        # bit for bit, over more bases than one row block holds (a row of
+        # more than _RIEMANN_BLOCK samples is a block of its own)
+        rng = np.random.default_rng(length)
+        samples = rand_values(rng, length)
+        indices = np.arange(length) - length // 3
+        rows = max(1, convolution._RIEMANN_BLOCK // length)
+        bases = rng.uniform(0.9, 1.1, rows + 5) * np.exp(1j * rng.uniform(-4.0, 4.0, rows + 5))
+        batched = convolution._power_sum(samples, indices, bases)
+        single = [self.one_base(samples, indices, a) for a in bases]
+        assert batched.tobytes() == np.array(single).tobytes()
+        one = convolution._power_sum(samples, indices, bases[:1])
+        assert one.tobytes() == batched[:1].tobytes()
+
+    def test_empty_samples(self):
+        empty = convolution._power_sum(np.empty(0, complex), np.empty(0, np.int64), [2.0, 1j])
+        assert empty.tobytes() == np.zeros(2, complex).tobytes()
+
+    def test_exp_factor_discrete_is_one_base(self):
+        f = DiscreteSignal(-3, rand_values(np.random.default_rng(74), 9))
+        a = 0.8 + 0.6j
+        want = self.one_base(f.samples, np.arange(-3, 6), a)
+        assert exp_factor_discrete(f, discrete_base(a)).value == want
+
+    def test_transient_stays_near_three_blocks(self):
+        # ft.sampling's call: 193 bases x 64 samples is a 193 KiB power matrix
+        # if built at once
+        samples = np.ones(64, complex)
+        indices = np.arange(-31, 33)
+        bases = np.exp(-1j * np.linspace(-np.pi, np.pi, 193))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            convolution._power_sum(samples, indices, bases)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, peak
+
+
+class TestCircularConvolve:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257, 2048])
+    def test_stacked_fft_equals_separate_calls(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rand_values(rng, n), rand_values(rng, n)
+        want = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
+        assert convolution._circular_convolve(a, b).tobytes() == want.tobytes()
 
 
 class TestExpFactorPeriodic:

@@ -76,6 +76,11 @@ class TestSpectrumTypes:
         assert s.coefficient(0) == 2.0
         assert s.coefficient(5) == 0j
 
+    @pytest.mark.parametrize("period_t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_series_rejects_a_period_that_is_not_finite_and_positive(self, period_t):
+        with pytest.raises(ValueError, match="period must be finite and > 0"):
+            SeriesSpectrum(period_t=period_t, coeffs=[1.0])
+
     def test_dft_spectrum_periodic_evaluation(self):
         s = DftSpectrum(values=np.array([1.0, 2.0, 3.0]))
         for n in range(-9, 9):

@@ -149,6 +149,38 @@ class TestDiscreteSignal:
             f.samples[0] = 5.0
 
 
+_SIGNAL_MAKERS = {
+    "discrete": lambda x: DiscreteSignal(0, x),
+    "periodic-discrete": PeriodicDiscreteSignal,
+    "sampled": lambda x: SampledSignal(0.5, -1, x),
+    "periodic-sampled": lambda x: PeriodicSampledSignal(0.5, x),
+}
+
+
+@pytest.mark.parametrize("make", _SIGNAL_MAKERS.values(), ids=_SIGNAL_MAKERS.keys())
+class TestSampleValidation:
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(0, -math.inf)]
+    )
+    def test_rejects_nonfinite_in_either_part(self, make, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            make(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_rejects_other_than_one_dimension(self, make, shape):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make(np.ones(shape))
+
+    def test_owns_a_read_only_copy(self, make):
+        values = np.array([1.0, 2.0 - 1j, 3.0j])
+        f = make(values)
+        values[0] = 99.0
+        assert f.samples[0] == 1.0
+        assert not f.samples.flags.writeable
+        with pytest.raises(ValueError):
+            f.samples[1] = 0.0
+
+
 class TestPeriodicSignals:
     def test_euclidean_wrap(self):
         f = PeriodicDiscreteSignal([10, 20, 30])

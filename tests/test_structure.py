@@ -43,18 +43,21 @@ def test_convolution_is_called_through_its_module(path):
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _calls_riemann_sum(node) -> bool:
+# The factor kernels: each takes every exponent or base of a job in one call.
+_KERNELS = ("_riemann_sum", "_power_sum", "exp_factor_analog", "exp_factor_discrete")
+
+
+def _calls_kernel(node) -> bool:
     return isinstance(node, ast.Call) and (
-        getattr(node.func, "attr", None) == "_riemann_sum"
-        or getattr(node.func, "id", None) == "_riemann_sum"
+        getattr(node.func, "attr", None) in _KERNELS or getattr(node.func, "id", None) in _KERNELS
     )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_riemann_sum_is_never_called_per_point(path):
-    # _riemann_sum takes every exponent of a transform in one call; a loop
-    # around it is a per-point Python loop over the output grid
+    # no factor kernel, _riemann_sum or otherwise, runs in a loop: a loop
+    # around one is a per-point Python loop over the output grid
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for loop in (n for n in ast.walk(tree) if isinstance(n, _LOOPS)):
-        calls = [c.lineno for c in ast.walk(loop) if _calls_riemann_sum(c)]
-        assert not calls, f"{path.name}:{loop.lineno} calls _riemann_sum in a loop at lines {calls}"
+        calls = [c.lineno for c in ast.walk(loop) if _calls_kernel(c)]
+        assert not calls, f"{path.name}:{loop.lineno} calls a factor kernel in a loop at lines {calls}"
