@@ -588,12 +588,14 @@ def _run_dft_inverse(grid, rng):
 def _run_dft_orthogonality(grid, rng):
     n = grid.n
     if n <= 16:
-        pairs = [(m, k) for m in range(n) for k in range(n)]
+        m, k = np.divmod(np.arange(n * n), n)
     else:
-        pairs = [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(200)]
-        pairs += [(k, k) for k in range(0, n, max(1, n // 16))]
-    residual = reduce(_worst, (four.dft_orthogonality(m, k, n).residual for m, k in pairs))
-    return residual, float(n), f"{len(pairs)} pairs"
+        # the same pairs as 200 scalar draws of m, then k
+        m, k = rng.integers(0, n, size=(200, 2)).T
+        diagonal = np.arange(0, n, max(1, n // 16))
+        m, k = np.concatenate((m, diagonal)), np.concatenate((k, diagonal))
+    residual, scale = four.dft_orthogonality(m, k, n)
+    return residual, scale, f"{m.size} pairs"
 
 
 def _run_ft_forward(grid, rng):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,13 @@ class TestSpectrumTypes:
             TransformSpectrum(omegas=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
         with pytest.raises(ValueError):
             TransformSpectrum(omegas=np.array([1.0, 0.0]), values=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "omegas", [[math.nan], [math.inf], [-math.inf], [0.0, math.inf], [0.0, 1.0, math.nan]]
+    )
+    def test_transform_spectrum_rejects_a_frequency_that_is_not_finite(self, omegas):
+        with pytest.raises(ValueError, match="omegas must be finite"):
+            TransformSpectrum(omegas=omegas, values=np.zeros(len(omegas)))
 
     def test_transform_spectrum_lookup(self):
         s = TransformSpectrum(omegas=np.array([-1.0, 0.0, 1.0]), values=np.array([1, 2, 3.0]))
@@ -355,6 +363,110 @@ class TestDftOrthogonality:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             dft_orthogonality(0, 4, 4)
+
+    @pytest.mark.parametrize("period", [1, 2, 7, 16, 64, 257, 1024])
+    def test_batch_is_the_worst_pair_bit_for_bit(self, period):
+        # enough pairs to fill two row blocks and start a third
+        rows = max(1, conv._RIEMANN_BLOCK // (2 * period))
+        rng = np.random.default_rng(period)
+        m = rng.integers(0, period, 2 * rows + 3)
+        n = rng.integers(0, period, m.size)
+        n[::4] = m[::4]
+        alone = [dft_orthogonality(int(a), int(b), period) for a, b in zip(m, n)]
+        assert dft_orthogonality(m, n, period) == (
+            max(r.residual for r in alone), float(period)
+        )
+        # and a pair alone is x_m (*) x_n by the signal path
+        for i in (0, rows - 1, rows, m.size - 1):
+            xm = harmonic_signal(int(m[i]), period)
+            factor = period if m[i] == n[i] else 0.0
+            signal_path = fourier._eigenrelation(xm, fourier._unit_roots(int(n[i]), period), factor)
+            assert alone[i].residual == signal_path.residual
+
+    def test_nan_residual_is_kept(self, monkeypatch):
+        # a NaN in one block, not the last, survives the fold over blocks
+        exact = conv._circular_convolve
+        calls = []
+
+        def nan_first_block(a, b):
+            calls.append(1)
+            out = exact(a, b)
+            return out * np.nan if len(calls) == 1 else out
+
+        monkeypatch.setattr(conv, "_circular_convolve", nan_first_block)
+        report = dft_orthogonality(np.arange(20), np.arange(20), 64)
+        assert len(calls) == 3 and math.isnan(report.residual)
+
+    def test_216_pairs_at_64_samples_stay_under_96_kib(self):
+        rng = np.random.default_rng(1)
+        m, n = rng.integers(0, 64, (2, 216))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dft_orthogonality(m, n, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 1024, peak
+
+    @pytest.mark.parametrize(
+        "m, n, match",
+        [
+            (1.7, 1, "must be integers, got float64 and int64"),
+            (1, 2.0, "must be integers, got int64 and float64"),
+            (True, 1, "must be integers, got bool"),
+            (1, np.bool_(False), "must be integers"),
+            (2**70, 1, "must be integers, got object"),
+            (np.array([0.5, 1.0]), np.array([0, 1]), "must be integers"),
+            (np.array([True]), np.array([0]), "must be integers"),
+            (np.array([0, 1]), np.array([0, 1, 2]), "one length"),
+            (np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), "1-d"),
+            (np.array([], dtype=int), np.array([], dtype=int), "non-empty"),
+            (np.array([1, 2]), 1, "one length"),
+            (0, 4, "need 0 <= m, n < N, got m=0, n=4, N=4"),
+            (np.array([0, 1, -1]), np.array([0, 1, 2]), "need 0 <= m, n < N, got m=-1, n=2, N=4"),
+        ],
+    )
+    def test_rejects_indices_that_are_not_valid_pairs(self, m, n, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            dft_orthogonality(m, n, 4)
+
+    def test_rejects_a_period_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="period must be an integer"):
+            dft_orthogonality(1, 1, 4.5)
+
+    @pytest.mark.parametrize("n", [1.7, 2.0, True, np.float64(1.0), np.array([1, 2])])
+    def test_harmonics_reject_an_index_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            harmonic_signal(n, 4)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sampled_harmonic(n, 4, 0.25)
+
+    def test_harmonics_accept_numpy_integers(self):
+        assert np.array_equal(harmonic_signal(np.int32(3), 8).samples, harmonic_signal(3, 8).samples)
+        assert np.array_equal(
+            sampled_harmonic(np.uint8(3), 8, 0.25).samples, sampled_harmonic(3, 8, 0.25).samples
+        )
+
+
+def test_row_stacked_eigenrelation_is_its_rows_bit_for_bit():
+    # f a (rows, N) stack of periods, expo a (rows, 1) column of harmonics and
+    # factor a (rows, 1) column: the stack's report is the worst of its rows
+    rng = np.random.default_rng(11)
+    for period in (1, 5, 64, 300):
+        rows = 6
+        f = rand_values(rng, (rows, period))
+        n = rng.integers(0, period, (rows, 1))
+        factor = rand_values(rng, (rows, 1))
+        stacked = fourier._eigenrelation(f, fourier._unit_roots(n, period), factor)
+        alone = [
+            fourier._eigenrelation(
+                PeriodicDiscreteSignal(f[i]), fourier._unit_roots(int(n[i, 0]), period), factor[i, 0]
+            )
+            for i in range(rows)
+        ]
+        assert stacked.residual == max(r.residual for r in alone)
+        assert stacked.scale == max(r.scale for r in alone)
 
 
 def test_residual_report_is_a_pair():

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import pathlib
 from functools import reduce
 
 import numpy as np
@@ -386,6 +388,43 @@ class TestRunAll:
             set(c) == {"id", "description", "residual", "scale", "tolerance", "passed", "skipped", "note"}
             for c in d["checks"]
         )
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+class TestGoldenReports:
+    """Seed-42 ``verify --out`` reports, stored as the CLI wrote them; a change
+    that moves any byte of a residual, scale or note shows here."""
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("default", GridParams()),
+            ("n16_nmax2", GridParams(n=16, n_max=2)),
+            ("n256_nmax32", GridParams(n=256, ts=1 / 256, n_max=32)),
+        ],
+    )
+    def test_report_is_byte_identical(self, name, grid):
+        text = json.dumps(run_all(grid=grid, seed=42).to_dict(), indent=2) + "\n"
+        assert text == (DATA / f"verify_seed42_{name}.json").read_text(encoding="utf-8")
+
+
+class TestDftOrthogonalityPairs:
+    @pytest.mark.parametrize("n", [7, 16, 64, 1024])
+    def test_vectorised_draw_is_the_scalar_draws(self, n):
+        # 200 pairs in one draw are the 400 scalar draws m, k, m, k, ...
+        scalar, vector = np.random.default_rng(n), np.random.default_rng(n)
+        pairs = [(int(scalar.integers(0, n)), int(scalar.integers(0, n))) for _ in range(200)]
+        assert vector.integers(0, n, size=(200, 2)).tolist() == [list(p) for p in pairs]
+        # and the streams stay in step after it
+        assert scalar.integers(0, n) == vector.integers(0, n)
+
+    @pytest.mark.parametrize("n, pairs", [(7, 49), (16, 256), (64, 216), (1024, 216)])
+    def test_note_counts_the_pairs(self, n, pairs):
+        grid = GridParams(n=n, ts=1 / n, n_max=min(3, (n - 1) // 2))
+        rng = np.random.default_rng(42)
+        assert harness._run_dft_orthogonality(grid, rng)[1:] == (float(n), f"{pairs} pairs")
 
 
 class TestWorstOf:

@@ -43,8 +43,11 @@ def test_convolution_is_called_through_its_module(path):
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-# The factor kernels: each takes every exponent or base of a job in one call.
-_KERNELS = ("_riemann_sum", "_power_sum", "exp_factor_analog", "exp_factor_discrete")
+# The batched kernels: each takes every exponent, base or harmonic pair of a
+# job in one call.
+_KERNELS = (
+    "_riemann_sum", "_power_sum", "exp_factor_analog", "exp_factor_discrete", "dft_orthogonality",
+)
 
 
 def _calls_kernel(node) -> bool:
@@ -55,8 +58,9 @@ def _calls_kernel(node) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_riemann_sum_is_never_called_per_point(path):
-    # no factor kernel, _riemann_sum or otherwise, runs in a loop: a loop
-    # around one is a per-point Python loop over the output grid
+    # no batched kernel, _riemann_sum or otherwise, runs in a loop: a loop
+    # around one is a per-point Python loop over the output grid (or, for
+    # dft_orthogonality, over the harmonic pairs)
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for loop in (n for n in ast.walk(tree) if isinstance(n, _LOOPS)):
         calls = [c.lineno for c in ast.walk(loop) if _calls_kernel(c)]
