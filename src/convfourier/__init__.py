@@ -7,7 +7,6 @@ harness that re-derives every identity numerically.
 """
 
 from .convolution import (
-    EigenFactor,
     approx_analog_convolve,
     derivative,
     discrete_convolve,

@@ -32,7 +32,6 @@ blocks of at most ``_RIEMANN_BLOCK`` powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +48,6 @@ from .signals import (
 )
 
 __all__ = [
-    "EigenFactor",
     "discrete_convolve",
     "approx_analog_convolve",
     "periodic_convolve_discrete",
@@ -61,22 +59,6 @@ __all__ = [
     "scale_time",
     "derivative",
 ]
-
-
-@dataclass(frozen=True)
-class EigenFactor:
-    """Constant factor picked up by an exponential under convolution."""
-
-    param: ExpParam
-    value: complex
-
-    def __post_init__(self):
-        value = complex(self.value)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(
-                "eigenfactor is not finite; the convolution is ill-defined for this parameter"
-            )
-        object.__setattr__(self, "value", value)
 
 
 def _require_same_ts(f, g):
@@ -184,7 +166,7 @@ def _power_sum(samples: np.ndarray, indices: np.ndarray, a) -> np.ndarray:
     exponents = -indices.astype(np.float64)
     rows = max(1, _RIEMANN_BLOCK // samples.size)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        # non-finite results are caught by the EigenFactor finiteness check
+        # a non-finite factor is rejected by exp_factor_*'s finiteness check
         for lo in range(0, a.size, rows):
             # one statement, so a block's temporaries are freed before the next
             out[lo : lo + rows] = np.add.reduce(
@@ -210,7 +192,7 @@ def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a) -> np.nda
     width = math.isqrt(samples.size - 1) + 1
     step = abs(float(times[1] - times[0])) if samples.size > 1 else 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        # non-finite results are caught by the EigenFactor finiteness check
+        # a non-finite factor is rejected by exp_factor_*'s finiteness check
         reach = np.abs(a.real) * step
         if reach.max(initial=0.0) * (width - 1) <= _EXP_REACH:
             # every exponent takes the full width: one table pass, no grouping
@@ -253,7 +235,17 @@ def _contract(blocks, offsets, starts, na) -> np.ndarray:
     return np.einsum("mj,mj->m", coarse, np.einsum("ji,mi->mj", blocks, fine))
 
 
-def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam) -> EigenFactor:
+def _finite(factor) -> complex:
+    """The eigenfactor as a complex; a non-finite one is a ValueError."""
+    factor = complex(factor)
+    if not (math.isfinite(factor.real) and math.isfinite(factor.imag)):
+        raise ValueError(
+            "eigenfactor is not finite; the convolution is ill-defined for this parameter"
+        )
+    return factor
+
+
+def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam) -> complex:
     """Factor F(a) = sum_n f(n) a^(-n) over f's support (n = 0..N-1 if periodic).
 
     Convolving f with g(k) = a^k yields F(a) * g; a non-finite sum is
@@ -261,14 +253,14 @@ def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam)
     """
     _require_kind(p, ExpKind.DISCRETE_BASE)
     indices = getattr(f, "start", 0) + np.arange(f.samples.size)
-    return EigenFactor(param=p, value=_power_sum(f.samples, indices, np.array([p.a]))[0])
+    return _finite(_power_sum(f.samples, indices, np.array([p.a]))[0])
 
 
-def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> EigenFactor:
+def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> complex:
     """Riemann factor F(a) = ts * sum_k f(k ts) e^(-a k ts) over f's support,
-    the stored window [0, T) for a periodic signal."""
+    the stored window [0, T) for a periodic signal; a non-finite sum is rejected."""
     _require_kind(p, ExpKind.ANALOG_EXPONENT)
-    return EigenFactor(param=p, value=_riemann_sum(f.samples, f.times(), f.ts, np.array([p.a]))[0])
+    return _finite(_riemann_sum(f.samples, f.times(), f.ts, np.array([p.a]))[0])
 
 
 def _on_grid_lag(t0: float, ts: float) -> int:

@@ -45,6 +45,7 @@ from .signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    _index,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ class SeriesSpectrum:
         return np.arange(-self.n_max, self.n_max + 1)
 
     def coefficient(self, n: int) -> complex:
-        n = int(n)
+        n = _index(n, "n")
         if abs(n) > self.n_max:
             return 0j
         return complex(self.coeffs[self.n_max + n])
@@ -129,7 +130,7 @@ class DftSpectrum:
         return self.values.size
 
     def value(self, n: int) -> complex:
-        return complex(self.values[int(n) % self.period])
+        return complex(self.values[_index(n, "n") % self.period])
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +228,6 @@ def _unit_roots(n, period: int):
     return lambda k: np.exp(2j * np.pi * ((n * k) % period) / period)
 
 
-def _index(value, name: str) -> int:
-    """An integer index as an int; a bool, a float or any other value is a
-    ValueError, never truncated (int(1.7) would be harmonic 1)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _pair_indices(m, n) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (m[i], n[i]) as two int64 arrays, from two ints or two
     non-empty equal-length 1-d integer arrays; anything else is a ValueError."""
@@ -258,10 +251,7 @@ def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:
 
 def sampled_harmonic(n: int, period: int, ts: float) -> PeriodicSampledSignal:
     """One period of the analog harmonic e^(j n omega0 t) sampled at spacing ts."""
-    n, period = _index(n, "n"), _index(period, "period")
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    return PeriodicSampledSignal(ts=ts, samples=_unit_roots(n, period)(np.arange(period)))
+    return PeriodicSampledSignal(ts=ts, samples=harmonic_signal(n, period).samples)
 
 
 def _check_alias_window(n_max: int, period: int):
@@ -360,7 +350,7 @@ def dft_orthogonality(m, n, period: int) -> ResidualReport:
         ).residual
         for lo in range(0, ms.shape[0], rows)
     ]
-    # np.max keeps a NaN, as the harness's _worst fold does
+    # np.max keeps a NaN, as the harness's _worst_of does
     return ResidualReport(float(np.max(residuals)), float(period))
 
 

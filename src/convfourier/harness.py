@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -58,8 +57,7 @@ class GridParams:
         object.__setattr__(self, "n_max", int(self.n_max))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (math.isfinite(self.ts) and self.ts > 0):
-            raise ValueError(f"ts must be finite and > 0, got {self.ts}")
+        sig._check_ts(self.ts)
         four._check_alias_window(self.n_max, self.n)
 
     @property
@@ -191,18 +189,10 @@ def _same_signal(out, want):
     return residual, scale
 
 
-def _worst(a, b):
-    """max(a, b), or NaN if either is NaN (``max(0.0, nan)`` is 0.0)."""
-    return a if a >= b or a != a else b
-
-
 def _worst_of(reports):
     """The largest residual and the largest scale of (residual, scale) pairs,
-    each folded by _worst from 0.0 so that a NaN is kept."""
-    residual = scale = 0.0
-    for r, s in reports:
-        residual, scale = _worst(residual, r), _worst(scale, s)
-    return residual, scale
+    by np.max, so that a NaN is kept (``max(0.0, nan)`` is 0.0)."""
+    return tuple(np.max(list(reports), axis=0).tolist())
 
 
 def _worst_over(trials: int, trial):
@@ -216,7 +206,7 @@ def _halving_ratios(residual_at, steps):
     residuals = [residual_at(ts) for ts in steps]
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     note = "halving ratios " + ", ".join(f"{q:.3f}" for q in ratios) + " (want 4)"
-    return reduce(_worst, (abs(q - 4.0) for q in ratios)), 1.0, note
+    return float(np.max([abs(q - 4.0) for q in ratios])), 1.0, note
 
 
 def _dexp(p: sig.ExpParam):
@@ -508,7 +498,7 @@ def _run_eigen_discrete(grid, rng):
         mag = rng.uniform(0.5, 2.0)
         p = sig.discrete_base(mag * np.exp(2j * np.pi * rng.uniform()))
         ks = np.arange(f.start - 4, f.end + 4)
-        return four._eigenrelation(f, _dexp(p), conv.exp_factor_discrete(f, p).value, ks)
+        return four._eigenrelation(f, _dexp(p), conv.exp_factor_discrete(f, p), ks)
 
     return _worst_over(20, trial)
 
@@ -527,7 +517,7 @@ def _run_eigen_periodic_discrete(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         n = int(rng.integers(0, grid.n))
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        factor = conv.exp_factor_discrete(f, p).value
+        factor = conv.exp_factor_discrete(f, p)
         return four._eigenrelation(f, four._unit_roots(n, grid.n), factor)
 
     return _worst_over(10, trial)
@@ -566,7 +556,7 @@ def _run_dft_forward(grid, rng):
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
         p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        power_sum = conv.exp_factor_discrete(f, p).value
+        power_sum = conv.exp_factor_discrete(f, p)
         return _worst_of((eigen, four._compare(spectrum.values[n], power_sum)))
 
     return _worst_over(10, trial)
@@ -687,18 +677,18 @@ def _run_ft_sampling(grid, rng):
     vals = spectrum.values
     scale = float(np.abs(vals).max())
     # sampling makes the spectrum periodic with period omega_s
-    residual = float(np.abs(vals[per_period:] - vals[:-per_period]).max())
+    periodic = float(np.abs(vals[per_period:] - vals[:-per_period]).max())
     # base-band restriction plus replica summation rebuilds the spectrum
     rep = (k + per_period // 2) % per_period - per_period // 2
     masked = four.TransformSpectrum(omegas=omegas, values=np.where(rep == k, vals, 0.0))
     rebuilt = four.periodize_spectrum(masked, omega_s, 2)
-    residual = _worst(residual, float(np.abs(rebuilt.values - vals).max()))
+    replicas = float(np.abs(rebuilt.values - vals).max())
     # the reversed sample sequence carries the periodized spectrum as its factor
     reversed_f = conv.scale_time(f, -1)
     indices = reversed_f.start + np.arange(len(reversed_f))
     lhs = ts * conv._power_sum(reversed_f.samples, indices, np.exp(-1j * omegas * ts))
-    residual = _worst(residual, float(np.abs(lhs - rebuilt.values).max()))
-    return residual, scale
+    reversal = float(np.abs(lhs - rebuilt.values).max())
+    return float(np.max([periodic, replicas, reversal])), scale
 
 
 def _run_dft_vs_series(grid, rng):

@@ -124,8 +124,7 @@ def _build_signal(kind, ts, n, index, re, im):
             raise SignalFormatError(f"ts must be > 0, got {ts}")
         fields["ts"] = ts
     start = index[0] if index else 0
-    # object dtype keeps indices beyond int64 exact
-    contiguous = np.array_equal(np.asarray(index, dtype=object) - start, np.arange(len(index)))
+    contiguous = index == list(range(start, start + len(index)))
     if periodic:
         if n is None:
             raise SignalFormatError(f"kind={kind} requires n metadata")

@@ -58,6 +58,14 @@ def _as_complex_array(values, *, what: str = "samples") -> np.ndarray:
     return arr
 
 
+def _index(value, name: str) -> int:
+    """An integer index as an int; a bool, a float or any other value is a
+    ValueError, never truncated (int(1.7) would read index 1)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_ts(ts: float) -> float:
     ts = float(ts)
     if not math.isfinite(ts) or ts <= 0.0:
@@ -121,7 +129,7 @@ class DiscreteSignal:
         return self.start + self.samples.size
 
     def value(self, k: int) -> complex:
-        i = int(k) - self.start
+        i = _index(k, "k") - self.start
         if 0 <= i < self.samples.size:
             return complex(self.samples[i])
         return 0j
@@ -144,7 +152,7 @@ class PeriodicDiscreteSignal:
         return self.samples.size
 
     def value(self, k: int) -> complex:
-        return complex(self.samples[int(k) % self.period])
+        return complex(self.samples[_index(k, "k") % self.period])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +183,7 @@ class SampledSignal:
         return (self.start + np.arange(self.samples.size)) * self.ts
 
     def value(self, k: int) -> complex:
-        i = int(k) - self.start
+        i = _index(k, "k") - self.start
         if 0 <= i < self.samples.size:
             return complex(self.samples[i])
         return 0j
@@ -208,7 +216,7 @@ class PeriodicSampledSignal:
         return np.arange(self.samples.size) * self.ts
 
     def value(self, k: int) -> complex:
-        return complex(self.samples[int(k) % self.samples.size])
+        return complex(self.samples[_index(k, "k") % self.samples.size])
 
 
 def eval_analog_exponential(p: ExpParam, t: float) -> complex:
@@ -227,7 +235,7 @@ def eval_discrete_exponential(p: ExpParam, k: int) -> complex:
     """Value of a^k for integer k; negative k uses 1 / a^(-k)."""
     if p.kind is not ExpKind.DISCRETE_BASE:
         raise ValueError(f"expected a discrete-base parameter, got {p.kind.value}")
-    k = int(k)
+    k = _index(k, "k")
     if k >= 0:
         return p.a ** k
     return 1.0 / (p.a ** (-k))

@@ -97,7 +97,7 @@ def test_criterion_3_discrete_eigenrelation():
         f = DiscreteSignal(int(rng.integers(-8, 1)), rand_values(rng, length))
         a = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
         p = discrete_base(a)
-        factor = exp_factor_discrete(f, p).value
+        factor = exp_factor_discrete(f, p)
         ks = range(f.start - 4, f.end + 4)
         lhs = [sum(f.value(n) * a ** (k - n) for n in range(f.start, f.end)) for k in ks]
         rhs = [factor * eval_discrete_exponential(p, k) for k in ks]
@@ -138,7 +138,7 @@ def test_criterion_5_bridge_identities():
     ok &= abs(spectrum.coefficient(-1) - 0.5) <= 1e-10 * 0.5
     values = dft(PeriodicDiscreteSignal(f.samples)).values
     ok &= abs(values[1] - n_samples / 2) <= 1e-10 * (n_samples / 2)
-    factor = exp_factor_analog(f, analog_exponent(1j * 2 * math.pi / period_t)).value
+    factor = exp_factor_analog(f, analog_exponent(1j * 2 * math.pi / period_t))
     ok &= abs(factor - period_t * spectrum.coefficient(1)) <= 1e-10 * abs(factor)
     # random band-limited cases, coefficients cross-checked against a brute oracle
     rng = np.random.default_rng(105)
@@ -156,7 +156,7 @@ def test_criterion_5_bridge_identities():
             f_d_n = values[n % n_samples]
             ok &= abs(f_d_n - n_samples * c_n) <= 1e-10 * max(1.0, abs(f_d_n))
             if n != 0:
-                factor = exp_factor_analog(f, analog_exponent(1j * n * omega0)).value
+                factor = exp_factor_analog(f, analog_exponent(1j * n * omega0))
                 ok &= abs(factor - period_t * c_n) <= 1e-10 * max(1.0, abs(factor))
     _report(5, "bridge identities: factor = T C_n and DFT = N C_n", ok, time.time() - start, 2.0)
 

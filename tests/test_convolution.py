@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from convfourier import convolution
 from convfourier.convolution import (
-    EigenFactor,
     approx_analog_convolve,
     derivative,
     discrete_convolve,
@@ -216,7 +215,7 @@ class TestPeriodicConvolveAnalog:
         f = PeriodicSampledSignal(ts, samples)
         x1 = sampled_harmonic(1, n_samples, ts)
         out = periodic_convolve_analog(f, x1)
-        factor = exp_factor_analog(f, analog_exponent(2j * math.pi)).value
+        factor = exp_factor_analog(f, analog_exponent(2j * math.pi))
         assert np.max(np.abs(out.samples - factor * x1.samples)) <= 1e-12 * abs(factor)
 
     def test_grid_mismatch_rejected(self):
@@ -278,15 +277,15 @@ class TestMixedConvolve:
 class TestExpFactorDiscrete:
     def test_delta_gives_one(self):
         for a in (2, -1, 1j, 0.5 + 0.5j):
-            assert exp_factor_discrete(delta_signal(), discrete_base(a)).value == 1 + 0j
+            assert exp_factor_discrete(delta_signal(), discrete_base(a)) == 1 + 0j
 
     def test_two_tap_half(self):
         factor = exp_factor_discrete(DiscreteSignal(0, [1, 1]), discrete_base(2))
-        assert factor.value == pytest.approx(1.5)
+        assert factor == pytest.approx(1.5)
 
     def test_two_tap_cancellation(self):
         factor = exp_factor_discrete(DiscreteSignal(0, [1, 1]), discrete_base(-1))
-        assert abs(factor.value) <= 1e-15
+        assert abs(factor) <= 1e-15
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -294,7 +293,7 @@ class TestExpFactorDiscrete:
             vals = rand_values(rng, int(rng.integers(1, 10)))
             start = int(rng.integers(-6, 7))
             a = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
-            got = exp_factor_discrete(DiscreteSignal(start, vals), discrete_base(a)).value
+            got = exp_factor_discrete(DiscreteSignal(start, vals), discrete_base(a))
             want = power_factor_brute(list(vals), start, a)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -312,7 +311,7 @@ class TestExpFactorDiscrete:
             f = DiscreteSignal(int(rng.integers(-8, 1)), rand_values(rng, length))
             a = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
             p = discrete_base(a)
-            factor = exp_factor_discrete(f, p).value
+            factor = exp_factor_discrete(f, p)
             ks = range(f.start - 4, f.end + 4)
             lhs = [
                 sum(f.value(n) * a ** (k - n) for n in range(f.start, f.end)) for k in ks
@@ -327,15 +326,15 @@ class TestExpFactorAnalog:
     def test_pulse_at_pi(self):
         # analytic value of the width-1 pulse transform at pi: 2 sin(pi/2)/pi
         p = pulse(1.0 / 512.0)
-        factor = exp_factor_analog(p, analog_exponent(1j * math.pi)).value
+        factor = exp_factor_analog(p, analog_exponent(1j * math.pi))
         assert abs(factor - 2.0 / math.pi) <= 5e-3
 
     def test_delta_approx_is_one(self):
-        factor = exp_factor_analog(delta_approx(0.25), analog_exponent(1j * 3.0)).value
+        factor = exp_factor_analog(delta_approx(0.25), analog_exponent(1j * 3.0))
         assert factor == 1.0 + 0j
 
     def test_empty_is_zero(self):
-        factor = exp_factor_analog(SampledSignal(0.5, 0, []), analog_exponent(1j)).value
+        factor = exp_factor_analog(SampledSignal(0.5, 0, []), analog_exponent(1j))
         assert factor == 0j
 
     def test_matches_brute_force(self):
@@ -343,7 +342,7 @@ class TestExpFactorAnalog:
         vals = rand_values(rng, 9)
         f = SampledSignal(0.125, -4, vals)
         a = 0.3 - 1.7j
-        got = exp_factor_analog(f, analog_exponent(a)).value
+        got = exp_factor_analog(f, analog_exponent(a))
         want = riemann_factor_brute(list(vals), -4, 0.125, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -411,7 +410,7 @@ class TestRiemannSum:
         # e^(100 t) underflows on t in [-1000, -901]; uncapped, a 10-wide fine
         # table would reach e^900 = inf and turn 0 * inf into NaN
         f = SampledSignal(1.0, -1000, np.ones(100))
-        assert exp_factor_analog(f, analog_exponent(-100.0)).value == 0j
+        assert exp_factor_analog(f, analog_exponent(-100.0)) == 0j
         with pytest.raises(ValueError, match="not finite"):
             exp_factor_analog(f, analog_exponent(100.0))
 
@@ -452,7 +451,7 @@ class TestPowerSum:
         f = DiscreteSignal(-3, rand_values(np.random.default_rng(74), 9))
         a = 0.8 + 0.6j
         want = self.one_base(f.samples, np.arange(-3, 6), a)
-        assert exp_factor_discrete(f, discrete_base(a)).value == want
+        assert exp_factor_discrete(f, discrete_base(a)) == want
 
     def test_transient_stays_near_three_blocks(self):
         # ft.sampling's call: 193 bases x 64 samples is a 193 KiB power matrix
@@ -485,9 +484,7 @@ class TestExpFactorPeriodic:
         period_t = n_samples * ts
         for n in (1, 5, -8):
             x = sampled_harmonic(n, n_samples, ts)
-            factor = exp_factor_analog(
-                x, analog_exponent(1j * n * 2 * math.pi / period_t)
-            ).value
+            factor = exp_factor_analog(x, analog_exponent(1j * n * 2 * math.pi / period_t))
             assert abs(factor - period_t) <= 1e-12 * period_t
 
     def test_cross_pairing_cancels(self):
@@ -495,44 +492,47 @@ class TestExpFactorPeriodic:
         omega0 = 2 * math.pi / (n_samples * ts)
         for m, n in ((0, 3), (2, 5), (-7, 7)):
             x = sampled_harmonic(m, n_samples, ts)
-            factor = exp_factor_analog(x, analog_exponent(1j * n * omega0)).value
+            factor = exp_factor_analog(x, analog_exponent(1j * n * omega0))
             assert abs(factor) <= 1e-12
 
     def test_constant_against_fundamental(self):
         ts = 1.0 / 32.0
         f = PeriodicSampledSignal(ts, 3.5 * np.ones(32))
-        factor = exp_factor_analog(f, analog_exponent(2j * math.pi)).value
+        factor = exp_factor_analog(f, analog_exponent(2j * math.pi))
         assert abs(factor) <= 1e-12
 
     def test_periodic_discrete_delta(self):
         d = np.zeros(6, dtype=complex)
         d[0] = 1
         factor = exp_factor_discrete(PeriodicDiscreteSignal(d), discrete_base(0.7j))
-        assert factor.value == 1 + 0j
+        assert factor == 1 + 0j
 
     def test_fourth_roots_cancel(self):
         f = PeriodicDiscreteSignal([1, 1, 1, 1])
-        factor = exp_factor_discrete(f, discrete_base(1j)).value
+        factor = exp_factor_discrete(f, discrete_base(1j))
         assert abs(factor) <= 1e-15
 
     def test_ones_at_base_one(self):
         f = PeriodicDiscreteSignal([1, 1, 1, 1])
-        assert exp_factor_discrete(f, discrete_base(1)).value == 4 + 0j
+        assert exp_factor_discrete(f, discrete_base(1)) == 4 + 0j
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(14)
         vals = rand_values(rng, 8)
         f = PeriodicDiscreteSignal(vals)
         a = 1.3 - 0.4j
-        got = exp_factor_discrete(f, discrete_base(a)).value
+        got = exp_factor_discrete(f, discrete_base(a))
         want = power_factor_brute(list(vals), 0, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestEigenFactor:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            EigenFactor(param=discrete_base(2), value=complex(float("inf"), 0))
+    def test_is_a_complex(self):
+        # the factor is a plain complex, never a wrapper around one
+        discrete = exp_factor_discrete(DiscreteSignal(-1, [1, 2]), discrete_base(2))
+        analog = exp_factor_analog(SampledSignal(0.5, 0, [1, 2]), analog_exponent(1j))
+        assert type(discrete) is complex and discrete == pytest.approx(4)
+        assert type(analog) is complex
 
 
 class TestShift:

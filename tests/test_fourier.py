@@ -87,6 +87,20 @@ class TestSpectrumTypes:
         for n in range(-9, 9):
             assert s.value(n + 3) == s.value(n)
 
+    @pytest.mark.parametrize("n", [1.7, 1.0, True, "1"], ids=repr)
+    def test_series_coefficient_index_is_never_truncated(self, n):
+        s = SeriesSpectrum(period_t=1.0, coeffs=np.array([1.0, 2.0, 3.0]))
+        assert s.coefficient(np.int64(1)) == 3.0
+        with pytest.raises(ValueError, match="n must be an integer"):
+            s.coefficient(n)
+
+    @pytest.mark.parametrize("n", [1.7, 1.0, True, "1"], ids=repr)
+    def test_dft_spectrum_index_is_never_truncated(self, n):
+        s = DftSpectrum(values=np.array([1.0, 2.0, 3.0]))
+        assert s.value(np.int64(4)) == 2.0
+        with pytest.raises(ValueError, match="n must be an integer"):
+            s.value(n)
+
     def test_transform_spectrum_needs_uniform_grid(self):
         with pytest.raises(ValueError):
             TransformSpectrum(omegas=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
@@ -158,9 +172,7 @@ class TestFourierCoefficients:
             if n == 0:
                 factor = riemann_factor_brute(list(f.samples), 0, f.ts, 0j)
             else:
-                factor = exp_factor_analog(
-                    f, analog_exponent(1j * n * spectrum.omega0)
-                ).value
+                factor = exp_factor_analog(f, analog_exponent(1j * n * spectrum.omega0))
             assert abs(spectrum.coefficient(n) - factor / period_t) <= 1e-12
 
 
@@ -273,7 +285,7 @@ class TestDft:
             scale = max(1.0, np.abs(values).max())
             for n in range(n_samples):
                 a = complex(np.exp(2j * np.pi * n / n_samples))
-                factor = exp_factor_discrete(f, discrete_base(a)).value
+                factor = exp_factor_discrete(f, discrete_base(a))
                 assert abs(factor - values[n]) <= 1e-13 * scale
 
 
@@ -573,7 +585,7 @@ class TestFourierTransform:
         ]
         for f in signals:
             got = fourier_transform(f, omegas).values
-            want = np.array([exp_factor_analog(f, analog_exponent(1j * w)).value for w in omegas])
+            want = np.array([exp_factor_analog(f, analog_exponent(1j * w)) for w in omegas])
             assert got.tobytes() == want.tobytes()
 
     def test_empty_signal(self):

@@ -99,6 +99,12 @@ class TestEvalDiscreteExponential:
         with pytest.raises(ValueError):
             eval_discrete_exponential(analog_exponent(1.0), 1)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"], ids=repr)
+    def test_index_is_never_truncated(self, k):
+        assert eval_discrete_exponential(discrete_base(2), np.int64(2)) == 4 + 0j
+        with pytest.raises(ValueError, match="k must be an integer"):
+            eval_discrete_exponential(discrete_base(2), k)
+
 
 class TestSampleFunction:
     def test_constant(self):
@@ -179,6 +185,25 @@ class TestSampleValidation:
         assert not f.samples.flags.writeable
         with pytest.raises(ValueError):
             f.samples[1] = 0.0
+
+
+class TestValueIndex:
+    """value(k) reads an integer index; 1.7 or True is rejected, not read as 1."""
+
+    SIGNALS = {
+        "discrete": DiscreteSignal(0, [1, 2, 3]),
+        "periodic-discrete": PeriodicDiscreteSignal([1, 2, 3]),
+        "sampled": SampledSignal(0.5, 0, [1, 2, 3]),
+        "periodic-sampled": PeriodicSampledSignal(0.5, [1, 2, 3]),
+    }
+
+    @pytest.mark.parametrize("kind", SIGNALS)
+    @pytest.mark.parametrize("k", [1.7, 1.0, True, "1", None], ids=repr)
+    def test_rejects_a_non_integer(self, kind, k):
+        f = self.SIGNALS[kind]
+        assert f.value(np.int64(1)) == f.value(1) == 2 + 0j
+        with pytest.raises(ValueError, match="k must be an integer"):
+            f.value(k)
 
 
 class TestPeriodicSignals:

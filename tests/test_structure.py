@@ -65,3 +65,20 @@ def test_riemann_sum_is_never_called_per_point(path):
     for loop in (n for n in ast.walk(tree) if isinstance(n, _LOOPS)):
         calls = [c.lineno for c in ast.walk(loop) if _calls_kernel(c)]
         assert not calls, f"{path.name}:{loop.lineno} calls a factor kernel in a loop at lines {calls}"
+
+
+# every (module, name) that the package __init__ imports from one of its modules
+_REEXPORTS = [
+    (node.module, alias.name)
+    for node in ast.parse(pathlib.Path(convfourier.__file__).read_text(encoding="utf-8")).body
+    if isinstance(node, ast.ImportFrom) and node.level == 1
+    for alias in node.names
+]
+
+
+@pytest.mark.parametrize("module, name", _REEXPORTS, ids=[f"{m}.{n}" for m, n in _REEXPORTS])
+def test_package_reexports_only_public_names(module, name):
+    # a name deleted from a module's __all__ must not live on as a stale
+    # re-export of the package
+    exported = importlib.import_module(f"convfourier.{module}").__all__
+    assert name in exported, f"convfourier re-exports {module}.{name}, which is not in its __all__"
