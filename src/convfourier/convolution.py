@@ -44,6 +44,7 @@ from .signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    _index,
     periodize,
 )
 
@@ -226,7 +227,11 @@ def _contract(blocks, offsets, starts, na) -> np.ndarray:
     """sum_j e^(na starts[j]) sum_i blocks[j, i] e^(na offsets[i]) for each na.
 
     Every product goes through einsum, which builds the tables without the
-    broadcast buffers of a ufunc and contracts each row on its own.
+    broadcast buffers of a ufunc and contracts each row on its own.  A plain
+    einsum also stays out of BLAS: after one complex BLAS call (`@`, `dot`,
+    einsum with optimize=...), every later complex np.exp in the process,
+    the cost that bounds this function, runs 12-19x slower with NumPy 2.4's
+    OpenBLAS.  tests/test_structure.py keeps BLAS calls out of the package.
     """
     fine = np.einsum("m,i->mi", na, offsets)
     coarse = np.einsum("m,j->mj", na, starts)
@@ -273,11 +278,12 @@ def _on_grid_lag(t0: float, ts: float) -> int:
 
 
 def _int_lag(a) -> int:
+    """A discrete shift as an int: an integer, or a float with an integral value."""
     if isinstance(a, float):
         if not a.is_integer():
             raise ValueError(f"discrete shift must be an integer lag, got {a}")
-        a = int(a)
-    return int(a)
+        return int(a)
+    return _index(a, "discrete shift")
 
 
 def shift(f, a):

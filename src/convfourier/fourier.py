@@ -271,7 +271,7 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     F(n) is the eigenfactor of f at a = j n omega0; harmonics are limited to
     |n| <= n_max < N/2 so the sampled grid resolves them without aliasing.
     """
-    n_max = int(n_max)
+    n_max = _index(n_max, "n_max")
     _check_alias_window(n_max, f.period_samples)
     period_t = f.period_t
     a = 1j * np.arange(-n_max, n_max + 1) * (_TWO_PI / period_t)
@@ -282,10 +282,10 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
 def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSignal:
     """weight * sum_m values[m] e^(j freqs[m] t) at t = (start + k) ts, k < count:
     the Riemann sum with "times" freqs and one exponent a = -j t per output time."""
-    count = int(count)
+    start, count = _index(start, "start"), _index(count, "count")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    t = (int(start) + np.arange(count)) * float(ts)
+    t = (start + np.arange(count)) * float(ts)
     samples = conv._riemann_sum(values, freqs, weight, -1j * t)
     return SampledSignal(ts=ts, start=start, samples=samples)
 
@@ -427,7 +427,7 @@ def periodize_spectrum(
     omega_s must be an integer number of grid steps so the replicas land on
     the stored grid; values outside the grid count as zero.
     """
-    replicas = int(replicas)
+    replicas = _index(replicas, "replicas")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     omega_s = float(omega_s)

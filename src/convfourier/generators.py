@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import PeriodicSampledSignal, SampledSignal
+from .signals import PeriodicSampledSignal, SampledSignal, _index
 
 __all__ = ["pulse", "cosine", "square", "gaussian"]
 
@@ -22,7 +22,7 @@ def pulse(ts: float, width: float = 1.0) -> SampledSignal:
 
 def cosine(n_samples: int, ts: float, harmonic: int = 1) -> PeriodicSampledSignal:
     """One period of cos(harmonic * omega0 * t) on an N-sample grid."""
-    n_samples = int(n_samples)
+    n_samples = _index(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     k = np.arange(n_samples)
@@ -33,7 +33,7 @@ def cosine(n_samples: int, ts: float, harmonic: int = 1) -> PeriodicSampledSigna
 
 def square(n_samples: int, ts: float) -> PeriodicSampledSignal:
     """Square wave: +1 on the first half-period, -1 on the second."""
-    n_samples = int(n_samples)
+    n_samples = _index(n_samples, "n_samples")
     if n_samples < 2 or n_samples % 2:
         raise ValueError(f"square wave needs an even sample count, got {n_samples}")
     samples = np.ones(n_samples, dtype=np.complex128)

@@ -52,9 +52,9 @@ class GridParams:
     n_max: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", sig._index(self.n, "n"))
         object.__setattr__(self, "ts", float(self.ts))
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", sig._index(self.n_max, "n_max"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         sig._check_ts(self.ts)

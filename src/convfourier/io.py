@@ -19,10 +19,26 @@ or floats (strings and booleans are rejected).  A CSV value or cell with a
 17 significant digits and JSON numbers as the shortest round-tripping repr,
 so a write/read round trip is exact, signed zeros included.  The series and
 spectrum tables use the same layouts with their own metadata and columns.
+
+Memory: files are parsed and tables formatted in blocks of about
+``_IO_BLOCK_ROWS`` rows, so the only whole-file allocations are the text
+and the sample arrays; no list of all lines, cells or Python numbers is
+built.  JSON is the one exception: ``json.loads`` has no incremental form,
+so its parse tree holds the whole file while its columns are read out block
+by block.  A CSV block is cut after a '\\n', so a file with no '\\n' (lines
+broken by '\\r' alone) is one block.  ``signal_text`` and the table
+functions return one string, joined from blocks that together make a
+second copy of it; ``write_signal`` writes the blocks one at a time.
+
+Where a file has several defects, the error names the first defect of the
+first class in this order, wherever the blocks are cut: metadata, header,
+column count, '_' or non-ASCII cell, index, re, im, then the kind's
+metadata and the order of the indices.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -55,6 +71,12 @@ class SignalFormatError(ValueError):
 
 # the metadata keys of a signal file; analog kinds carry ts, periodic kinds carry n
 _META_KEYS = ("kind", "ts", "n")
+# Rows per block: tables are formatted and JSON rows read this many rows at
+# a time, and CSV text is cut into blocks of at most about this many rows,
+# so no whole-file list of lines, cells or Python numbers is built.
+_IO_BLOCK_ROWS = 2**13
+# the characters of the shortest CSV row, '0,0,0' and its line break
+_MIN_ROW_CHARS = 6
 # kind <-> signal type
 _TYPES = {
     "discrete": DiscreteSignal,
@@ -107,8 +129,8 @@ def _floats(cells, what: str) -> np.ndarray:
     raise AssertionError("a cell failed to parse but none is bad")
 
 
-def _build_signal(kind, ts, n, index, re, im):
-    """The signal of one parsed file: ``index`` holds ints, ``re``/``im`` finite floats."""
+def _build_signal(kind, ts, n, start, contiguous, samples):
+    """The signal of one parsed file from its rows as ``_rows`` returns them."""
     if kind not in _TYPES:
         raise SignalFormatError(f"unknown kind {kind!r}; expected one of {', '.join(_TYPES)}")
     periodic = kind.startswith("periodic")
@@ -123,63 +145,140 @@ def _build_signal(kind, ts, n, index, re, im):
         if ts <= 0:
             raise SignalFormatError(f"ts must be > 0, got {ts}")
         fields["ts"] = ts
-    start = index[0] if index else 0
-    contiguous = index == list(range(start, start + len(index)))
     if periodic:
         if n is None:
             raise SignalFormatError(f"kind={kind} requires n metadata")
         if n < 1:
             raise SignalFormatError(f"kind={kind} needs n >= 1, got n={n}")
-        if n != len(index):
-            raise SignalFormatError(f"metadata says n={n} but file has {len(index)} rows")
+        if n != samples.size:
+            raise SignalFormatError(f"metadata says n={n} but file has {samples.size} rows")
         if start != 0 or not contiguous:
             raise SignalFormatError("periodic rows must cover exactly the indices 0..N-1 in order")
     else:
         if not contiguous:
             raise SignalFormatError("indices must be contiguous and strictly increasing")
         fields["start"] = start
-    # filled part by part, so signed zeros survive
-    samples = np.empty(len(index), dtype=np.complex128)
-    samples.real = re
-    samples.imag = im
     return _TYPES[kind](samples=samples, **fields)
 
 
+def _rows(blocks, capacity: int):
+    """(start, contiguous, samples) of a file's rows, parsed block by block.
+
+    Each block is a tuple of stages: callables that each look for one class
+    of defect in the block, in the order in which the classes take
+    precedence, and raise SignalFormatError at the first one.  The last three
+    return the block's index list and its re and im columns.  The error
+    raised is the first defect of the first class in the whole file, also
+    when a defect of a later class sits in an earlier block, so where the
+    blocks are cut never changes it.  Each block's indices are compared with
+    the ones that continue the file's first index, as Python ints, so
+    indices beyond int64 work; ``start`` is 0 for a file with no rows.
+    """
+    samples = np.empty(capacity, dtype=np.complex128)
+    start, contiguous, filled = None, True, 0
+    error = None  # (stage number, SignalFormatError) of the first defect found
+    for stages in blocks:
+        results = []
+        for stage_no, stage in enumerate(stages[: error[0] if error else None]):
+            try:
+                results.append(stage())
+            except SignalFormatError as exc:
+                error = (stage_no, exc)
+                break
+        if error:
+            if error[0] == 0:  # no later defect takes precedence over it
+                break
+            continue
+        index, re, im = results[-3:]
+        end = filled + len(index)
+        if index:
+            if start is None:
+                start = index[0]
+            contiguous = contiguous and index == list(range(start + filled, start + end))
+        if end > samples.size:  # CSV lines broken by another separator than '\n'
+            samples = np.resize(samples, 2 * end)
+        # filled part by part, so signed zeros survive
+        samples.real[filled:end] = re
+        samples.imag[filled:end] = im
+        filled = end
+    if error:
+        raise error[1]
+    return 0 if start is None else start, contiguous, samples[:filled]
+
+
+def _csv_line_blocks(text: str):
+    """The stripped, non-blank lines of ``text`` in blocks of at most about
+    _IO_BLOCK_ROWS rows.
+
+    A block ends at the first '\\n' at least _IO_BLOCK_ROWS * _MIN_ROW_CHARS
+    characters on from its start: one ``str.find`` per block, where a cut at
+    an exact row count would take one per row.  A cut after a '\\n' splits
+    no line, so the blocks hold exactly the lines of ``text.splitlines()``.
+    """
+    at = 0
+    while at < len(text):
+        cut = text.find("\n", at + _IO_BLOCK_ROWS * _MIN_ROW_CHARS - 1) + 1 or len(text)
+        yield [ln for ln in map(str.strip, text[at:cut].splitlines()) if ln]
+        at = cut
+
+
+def _csv_stages(rows, named=()):
+    """The stages (see ``_rows``) of one block of CSV rows.  ``named`` are
+    (what, cell) pairs checked for a '_' or a non-ASCII character before the
+    block's own cells."""
+    joined = ",".join(rows)
+    cells = joined.split(",") if rows else []
+
+    def columns():
+        for line in rows:
+            if line.count(",") != 2:
+                raise SignalFormatError(f"expected 3 columns, got {line.count(',') + 1}: {line!r}")
+
+    def plain():
+        # int() and float() read '1_5' as 15 and accept non-ASCII digits
+        suspect = not joined.isascii() or "_" in joined
+        own = zip(itertools.cycle(("index", "re", "im")), cells) if suspect else ()
+        for what, cell in itertools.chain(named, own):
+            if "_" in cell or not cell.isascii():
+                bad = f"{what} holds a '_' or a non-ASCII character: {cell.strip()!r}"
+                raise SignalFormatError(bad)
+
+    return (
+        columns,
+        plain,
+        lambda: _ints(cells[0::3], "index"),
+        lambda: _floats(cells[1::3], "re"),
+        lambda: _floats(cells[2::3], "im"),
+    )
+
+
 def _read_csv(text: str):
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-    body_at = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
-    meta = {}
-    for token in " ".join(ln.lstrip("#") for ln in lines[:body_at]).split():
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise SignalFormatError(f"bad metadata token {token!r}")
-        if key not in _META_KEYS:
-            raise SignalFormatError(f"unknown metadata key {key!r}")
-        if key in meta:
-            raise SignalFormatError(f"repeated metadata key {key!r}")
-        meta[key] = value
+    blocks = _csv_line_blocks(text)
+    meta, body = {}, []
+    for lines in blocks:
+        body_at = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+        for token in " ".join(ln.lstrip("#") for ln in lines[:body_at]).split():
+            key, eq, value = token.partition("=")
+            if not eq:
+                raise SignalFormatError(f"bad metadata token {token!r}")
+            if key not in _META_KEYS:
+                raise SignalFormatError(f"unknown metadata key {key!r}")
+            if key in meta:
+                raise SignalFormatError(f"repeated metadata key {key!r}")
+            meta[key] = value
+        body = lines[body_at:]
+        if body:
+            break
     if "kind" not in meta:
         raise SignalFormatError("missing '# kind=...' metadata line")
     ts = float(_floats([meta["ts"]], "ts")[0]) if "ts" in meta else None
     n = _ints([meta["n"]], "n")[0] if "n" in meta else None
-    body = lines[body_at:]
     if not body or body[0].replace(" ", "") != "index,re,im":
         raise SignalFormatError("expected header row 'index,re,im'")
-    rows = body[1:]
-    for line in rows:
-        if line.count(",") != 2:
-            raise SignalFormatError(f"expected 3 columns, got {line.count(',') + 1}: {line!r}")
-    cells = ",".join(rows).split(",") if rows else []
-    if not text.isascii() or "_" in text:
-        # int() and float() read '1_5' as 15 and accept non-ASCII digits
-        named = [("ts", meta.get("ts", "")), ("n", meta.get("n", ""))]
-        for what, cell in named + list(zip(("index", "re", "im") * len(rows), cells)):
-            if "_" in cell or not cell.isascii():
-                bad = f"{what} holds a '_' or a non-ASCII character: {cell.strip()!r}"
-                raise SignalFormatError(bad)
-    index = _ints(cells[0::3], "index")
-    re, im = _floats(cells[1::3], "re"), _floats(cells[2::3], "im")
-    return _build_signal(meta["kind"], ts, n, index, re, im)
+    named = [("ts", meta.get("ts", "")), ("n", meta.get("n", ""))]
+    first = _csv_stages(body[1:], named)
+    rows = _rows(itertools.chain([first], map(_csv_stages, blocks)), text.count("\n") + 1)
+    return _build_signal(meta["kind"], ts, n, *rows)
 
 
 def _json_column(cells, what: str, integer: bool = False):
@@ -226,13 +325,24 @@ def _read_json(text: str):
     rows = data.get("rows")
     if not isinstance(rows, list):
         raise SignalFormatError("missing 'rows' list")
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SignalFormatError(f"each row must be [index, re, im], got {row!r}")
-    index = _json_column([row[0] for row in rows], "index", integer=True)
-    re = _json_column([row[1] for row in rows], "re")
-    im = _json_column([row[2] for row in rows], "im")
-    return _build_signal(kind, ts, n, index, re, im)
+    blocks = (rows[at : at + _IO_BLOCK_ROWS] for at in range(0, len(rows), _IO_BLOCK_ROWS))
+    return _build_signal(kind, ts, n, *_rows(map(_json_stages, blocks), len(rows)))
+
+
+def _json_stages(rows):
+    """The stages (see ``_rows``) of one block of JSON rows."""
+
+    def shapes():
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3):
+                raise SignalFormatError(f"each row must be [index, re, im], got {row!r}")
+
+    return (
+        shapes,
+        lambda: _json_column([row[0] for row in rows], "index", integer=True),
+        lambda: _json_column([row[1] for row in rows], "re"),
+        lambda: _json_column([row[2] for row in rows], "im"),
+    )
 
 
 def read_signal_text(text: str):
@@ -266,38 +376,60 @@ def read_signal(path: str):
 # writing
 # --------------------------------------------------------------------------
 
-def _table_text(meta: dict, header: str, columns, fmt: str) -> str:
-    """Every table's text: CSV under a ``# key=value`` line, or the JSON mirror.
+def _table_text(meta: dict, header: str, columns, fmt: str):
+    """Every table's text, as a generator of blocks of _IO_BLOCK_ROWS rows:
+    CSV under a ``# key=value`` line, or the JSON mirror.
 
     ``meta`` lists the metadata in output order.  ``columns`` are equal-length
     arrays or ranges; an integer column is written as integers, every other
-    one as floats (17 significant digits in CSV).
+    one as floats (17 significant digits in CSV).  ``fmt`` is checked here,
+    before the first block is asked for.
 
     The JSON text is exactly ``json.dumps({**meta, "rows": rows}, indent=2)``
     plus a newline, but ``json`` formats only the metadata head and each
     column's numbers (compact, so its C encoder runs; with ``indent`` it runs
-    the pure-Python one); this function owns the ``indent=2`` layout of the
-    rows around those number tokens.
+    the pure-Python one); the blocks own the ``indent=2`` layout of the rows
+    around those number tokens.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     if fmt == "json":
-        head = json.dumps({**meta, "rows": []}, indent=2)
-        if not columns[0]:
-            return head + "\n"
-        tokens = [json.dumps(c)[1:-1].split(", ") for c in columns]
-        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*tokens)))
-        # head ends in '"rows": []\n}'; the rows go between its brackets
-        return head[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}\n"
+        return _json_text_blocks(meta, columns)
+    return _csv_text_blocks(meta, header, columns)
+
+
+def _column_blocks(columns):
+    """Each block of rows as a list of its columns' Python numbers."""
+    for at in range(0, len(columns[0]), _IO_BLOCK_ROWS):
+        parts = [c[at : at + _IO_BLOCK_ROWS] for c in columns]
+        yield [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in parts]
+
+
+def _csv_text_blocks(meta, header, columns):
     tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
-    row = ",".join("{}" if c and type(c[0]) is int else "{:.17g}" for c in columns)
-    lines = ["# " + " ".join(tokens), header, *map(row.format, *columns)]
-    return "\n".join(lines) + "\n"
+    yield "# " + " ".join(tokens) + "\n" + header + "\n"
+    for block in _column_blocks(columns):
+        row = ",".join("{}" if type(c[0]) is int else "{:.17g}" for c in block)
+        yield "\n".join(map(row.format, *block)) + "\n"
 
 
-def signal_text(signal, fmt: str = "csv") -> str:
-    """Serialize a signal to CSV or JSON text."""
+def _json_text_blocks(meta, columns):
+    head = json.dumps({**meta, "rows": []}, indent=2)
+    if not len(columns[0]):
+        yield head + "\n"
+        return
+    # head ends in '"rows": []\n}'; the rows go between its brackets
+    between = "\n    ],\n    [\n      "
+    first = head[:-4] + "[\n    [\n      "
+    for block in _column_blocks(columns):
+        tokens = [json.dumps(c)[1:-1].split(", ") for c in block]
+        yield first + between.join(map(",\n      ".join, zip(*tokens)))
+        first = between
+    yield "\n    ]\n  ]\n}\n"
+
+
+def _signal_table(signal):
+    """(meta, header, columns) of a signal's table."""
     kind = signal_kind(signal)
     meta = {"kind": kind}
     if kind.endswith("analog"):
@@ -306,12 +438,19 @@ def signal_text(signal, fmt: str = "csv") -> str:
         meta["n"] = signal.samples.size
     start = getattr(signal, "start", 0)
     index = range(start, start + signal.samples.size)
-    return _table_text(meta, "index,re,im", [index, signal.samples.real, signal.samples.imag], fmt)
+    return meta, "index,re,im", [index, signal.samples.real, signal.samples.imag]
+
+
+def signal_text(signal, fmt: str = "csv") -> str:
+    """Serialize a signal to CSV or JSON text."""
+    return "".join(_table_text(*_signal_table(signal), fmt))
 
 
 def write_signal(signal, path: str, fmt: str = "csv"):
+    """Write a signal's CSV or JSON text to ``path``, one block of rows at a time."""
+    blocks = _table_text(*_signal_table(signal), fmt)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(signal_text(signal, fmt))
+        fh.writelines(blocks)
 
 
 def series_table_text(spectrum: SeriesSpectrum, fmt: str = "csv") -> str:
@@ -322,10 +461,10 @@ def series_table_text(spectrum: SeriesSpectrum, fmt: str = "csv") -> str:
     # F(n) as the complex product (T + 0j) * C_n, whose signed zeros differ from T * Re, T * Im
     f_re, f_im = t * c.real - 0.0 * c.imag, t * c.imag + 0.0 * c.real
     columns = [spectrum.harmonics(), c.real, c.imag, f_re, f_im]
-    return _table_text(meta, "n,c_re,c_im,f_re,f_im", columns, fmt)
+    return "".join(_table_text(meta, "n,c_re,c_im,f_re,f_im", columns, fmt))
 
 
 def transform_table_text(spectrum: TransformSpectrum, fmt: str = "csv") -> str:
     """Frequency table of F(omega) values."""
     columns = [spectrum.omegas, spectrum.values.real, spectrum.values.imag]
-    return _table_text({"kind": "spectrum"}, "omega,re,im", columns, fmt)
+    return "".join(_table_text({"kind": "spectrum"}, "omega,re,im", columns, fmt))

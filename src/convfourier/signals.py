@@ -117,7 +117,7 @@ class DiscreteSignal:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "start", _index(self.start, "start"))
         object.__setattr__(self, "samples", _as_complex_array(self.samples))
 
     def __len__(self) -> int:
@@ -168,7 +168,7 @@ class SampledSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "ts", _check_ts(self.ts))
-        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "start", _index(self.start, "start"))
         object.__setattr__(self, "samples", _as_complex_array(self.samples))
 
     def __len__(self) -> int:
@@ -246,8 +246,8 @@ def sample_function(
 ) -> SampledSignal:
     """Sample an analog signal on the grid t = (start + i) * ts, i < count."""
     ts = _check_ts(ts)
-    start = int(start)
-    count = int(count)
+    start = _index(start, "start")
+    count = _index(count, "count")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     values = np.asarray(
@@ -273,7 +273,7 @@ def delta_approx(ts: float) -> SampledSignal:
 
 def periodic_delta(n: int) -> PeriodicDiscreteSignal:
     """Identity of period-n circular convolution: 1 at k = 0 within the period."""
-    n = int(n)
+    n = _index(n, "period")
     if n < 1:
         raise ValueError(f"period must be >= 1, got {n}")
     samples = np.zeros(n, dtype=np.complex128)
@@ -288,7 +288,7 @@ def periodize(f, period_samples: int):
     when f's support fits in one period this is plain relocation, otherwise
     overlapping wraps add up (time-domain aliasing).
     """
-    n = int(period_samples)
+    n = _index(period_samples, "period_samples")
     if n < 1:
         raise ValueError(f"period must be >= 1, got {n}")
     folded = np.zeros(n, dtype=np.complex128)

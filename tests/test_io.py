@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convfourier import io as cio
 from convfourier.cli import main
 from convfourier.fourier import SeriesSpectrum, TransformSpectrum
 from convfourier.io import (
@@ -26,6 +28,7 @@ from convfourier.signals import (
     PeriodicSampledSignal,
     SampledSignal,
 )
+from oracles import FileContractError, parse_signal_file
 
 # awkward values that expose any serialization below 17 significant digits
 TRICKY = [1 / 3, 0.1, math.pi, -1e-17, 2**-52, 123456789.123456789]
@@ -476,7 +479,7 @@ class TestJsonWriter:
         meta, columns = table
         lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
         want = json.dumps({**meta, "rows": [list(row) for row in zip(*lists)]}, indent=2) + "\n"
-        assert _table_text(meta, "h", columns, "json") == want
+        assert "".join(_table_text(meta, "h", columns, "json")) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -493,3 +496,258 @@ class TestJsonWriter:
         assert back.samples.tobytes() == signal.samples.tobytes()
         assert getattr(back, "start", None) == getattr(signal, "start", None)
 
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: files are parsed and tables formatted _IO_BLOCK_ROWS rows
+# at a time, and where the blocks are cut must change no byte, no sample and
+# no error.
+# ---------------------------------------------------------------------------
+
+DEFAULT_BLOCK_ROWS = cio._IO_BLOCK_ROWS
+
+
+@pytest.fixture(params=[1, 2, 3, 7, DEFAULT_BLOCK_ROWS], ids=lambda k: f"block{k}")
+def block_rows(request, monkeypatch):
+    monkeypatch.setattr(cio, "_IO_BLOCK_ROWS", request.param)
+    return request.param
+
+
+def _csv_rows(count, start=0, gap_at=None):
+    """CSV rows start.., with index gap_at skipped."""
+    indices = [i for i in range(start, start + count + (gap_at is not None)) if i != gap_at]
+    return [f"{i},{(i - start) / 7!r},{-(i - start) / 3!r}" for i in indices]
+
+
+def _csv(meta, rows, sep="\n", head=()):
+    return sep.join(["# " + meta, *head, "index,re,im", *rows]) + sep
+
+
+def _json(rows, **meta):
+    return json.dumps({**meta, "rows": rows})
+
+
+def _with(rows, at, row):
+    rows = list(rows)
+    rows[at] = row
+    return rows
+
+
+ROWS = _csv_rows(30)
+JSON_ROWS = [[i, i / 7, -i / 3] for i in range(30)]
+BIG = 2**70 - 10
+
+BLOCK_CORPUS = {
+    # well-formed
+    "crlf": _csv("kind=discrete", ROWS, "\r\n"),
+    "form-feed-and-other-separators": "# kind=analog ts=0.5\nindex,re,im\n" + "".join(
+        row + ("\x0c", "\r", "\n", "\x0c\n", "\x85", "\u2028", "\r\n")[i % 7] for i, row in enumerate(ROWS)
+    ),
+    "carriage-returns-only": _csv("kind=discrete", ROWS, "\r"),
+    "blank-and-whitespace-lines": _csv(
+        "kind=discrete", [r for row in ROWS for r in (row, "", "   ", "\t\x0c")], head=("", "  ")
+    ),
+    "more-leading-comments-than-a-block": "\n".join(
+        ["#"] * 20 + ["# kind=analog", "#", "#  ", "#ts=0.25"] + ["#"] * 20 + ["index,re,im", *ROWS, ""]
+    ),
+    "non-ascii-whitespace-stripped": _csv("kind=discrete", [row + "\u3000" for row in ROWS]),
+    "periodic": _csv("kind=periodic-analog ts=0.125 n=30", ROWS),
+    "beyond-int64": _csv("kind=discrete", _csv_rows(30, BIG)),
+    "below-int64": _csv("kind=discrete", _csv_rows(30, -BIG - 40)),
+    "no-rows": "# kind=discrete\nindex,re,im\n",
+    "json": _json(JSON_ROWS, kind="discrete"),
+    "json-beyond-int64": _json([[BIG + i, 1.5, -0.0] for i in range(30)], kind="analog", ts=0.5),
+    "json-periodic": _json(JSON_ROWS, kind="periodic-discrete", n=30),
+    # one defect
+    "comment-row-after-header": _csv("kind=discrete", ROWS[:10] + ["# note"] + ROWS[10:]),
+    "comment-cells-after-header": _csv("kind=discrete", ROWS[:10] + ["#a,b,c"] + ROWS[10:]),
+    "no-header-after-comments": "\n".join(["#"] * 40 + ["# kind=discrete"] + ROWS) + "\n",
+    "bad-token-after-many-comments": "\n".join(["#"] * 40 + ["# kind=discrete oops"] + ROWS) + "\n",
+    "periodic-no-rows": "# kind=periodic-discrete n=0\nindex,re,im\n",
+    "periodic-wrong-start": _csv("kind=periodic-discrete n=30", _csv_rows(30, 1)),
+    "periodic-count": _csv("kind=periodic-discrete n=29", ROWS),
+    **{f"gap-at-{g}": _csv("kind=discrete", _csv_rows(30, gap_at=g)) for g in (1, 2, 3, 6, 7, 14, 21)},
+    "gap-beyond-int64": _csv("kind=discrete", _csv_rows(30, BIG, gap_at=BIG + 7)),
+    "json-gap-at-7": _json([row for row in JSON_ROWS + [[30, 0, 0]] if row[0] != 7], kind="discrete"),
+    "json-nan": _json(_with(JSON_ROWS, 20, [20, 1, math.nan]), kind="discrete"),
+    "json-huge-integer": _json(_with(JSON_ROWS, 20, [20, 10**400, 0]), kind="discrete"),
+    "json-repeated-key": '{"kind": "discrete", "kind": "analog", "rows": []}',
+    # defects in different blocks: the first of the first class wins
+    "columns-late-bad-cell-early": _csv(
+        "kind=discrete", _with(_with(ROWS, 2, "x2,1,0"), 27, "27,1,2,3")
+    ),
+    "bad-im-early-bad-index-late": _csv(
+        "kind=discrete", _with(_with(ROWS, 1, "1,0,abc"), 25, "2.5,0,0")
+    ),
+    "bad-re-early-bad-index-late": _csv(
+        "kind=discrete", _with(_with(ROWS, 3, "3,x,0"), 26, "26e0,0,0")
+    ),
+    "bad-index-early-underscore-late": _csv(
+        "kind=discrete", _with(_with(ROWS, 2, "x,0,0"), 26, "26,1_0,0")
+    ),
+    "ts-underscore-columns-late": _csv("kind=analog ts=0_25", _with(ROWS, 28, "28,1")),
+    "ts-underscore-bad-index": _csv("kind=analog ts=0_25", _with(ROWS, 9, "z,1,0")),
+    "n-non-ascii-bad-re": _csv("kind=periodic-discrete n=3\uff10", _with(ROWS, 0, "0,q,0")),
+    "two-bad-re": _csv("kind=discrete", _with(_with(ROWS, 3, "3,abc,0"), 20, "20,inf,0")),
+    "infinite-im-early-bad-index-late": _csv(
+        "kind=discrete", _with(_with(ROWS, 0, "0,0,1e999"), 29, "y,0,0")
+    ),
+    "unknown-kind-bad-re": _csv("kind=sampled", _with(ROWS, 22, "22,x,0")),
+    "periodic-count-bad-im": _csv("kind=periodic-discrete n=5", _with(ROWS, 17, "17,0,?")),
+    "gap-early-bad-im-late": _csv("kind=discrete", _with(_csv_rows(30, gap_at=2), 27, "28,0,e")),
+    "non-ascii-digit-late-bad-index-early": _csv(
+        "kind=discrete", _with(_with(ROWS, 1, "one,0,0"), 24, "24,\uff11,0")
+    ),
+    "json-shape-late-bad-index-early": _json(
+        _with(_with(JSON_ROWS, 2, [2.5, 0, 0]), 25, [25, 0]), kind="discrete"
+    ),
+    "json-bad-index-late-bad-re-early": _json(
+        _with(_with(JSON_ROWS, 2, [2, "x", 0]), 25, [True, 0, 0]), kind="discrete"
+    ),
+    "json-bad-im-early-nan-re-late": _json(
+        _with(_with(JSON_ROWS, 1, [1, 0, "0"]), 28, [28, math.nan, 0]), kind="discrete"
+    ),
+}
+
+
+def _oracle(text):
+    """The whole-file contract's result for ``text``, or its error message."""
+    try:
+        return parse_signal_file(text)
+    except FileContractError as exc:
+        return str(exc)
+
+
+MALFORMED = [name for name, text in BLOCK_CORPUS.items() if isinstance(_oracle(text), str)]
+
+
+def _default_text(signal, fmt):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cio, "_IO_BLOCK_ROWS", DEFAULT_BLOCK_ROWS)
+        return signal_text(signal, fmt)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("name", BLOCK_CORPUS)
+    def test_reader_matches_the_whole_file_contract(self, name, block_rows):
+        want = _oracle(BLOCK_CORPUS[name])
+        if isinstance(want, str):
+            with pytest.raises(SignalFormatError) as info:
+                read_signal_text(BLOCK_CORPUS[name])
+            assert str(info.value) == want
+            return
+        got = read_signal_text(BLOCK_CORPUS[name])
+        kind, ts, start, re, im = want
+        assert signal_kind(got) == kind
+        assert getattr(got, "ts", None) == ts
+        assert getattr(got, "start", 0) == start
+        assert got.samples.real.tobytes() == np.array(re, dtype=np.float64).tobytes()
+        assert got.samples.imag.tobytes() == np.array(im, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_cli_exit_code_and_message(self, name, block_rows, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(BLOCK_CORPUS[name], encoding="utf-8", newline="")
+        assert main(["conv", str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {_oracle(BLOCK_CORPUS[name])}\n"
+
+    def test_corpus_holds_both_outcomes(self):
+        assert 10 <= len(MALFORMED) <= len(BLOCK_CORPUS) - 10
+
+    @pytest.mark.parametrize("key", list(PINNED), ids="-".join)
+    def test_pinned_text(self, key, block_rows):
+        kind, fmt = key
+        if kind == "series":
+            assert series_table_text(PINNED_SERIES, fmt) == PINNED[key]
+        elif kind == "spectrum":
+            assert transform_table_text(PINNED_SPECTRUM, fmt) == PINNED[key]
+        else:
+            assert signal_text(PINNED_SIGNALS[kind], fmt) == PINNED[key]
+            assert signal_text(read_signal_text(PINNED[key]), fmt) == PINNED[key]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("signal", SIGNALS + [DiscreteSignal(BIG, tricky_samples())],
+                             ids=lambda s: signal_kind(s))
+    def test_round_trip_equals_the_default_blocks(self, signal, fmt, block_rows, tmp_path):
+        rows = 23  # several blocks of every patched size
+        signal = type(signal)(**{**vars(signal), "samples": np.resize(signal.samples, rows)})
+        want = _default_text(signal, fmt)
+        assert signal_text(signal, fmt) == want
+        write_signal(signal, str(tmp_path / "out"), fmt)
+        assert (tmp_path / "out").read_text(encoding="utf-8") == want
+        back = read_signal_text(want)
+        assert back.samples.tobytes() == signal.samples.tobytes()
+        assert signal_text(back, fmt) == want
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7, 8, 15])
+    def test_json_writer_reference(self, rows, block_rows):
+        floats = EDGE_FLOATS + [math.nan, math.inf, -math.inf]
+        columns = [
+            range(BIG, BIG + rows),
+            np.array([floats[i % len(floats)] for i in range(rows)]),
+            np.arange(rows, dtype=np.int64) - 3,
+        ]
+        meta = {"kind": "series", "t": 2.0, "omega0": math.pi, "n_max": 7}
+        lists = [list(c) if isinstance(c, range) else c.tolist() for c in columns]
+        want = json.dumps({**meta, "rows": [list(row) for row in zip(*lists)]}, indent=2) + "\n"
+        assert "".join(_table_text(meta, "h", columns, "json")) == want
+
+
+# ---------------------------------------------------------------------------
+# Memory: the text and the sample arrays are the only whole-file allocations
+# of a CSV read or of a write; a JSON read also holds json's parse tree.
+# tracemalloc counts every allocation, so these peaks are deterministic.
+# ---------------------------------------------------------------------------
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_RNG = np.random.default_rng(20_000)
+MEMORY_SIGNAL = DiscreteSignal(-7, _RNG.standard_normal(20_000) + 1j * _RNG.standard_normal(20_000))
+
+# peak / text length, each about 1.4x what these blocks measure (1.7x CSV
+# read, 2.8x JSON read, 2.7x and 3.4x CSV and JSON signal_text, 2.3x
+# write_signal).  Whole-file lists of lines, cells and numbers measured
+# 9.3x (CSV read), 6.5x (CSV write) and 7.1x (JSON write); a JSON read is
+# mostly json's parse tree either way (3.0x then).  write_signal formats
+# JSON with the same blocks as signal_text, so only its CSV case runs.
+MEMORY_BOUNDS = {
+    ("read", "csv"): 2.5,
+    ("read", "json"): 4.0,
+    ("signal_text", "csv"): 3.75,
+    ("signal_text", "json"): 4.75,
+    ("write_signal", "csv"): 3.25,
+}
+
+
+@pytest.fixture(scope="module")
+def memory_texts():
+    return {fmt: signal_text(MEMORY_SIGNAL, fmt) for fmt in ("csv", "json")}
+
+
+class TestMemory:
+    @pytest.mark.parametrize("step, fmt", list(MEMORY_BOUNDS), ids=[f"{s}-{f}" for s, f in MEMORY_BOUNDS])
+    def test_peak_is_a_small_multiple_of_the_text(self, step, fmt, memory_texts, tmp_path):
+        text = memory_texts[fmt]
+        calls = {
+            "read": lambda: read_signal_text(text),
+            "signal_text": lambda: signal_text(MEMORY_SIGNAL, fmt),
+            "write_signal": lambda: write_signal(MEMORY_SIGNAL, str(tmp_path / "out"), fmt),
+        }
+        assert _traced_peak(calls[step]) < MEMORY_BOUNDS[(step, fmt)] * len(text)
+
+    def test_ft_of_2_16_frequencies_to_a_file(self, tmp_path):
+        # a 3 MiB table; a whole-file format peaked at 20.6 MiB
+        out = tmp_path / "ft.csv"
+        argv = ["ft", "--gen", "pulse", "--ts", "0.25", "--omega-min", "0",
+                "--omega-max", str(2**16 - 1), "--omega-step", "1", "--out", str(out)]
+        assert _traced_peak(lambda: main(argv)) < 12 * 2**20
+        assert out.read_text(encoding="utf-8").count("\n") == 2 + 2**16

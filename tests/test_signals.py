@@ -268,3 +268,52 @@ class TestPeriodize:
         f = DiscreteSignal(0, [1, 1, 1, 1])
         folded = periodize(f, 2)
         assert list(folded.samples.real) == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Start, count, period and window arguments are read through signals._index:
+# a float, a bool or a string is a ValueError, never truncated by int().
+# ---------------------------------------------------------------------------
+
+from convfourier import fourier as four  # noqa: E402
+from convfourier.convolution import shift  # noqa: E402
+from convfourier.generators import cosine, square  # noqa: E402
+from convfourier.harness import GridParams  # noqa: E402
+
+_SPECTRUM = four.TransformSpectrum(omegas=np.arange(8) * 0.5, values=np.ones(8, dtype=complex))
+_SERIES = four.SeriesSpectrum(period_t=1.0, coeffs=np.ones(3, dtype=complex))
+
+# site -> (call with the argument, a good value, what the call returns for it)
+INTEGER_ARGUMENTS = {
+    "DiscreteSignal.start": (lambda v: DiscreteSignal(v, [1]).start, 2, 2),
+    "SampledSignal.start": (lambda v: SampledSignal(0.5, v, [1]).start, 2, 2),
+    "sample_function.start": (lambda v: sample_function(abs, 0.5, v, 2).start, 2, 2),
+    "sample_function.count": (lambda v: len(sample_function(abs, 0.5, 0, v)), 3, 3),
+    "periodic_delta": (lambda v: periodic_delta(v).period, 3, 3),
+    "periodize": (lambda v: periodize(DiscreteSignal(0, [1, 2, 3]), v).period, 2, 2),
+    "cosine": (lambda v: cosine(v, 1 / 16).samples.size, 16, 16),
+    "square": (lambda v: square(v, 0.1).samples.size, 4, 4),
+    "GridParams.n": (lambda v: GridParams(n=v).n, 32, 32),
+    "GridParams.n_max": (lambda v: GridParams(n_max=v).n_max, 3, 3),
+    "fourier_coefficients": (lambda v: four.fourier_coefficients(cosine(16, 1 / 16), v).n_max, 3, 3),
+    "_synthesize.start": (lambda v: four.series_synthesize(_SERIES, 0.25, v, 2).start, 3, 3),
+    "_synthesize.count": (lambda v: len(four.inverse_fourier_transform(_SPECTRUM, 0.25, 0, v)), 5, 5),
+    "periodize_spectrum": (lambda v: four.periodize_spectrum(_SPECTRUM, 1.0, v).omegas.size, 1, 8),
+    "shift": (lambda v: shift(DiscreteSignal(0, [1]), v).start, 3, 3),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+def test_integer_argument_is_never_truncated(site):
+    call, good, result = INTEGER_ARGUMENTS[site]
+    # good + 0.5 is a float that int() would truncate to the good value
+    for bad in (1.7, True, "3", good + 0.5):
+        with pytest.raises(ValueError):
+            call(bad)
+    got = call(np.int64(good))
+    assert got == result and type(got) is int
+
+
+def test_discrete_shift_keeps_its_integral_float_rule():
+    assert shift(DiscreteSignal(0, [1]), 3.0).start == 3
+    assert shift(PeriodicDiscreteSignal([1, 0, 0]), -1.0).samples.tolist() == [0, 0, 1]
