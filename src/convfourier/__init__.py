@@ -43,16 +43,12 @@ from .io import SignalFormatError, read_signal, read_signal_text, signal_text, w
 from .signals import (
     AliasingError,
     DiscreteSignal,
-    ExpKind,
-    ExpParam,
     GridMismatchError,
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
-    analog_exponent,
     delta_approx,
     delta_signal,
-    discrete_base,
     eval_analog_exponential,
     eval_discrete_exponential,
     periodic_delta,

@@ -38,12 +38,12 @@ import numpy as np
 
 from .signals import (
     DiscreteSignal,
-    ExpKind,
-    ExpParam,
     GridMismatchError,
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    _exp_param,
+    _finite_number,
     _index,
     periodize,
 )
@@ -136,11 +136,6 @@ def mixed_convolve(h, f):
         f"(DiscreteSignal, PeriodicDiscreteSignal), got "
         f"({type(h).__name__}, {type(f).__name__})"
     )
-
-
-def _require_kind(p: ExpParam, kind: ExpKind):
-    if p.kind is not kind:
-        raise ValueError(f"expected a {kind.value} parameter, got {p.kind.value}")
 
 
 # Each row block of ``_riemann_sum`` and ``_power_sum`` holds at most this
@@ -250,25 +245,27 @@ def _finite(factor) -> complex:
     return factor
 
 
-def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, p: ExpParam) -> complex:
+def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, a) -> complex:
     """Factor F(a) = sum_n f(n) a^(-n) over f's support (n = 0..N-1 if periodic).
 
     Convolving f with g(k) = a^k yields F(a) * g; a non-finite sum is
     rejected because the convolution is then ill-defined.
     """
-    _require_kind(p, ExpKind.DISCRETE_BASE)
+    a = _exp_param(a, discrete=True)
     indices = getattr(f, "start", 0) + np.arange(f.samples.size)
-    return _finite(_power_sum(f.samples, indices, np.array([p.a]))[0])
+    return _finite(_power_sum(f.samples, indices, np.array([a]))[0])
 
 
-def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, p: ExpParam) -> complex:
+def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, a) -> complex:
     """Riemann factor F(a) = ts * sum_k f(k ts) e^(-a k ts) over f's support,
-    the stored window [0, T) for a periodic signal; a non-finite sum is rejected."""
-    _require_kind(p, ExpKind.ANALOG_EXPONENT)
-    return _finite(_riemann_sum(f.samples, f.times(), f.ts, np.array([p.a]))[0])
+    the stored window [0, T) for a periodic signal; a non-finite sum is rejected.
+    F(0) is the Riemann sum of f itself, the factor of the DC harmonic."""
+    a = _exp_param(a, discrete=False)
+    return _finite(_riemann_sum(f.samples, f.times(), f.ts, np.array([a]))[0])
 
 
-def _on_grid_lag(t0: float, ts: float) -> int:
+def _on_grid_lag(t0, ts: float) -> int:
+    t0 = _finite_number(t0, "time shift")
     lag = round(t0 / ts)
     if not np.isclose(lag * ts, t0, rtol=1e-12, atol=1e-15 * ts):
         raise GridMismatchError(
@@ -298,9 +295,9 @@ def shift(f, a):
     if isinstance(f, PeriodicDiscreteSignal):
         return PeriodicDiscreteSignal(samples=np.roll(f.samples, _int_lag(a)))
     if isinstance(f, SampledSignal):
-        return SampledSignal(ts=f.ts, start=f.start + _on_grid_lag(float(a), f.ts), samples=f.samples)
+        return SampledSignal(ts=f.ts, start=f.start + _on_grid_lag(a, f.ts), samples=f.samples)
     if isinstance(f, PeriodicSampledSignal):
-        return PeriodicSampledSignal(ts=f.ts, samples=np.roll(f.samples, _on_grid_lag(float(a), f.ts)))
+        return PeriodicSampledSignal(ts=f.ts, samples=np.roll(f.samples, _on_grid_lag(a, f.ts)))
     raise TypeError(f"cannot shift {type(f).__name__}")
 
 
@@ -311,8 +308,10 @@ def scale_time(f: SampledSignal, a) -> SampledSignal:
     ts' = q * ts, where sample k picks f's stored sample at index p*k.
     Integer a keeps ts and decimates; a = 1/m re-grids every sample onto
     spacing m*ts; no interpolation ever happens.  Non-rational (or
-    non-integral float) factors are rejected.
+    non-integral float) factors are rejected, and so are a str and a bool.
     """
+    if isinstance(a, (str, bool, np.bool_)):
+        raise ValueError(f"scale factor must be a number, got {a!r}")
     if isinstance(a, float):
         if not a.is_integer():
             raise ValueError(

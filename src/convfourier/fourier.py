@@ -18,8 +18,9 @@ O(M sqrt(L)) exps, O(M L) multiply-adds and O(L + block) memory for M outputs
 of an L-term sum, and no M x L kernel matrix is built.  It needs the times,
 or the frequencies, to be an arithmetic progression, and each output is
 computed on its own, so ``fourier_transform(f, ws).values[i]`` is the
-eigenfactor ``exp_factor_analog(f, analog_exponent(1j * ws[i]))`` bit for
-bit.  The library's one alias-window test (2|n| < N) is
+eigenfactor ``exp_factor_analog(f, 1j * ws[i])`` bit for bit; a single
+eigenfactor goes through ``exp_factor_analog``, never a one-exponent
+``_riemann_sum``.  The library's one alias-window test (2|n| < N) is
 ``_check_alias_window``, its one max-norm comparison is ``_compare``, and
 its one eigenrelation f * e = factor * e, for all four convolutions, is
 ``_eigenrelation``.  Its circular branch also takes a row stack of discrete
@@ -45,6 +46,7 @@ from .signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    _finite_number,
     _index,
 )
 
@@ -310,8 +312,7 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     """
     n = _index(n, "n")
     _check_alias_window(abs(n), f.period_samples)
-    a = np.array([1j * n * (_TWO_PI / f.period_t)])
-    factor = conv._riemann_sum(f.samples, f.times(), f.ts, a)[0]
+    factor = conv.exp_factor_analog(f, 1j * n * (_TWO_PI / f.period_t))
     return _eigenrelation(f, _unit_roots(n, f.period_samples), factor)
 
 
@@ -430,7 +431,7 @@ def periodize_spectrum(
     replicas = _index(replicas, "replicas")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    omega_s = float(omega_s)
+    omega_s = _finite_number(omega_s, "omega_s")
     if omega_s <= 0:
         raise ValueError(f"omega_s must be > 0, got {omega_s}")
     dw = spectrum.delta_omega

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import PeriodicSampledSignal, SampledSignal, _index
+from .signals import PeriodicSampledSignal, SampledSignal, _check_ts, _index
 
 __all__ = ["pulse", "cosine", "square", "gaussian"]
 
@@ -14,6 +14,7 @@ def pulse(ts: float, width: float = 1.0) -> SampledSignal:
 
     width must be an integer number of grid steps.
     """
+    ts = _check_ts(ts)
     steps = round(width / ts)
     if steps < 1 or not np.isclose(steps * ts, width, rtol=1e-9, atol=0):
         raise ValueError(f"pulse width {width} is not a multiple of ts={ts}")
@@ -23,6 +24,7 @@ def pulse(ts: float, width: float = 1.0) -> SampledSignal:
 def cosine(n_samples: int, ts: float, harmonic: int = 1) -> PeriodicSampledSignal:
     """One period of cos(harmonic * omega0 * t) on an N-sample grid."""
     n_samples = _index(n_samples, "n_samples")
+    harmonic = _index(harmonic, "harmonic")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     k = np.arange(n_samples)
@@ -43,6 +45,7 @@ def square(n_samples: int, ts: float) -> PeriodicSampledSignal:
 
 def gaussian(ts: float, half_width: float = 6.0) -> SampledSignal:
     """Samples of e^(-t^2) on the symmetric grid |t| <= half_width."""
+    ts = _check_ts(ts)
     k_max = round(half_width / ts)
     if k_max < 1:
         raise ValueError(f"half_width {half_width} shorter than one grid step {ts}")

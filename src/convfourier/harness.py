@@ -209,9 +209,9 @@ def _halving_ratios(residual_at, steps):
     return float(np.max([abs(q - 4.0) for q in ratios])), 1.0, note
 
 
-def _dexp(p: sig.ExpParam):
-    """Index function k -> a^k of the discrete exponential with parameter p."""
-    return lambda ks: np.array([sig.eval_discrete_exponential(p, int(k)) for k in ks])
+def _dexp(a):
+    """Index function k -> a^k of the discrete exponential with base a."""
+    return lambda ks: np.array([sig.eval_discrete_exponential(a, int(k)) for k in ks])
 
 
 # --------------------------------------------------------------------------
@@ -225,9 +225,9 @@ def _harmonic_product(convolve, f, g, n):
     a = j n omega0."""
     period = g.period_samples
     four._check_alias_window(abs(int(n)), period)
-    a = np.array([1j * n * (_TWO_PI / g.period_t)])
-    fn = conv._riemann_sum(f.samples, f.times(), f.ts, a)[0]
-    gn = conv._riemann_sum(g.samples, g.times(), g.ts, a)[0]
+    a = 1j * n * (_TWO_PI / g.period_t)
+    fn = conv.exp_factor_analog(f, a)
+    gn = conv.exp_factor_analog(g, a)
     return four._eigenrelation(convolve(f, g), four._unit_roots(n, period), fn * gn)
 
 
@@ -260,9 +260,9 @@ def _fs_conv_freq(f, g, t_index, n_max):
     g_sig = sig.DiscreteSignal(-n_max, period_t * spec_g.coeffs[lo:hi])
     fg = conv.discrete_convolve(f_sig, g_sig)
     t = t_index * f.ts
-    p = sig.discrete_base(complex(np.exp(-1j * (_TWO_PI / period_t) * t)))
+    a = np.exp(-1j * (_TWO_PI / period_t) * t)
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))
-    return four._eigenrelation(fg, _dexp(p), product, np.arange(-8, 9))
+    return four._eigenrelation(fg, _dexp(a), product, np.arange(-8, 9))
 
 
 _FT_TS = 1.0 / 64.0
@@ -483,10 +483,8 @@ def _run_eigen_analog(grid, rng):
     def trial():
         f = _random_sampled(rng, ts)
         a = complex(rng.uniform(-1.0, 1.0), rng.uniform(-8.0, 8.0))
-        if a == 0:
-            a = 1j
         ks = np.arange(f.start - 4, f.end + 4)
-        factor = conv._riemann_sum(f.samples, f.times(), ts, np.array([a]))[0]
+        factor = conv.exp_factor_analog(f, a)
         return four._eigenrelation(f, lambda k: np.exp(a * k * ts), factor, ks)
 
     return _worst_over(10, trial)
@@ -496,9 +494,9 @@ def _run_eigen_discrete(grid, rng):
     def trial():
         f = _random_discrete(rng, start_lo=-8, start_hi=0)
         mag = rng.uniform(0.5, 2.0)
-        p = sig.discrete_base(mag * np.exp(2j * np.pi * rng.uniform()))
+        a = mag * np.exp(2j * np.pi * rng.uniform())
         ks = np.arange(f.start - 4, f.end + 4)
-        return four._eigenrelation(f, _dexp(p), conv.exp_factor_discrete(f, p), ks)
+        return four._eigenrelation(f, _dexp(a), conv.exp_factor_discrete(f, a), ks)
 
     return _worst_over(20, trial)
 
@@ -516,8 +514,7 @@ def _run_eigen_periodic_discrete(grid, rng):
     def trial():
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         n = int(rng.integers(0, grid.n))
-        p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        factor = conv.exp_factor_discrete(f, p)
+        factor = conv.exp_factor_discrete(f, np.exp(2j * np.pi * n / grid.n))
         return four._eigenrelation(f, four._unit_roots(n, grid.n), factor)
 
     return _worst_over(10, trial)
@@ -541,8 +538,8 @@ def _run_fs_inverse(grid, rng):
         spectrum = four.fourier_coefficients(f, grid.n_max)
         f_sig = sig.DiscreteSignal(-grid.n_max, period_t * spectrum.coeffs)
         k0 = int(rng.integers(0, grid.n))
-        p = sig.discrete_base(complex(np.exp(-1j * grid.omega0 * (k0 * grid.ts))))
-        return four._eigenrelation(f_sig, _dexp(p), period_t * f.value(k0), ks)
+        a = np.exp(-1j * grid.omega0 * (k0 * grid.ts))
+        return four._eigenrelation(f_sig, _dexp(a), period_t * f.value(k0), ks)
 
     return _worst_over(5, trial)
 
@@ -555,8 +552,7 @@ def _run_dft_forward(grid, rng):
         eigen = four._eigenrelation(f, four._unit_roots(n, grid.n), spectrum.values[n])
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
-        p = sig.discrete_base(complex(np.exp(2j * np.pi * n / grid.n)))
-        power_sum = conv.exp_factor_discrete(f, p)
+        power_sum = conv.exp_factor_discrete(f, np.exp(2j * np.pi * n / grid.n))
         return _worst_of((eigen, four._compare(spectrum.values[n], power_sum)))
 
     return _worst_over(10, trial)

@@ -6,13 +6,20 @@ everywhere else; periodic signals store exactly one period and wrap by
 Euclidean modulo.  Analog signals are represented by their samples on a
 uniform time grid with spacing ``ts`` (seconds), so the value of sample
 ``i`` lives at ``t = (start + i) * ts``.
+
+An exponential signal is its complex parameter ``a`` and its family, which
+the function called names: e^(a t) for ``eval_analog_exponential`` and
+``convolution.exp_factor_analog``, a^k for ``eval_discrete_exponential`` and
+``convolution.exp_factor_discrete``.  ``_exp_param`` is the one check of a
+parameter: a str, a bool or a non-finite value is a ValueError in both
+families, and so is the discrete base 0; the analog a = 0 is the constant 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -20,10 +27,6 @@ import numpy as np
 __all__ = [
     "GridMismatchError",
     "AliasingError",
-    "ExpKind",
-    "ExpParam",
-    "analog_exponent",
-    "discrete_base",
     "DiscreteSignal",
     "PeriodicDiscreteSignal",
     "SampledSignal",
@@ -66,44 +69,30 @@ def _index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite_number(value, name: str, kind=float):
+    """value as a finite float (or complex, for kind=complex); a str, a bool
+    or a non-finite value is a ValueError, never parsed or read as 0 or 1."""
+    if isinstance(value, (str, bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = kind(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _exp_param(a, *, discrete: bool) -> complex:
+    """The parameter of e^(a t), or of a^k when discrete, as a complex."""
+    a = _finite_number(a, "exponential parameter", complex)
+    if discrete and a == 0:
+        raise ValueError("discrete base must be nonzero")
+    return a
+
+
 def _check_ts(ts: float) -> float:
     ts = float(ts)
     if not math.isfinite(ts) or ts <= 0.0:
         raise ValueError(f"ts must be finite and > 0, got {ts}")
     return ts
-
-
-class ExpKind(Enum):
-    """Flavour of exponential signal a parameter belongs to."""
-
-    ANALOG_EXPONENT = "analog-exponent"   # g(t) = e^(a t)
-    DISCRETE_BASE = "discrete-base"       # g(k) = a^k
-
-
-@dataclass(frozen=True)
-class ExpParam:
-    """Nonzero complex parameter of an exponential signal."""
-
-    kind: ExpKind
-    a: complex
-
-    def __post_init__(self):
-        a = complex(self.a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("exponential parameter must be finite")
-        if a == 0:
-            raise ValueError("exponential parameter must be nonzero")
-        object.__setattr__(self, "a", a)
-
-
-def analog_exponent(a) -> ExpParam:
-    """Parameter for the analog exponential g(t) = e^(a t)."""
-    return ExpParam(ExpKind.ANALOG_EXPONENT, a)
-
-
-def discrete_base(a) -> ExpParam:
-    """Parameter for the discrete exponential g(k) = a^k."""
-    return ExpParam(ExpKind.DISCRETE_BASE, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,26 +208,29 @@ class PeriodicSampledSignal:
         return complex(self.samples[_index(k, "k") % self.samples.size])
 
 
-def eval_analog_exponential(p: ExpParam, t: float) -> complex:
+def eval_analog_exponential(a, t: float) -> complex:
     """Value of e^(a t), split into exp(Re a * t) * (cos + j sin)(Im a * t)."""
-    if p.kind is not ExpKind.ANALOG_EXPONENT:
-        raise ValueError(f"expected an analog-exponent parameter, got {p.kind.value}")
+    a = _exp_param(a, discrete=False)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    mag = math.exp(p.a.real * t)
-    ang = p.a.imag * t
+    mag = math.exp(a.real * t)
+    ang = a.imag * t
     return complex(mag * math.cos(ang), mag * math.sin(ang))
 
 
-def eval_discrete_exponential(p: ExpParam, k: int) -> complex:
-    """Value of a^k for integer k; negative k uses 1 / a^(-k)."""
-    if p.kind is not ExpKind.DISCRETE_BASE:
-        raise ValueError(f"expected a discrete-base parameter, got {p.kind.value}")
+def eval_discrete_exponential(a, k: int) -> complex:
+    """Value of a^k for integer k; negative k uses 1 / a^(-k).  A power beyond
+    the float64 range, either way, is an OverflowError."""
+    a = _exp_param(a, discrete=True)
     k = _index(k, "k")
     if k >= 0:
-        return p.a ** k
-    return 1.0 / (p.a ** (-k))
+        return a ** k
+    power = a ** (-k)
+    value = 1.0 / power if power else math.inf
+    if not cmath.isfinite(value):
+        raise OverflowError(f"a^{k} is beyond the float64 range for a = {a}")
+    return value
 
 
 def sample_function(

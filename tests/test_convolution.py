@@ -29,10 +29,8 @@ from convfourier.signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
-    analog_exponent,
     delta_approx,
     delta_signal,
-    discrete_base,
     eval_discrete_exponential,
 )
 
@@ -215,7 +213,7 @@ class TestPeriodicConvolveAnalog:
         f = PeriodicSampledSignal(ts, samples)
         x1 = sampled_harmonic(1, n_samples, ts)
         out = periodic_convolve_analog(f, x1)
-        factor = exp_factor_analog(f, analog_exponent(2j * math.pi))
+        factor = exp_factor_analog(f, 2j * math.pi)
         assert np.max(np.abs(out.samples - factor * x1.samples)) <= 1e-12 * abs(factor)
 
     def test_grid_mismatch_rejected(self):
@@ -277,14 +275,14 @@ class TestMixedConvolve:
 class TestExpFactorDiscrete:
     def test_delta_gives_one(self):
         for a in (2, -1, 1j, 0.5 + 0.5j):
-            assert exp_factor_discrete(delta_signal(), discrete_base(a)) == 1 + 0j
+            assert exp_factor_discrete(delta_signal(), a) == 1 + 0j
 
     def test_two_tap_half(self):
-        factor = exp_factor_discrete(DiscreteSignal(0, [1, 1]), discrete_base(2))
+        factor = exp_factor_discrete(DiscreteSignal(0, [1, 1]), 2)
         assert factor == pytest.approx(1.5)
 
     def test_two_tap_cancellation(self):
-        factor = exp_factor_discrete(DiscreteSignal(0, [1, 1]), discrete_base(-1))
+        factor = exp_factor_discrete(DiscreteSignal(0, [1, 1]), -1)
         assert abs(factor) <= 1e-15
 
     def test_matches_brute_force(self):
@@ -293,7 +291,7 @@ class TestExpFactorDiscrete:
             vals = rand_values(rng, int(rng.integers(1, 10)))
             start = int(rng.integers(-6, 7))
             a = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
-            got = exp_factor_discrete(DiscreteSignal(start, vals), discrete_base(a))
+            got = exp_factor_discrete(DiscreteSignal(start, vals), a)
             want = power_factor_brute(list(vals), start, a)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -301,7 +299,7 @@ class TestExpFactorDiscrete:
         # a^(-n) overflows for a far-right tap and a tiny base
         f = DiscreteSignal(400, [1.0])
         with pytest.raises(ValueError, match="ill-defined"):
-            exp_factor_discrete(f, discrete_base(1e-3))
+            exp_factor_discrete(f, 1e-3)
 
     def test_eigenrelation_window(self):
         # direct-sum convolution equals F(a) a^k on a window around the support
@@ -310,13 +308,12 @@ class TestExpFactorDiscrete:
             length = int(rng.integers(1, 17))
             f = DiscreteSignal(int(rng.integers(-8, 1)), rand_values(rng, length))
             a = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
-            p = discrete_base(a)
-            factor = exp_factor_discrete(f, p)
+            factor = exp_factor_discrete(f, a)
             ks = range(f.start - 4, f.end + 4)
             lhs = [
                 sum(f.value(n) * a ** (k - n) for n in range(f.start, f.end)) for k in ks
             ]
-            rhs = [factor * eval_discrete_exponential(p, k) for k in ks]
+            rhs = [factor * eval_discrete_exponential(a, k) for k in ks]
             scale = max(1.0, max(abs(r) for r in rhs))
             worst = max(abs(l - r) for l, r in zip(lhs, rhs))
             assert worst <= 1e-10 * scale
@@ -326,15 +323,15 @@ class TestExpFactorAnalog:
     def test_pulse_at_pi(self):
         # analytic value of the width-1 pulse transform at pi: 2 sin(pi/2)/pi
         p = pulse(1.0 / 512.0)
-        factor = exp_factor_analog(p, analog_exponent(1j * math.pi))
+        factor = exp_factor_analog(p, 1j * math.pi)
         assert abs(factor - 2.0 / math.pi) <= 5e-3
 
     def test_delta_approx_is_one(self):
-        factor = exp_factor_analog(delta_approx(0.25), analog_exponent(1j * 3.0))
+        factor = exp_factor_analog(delta_approx(0.25), 1j * 3.0)
         assert factor == 1.0 + 0j
 
     def test_empty_is_zero(self):
-        factor = exp_factor_analog(SampledSignal(0.5, 0, []), analog_exponent(1j))
+        factor = exp_factor_analog(SampledSignal(0.5, 0, []), 1j)
         assert factor == 0j
 
     def test_matches_brute_force(self):
@@ -342,9 +339,17 @@ class TestExpFactorAnalog:
         vals = rand_values(rng, 9)
         f = SampledSignal(0.125, -4, vals)
         a = 0.3 - 1.7j
-        got = exp_factor_analog(f, analog_exponent(a))
+        got = exp_factor_analog(f, a)
         want = riemann_factor_brute(list(vals), -4, 0.125, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a", [0, 0.0, 0j], ids=repr)
+    def test_zero_exponent_is_the_riemann_sum(self, a):
+        # e^(0 t) = 1, the DC harmonic: its factor is f's own Riemann sum
+        f = SampledSignal(0.125, -4, rand_values(np.random.default_rng(19), 9))
+        want = convolution._riemann_sum(f.samples, f.times(), f.ts, np.array([0j]))[0]
+        assert exp_factor_analog(f, a) == want
+        assert abs(want - f.ts * f.samples.sum()) <= 1e-14
 
 
 def riemann_bound(samples, times, a, mass):
@@ -410,9 +415,9 @@ class TestRiemannSum:
         # e^(100 t) underflows on t in [-1000, -901]; uncapped, a 10-wide fine
         # table would reach e^900 = inf and turn 0 * inf into NaN
         f = SampledSignal(1.0, -1000, np.ones(100))
-        assert exp_factor_analog(f, analog_exponent(-100.0)) == 0j
+        assert exp_factor_analog(f, -100.0) == 0j
         with pytest.raises(ValueError, match="not finite"):
-            exp_factor_analog(f, analog_exponent(100.0))
+            exp_factor_analog(f, 100.0)
 
     def test_empty_samples_and_no_exponents(self):
         empty = convolution._riemann_sum(np.empty(0, complex), np.empty(0), 0.5, [1j, 2j])
@@ -451,7 +456,7 @@ class TestPowerSum:
         f = DiscreteSignal(-3, rand_values(np.random.default_rng(74), 9))
         a = 0.8 + 0.6j
         want = self.one_base(f.samples, np.arange(-3, 6), a)
-        assert exp_factor_discrete(f, discrete_base(a)) == want
+        assert exp_factor_discrete(f, a) == want
 
     def test_transient_stays_near_three_blocks(self):
         # ft.sampling's call: 193 bases x 64 samples is a 193 KiB power matrix
@@ -484,7 +489,7 @@ class TestExpFactorPeriodic:
         period_t = n_samples * ts
         for n in (1, 5, -8):
             x = sampled_harmonic(n, n_samples, ts)
-            factor = exp_factor_analog(x, analog_exponent(1j * n * 2 * math.pi / period_t))
+            factor = exp_factor_analog(x, 1j * n * 2 * math.pi / period_t)
             assert abs(factor - period_t) <= 1e-12 * period_t
 
     def test_cross_pairing_cancels(self):
@@ -492,36 +497,36 @@ class TestExpFactorPeriodic:
         omega0 = 2 * math.pi / (n_samples * ts)
         for m, n in ((0, 3), (2, 5), (-7, 7)):
             x = sampled_harmonic(m, n_samples, ts)
-            factor = exp_factor_analog(x, analog_exponent(1j * n * omega0))
+            factor = exp_factor_analog(x, 1j * n * omega0)
             assert abs(factor) <= 1e-12
 
     def test_constant_against_fundamental(self):
         ts = 1.0 / 32.0
         f = PeriodicSampledSignal(ts, 3.5 * np.ones(32))
-        factor = exp_factor_analog(f, analog_exponent(2j * math.pi))
+        factor = exp_factor_analog(f, 2j * math.pi)
         assert abs(factor) <= 1e-12
 
     def test_periodic_discrete_delta(self):
         d = np.zeros(6, dtype=complex)
         d[0] = 1
-        factor = exp_factor_discrete(PeriodicDiscreteSignal(d), discrete_base(0.7j))
+        factor = exp_factor_discrete(PeriodicDiscreteSignal(d), 0.7j)
         assert factor == 1 + 0j
 
     def test_fourth_roots_cancel(self):
         f = PeriodicDiscreteSignal([1, 1, 1, 1])
-        factor = exp_factor_discrete(f, discrete_base(1j))
+        factor = exp_factor_discrete(f, 1j)
         assert abs(factor) <= 1e-15
 
     def test_ones_at_base_one(self):
         f = PeriodicDiscreteSignal([1, 1, 1, 1])
-        assert exp_factor_discrete(f, discrete_base(1)) == 4 + 0j
+        assert exp_factor_discrete(f, 1) == 4 + 0j
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(14)
         vals = rand_values(rng, 8)
         f = PeriodicDiscreteSignal(vals)
         a = 1.3 - 0.4j
-        got = exp_factor_discrete(f, discrete_base(a))
+        got = exp_factor_discrete(f, a)
         want = power_factor_brute(list(vals), 0, a)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -529,8 +534,8 @@ class TestExpFactorPeriodic:
 class TestEigenFactor:
     def test_is_a_complex(self):
         # the factor is a plain complex, never a wrapper around one
-        discrete = exp_factor_discrete(DiscreteSignal(-1, [1, 2]), discrete_base(2))
-        analog = exp_factor_analog(SampledSignal(0.5, 0, [1, 2]), analog_exponent(1j))
+        discrete = exp_factor_discrete(DiscreteSignal(-1, [1, 2]), 2)
+        analog = exp_factor_analog(SampledSignal(0.5, 0, [1, 2]), 1j)
         assert type(discrete) is complex and discrete == pytest.approx(4)
         assert type(analog) is complex
 
@@ -565,6 +570,21 @@ class TestShift:
     def test_non_integer_discrete_rejected(self):
         with pytest.raises(ValueError):
             shift(DiscreteSignal(0, [1]), 1.5)
+
+    @pytest.mark.parametrize(
+        "f", [SampledSignal(0.25, 0, [1, 2]), PeriodicSampledSignal(0.25, [1, 2])], ids=["sampled", "periodic"]
+    )
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan, "0.25", True, np.True_], ids=repr)
+    def test_time_shift_is_a_finite_number(self, f, a):
+        # inf overflowed in round(); "0.25" was parsed and True read as 1 second
+        with pytest.raises(ValueError, match="time shift must be"):
+            shift(f, a)
+
+    @pytest.mark.parametrize(
+        "a, start", [(1, 4), (0.75, 3), (np.float64(0.75), 3), (Fraction(3, 4), 3)], ids=repr
+    )
+    def test_time_shift_takes_any_real_on_the_grid(self, a, start):
+        assert shift(SampledSignal(0.25, 0, [1, 2]), a).start == start
 
     def test_shift_convolve_commute(self):
         rng = np.random.default_rng(15)
@@ -634,6 +654,17 @@ class TestScaleTime:
     def test_non_integral_float_rejected(self):
         with pytest.raises(ValueError):
             scale_time(SampledSignal(0.5, 0, [1]), 0.5)
+
+    @pytest.mark.parametrize("a", ["2", "1/2", True, np.True_], ids=repr)
+    def test_text_and_bool_rejected(self, a):
+        # Fraction("1/2") would parse the string, Fraction(True) read it as 1
+        with pytest.raises(ValueError, match="scale factor must be a number"):
+            scale_time(SampledSignal(0.5, 0, [1, 2, 3]), a)
+
+    @pytest.mark.parametrize("a", [2, 2.0, np.int64(2), Fraction(2)], ids=repr)
+    def test_integer_forms_agree(self, a):
+        out = scale_time(SampledSignal(0.5, -2, [1, 2, 3, 4, 5]), a)
+        assert out.start == -1 and np.array_equal(out.samples, [1, 3, 5])
 
     def test_reversal_scaling_rule(self):
         # f(-t) * g == time-reverse of f * g(-t), the |a|=1 scaling rule

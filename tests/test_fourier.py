@@ -39,8 +39,6 @@ from convfourier.signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
-    analog_exponent,
-    discrete_base,
     periodize,
 )
 
@@ -172,7 +170,7 @@ class TestFourierCoefficients:
             if n == 0:
                 factor = riemann_factor_brute(list(f.samples), 0, f.ts, 0j)
             else:
-                factor = exp_factor_analog(f, analog_exponent(1j * n * spectrum.omega0))
+                factor = exp_factor_analog(f, 1j * n * spectrum.omega0)
             assert abs(spectrum.coefficient(n) - factor / period_t) <= 1e-12
 
 
@@ -285,7 +283,7 @@ class TestDft:
             scale = max(1.0, np.abs(values).max())
             for n in range(n_samples):
                 a = complex(np.exp(2j * np.pi * n / n_samples))
-                factor = exp_factor_discrete(f, discrete_base(a))
+                factor = exp_factor_discrete(f, a)
                 assert abs(factor - values[n]) <= 1e-13 * scale
 
 
@@ -585,7 +583,7 @@ class TestFourierTransform:
         ]
         for f in signals:
             got = fourier_transform(f, omegas).values
-            want = np.array([exp_factor_analog(f, analog_exponent(1j * w)) for w in omegas])
+            want = np.array([exp_factor_analog(f, 1j * w) for w in omegas])
             assert got.tobytes() == want.tobytes()
 
     def test_empty_signal(self):
@@ -741,6 +739,13 @@ class TestPeriodizeSpectrum:
             periodize_spectrum(spectrum, omega_s=1.0, replicas=0)
         with pytest.raises(ValueError):
             periodize_spectrum(spectrum, omega_s=-1.0, replicas=1)
+
+    @pytest.mark.parametrize("omega_s", [math.inf, math.nan, "1.0", True], ids=repr)
+    def test_omega_s_is_a_finite_number(self, omega_s):
+        # inf overflowed in round(); "1.0" was parsed and True read as 1
+        spectrum = TransformSpectrum(omegas=np.arange(-4, 5) * 0.5, values=np.ones(9))
+        with pytest.raises(ValueError, match="omega_s must be"):
+            periodize_spectrum(spectrum, omega_s, 1)
 
 
 class TestDftVsSeries:

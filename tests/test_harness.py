@@ -282,7 +282,7 @@ class TestRunAll:
         check = next(c for c in report.checks if c.id == "eigen.analog")
         assert not check.skipped and not check.passed
         assert check.residual == math.inf
-        assert check.note == "failed: ValueError: samples contain non-finite values"
+        assert check.note == "failed: ValueError: eigenfactor is not finite; the convolution is ill-defined for this parameter"
         assert not report.passed
 
     def test_overflowing_right_side_fails_without_warning(self):

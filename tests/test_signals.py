@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convfourier.convolution import exp_factor_analog, exp_factor_discrete
 from convfourier.signals import (
     DiscreteSignal,
-    ExpKind,
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
-    analog_exponent,
     delta_approx,
     delta_signal,
-    discrete_base,
     eval_analog_exponential,
     eval_discrete_exponential,
     periodic_delta,
@@ -23,46 +21,60 @@ from convfourier.signals import (
 )
 
 
+# the four functions that take an exponential's complex parameter, each
+# called with a valid signal or point and the parameter last
+_ANALOG_PARAM = [
+    pytest.param(lambda a: eval_analog_exponential(a, 1.0), id="eval_analog"),
+    pytest.param(lambda a: exp_factor_analog(SampledSignal(0.5, 0, [1, 2]), a), id="factor_analog"),
+]
+_DISCRETE_PARAM = [
+    pytest.param(lambda a: eval_discrete_exponential(a, 1), id="eval_discrete"),
+    pytest.param(lambda a: exp_factor_discrete(DiscreteSignal(0, [1, 2]), a), id="factor_discrete"),
+]
+
+
 class TestExpParam:
-    def test_rejects_zero(self):
+    @pytest.mark.parametrize("call", _DISCRETE_PARAM)
+    def test_rejects_zero(self, call):
         with pytest.raises(ValueError):
-            analog_exponent(0)
-        with pytest.raises(ValueError):
-            discrete_base(0)
+            call(0)
 
-    def test_rejects_nonfinite(self):
+    @pytest.mark.parametrize("call", _ANALOG_PARAM + _DISCRETE_PARAM)
+    def test_rejects_nonfinite(self, call):
         with pytest.raises(ValueError):
-            analog_exponent(complex(float("inf"), 0))
+            call(complex(float("inf"), 0))
         with pytest.raises(ValueError):
-            discrete_base(complex(0, float("nan")))
+            call(complex(0, float("nan")))
 
-    def test_kinds(self):
-        assert analog_exponent(1j).kind is ExpKind.ANALOG_EXPONENT
-        assert discrete_base(2).kind is ExpKind.DISCRETE_BASE
+    @pytest.mark.parametrize("call", _ANALOG_PARAM + _DISCRETE_PARAM)
+    @pytest.mark.parametrize("a", ["2", True, np.True_], ids=repr)
+    def test_rejects_text_and_bool(self, call, a):
+        # complex("2") would parse the string, complex(True) read it as 1
+        with pytest.raises(ValueError, match="exponential parameter must be a number"):
+            call(a)
 
 
 class TestEvalAnalogExponential:
     def test_euler_identity(self):
         # e^{j pi} = -1
-        value = eval_analog_exponential(analog_exponent(1j * math.pi), 1.0)
+        value = eval_analog_exponential(1j * math.pi, 1.0)
         assert value.real == pytest.approx(-1.0, abs=1e-15)
         assert value.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_at_zero(self):
-        assert eval_analog_exponential(analog_exponent(1.0), 0.0) == 1.0 + 0j
+        assert eval_analog_exponential(1.0, 0.0) == 1.0 + 0j
+
+    def test_zero_parameter_is_the_constant_one(self):
+        assert eval_analog_exponential(0, 5.0) == 1.0 + 0j
 
     def test_three_quarter_turn(self):
         # cos(3 pi / 2) + j sin(3 pi / 2) = -j
-        value = eval_analog_exponential(analog_exponent(1j * math.pi / 2), 3.0)
+        value = eval_analog_exponential(1j * math.pi / 2, 3.0)
         assert abs(value - (0 - 1j)) < 1e-15
 
     def test_rejects_nonfinite_t(self):
         with pytest.raises(ValueError):
-            eval_analog_exponential(analog_exponent(1.0), float("inf"))
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError):
-            eval_analog_exponential(discrete_base(2), 1.0)
+            eval_analog_exponential(1.0, float("inf"))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -74,36 +86,35 @@ class TestEvalAnalogExponential:
     def test_multiplicative(self, re, im, t1, t2):
         # e^{a(t1+t2)} = e^{a t1} e^{a t2} within 1e-12 relative for |t| <= 100
         a = complex(re, im)
-        if a == 0:
-            a = 1.0 + 0j
-        p = analog_exponent(a)
-        whole = eval_analog_exponential(p, t1 + t2)
-        split = eval_analog_exponential(p, t1) * eval_analog_exponential(p, t2)
+        whole = eval_analog_exponential(a, t1 + t2)
+        split = eval_analog_exponential(a, t1) * eval_analog_exponential(a, t2)
         assert abs(whole - split) <= 1e-12 * max(abs(whole), abs(split), 1e-300)
 
 
 class TestEvalDiscreteExponential:
     def test_j_squared(self):
-        assert eval_discrete_exponential(discrete_base(1j), 2) == -1 + 0j
+        assert eval_discrete_exponential(1j, 2) == -1 + 0j
 
     def test_reciprocal(self):
-        assert eval_discrete_exponential(discrete_base(2), -1) == 0.5 + 0j
+        assert eval_discrete_exponential(2, -1) == 0.5 + 0j
 
     def test_fourth_root_cubed(self):
         # (e^{j 2 pi / 4})^3 = -j
         a = complex(math.cos(math.pi / 2), math.sin(math.pi / 2))
-        value = eval_discrete_exponential(discrete_base(a), 3)
+        value = eval_discrete_exponential(a, 3)
         assert abs(value - (0 - 1j)) < 1e-15
 
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError):
-            eval_discrete_exponential(analog_exponent(1.0), 1)
+    @pytest.mark.parametrize("a, k", [(1e-200, -5), (1e-310, -1), (1e200, 2)], ids=repr)
+    def test_power_beyond_float64_is_overflow(self, a, k):
+        # a^5 underflows to 0 before its reciprocal; 1 / 1e-310 is inf
+        with pytest.raises(OverflowError):
+            eval_discrete_exponential(a, k)
 
     @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"], ids=repr)
     def test_index_is_never_truncated(self, k):
-        assert eval_discrete_exponential(discrete_base(2), np.int64(2)) == 4 + 0j
+        assert eval_discrete_exponential(2, np.int64(2)) == 4 + 0j
         with pytest.raises(ValueError, match="k must be an integer"):
-            eval_discrete_exponential(discrete_base(2), k)
+            eval_discrete_exponential(2, k)
 
 
 class TestSampleFunction:

@@ -67,6 +67,33 @@ def test_riemann_sum_is_never_called_per_point(path):
         assert not calls, f"{path.name}:{loop.lineno} calls a factor kernel in a loop at lines {calls}"
 
 
+def _subscripts_riemann_sum(node) -> bool:
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Call)
+        and (getattr(node.value.func, "attr", None) or getattr(node.value.func, "id", None)) == "_riemann_sum"
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "convolution.py"], ids=lambda p: p.name)
+def test_single_eigenfactor_goes_through_exp_factor_analog(path):
+    # a one-exponent _riemann_sum(...)[0] skips exp_factor_analog's checks of
+    # the parameter and of the factor; batched calls that keep the whole
+    # array stay allowed
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if _subscripts_riemann_sum(node)]
+    assert not lines, f"{path.name} subscripts a _riemann_sum result at lines {lines}"
+
+
+@pytest.mark.parametrize("source, subscripts", [
+    ("conv._riemann_sum(s, t, ts, a)[0]", True), ("_riemann_sum(s, t, ts, a)[i]", True),
+    ("conv._riemann_sum(s, t, ts, a)[:1]", True), ("conv._riemann_sum(s, t, ts, a)", False),
+    ("x = conv._riemann_sum(s, t, ts, a); x[0]", False), ("conv._power_sum(s, k, a)[0]", False),
+])
+def test_riemann_sum_guard_sees_each_form(source, subscripts):
+    assert any(_subscripts_riemann_sum(node) for node in ast.walk(ast.parse(source))) is subscripts
+
+
 # every (module, name) that the package __init__ imports from one of its modules
 _REEXPORTS = [
     (node.module, alias.name)
