@@ -61,21 +61,18 @@ def _check_budget(command: str, sizes: str, *bounds):
 def _finite(what: str, compute, *args):
     """compute(*args), with a result beyond the float64 range raised as OverflowError.
 
-    NumPy's overflow warnings are silenced; a signal constructor rejects a
-    non-finite sample with ValueError, and a spectrum with a non-finite
-    number, metadata included, is rejected here.
+    NumPy's overflow warnings are silenced.  Every signal and spectrum type
+    rejects a non-finite number with ValueError when it is built, so that
+    error, and any other precondition ValueError of the computation, exits 4
+    here; a grid, alias or file error keeps its own exit code.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            result = compute(*args)
+            return compute(*args)
     except (GridMismatchError, AliasingError, SignalFormatError):
         raise
     except ValueError as exc:
         raise OverflowError(f"{what} overflows float64: {exc}") from None
-    numbers = [v for v in vars(result).values() if isinstance(v, (float, np.ndarray))]
-    if not all(np.isfinite(v).all() for v in numbers):
-        raise OverflowError(f"{what} overflows float64: the result is not finite")
-    return result
 
 
 def _write_output(text: str, path: str):

@@ -44,6 +44,7 @@ from .signals import (
     SampledSignal,
     _exp_param,
     _finite_number,
+    _grid_steps,
     _index,
     periodize,
 )
@@ -266,7 +267,7 @@ def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, a) -> complex:
 
 def _on_grid_lag(t0, ts: float) -> int:
     t0 = _finite_number(t0, "time shift")
-    lag = round(t0 / ts)
+    lag = _grid_steps(t0, ts, "time shift", GridMismatchError)
     if not np.isclose(lag * ts, t0, rtol=1e-12, atol=1e-15 * ts):
         raise GridMismatchError(
             f"shift {t0} is not an integer multiple of ts={ts}; resampling is not performed"

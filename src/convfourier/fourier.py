@@ -29,6 +29,9 @@ periods, one circular convolution for the whole stack, so
 blocks of at most ``_RIEMANN_BLOCK // 2`` samples per operand instead of one
 call per pair.  A harmonic index is an integer or an integer array, never
 truncated: 1.7 is rejected, not read as harmonic 1.
+
+The three spectrum types hold numbers by the rule of ``signals``, and a
+spectrum's omegas are checked before its values.
 """
 
 from __future__ import annotations
@@ -46,8 +49,12 @@ from .signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    _as_complex_array,
+    _check_ts,
     _finite_number,
+    _grid_steps,
     _index,
+    _numbers,
 )
 
 __all__ = [
@@ -85,13 +92,10 @@ class SeriesSpectrum:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        period_t = float(self.period_t)
-        if not (math.isfinite(period_t) and period_t > 0):
-            raise ValueError(f"period must be finite and > 0, got {period_t}")
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128).copy()
-        if coeffs.ndim != 1 or coeffs.size % 2 != 1:
+        period_t = _finite_number(self.period_t, "period", positive=True)
+        coeffs = _as_complex_array(self.coeffs, what="coefficients")
+        if coeffs.size % 2 != 1:
             raise ValueError("coefficients must cover a symmetric window -n_max..n_max")
-        coeffs.setflags(write=False)
         object.__setattr__(self, "period_t", period_t)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -121,10 +125,9 @@ class DftSpectrum:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128).copy()
-        if values.ndim != 1 or values.size < 1:
+        values = _as_complex_array(self.values, what="values")
+        if values.size < 1:
             raise ValueError("spectrum needs at least one value")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -143,15 +146,16 @@ class TransformSpectrum:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=np.float64).copy()
-        values = np.asarray(self.values, dtype=np.complex128).copy()
-        if omegas.ndim != 1 or values.shape != omegas.shape:
+        # omegas before values: a frequency grid beyond the float64 range is
+        # reported as such, not as the non-finite values it produces
+        omegas = np.array(_numbers(self.omegas, "omegas"), dtype=np.float64)
+        if omegas.ndim != 1 or np.shape(self.values) != omegas.shape:
             raise ValueError("omegas and values must be matching 1-d arrays")
         if omegas.size == 0:
             raise ValueError("spectrum needs at least one frequency")
         _check_uniform_grid(omegas)
+        values = _as_complex_array(self.values, what="values")
         omegas.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 
@@ -287,7 +291,8 @@ def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSig
     start, count = _index(start, "start"), _index(count, "count")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    t = (start + np.arange(count)) * float(ts)
+    ts = _check_ts(ts)
+    t = (start + np.arange(count)) * ts
     samples = conv._riemann_sum(values, freqs, weight, -1j * t)
     return SampledSignal(ts=ts, start=start, samples=samples)
 
@@ -435,7 +440,7 @@ def periodize_spectrum(
     if omega_s <= 0:
         raise ValueError(f"omega_s must be > 0, got {omega_s}")
     dw = spectrum.delta_omega
-    step = round(omega_s / dw)
+    step = _grid_steps(omega_s, dw, "omega_s", GridMismatchError)
     if step == 0 or not np.isclose(step * dw, omega_s, rtol=1e-9, atol=0):
         raise GridMismatchError(
             f"omega_s={omega_s} is not an integer multiple of the grid step {dw}"

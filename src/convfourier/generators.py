@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import PeriodicSampledSignal, SampledSignal, _check_ts, _index
+from .signals import (
+    PeriodicSampledSignal, SampledSignal, _check_ts, _finite_number, _grid_steps, _index,
+)
 
 __all__ = ["pulse", "cosine", "square", "gaussian"]
 
@@ -15,7 +17,8 @@ def pulse(ts: float, width: float = 1.0) -> SampledSignal:
     width must be an integer number of grid steps.
     """
     ts = _check_ts(ts)
-    steps = round(width / ts)
+    width = _finite_number(width, "width")
+    steps = _grid_steps(width, ts, "pulse width")
     if steps < 1 or not np.isclose(steps * ts, width, rtol=1e-9, atol=0):
         raise ValueError(f"pulse width {width} is not a multiple of ts={ts}")
     return SampledSignal(ts=ts, start=-(steps // 2), samples=np.ones(steps, dtype=np.complex128))
@@ -46,7 +49,8 @@ def square(n_samples: int, ts: float) -> PeriodicSampledSignal:
 def gaussian(ts: float, half_width: float = 6.0) -> SampledSignal:
     """Samples of e^(-t^2) on the symmetric grid |t| <= half_width."""
     ts = _check_ts(ts)
-    k_max = round(half_width / ts)
+    half_width = _finite_number(half_width, "half_width")
+    k_max = _grid_steps(half_width, ts, "half_width")
     if k_max < 1:
         raise ValueError(f"half_width {half_width} shorter than one grid step {ts}")
     k = np.arange(-k_max, k_max + 1)

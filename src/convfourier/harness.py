@@ -53,11 +53,10 @@ class GridParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", sig._index(self.n, "n"))
-        object.__setattr__(self, "ts", float(self.ts))
+        object.__setattr__(self, "ts", sig._check_ts(self.ts))
         object.__setattr__(self, "n_max", sig._index(self.n_max, "n_max"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        sig._check_ts(self.ts)
         four._check_alias_window(self.n_max, self.n)
 
     @property
@@ -366,9 +365,12 @@ def _run_ft_duality(grid, rng):
 def _run_ft_time_scale(grid, rng):
     f = _ft_signal()
     omegas = _ft_grid()
-    # a = -1: time reversal flips the frequency axis exactly
-    lhs = four.fourier_transform(conv.scale_time(f, -1), omegas).values
-    rhs = four.fourier_transform(f, omegas).values[::-1]
+    # a = -1: time reversal flips the frequency axis exactly; the even oracle
+    # is moved 7 samples off centre, or a reversal that returned it unchanged
+    # would pass
+    off_centre = sig.SampledSignal(f.ts, f.start + 7, f.samples)
+    lhs = four.fourier_transform(conv.scale_time(off_centre, -1), omegas).values
+    rhs = four.fourier_transform(off_centre, omegas).values[::-1]
     # a = 2: f(2t) has the transform 1/2 F(w/2), with F taken on f's own grid
     lhs2 = four.fourier_transform(conv.scale_time(f, 2), omegas).values
     rhs2 = 0.5 * four.fourier_transform(f, omegas / 2.0).values

@@ -7,6 +7,11 @@ Euclidean modulo.  Analog signals are represented by their samples on a
 uniform time grid with spacing ``ts`` (seconds), so the value of sample
 ``i`` lives at ``t = (start + i) * ts``.
 
+``_as_complex_array`` reads every stored complex array, here and in the
+spectra of ``fourier``, and ``_finite_number`` every stored scalar such as
+``ts``: a non-finite number, a str or a bool is a ValueError, never parsed
+or read as 0 or 1.
+
 An exponential signal is its complex parameter ``a`` and its family, which
 the function called names: e^(a t) for ``eval_analog_exponential`` and
 ``convolution.exp_factor_analog``, a^k for ``eval_discrete_exponential`` and
@@ -50,14 +55,23 @@ class AliasingError(ValueError):
 
 
 def _as_complex_array(values, *, what: str = "samples") -> np.ndarray:
-    # one copy, so a later write to the caller's array cannot reach the
-    # signal; a complex value is finite only when both parts are
-    arr = np.array(values, dtype=np.complex128)
+    # the one reader of every stored complex array: one copy, so a later
+    # write to the caller's array cannot reach the value that stores it
+    arr = np.array(_numbers(values, what), dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    # a complex value is finite only when both parts are
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contain non-finite values")
     arr.setflags(write=False)
+    return arr
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    # a str or bool array is a ValueError, never parsed or read as 0 and 1
+    arr = np.asarray(values)
+    if arr.dtype.kind in "USb":
+        raise ValueError(f"{what} must be numbers, got a {arr.dtype} array")
     return arr
 
 
@@ -69,14 +83,14 @@ def _index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _finite_number(value, name: str, kind=float):
-    """value as a finite float (or complex, for kind=complex); a str, a bool
-    or a non-finite value is a ValueError, never parsed or read as 0 or 1."""
+def _finite_number(value, name: str, kind=float, *, positive: bool = False):
+    """value as a finite float (or complex, for kind=complex), > 0 if positive;
+    a str, a bool or a non-finite value is a ValueError, never parsed or read as 0 or 1."""
     if isinstance(value, (str, bool, np.bool_)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     value = kind(value)
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    if not (cmath.isfinite(value) and (not positive or value > 0)):
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value}")
     return value
 
 
@@ -88,11 +102,17 @@ def _exp_param(a, *, discrete: bool) -> complex:
     return a
 
 
-def _check_ts(ts: float) -> float:
-    ts = float(ts)
-    if not math.isfinite(ts) or ts <= 0.0:
-        raise ValueError(f"ts must be finite and > 0, got {ts}")
-    return ts
+def _check_ts(ts) -> float:
+    return _finite_number(ts, "ts", positive=True)
+
+
+def _grid_steps(length, step: float, name: str, error=ValueError) -> int:
+    # length / step rounded to an int; a ratio beyond the float64 range is an
+    # ``error`` that names the argument, not round(inf)'s OverflowError
+    ratio = length / step
+    if not math.isfinite(ratio):
+        raise error(f"{name} {length} is beyond the float64 range in steps of {step}")
+    return round(ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +231,7 @@ class PeriodicSampledSignal:
 def eval_analog_exponential(a, t: float) -> complex:
     """Value of e^(a t), split into exp(Re a * t) * (cos + j sin)(Im a * t)."""
     a = _exp_param(a, discrete=False)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    t = _finite_number(t, "t")
     mag = math.exp(a.real * t)
     ang = a.imag * t
     return complex(mag * math.cos(ang), mag * math.sin(ang))

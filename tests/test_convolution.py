@@ -581,6 +581,14 @@ class TestShift:
             shift(f, a)
 
     @pytest.mark.parametrize(
+        "f", [SampledSignal(1e-300, 0, [1]), PeriodicSampledSignal(1e-300, [1])], ids=["sampled", "periodic"]
+    )
+    def test_time_shift_beyond_float64_in_grid_steps(self, f):
+        # 1e10 / 1e-300 is inf, which round() cannot take
+        with pytest.raises(GridMismatchError, match="time shift .* beyond the float64 range"):
+            shift(f, 1e10)
+
+    @pytest.mark.parametrize(
         "a, start", [(1, 4), (0.75, 3), (np.float64(0.75), 3), (Fraction(3, 4), 3)], ids=repr
     )
     def test_time_shift_takes_any_real_on_the_grid(self, a, start):

@@ -747,6 +747,12 @@ class TestPeriodizeSpectrum:
         with pytest.raises(ValueError, match="omega_s must be"):
             periodize_spectrum(spectrum, omega_s, 1)
 
+    def test_replica_step_beyond_float64_in_grid_steps(self):
+        # 1e10 / 1e-300 is inf, which round() cannot take
+        spectrum = TransformSpectrum(omegas=np.arange(3) * 1e-300, values=np.ones(3))
+        with pytest.raises(GridMismatchError, match="omega_s .* beyond the float64 range"):
+            periodize_spectrum(spectrum, 1e10, 1)
+
 
 class TestDftVsSeries:
     def test_cosine_case(self):

@@ -165,6 +165,10 @@ FAULTS = {
         [(convolution, "scale_time", _odd_phase_scale_time)],
         {"ft.time_scale"},
     ),
+    "scale_time ignores a = -1": (
+        [(convolution, "scale_time", lambda f, a: f if a == -1 else _exact_scale_time(f, a))],
+        {"ft.time_scale"},
+    ),
     "forward-difference derivative": (
         [(convolution, "derivative", forward_difference)],
         {"conv.derivative", "ft.derivative"},
@@ -333,17 +337,18 @@ class TestRunAll:
             assert "non-finite" in checks[check_id].note, check_id
 
     def test_nan_trial_mid_fold_fails(self, monkeypatch):
-        # the fourth of 10 trials sees a NaN spectrum, after finite residuals
-        exact, calls = fourier.fourier_transform, []
+        # the fourth of 10 trials has a NaN residual, after finite residuals; a
+        # spectrum cannot hold a NaN, so the NaN is planted in the comparison
+        exact, calls = fourier._compare, []
 
-        def one_nan(f, omegas):
+        def one_nan(lhs, rhs):
             calls.append(None)
-            spectrum = exact(f, omegas)
+            report = exact(lhs, rhs)
             if len(calls) == 4:
-                spectrum = dataclasses.replace(spectrum, values=np.full_like(spectrum.values, np.nan))
-            return spectrum
+                report = report._replace(residual=math.nan)
+            return report
 
-        monkeypatch.setattr(fourier, "fourier_transform", one_nan)
+        monkeypatch.setattr(fourier, "_compare", one_nan)
         monkeypatch.setattr(harness, "REGISTRY", (SPECS["ft.forward"],))
         (check,) = run_all().checks
         assert len(calls) == 10
@@ -352,15 +357,12 @@ class TestRunAll:
 
     def test_nan_last_halving_ratio_fails(self, monkeypatch):
         # the finest of three steps yields NaN: the ratios are [~4, nan]
-        exact = fourier.fourier_transform
+        exact = harness._ft_derivative_residual
 
-        def nan_at_finest(f, omegas):
-            spectrum = exact(f, omegas)
-            if f.ts == 1 / 64:
-                spectrum = dataclasses.replace(spectrum, values=np.full_like(spectrum.values, np.nan))
-            return spectrum
+        def nan_at_finest(ts):
+            return math.nan if ts == 1 / 64 else exact(ts)
 
-        monkeypatch.setattr(fourier, "fourier_transform", nan_at_finest)
+        monkeypatch.setattr(harness, "_ft_derivative_residual", nan_at_finest)
         monkeypatch.setattr(harness, "REGISTRY", (SPECS["ft.derivative"],))
         (check,) = run_all().checks
         assert not check.passed

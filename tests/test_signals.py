@@ -6,6 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convfourier.convolution import exp_factor_analog, exp_factor_discrete
+from convfourier.fourier import (
+    DftSpectrum,
+    SeriesSpectrum,
+    TransformSpectrum,
+    inverse_fourier_transform,
+)
+from convfourier.harness import GridParams
 from convfourier.signals import (
     DiscreteSignal,
     PeriodicDiscreteSignal,
@@ -196,6 +203,45 @@ class TestSampleValidation:
         assert not f.samples.flags.writeable
         with pytest.raises(ValueError):
             f.samples[1] = 0.0
+
+
+# One rule for every number a value holds: each value type stores a finite
+# copy of its numbers, and each stored scalar is a finite number > 0; a str or
+# a bool is rejected, never parsed or read as 0 and 1.
+_VALUE_TYPES = {
+    "DiscreteSignal": lambda v: DiscreteSignal(0, v),
+    "PeriodicDiscreteSignal": PeriodicDiscreteSignal,
+    "SampledSignal": lambda v: SampledSignal(0.5, 0, v),
+    "PeriodicSampledSignal": lambda v: PeriodicSampledSignal(0.5, v),
+    "SeriesSpectrum": lambda v: SeriesSpectrum(1.0, v),
+    "DftSpectrum": DftSpectrum,
+    "TransformSpectrum": lambda v: TransformSpectrum([0.0], v),
+}
+_SCALARS = {
+    "SampledSignal.ts": lambda x: SampledSignal(x, 0, [1.0]),
+    "PeriodicSampledSignal.ts": lambda x: PeriodicSampledSignal(x, [1.0]),
+    "sample_function.ts": lambda x: sample_function(lambda t: 1.0, x, 0, 1),
+    "delta_approx.ts": delta_approx,
+    "inverse_fourier_transform.ts": lambda x: inverse_fourier_transform(
+        TransformSpectrum([0.0, 1.0], [1.0, 1.0]), x, 0, 1
+    ),
+    "GridParams.ts": lambda x: GridParams(ts=x),
+    "SeriesSpectrum.period_t": lambda x: SeriesSpectrum(x, [1.0]),
+}
+_BAD_ARRAYS = [[math.nan], [math.inf], [-math.inf], np.array(["1"]), np.array([b"1"]), np.array([True])]
+_BAD_SCALARS = ["0.5", True, math.inf, math.nan]
+_ONE_RULE = [
+    pytest.param(build, bad, id=f"{name}-{bad!r}")
+    for table, bads in ((_VALUE_TYPES, _BAD_ARRAYS), (_SCALARS, _BAD_SCALARS))
+    for name, build in table.items()
+    for bad in bads
+]
+
+
+@pytest.mark.parametrize("build, bad", _ONE_RULE)
+def test_a_value_holds_only_finite_numbers(build, bad):
+    with pytest.raises(ValueError, match="must be (a number|numbers|finite)|non-finite"):
+        build(bad)
 
 
 class TestValueIndex:
