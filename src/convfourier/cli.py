@@ -20,6 +20,7 @@ from . import generators as gen
 from .harness import GridParams, run_all
 from .io import (
     SignalFormatError,
+    _write_text,
     read_signal,
     series_table_text,
     signal_kind,
@@ -75,19 +76,6 @@ def _finite(what: str, compute, *args):
         raise OverflowError(f"{what} overflows float64: {exc}") from None
 
 
-def _write_output(text: str, path: str):
-    """Write text to path, or to standard output when path is ``-``; a path
-    that cannot be written raises SignalFormatError (exit 2)."""
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SignalFormatError(f"cannot write {path}: {exc}") from None
-
-
 def _generate(args):
     if args.ts is None:
         raise SignalFormatError("--gen requires --ts")
@@ -141,7 +129,7 @@ def _cmd_conv(args) -> int:
             ("len(f)*len(g)", len(f) * len(g), _CONV_MAX_MACS),
         )
     result = _finite(f"{mode} convolution", _CONV_OPS[mode], f, g)
-    _write_output(signal_text(result, args.format), args.out)
+    _write_text((signal_text(result, args.format),), args.out)
     return 0
 
 
@@ -155,7 +143,7 @@ def _cmd_dft(args) -> int:
     f = _single_input(args)
     _require_kind(f, "periodic-discrete", "dft input")
     spectrum = _finite("dft", four.dft, f)
-    _write_output(signal_text(PeriodicDiscreteSignal(spectrum.values), args.format), args.out)
+    _write_text((signal_text(PeriodicDiscreteSignal(spectrum.values), args.format),), args.out)
     return 0
 
 
@@ -163,7 +151,7 @@ def _cmd_idft(args) -> int:
     f = _single_input(args)
     _require_kind(f, "periodic-discrete", "idft input")
     result = _finite("idft", four.idft, four.DftSpectrum(values=f.samples))
-    _write_output(signal_text(result, args.format), args.out)
+    _write_text((signal_text(result, args.format),), args.out)
     return 0
 
 
@@ -178,7 +166,7 @@ def _cmd_series(args) -> int:
         ("L*(2*nmax+1)", length * harmonics, _MAX_TERMS),
     )
     spectrum = _finite("series", four.fourier_coefficients, f, args.nmax)
-    _write_output(series_table_text(spectrum, args.format), args.out)
+    _write_text((series_table_text(spectrum, args.format),), args.out)
     return 0
 
 
@@ -208,7 +196,7 @@ def _cmd_ft(args) -> int:
             f"--omega-min {args.omega_min}: {exc}"
         ) from None
     spectrum = _finite("ft", four.fourier_transform, f, omegas)
-    _write_output(transform_table_text(spectrum, args.format), args.out)
+    _write_text((transform_table_text(spectrum, args.format),), args.out)
     return 0
 
 
@@ -226,7 +214,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         # a bad --n, --ts or --nmax; run_all records each check's own errors
         raise SignalFormatError(str(exc)) from None
-    _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _write_text((json.dumps(report.to_dict(), indent=2) + "\n",), args.out)
     if args.out != "-":
         for c in report.checks:
             print(f"{'pass' if c.passed else 'FAIL'}  {c.id}", file=sys.stderr)

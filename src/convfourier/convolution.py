@@ -20,12 +20,12 @@ exponents a_m in one call.  It assumes the times form an arithmetic
 progression t_k = t_0 + k h and splits each exponential into a two-level
 table, e^(-a t_(jb+i)) = e^(-a t_(jb)) e^(-a (t_i - t_0)) with
 b = ceil(sqrt(L)), so M exponents over L samples take O(M sqrt(L)) exps,
-O(M L) multiply-adds and O(L + block) memory.  Each exponent's value is
-contracted on its own, never through BLAS, so it does not depend on the
-other exponents of the call: the Fourier transform at omega is the
-eigenfactor at a = j omega bit for bit.  ``_power_sum`` is its discrete
-twin, sum_n s_n a_m^(-n) for a whole array of bases a_m, worked in row
-blocks of at most ``_RIEMANN_BLOCK`` powers.
+O(M L) multiply-adds and O(L + block) memory.  A call whose largest
+|Re a| (b - 1) h would exceed 700 takes a narrower table for every exponent,
+each contracted on its own, never through BLAS: the Fourier transform at
+omega is the eigenfactor at a = j omega bit for bit.  ``_power_sum`` is
+its discrete twin, sum_n s_n a_m^(-n) for a whole array of bases a_m,
+worked in row blocks of at most ``_RIEMANN_BLOCK`` powers.
 ``fourier``, ``harness`` and ``cli`` import this module, never a name from it.
 """
 
@@ -178,45 +178,35 @@ def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a) -> np.nda
     ``times`` must be an arithmetic progression t_k = t_0 + k h.  With
     b = ceil(sqrt(L)) the samples are zero-padded into nb = ceil(L / b) rows
     of b, and term jb + i is weighted by coarse[j] * fine[i], where
-    coarse[j] = e^(-a t_(jb)) and fine[i] = e^(-a (t_i - t_0)).  An exponent
-    with |Re a| (b - 1) |h| > 700 gets the largest b that keeps every fine
-    entry finite; b = 1 is the direct sum.  a = 0 is a unit weight.
+    coarse[j] = e^(-a t_(jb)) and fine[i] = e^(-a (t_i - t_0)).  A call whose
+    largest |Re a| (b - 1) |h| exceeds 700 takes the largest b that keeps
+    every fine entry finite; b = 1 is the direct sum.  a = 0 is a unit
+    weight.  Rows go in blocks of _RIEMANN_BLOCK table entries, each one
+    _contract call, so a block's tables are freed before the next.
     """
     a = np.asarray(a, dtype=np.complex128)
-    out = np.zeros(a.size, dtype=np.complex128)
     if samples.size == 0:
-        return out
-    width = math.isqrt(samples.size - 1) + 1
+        return np.zeros(a.size, dtype=np.complex128)
+    b = math.isqrt(samples.size - 1) + 1
     step = abs(float(times[1] - times[0])) if samples.size > 1 else 0.0
+    out = np.empty(a.size, dtype=np.complex128)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         # a non-finite factor is rejected by exp_factor_*'s finiteness check
-        reach = np.abs(a.real) * step
-        if reach.max(initial=0.0) * (width - 1) <= _EXP_REACH:
-            # every exponent takes the full width: one table pass, no grouping
-            return _table_sum(samples, times, ts, a, width)
-        capped = np.fmax(1.0, 1.0 + np.floor(_EXP_REACH / reach))
-        widths = np.where(reach * (width - 1) <= _EXP_REACH, width, capped).astype(np.int64)
-        for b in set(widths.tolist()):
-            rows = np.flatnonzero(widths == b)
-            out[rows] = _table_sum(samples, times, ts, a[rows], b)
-    return out
-
-
-def _table_sum(samples, times, ts, a, b: int) -> np.ndarray:
-    """_riemann_sum at one table width b, in row blocks of _RIEMANN_BLOCK entries;
-    each block is one _contract call, so its tables are freed before the next."""
-    count = -(-samples.size // b)
-    blocks = np.zeros(count * b, dtype=np.complex128)
-    blocks[: samples.size] = samples
-    blocks = blocks.reshape(count, b)
-    # complex here, so that einsum casts no copy of them per block
-    offsets = (times[:b] - times[0]).astype(np.complex128)
-    starts = times[::b].astype(np.complex128)
-    rows = max(1, _RIEMANN_BLOCK // max(b, count))
-    out = np.empty(a.size, dtype=np.complex128)
-    for lo in range(0, a.size, rows):
-        out[lo : lo + rows] = _contract(blocks, offsets, starts, -a[lo : lo + rows])
-    return ts * out
+        reach = np.abs(a.real).max(initial=0.0) * step
+        if not reach * (b - 1) <= _EXP_REACH:
+            # a NaN reach gives b = 1
+            b = int(np.fmax(1.0, 1.0 + np.floor(_EXP_REACH / reach)))
+        count = -(-samples.size // b)
+        blocks = np.zeros(count * b, dtype=np.complex128)
+        blocks[: samples.size] = samples
+        blocks = blocks.reshape(count, b)
+        # complex here, so that einsum casts no copy of them per block
+        offsets = (times[:b] - times[0]).astype(np.complex128)
+        starts = times[::b].astype(np.complex128)
+        rows = max(1, _RIEMANN_BLOCK // max(b, count))
+        for lo in range(0, a.size, rows):
+            out[lo : lo + rows] = _contract(blocks, offsets, starts, -a[lo : lo + rows])
+        return ts * out
 
 
 def _contract(blocks, offsets, starts, na) -> np.ndarray:

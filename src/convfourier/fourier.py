@@ -148,7 +148,7 @@ class TransformSpectrum:
     def __post_init__(self):
         # omegas before values: a frequency grid beyond the float64 range is
         # reported as such, not as the non-finite values it produces
-        omegas = np.array(_numbers(self.omegas, "omegas"), dtype=np.float64)
+        omegas = _real_grid(self.omegas).copy()
         if omegas.ndim != 1 or np.shape(self.values) != omegas.shape:
             raise ValueError("omegas and values must be matching 1-d arrays")
         if omegas.size == 0:
@@ -171,6 +171,14 @@ class TransformSpectrum:
         if not np.isclose(self.omegas[i], omega, rtol=1e-9, atol=1e-12):
             raise KeyError(f"omega={omega} is not on the stored grid")
         return complex(self.values[i])
+
+
+def _real_grid(omegas) -> np.ndarray:
+    # a complex grid is a ValueError, never cast to its real part
+    omegas = _numbers(omegas, "omegas")
+    if omegas.dtype.kind == "c":
+        raise ValueError(f"omegas must be real, got a {omegas.dtype} array")
+    return np.asarray(omegas, dtype=np.float64)
 
 
 def _check_uniform_grid(omegas: np.ndarray):
@@ -366,7 +374,7 @@ def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
     F(omega) = ts * sum_k f(k ts) e^(-j omega k ts) is the eigenfactor of f
     at a = j omega, for every frequency of the (uniform) grid in one Riemann sum.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    omegas = np.atleast_1d(_real_grid(omegas))
     values = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * omegas)
     return TransformSpectrum(omegas=omegas, values=values)
 
@@ -447,7 +455,9 @@ def periodize_spectrum(
         )
     size = spectrum.values.size
     out = np.zeros(size, dtype=np.complex128)
-    for r in range(-replicas, replicas + 1):
+    # a replica shifted by size or more grid steps adds nothing
+    reach = min(replicas, (size - 1) // step)
+    for r in range(-reach, reach + 1):
         lo = max(0, r * step)
         hi = min(size, size + r * step)
         if lo < hi:

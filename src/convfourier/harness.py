@@ -662,10 +662,13 @@ def _run_ft_discretize(grid, rng):
 
 
 def _run_ft_sampling(grid, rng):
-    # a fixed 64-sample pulse at the grid's ts: the identity is about ts, and
-    # a fixed length keeps the work the same at every ts
+    # a fixed 37-sample pulse at the grid's ts: the identity is about ts, and
+    # a fixed length keeps the work the same at every ts.  Off-centre, and of
+    # a length that does not divide the 64 frequencies per omega_s, so its
+    # spectrum vanishes at no grid frequency and the reversal leg sees a
+    # shifted or unreversed pulse
     ts = grid.ts
-    f = sig.SampledSignal(ts, -32, np.ones(64))
+    f = sig.SampledSignal(ts, -20, np.ones(37))
     omega_s = _TWO_PI / ts
     per_period = 64
     dw = omega_s / per_period

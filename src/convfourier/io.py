@@ -29,6 +29,9 @@ by block.  A CSV block is cut after a '\\n', so a file with no '\\n' (lines
 broken by '\\r' alone) is one block.  ``signal_text`` and the table
 functions return one string, joined from blocks that together make a
 second copy of it; ``write_signal`` writes the blocks one at a time.
+Every output, the CLI's included, goes through one writer: ``-`` is
+standard output, and a path that cannot be written is a
+``SignalFormatError``, as a path that cannot be read is.
 
 Where a file has several defects, the error names the first defect of the
 first class in this order, wherever the blocks are cut: metadata, header,
@@ -447,10 +450,23 @@ def signal_text(signal, fmt: str = "csv") -> str:
 
 
 def write_signal(signal, path: str, fmt: str = "csv"):
-    """Write a signal's CSV or JSON text to ``path``, one block of rows at a time."""
-    blocks = _table_text(*_signal_table(signal), fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(blocks)
+    """Write a signal's CSV or JSON text to ``path``, or to standard output
+    when ``path`` is ``-``, one block of rows at a time."""
+    _write_text(_table_text(*_signal_table(signal), fmt), path)
+
+
+def _write_text(chunks, path: str):
+    """The one writer of every output: text chunks to ``path``, or to standard
+    output when ``path`` is ``-``.  Output that cannot be written raises
+    ``SignalFormatError``."""
+    try:
+        if path == "-":
+            sys.stdout.writelines(chunks)
+            return
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise SignalFormatError(f"cannot write {path}: {exc}") from None
 
 
 def series_table_text(spectrum: SeriesSpectrum, fmt: str = "csv") -> str:

@@ -22,7 +22,7 @@ from convfourier.convolution import (
 )
 from convfourier.fourier import harmonic_signal, sampled_harmonic
 from convfourier.generators import gaussian, pulse
-from convfourier.harness import _ft_grid, _ft_signal
+from convfourier.harness import GridParams, _ft_grid, _ft_signal, run_all
 from convfourier.signals import (
     DiscreteSignal,
     GridMismatchError,
@@ -396,20 +396,55 @@ class TestRiemannSum:
 
     @pytest.mark.parametrize("length", [16, 769, 8200, 12289])
     def test_batch_equals_one_at_a_time(self, length):
-        # bit for bit, over more rows than one row block holds and with rows
-        # of three table widths: uncapped, capped and the direct sum (b = 1);
-        # one at a time, an uncapped row takes the one-table pass
+        # bit for bit, over more rows than one row block holds; a call takes
+        # one table width, set by its widest-reaching exponent
         rng = np.random.default_rng(length)
         samples = rand_values(rng, length)
         times = (np.arange(length) - length // 2) * 0.01
         b = math.isqrt(length - 1) + 1
         per_block = convolution._RIEMANN_BLOCK // b
-        a = 1j * rng.uniform(-60.0, 60.0, per_block + 7)
-        a[::5] += 700.0 / (0.01 * (b - 1)) * 1.5
-        a[::7] -= 1e9
-        batched = convolution._riemann_sum(samples, times, 0.01, a)
-        single = [convolution._riemann_sum(samples, times, 0.01, a[i : i + 1])[0] for i in range(a.size)]
-        assert batched.tobytes() == np.array(single).tobytes()
+        imaginary = 1j * rng.uniform(-60.0, 60.0, per_block + 7)
+        cap = 700.0 / (0.01 * (b - 1))
+        capped = imaginary + 1.5 * cap * rng.choice([-1.0, 1.0], imaginary.size)
+        direct = imaginary - 1e9
+
+        def one_at_a_time(a, widest=()):
+            rows = [convolution._riemann_sum(samples, times, 0.01, [x, *widest])[0] for x in a]
+            return np.array(rows).tobytes()
+
+        # one shared reach: the full width, a capped width, and b = 1
+        for a in (imaginary, capped, direct):
+            assert convolution._riemann_sum(samples, times, 0.01, a).tobytes() == one_at_a_time(a)
+        # a mixed batch: each row as if computed with the widest-reaching exponent
+        mixed = imaginary.copy()
+        mixed[::5] = capped[::5]
+        for widest in (mixed[0], direct[0]):
+            batch = np.append(mixed, widest)
+            got = convolution._riemann_sum(samples, times, 0.01, batch).tobytes()
+            assert got == one_at_a_time(batch, [widest])
+            # the width is the call's, not the row's
+            assert got != one_at_a_time(batch)
+
+    @pytest.mark.parametrize("grid", [GridParams(), GridParams(n=16, n_max=0), GridParams(ts=500.0)])
+    def test_no_library_batch_needs_a_narrower_table(self, monkeypatch, grid):
+        # a batch shares its widest-reaching exponent's table width, so every
+        # batch the library makes must fit the full width
+        batches = []
+        kernel = convolution._riemann_sum
+
+        def recording(samples, times, ts, a):
+            a = np.asarray(a, dtype=np.complex128)
+            if a.size > 1:
+                batches.append((samples.size, times, a))
+            return kernel(samples, times, ts, a)
+
+        monkeypatch.setattr(convolution, "_riemann_sum", recording)
+        run_all(grid, seed=1)
+        assert batches
+        for length, times, a in batches:
+            step = abs(float(times[1] - times[0])) if length > 1 else 0.0
+            reach = float(np.abs(a.real).max()) * step * math.isqrt(length - 1)
+            assert reach <= convolution._EXP_REACH, (length, reach)
 
     def test_capped_table_keeps_underflow_at_zero(self):
         # e^(100 t) underflows on t in [-1000, -901]; uncapped, a 10-wide fine
@@ -459,8 +494,8 @@ class TestPowerSum:
         assert exp_factor_discrete(f, a) == want
 
     def test_transient_stays_near_three_blocks(self):
-        # ft.sampling's call: 193 bases x 64 samples is a 193 KiB power matrix
-        # if built at once
+        # 193 bases (ft.sampling's count) x 64 samples is a 193 KiB power
+        # matrix if built at once
         samples = np.ones(64, complex)
         indices = np.arange(-31, 33)
         bases = np.exp(-1j * np.linspace(-np.pi, np.pi, 193))

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,14 @@ class TestSpectrumTypes:
     def test_transform_spectrum_rejects_a_frequency_that_is_not_finite(self, omegas):
         with pytest.raises(ValueError, match="omegas must be finite"):
             TransformSpectrum(omegas=omegas, values=np.zeros(len(omegas)))
+
+    @pytest.mark.parametrize("omegas", [[0.0, 1 + 5j, 2 + 1j], np.arange(3) + 0j], ids=repr)
+    def test_transform_spectrum_rejects_a_complex_grid(self, omegas):
+        # a float64 cast would drop the imaginary parts with only a ComplexWarning
+        with pytest.raises(ValueError, match="omegas must be real"):
+            TransformSpectrum(omegas, np.ones(3))
+        with pytest.raises(ValueError, match="omegas must be real"):
+            fourier_transform(SampledSignal(0.5, 0, [1.0]), omegas)
 
     def test_transform_spectrum_lookup(self):
         s = TransformSpectrum(omegas=np.array([-1.0, 0.0, 1.0]), values=np.array([1, 2, 3.0]))
@@ -746,6 +755,16 @@ class TestPeriodizeSpectrum:
         spectrum = TransformSpectrum(omegas=np.arange(-4, 5) * 0.5, values=np.ones(9))
         with pytest.raises(ValueError, match="omega_s must be"):
             periodize_spectrum(spectrum, omega_s, 1)
+
+    def test_replicas_beyond_the_grid_cost_nothing(self):
+        # only shifts with |r| * step < size reach the grid; the rest cost nothing
+        spectrum = TransformSpectrum(omegas=np.arange(5) * 0.5, values=np.arange(1, 6) + 1j)
+        want = periodize_spectrum(spectrum, 0.5, 4)
+        start = time.perf_counter()
+        got = periodize_spectrum(spectrum, 0.5, 10**7)
+        assert time.perf_counter() - start < 1.0
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.tobytes() != periodize_spectrum(spectrum, 0.5, 3).values.tobytes()
 
     def test_replica_step_beyond_float64_in_grid_steps(self):
         # 1e10 / 1e-300 is inf, which round() cannot take

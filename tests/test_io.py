@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestRoundTrip:
             read_signal(str(tmp_path / "missing.csv"))
         with pytest.raises(SignalFormatError, match="cannot read"):
             read_signal(str(tmp_path))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_signal_stdout_and_unwritable_path(self, tmp_path, monkeypatch, capsys, fmt):
+        # "-" is standard output, as for read_signal, and names no file
+        monkeypatch.chdir(tmp_path)
+        write_signal(SIGNALS[0], "-", fmt)
+        assert capsys.readouterr().out == signal_text(SIGNALS[0], fmt)
+        assert list(tmp_path.iterdir()) == []
+        for path in (tmp_path, tmp_path / "missing" / "out.csv"):
+            with pytest.raises(SignalFormatError, match=f"cannot write {re.escape(str(path))}"):
+                write_signal(SIGNALS[0], str(path), fmt)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_aperiodic(self):
         signal = DiscreteSignal(0, [])
