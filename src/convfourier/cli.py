@@ -136,7 +136,8 @@ def _cmd_conv(args) -> int:
 def _require_kind(signal, wanted: str, what: str):
     kind = signal_kind(signal)
     if kind != wanted:
-        raise SignalFormatError(f"{what} must be a {wanted} signal, got kind={kind}")
+        article = "an" if wanted[0] in "aeiou" else "a"
+        raise SignalFormatError(f"{what} must be {article} {wanted} signal, got kind={kind}")
 
 
 def _cmd_dft(args) -> int:

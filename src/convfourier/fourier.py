@@ -125,10 +125,7 @@ class DftSpectrum:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = _as_complex_array(self.values, what="values")
-        if values.size < 1:
-            raise ValueError("spectrum needs at least one value")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _as_complex_array(self.values, what="values", minimum=1))
 
     @property
     def period(self) -> int:
@@ -167,6 +164,7 @@ class TransformSpectrum:
 
     def value(self, omega: float) -> complex:
         """Value at a grid frequency; omega must land on the grid."""
+        omega = _finite_number(omega, "omega")
         i = int(np.argmin(np.abs(self.omegas - omega)))
         if not np.isclose(self.omegas[i], omega, rtol=1e-9, atol=1e-12):
             raise KeyError(f"omega={omega} is not on the stored grid")
@@ -257,9 +255,7 @@ def _pair_indices(m, n) -> tuple[np.ndarray, np.ndarray]:
 
 def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:
     """Periodic discrete exponential x_n(k) = e^(j n (2 pi / N) k)."""
-    n, period = _index(n, "n"), _index(period, "period")
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    n, period = _index(n, "n"), _index(period, "period", minimum=1)
     return PeriodicDiscreteSignal(samples=_unit_roots(n, period)(np.arange(period)))
 
 
@@ -269,9 +265,7 @@ def sampled_harmonic(n: int, period: int, ts: float) -> PeriodicSampledSignal:
 
 
 def _check_alias_window(n_max: int, period: int):
-    """Reject a harmonic window |n| <= n_max outside 2 n_max < period."""
-    if not 0 <= n_max:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    """Reject a harmonic window |n| <= n_max, n_max >= 0, outside 2 n_max < period."""
     if 2 * n_max >= period:
         raise AliasingError(
             f"harmonic window |n| <= {n_max} exceeds the alias-free range for "
@@ -285,7 +279,7 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     F(n) is the eigenfactor of f at a = j n omega0; harmonics are limited to
     |n| <= n_max < N/2 so the sampled grid resolves them without aliasing.
     """
-    n_max = _index(n_max, "n_max")
+    n_max = _index(n_max, "n_max", minimum=0)
     _check_alias_window(n_max, f.period_samples)
     period_t = f.period_t
     a = 1j * np.arange(-n_max, n_max + 1) * (_TWO_PI / period_t)
@@ -296,9 +290,7 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
 def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSignal:
     """weight * sum_m values[m] e^(j freqs[m] t) at t = (start + k) ts, k < count:
     the Riemann sum with "times" freqs and one exponent a = -j t per output time."""
-    start, count = _index(start, "start"), _index(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    start, count = _index(start, "start"), _index(count, "count", minimum=0)
     ts = _check_ts(ts)
     t = (start + np.arange(count)) * ts
     samples = conv._riemann_sum(values, freqs, weight, -1j * t)
@@ -441,12 +433,8 @@ def periodize_spectrum(
     omega_s must be an integer number of grid steps so the replicas land on
     the stored grid; values outside the grid count as zero.
     """
-    replicas = _index(replicas, "replicas")
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    omega_s = _finite_number(omega_s, "omega_s")
-    if omega_s <= 0:
-        raise ValueError(f"omega_s must be > 0, got {omega_s}")
+    replicas = _index(replicas, "replicas", minimum=1)
+    omega_s = _finite_number(omega_s, "omega_s", positive=True)
     dw = spectrum.delta_omega
     step = _grid_steps(omega_s, dw, "omega_s", GridMismatchError)
     if step == 0 or not np.isclose(step * dw, omega_s, rtol=1e-9, atol=0):

@@ -26,10 +26,8 @@ def pulse(ts: float, width: float = 1.0) -> SampledSignal:
 
 def cosine(n_samples: int, ts: float, harmonic: int = 1) -> PeriodicSampledSignal:
     """One period of cos(harmonic * omega0 * t) on an N-sample grid."""
-    n_samples = _index(n_samples, "n_samples")
+    n_samples = _index(n_samples, "n_samples", minimum=1)
     harmonic = _index(harmonic, "harmonic")
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
     k = np.arange(n_samples)
     return PeriodicSampledSignal(
         ts=ts, samples=np.cos(2.0 * np.pi * harmonic * k / n_samples).astype(np.complex128)

@@ -52,11 +52,10 @@ class GridParams:
     n_max: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "n", sig._index(self.n, "n"))
+        # ts first: `verify --n 0 --ts -1` names ts
         object.__setattr__(self, "ts", sig._check_ts(self.ts))
-        object.__setattr__(self, "n_max", sig._index(self.n_max, "n_max"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", sig._index(self.n, "n", minimum=1))
+        object.__setattr__(self, "n_max", sig._index(self.n_max, "n_max", minimum=0))
         four._check_alias_window(self.n_max, self.n)
 
     @property
@@ -902,7 +901,8 @@ REGISTRY: tuple = (
         "ft.duality",
         "transforming a spectrum again returns 2*pi times the time-reversed signal",
         0.05,
-        "fixed oracle-calibrated grid; residual dominated by band truncation (measured 0.014)",
+        "fixed oracle-calibrated grid; residual dominated by band truncation (measured "
+        "residual 0.0829 at scale 2*pi: 0.0132 relative, margin 0.26)",
         _run_ft_duality,
     ),
     CheckSpec(
@@ -952,7 +952,8 @@ def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:
     infinite residual; no check is ever skipped.
     """
     grid = GridParams() if grid is None else grid
-    streams = np.random.SeedSequence(int(seed)).spawn(len(REGISTRY))
+    seed = sig._index(seed, "seed", minimum=0)
+    streams = np.random.SeedSequence(seed).spawn(len(REGISTRY))
     checks = []
     for spec, stream in zip(REGISTRY, streams):
         rng = np.random.default_rng(stream)
@@ -968,6 +969,6 @@ def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:
         checks.append(_finish(spec, *result))
     return Report(
         checks=tuple(checks),
-        seed=int(seed),
+        seed=seed,
         grid_params={"n": grid.n, "ts": grid.ts, "t": grid.t, "n_max": grid.n_max},
     )

@@ -349,7 +349,10 @@ def _json_stages(rows):
 
 
 def read_signal_text(text: str):
-    """Parse a signal from CSV or JSON text (sniffed by the leading character)."""
+    """Parse a signal from CSV or JSON text (sniffed by the leading character).
+
+    One leading UTF-8 byte-order mark, as spreadsheet programs write, is dropped."""
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if not stripped:
         raise SignalFormatError("empty input")

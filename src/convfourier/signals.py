@@ -54,12 +54,15 @@ class AliasingError(ValueError):
     """A harmonic/frequency request exceeds what the grid can represent."""
 
 
-def _as_complex_array(values, *, what: str = "samples") -> np.ndarray:
-    # the one reader of every stored complex array: one copy, so a later
-    # write to the caller's array cannot reach the value that stores it
+def _as_complex_array(values, *, what: str = "samples", minimum: int = 0) -> np.ndarray:
+    # the one reader of every stored complex array, of at least ``minimum``
+    # entries: one copy, so a later write to the caller's array cannot reach
+    # the value that stores it
     arr = np.array(_numbers(values, what), dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    if arr.size < minimum:
+        raise ValueError(f"{what} must have size >= {minimum}, got size {arr.size}")
     # a complex value is finite only when both parts are
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contain non-finite values")
@@ -75,12 +78,16 @@ def _numbers(values, what: str) -> np.ndarray:
     return arr
 
 
-def _index(value, name: str) -> int:
-    """An integer index as an int; a bool, a float or any other value is a
-    ValueError, never truncated (int(1.7) would read index 1)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _index(value, name: str, minimum: int | None = None) -> int:
+    """An integer index as an int, never below ``minimum`` when one is given;
+    a bool, a float, any other value or one below the bound is a ValueError,
+    never truncated (int(1.7) would read index 1).  Every period, count,
+    harmonic window and seed is read, and its bound checked, here."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _finite_number(value, name: str, kind=float, *, positive: bool = False):
@@ -151,10 +158,7 @@ class PeriodicDiscreteSignal:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_complex_array(self.samples)
-        if arr.size < 1:
-            raise ValueError("periodic signal needs at least one sample")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _as_complex_array(self.samples, minimum=1))
 
     @property
     def period(self) -> int:
@@ -207,10 +211,7 @@ class PeriodicSampledSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "ts", _check_ts(self.ts))
-        arr = _as_complex_array(self.samples)
-        if arr.size < 1:
-            raise ValueError("periodic signal needs at least one sample")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _as_complex_array(self.samples, minimum=1))
 
     @property
     def period_samples(self) -> int:
@@ -257,9 +258,7 @@ def sample_function(
     """Sample an analog signal on the grid t = (start + i) * ts, i < count."""
     ts = _check_ts(ts)
     start = _index(start, "start")
-    count = _index(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    count = _index(count, "count", minimum=0)
     values = np.asarray(
         [complex(f((start + i) * ts)) for i in range(count)], dtype=np.complex128
     )
@@ -283,9 +282,7 @@ def delta_approx(ts: float) -> SampledSignal:
 
 def periodic_delta(n: int) -> PeriodicDiscreteSignal:
     """Identity of period-n circular convolution: 1 at k = 0 within the period."""
-    n = _index(n, "period")
-    if n < 1:
-        raise ValueError(f"period must be >= 1, got {n}")
+    n = _index(n, "period", minimum=1)
     samples = np.zeros(n, dtype=np.complex128)
     samples[0] = 1.0
     return PeriodicDiscreteSignal(samples=samples)
@@ -298,9 +295,7 @@ def periodize(f, period_samples: int):
     when f's support fits in one period this is plain relocation, otherwise
     overlapping wraps add up (time-domain aliasing).
     """
-    n = _index(period_samples, "period_samples")
-    if n < 1:
-        raise ValueError(f"period must be >= 1, got {n}")
+    n = _index(period_samples, "period", minimum=1)
     folded = np.zeros(n, dtype=np.complex128)
     idx = (f.start + np.arange(len(f))) % n
     np.add.at(folded, idx, f.samples)

@@ -157,6 +157,11 @@ class TestDftIdft:
         assert code == 2
         assert "periodic-discrete" in err
 
+    def test_wrong_kind_message_keeps_a_before_periodic(self, tmp_path, capsys):
+        f = write(tmp_path / "f.csv", DISCRETE_A)
+        _, _, err = run(capsys, "idft", f)
+        assert err == "error: idft input must be a periodic-discrete signal, got kind=discrete\n"
+
     def test_json_bool_period_exit_2(self, tmp_path, capsys):
         f = write(tmp_path / "f.json", '{"kind": "periodic-discrete", "n": true, "rows": [[0, 1, 0]]}')
         code, out, err = run(capsys, "dft", f)
@@ -190,6 +195,11 @@ class TestSeries:
         code, _, _ = run(capsys, "series", f, "--nmax", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_gen_cos_sample_count_exit_2_names_the_bound(self, capsys, n):
+        code, out, err = run(capsys, "series", "--gen", "cos", "--n", n, "--ts", "0.25", "--nmax", "0")
+        assert (code, out, err) == (2, "", f"error: --gen cos: n_samples must be >= 1, got {n}\n")
+
 
 class TestFt:
     def test_pulse_at_pi(self, capsys):
@@ -211,6 +221,14 @@ class TestFt:
         row = out.strip().splitlines()[2].split(",")
         value = complex(float(row[1]), float(row[2]))
         assert abs(value - 2 / math.pi) <= 5e-3
+
+    def test_wrong_kind_exit_2_reads_an_analog_signal(self, tmp_path, capsys):
+        f = write(tmp_path / "f.csv", DISCRETE_A)
+        code, out, err = run(
+            capsys, "ft", f, "--omega-min", "0", "--omega-max", "1", "--omega-step", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: ft input must be an analog signal, got kind=discrete\n"
 
     def test_missing_gen_params_exit_2(self, capsys):
         code, _, err = run(
@@ -522,6 +540,10 @@ class TestVerify:
     def test_alias_grid_exit_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "8", "--nmax", "8")
         assert code == 4
+
+    def test_negative_seed_exit_2_names_the_bound(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 def one_error_line(code, out, err, want):

@@ -127,6 +127,14 @@ class TestSpectrumTypes:
         with pytest.raises(KeyError):
             s.value(0.5)
 
+    @pytest.mark.parametrize("omega", [True, np.bool_(True), "1", math.nan, math.inf], ids=repr)
+    def test_transform_spectrum_lookup_reads_a_finite_number(self, omega):
+        # True was read as omega 1 and "1" raised NumPy's UFuncTypeError
+        s = TransformSpectrum(omegas=np.array([-1.0, 0.0, 1.0]), values=np.array([1, 2, 3.0]))
+        with pytest.raises(ValueError, match="^omega must be"):
+            s.value(omega)
+        assert s.value(np.float64(1.0)) == s.value(1) == 3.0
+
 
 class TestFourierCoefficients:
     def test_cosine_halves(self):
@@ -754,6 +762,12 @@ class TestPeriodizeSpectrum:
         # inf overflowed in round(); "1.0" was parsed and True read as 1
         spectrum = TransformSpectrum(omegas=np.arange(-4, 5) * 0.5, values=np.ones(9))
         with pytest.raises(ValueError, match="omega_s must be"):
+            periodize_spectrum(spectrum, omega_s, 1)
+
+    @pytest.mark.parametrize("omega_s", [0.0, -1.0, -0.0])
+    def test_omega_s_is_positive(self, omega_s):
+        spectrum = TransformSpectrum(omegas=np.arange(-4, 5) * 0.5, values=np.ones(9))
+        with pytest.raises(ValueError, match=f"^omega_s must be finite and > 0, got {omega_s}$"):
             periodize_spectrum(spectrum, omega_s, 1)
 
     def test_replicas_beyond_the_grid_cost_nothing(self):

@@ -277,6 +277,18 @@ class TestRunAll:
         b = run_all(seed=6)
         assert a.to_dict() != b.to_dict()
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "3", np.float64(2.0)], ids=repr)
+    def test_seed_is_an_integer(self, seed):
+        # int(seed) ran and reported seed 1 for 1.7 and True, and parsed "3"
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            run_all(seed=seed)
+
+    def test_numpy_integer_seed_reports_an_int(self):
+        grid = GridParams(n=8, n_max=1)
+        report = run_all(grid, seed=np.int64(7))
+        assert report.seed == 7 and type(report.seed) is int
+        assert report.to_dict() == run_all(grid, seed=7).to_dict()
+
     @pytest.mark.parametrize(
         "grid",
         [GridParams(n=1, ts=1.0, n_max=0), GridParams(n=2, ts=0.5, n_max=0),

@@ -189,6 +189,38 @@ class TestJsonParsing:
             read_signal_text("   ")
 
 
+class TestByteOrderMark:
+    # spreadsheet programs save "CSV UTF-8" with a leading U+FEFF, which used
+    # to be read as a missing metadata line (and a BOM JSON file as CSV)
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        assert np.array_equal(got.samples, want.samples)
+        assert getattr(got, "ts", None) == getattr(want, "ts", None)
+        assert getattr(got, "start", None) == getattr(want, "start", None)
+
+    @pytest.mark.parametrize("signal", SIGNALS, ids=lambda s: signal_kind(s))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_leading_bom_is_dropped(self, signal, fmt, tmp_path, monkeypatch):
+        text = signal_text(signal, fmt)
+        want = read_signal_text(text)
+        self.assert_same(read_signal_text("\ufeff" + text), want)
+        path = tmp_path / f"bom.{fmt}"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        self.assert_same(read_signal(str(path)), want)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        self.assert_same(read_signal("-"), want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# kind=discrete\nindex,re,im\n0,\ufeff1,0\n", "non-ASCII"),
+        ("\ufeff\ufeff# kind=discrete\nindex,re,im\n0,1,0\n", "metadata"),
+    ], ids=["in-a-cell", "second-bom"])
+    def test_any_other_bom_is_rejected(self, text, message):
+        with pytest.raises(SignalFormatError, match=message):
+            read_signal_text(text)
+
+
 class TestTables:
     def test_series_table_has_factor_column(self):
         spectrum = SeriesSpectrum(period_t=2.0, coeffs=np.array([0.25j, 1.0, 0.5]))

@@ -374,3 +374,59 @@ def test_integer_argument_is_never_truncated(site):
 def test_discrete_shift_keeps_its_integral_float_rule():
     assert shift(DiscreteSignal(0, [1]), 3.0).start == 3
     assert shift(PeriodicDiscreteSignal([1, 0, 0]), -1.0).samples.tolist() == [0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Every lower bound on an integer argument is checked by the reader itself,
+# `_index(value, name, minimum)`, with one message; the periodic types and
+# DftSpectrum take at least one entry through `_as_complex_array`.
+# ---------------------------------------------------------------------------
+
+from convfourier.harness import run_all  # noqa: E402
+
+# site -> (call with the argument, the argument's name, its minimum)
+BOUNDED_ARGUMENTS = {
+    "harmonic_signal.period": (lambda v: four.harmonic_signal(1, v), "period", 1),
+    "sample_function.count": (lambda v: sample_function(abs, 0.5, 0, v), "count", 0),
+    "periodic_delta": (periodic_delta, "period", 1),
+    "periodize": (lambda v: periodize(DiscreteSignal(0, [1, 2, 3]), v), "period", 1),
+    "cosine": (lambda v: cosine(v, 1 / 16), "n_samples", 1),
+    "GridParams.n": (lambda v: GridParams(n=v, n_max=0), "n", 1),
+    "GridParams.n_max": (lambda v: GridParams(n_max=v), "n_max", 0),
+    "fourier_coefficients": (lambda v: four.fourier_coefficients(cosine(16, 1 / 16), v), "n_max", 0),
+    "series_synthesize.count": (lambda v: four.series_synthesize(_SERIES, 0.25, 0, v), "count", 0),
+    "inverse_fourier_transform.count": (
+        lambda v: four.inverse_fourier_transform(_SPECTRUM, 0.25, 0, v), "count", 0
+    ),
+    "periodize_spectrum": (lambda v: four.periodize_spectrum(_SPECTRUM, 1.0, v), "replicas", 1),
+    "run_all": (lambda v: run_all(GridParams(n=8, n_max=1), seed=v), "seed", 0),
+}
+
+
+@pytest.mark.parametrize("site", BOUNDED_ARGUMENTS)
+def test_bound_is_checked_by_the_reader(site):
+    call, name, minimum = BOUNDED_ARGUMENTS[site]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {minimum + 0.5}$"):
+        call(minimum + 0.5)
+    for below in (minimum - 1, np.int64(minimum - 5)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got {below}$"):
+            call(below)
+    call(minimum)
+    call(np.int64(minimum))
+
+
+# type -> (constructor from a sample array, the array's name)
+NON_EMPTY_ARRAYS = {
+    "PeriodicDiscreteSignal": (PeriodicDiscreteSignal, "samples"),
+    "PeriodicSampledSignal": (lambda a: PeriodicSampledSignal(0.5, a), "samples"),
+    "DftSpectrum": (DftSpectrum, "values"),
+}
+
+
+@pytest.mark.parametrize("kind", NON_EMPTY_ARRAYS)
+def test_periodic_types_need_one_entry(kind):
+    make, name = NON_EMPTY_ARRAYS[kind]
+    for empty in ([], np.zeros(0, dtype=complex)):
+        with pytest.raises(ValueError, match=f"^{name} must have size >= 1, got size 0$"):
+            make(empty)
+    assert make([2j]).value(3) == 2j

@@ -144,3 +144,36 @@ def test_no_call_reaches_blas(path):
 ])
 def test_blas_guard_sees_each_form(source, reaches):
     assert any(_reaches_blas(node) for node in ast.walk(ast.parse(source))) is reaches
+
+
+# A lower bound on an integer is stated once, by `signals._index(value, name,
+# minimum)`.  `cli.py` is exempt: its --nmax and --omega-max flag checks raise
+# SignalFormatError, not the reader's ValueError.
+_BOUNDED_SOURCES = [p for p in SOURCES if p.name not in ("signals.py", "cli.py")]
+
+
+def _states_a_bound(node) -> bool:
+    return isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and "must be >= " in str(part.value)
+        for part in ast.walk(node)
+    )
+
+
+@pytest.mark.parametrize("path", _BOUNDED_SOURCES, ids=lambda p: p.name)
+def test_no_hand_written_lower_bound(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if _states_a_bound(node)]
+    assert not lines, f"{path.name} raises 'must be >= ' at lines {lines}: use _index(..., minimum=)"
+
+
+@pytest.mark.parametrize("source, states", [
+    ('raise ValueError(f"n must be >= 1, got {n}")', True),
+    ('raise ValueError("count must be >= 0")', True),
+    ('raise ValueError(f"{name} must be >= {minimum}, got {value}")', True),
+    ('raise ValueError("replicas must be " ">= 1")', True),
+    ('raise ValueError(f"n must be an integer, got {n!r}")', False),
+    ('message = "n must be >= 1"', False),
+    ("raise", False),
+])
+def test_bound_guard_sees_each_form(source, states):
+    assert any(_states_a_bound(node) for node in ast.walk(ast.parse(source))) is states
