@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -181,8 +182,10 @@ def _cmd_ft(args) -> int:
     if args.omega_max < args.omega_min:
         raise SignalFormatError("--omega-max must be >= --omega-min")
     # omega = min + k step for every k with omega <= max; a span within 1e-9
-    # of a whole number of steps keeps its last frequency
-    count = math.floor((args.omega_max - args.omega_min) / args.omega_step + 1e-9) + 1
+    # of a whole number of steps keeps its last frequency, and a span beyond
+    # the float64 range in steps counts inf frequencies
+    span = (args.omega_max - args.omega_min) / args.omega_step + 1e-9
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     length = f.samples.size
     _check_budget(
         "ft", f"M={count} frequencies x L={length} samples",
@@ -236,6 +239,9 @@ def _add_io_flags(p, with_gen: bool):
         p.add_argument("--width", type=float, default=1.0, help="pulse width for --gen pulse")
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _UsageError(Exception):
     """A command line that argparse rejects (exit 2)."""
 
@@ -244,6 +250,12 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise _UsageError, so that ``main``
     returns 2 with one ``error:`` line instead of argparse printing its usage
     and exiting; ``--help`` still prints and exits 0."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads only -1 and -1.5 as negative numbers
+        # and takes -1e-3 or -inf for a flag; every float text is a value
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise _UsageError(message)

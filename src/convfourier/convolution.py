@@ -32,6 +32,7 @@ worked in row blocks of at most ``_RIEMANN_BLOCK`` powers.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +46,7 @@ from .signals import (
     _exp_param,
     _finite_number,
     _grid_steps,
-    _index,
+    _integral,
     periodize,
 )
 
@@ -255,41 +256,22 @@ def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, a) -> complex:
     return _finite(_riemann_sum(f.samples, f.times(), f.ts, np.array([a]))[0])
 
 
-def _on_grid_lag(t0, ts: float) -> int:
-    t0 = _finite_number(t0, "time shift")
-    lag = _grid_steps(t0, ts, "time shift", GridMismatchError)
-    if not np.isclose(lag * ts, t0, rtol=1e-12, atol=1e-15 * ts):
-        raise GridMismatchError(
-            f"shift {t0} is not an integer multiple of ts={ts}; resampling is not performed"
-        )
-    return lag
-
-
-def _int_lag(a) -> int:
-    """A discrete shift as an int: an integer, or a float with an integral value."""
-    if isinstance(a, float):
-        if not a.is_integer():
-            raise ValueError(f"discrete shift must be an integer lag, got {a}")
-        return int(a)
-    return _index(a, "discrete shift")
-
-
 def shift(f, a):
     """Shifted signal [f]_a(t) = f(t - a).
 
     Discrete signals take an integer lag; sampled signals take a time shift
-    in seconds that must land on the grid.  Aperiodic signals move their
-    start index, periodic ones rotate their sample window.
+    in seconds that must be a whole number of steps of ts.  Aperiodic
+    signals move their start index, periodic ones rotate their sample window.
     """
-    if isinstance(f, DiscreteSignal):
-        return DiscreteSignal(start=f.start + _int_lag(a), samples=f.samples)
-    if isinstance(f, PeriodicDiscreteSignal):
-        return PeriodicDiscreteSignal(samples=np.roll(f.samples, _int_lag(a)))
-    if isinstance(f, SampledSignal):
-        return SampledSignal(ts=f.ts, start=f.start + _on_grid_lag(a, f.ts), samples=f.samples)
-    if isinstance(f, PeriodicSampledSignal):
-        return PeriodicSampledSignal(ts=f.ts, samples=np.roll(f.samples, _on_grid_lag(a, f.ts)))
-    raise TypeError(f"cannot shift {type(f).__name__}")
+    if isinstance(f, (DiscreteSignal, PeriodicDiscreteSignal)):
+        lag = _integral(a, "discrete shift")
+    elif isinstance(f, (SampledSignal, PeriodicSampledSignal)):
+        lag = _grid_steps(_finite_number(a, "time shift"), f.ts, "time shift", GridMismatchError)
+    else:
+        raise TypeError(f"cannot shift {type(f).__name__}")
+    if isinstance(f, (DiscreteSignal, SampledSignal)):
+        return replace(f, start=f.start + lag)
+    return replace(f, samples=np.roll(f.samples, lag))
 
 
 def scale_time(f: SampledSignal, a) -> SampledSignal:
@@ -298,18 +280,11 @@ def scale_time(f: SampledSignal, a) -> SampledSignal:
     Only exact re-indexings are performed: the result lives on the grid
     ts' = q * ts, where sample k picks f's stored sample at index p*k.
     Integer a keeps ts and decimates; a = 1/m re-grids every sample onto
-    spacing m*ts; no interpolation ever happens.  Non-rational (or
-    non-integral float) factors are rejected, and so are a str and a bool.
+    spacing m*ts; no interpolation ever happens.  Any factor other than a
+    Fraction is read by ``_integral``: a fractional float is rejected, and
+    so are a str and a bool.
     """
-    if isinstance(a, (str, bool, np.bool_)):
-        raise ValueError(f"scale factor must be a number, got {a!r}")
-    if isinstance(a, float):
-        if not a.is_integer():
-            raise ValueError(
-                f"scale factor {a} is not grid-exact; pass an int or Fraction"
-            )
-        a = int(a)
-    a = Fraction(a)
+    a = a if isinstance(a, Fraction) else Fraction(_integral(a, "scale factor"))
     if a == 0:
         raise ValueError("scale factor must be nonzero")
     p, q = a.numerator, a.denominator

@@ -235,9 +235,10 @@ def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
 
 
 def _unit_roots(n, period: int):
-    """Index function k -> e^(j 2 pi n k / period), with the angle n k reduced mod
-    period; n is an int, or a (rows, 1) integer column for one row per harmonic."""
-    return lambda k: np.exp(2j * np.pi * ((n * k) % period) / period)
+    """Index function k -> e^(j 2 pi n k / period), with n and then the angle n k
+    reduced mod period, so no product wraps in int64; n is an int, or a
+    (rows, 1) integer column for one row per harmonic."""
+    return lambda k: np.exp(2j * np.pi * (((n % period) * k) % period) / period)
 
 
 def _pair_indices(m, n) -> tuple[np.ndarray, np.ndarray]:
@@ -430,17 +431,12 @@ def periodize_spectrum(
 ) -> TransformSpectrum:
     """Sum shifted replicas F(omega - r * omega_s) for |r| <= replicas.
 
-    omega_s must be an integer number of grid steps so the replicas land on
-    the stored grid; values outside the grid count as zero.
+    omega_s must be a whole number (at least 1) of grid steps so the replicas
+    land on the stored grid; values outside the grid count as zero.
     """
     replicas = _index(replicas, "replicas", minimum=1)
     omega_s = _finite_number(omega_s, "omega_s", positive=True)
-    dw = spectrum.delta_omega
-    step = _grid_steps(omega_s, dw, "omega_s", GridMismatchError)
-    if step == 0 or not np.isclose(step * dw, omega_s, rtol=1e-9, atol=0):
-        raise GridMismatchError(
-            f"omega_s={omega_s} is not an integer multiple of the grid step {dw}"
-        )
+    step = _grid_steps(omega_s, spectrum.delta_omega, "omega_s", GridMismatchError, minimum=1)
     size = spectrum.values.size
     out = np.zeros(size, dtype=np.complex128)
     # a replica shifted by size or more grid steps adds nothing

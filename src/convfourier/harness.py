@@ -156,8 +156,8 @@ def _random_trig_poly(rng, grid: GridParams) -> sig.PeriodicSampledSignal:
 
 
 def _bump(ts, half_width, rate) -> sig.SampledSignal:
-    """e^(-rate t^2) sampled on |t| <= half_width, at least one step each side."""
-    half = max(1, round(half_width / ts))
+    """e^(-rate t^2) sampled on |t| <= half_width, a whole number (at least 1) of steps."""
+    half = sig._grid_steps(half_width, ts, "half_width", minimum=1)
     t = np.arange(-half, half + 1) * ts
     return sig.SampledSignal(ts, -half, np.exp(-rate * t * t))
 

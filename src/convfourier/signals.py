@@ -113,13 +113,33 @@ def _check_ts(ts) -> float:
     return _finite_number(ts, "ts", positive=True)
 
 
-def _grid_steps(length, step: float, name: str, error=ValueError) -> int:
-    # length / step rounded to an int; a ratio beyond the float64 range is an
-    # ``error`` that names the argument, not round(inf)'s OverflowError
+def _integral(value, name: str) -> int:
+    """An integer, or a float holding an integral value, as an int; a str, a
+    bool, a complex or a fractional or non-finite float is a ValueError.
+    Every discrete lag and integer scale factor is read here."""
+    if isinstance(value, (str, bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, (float, np.floating)):
+        return _index(value, name)
+    # inf and nan are not integral
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _grid_steps(length, step, name: str, error=ValueError, minimum: int | None = None) -> int:
+    """length as a whole number of steps, never below ``minimum``; a count
+    beyond float64, 1e-12 (relative) off the grid or below the bound is an
+    ``error`` naming the argument, never rounded.  Every grid length is read here."""
     ratio = length / step
     if not math.isfinite(ratio):
         raise error(f"{name} {length} is beyond the float64 range in steps of {step}")
-    return round(ratio)
+    steps = round(ratio)
+    if abs(steps * step - length) > 1e-12 * abs(length) + 1e-15 * step:
+        raise error(f"{name} {length} is not a whole number of steps of {step}")
+    if minimum is not None and steps < minimum:
+        raise error(f"{name} must be >= {minimum} steps of {step}, got {length}")
+    return steps
 
 
 @dataclass(frozen=True, eq=False)

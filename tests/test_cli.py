@@ -261,6 +261,32 @@ class TestFt:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "span", [["--omega-min", "-1e308", "--omega-max", "1e308", "--omega-step", "1"],
+                 ["--omega-min", "0", "--omega-max", "1", "--omega-step", "5e-324"]],
+        ids=["span", "step"],
+    )
+    def test_frequency_count_overflow_is_over_the_budget(self, capsys, span):
+        # the inf count was Python's "cannot convert float infinity to integer"
+        code, out, err = run(capsys, "ft", "--gen", "pulse", "--ts", "0.25", *span)
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: ft work budget exceeded: M=inf frequencies x L=4 samples; "
+            f"the limit is M <= {cli._FT_MAX_FREQUENCIES}, L*M <= {cli._MAX_TERMS}\n"
+        )
+
+    @pytest.mark.parametrize("omega_min, first", [("-1.5e0", -1.5), ("-2E-3", -0.002), ("-.5", -0.5)])
+    def test_negative_value_in_exponent_form_is_a_value(self, capsys, omega_min, first):
+        # argparse took -1.5e0 for a flag: "expected one argument"
+        code, out, err = run(capsys, *pulse_ft(omega_min, "0", "0.5"))
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[2].split(",")[0]) == first
+
+    def test_negative_infinity_is_a_value(self, capsys):
+        code, out, err = run(capsys, *pulse_ft("-inf", "0", "1"))
+        assert (code, out) == (2, "")
+        assert err == "error: --omega-min, --omega-max and --omega-step must be finite\n"
+
+    @pytest.mark.parametrize(
         "gen_args",
         [
             # 10^12 frequencies: np.arange alone would ask for 7.28 TiB
@@ -522,6 +548,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--tol-scale", "1e6")
         one_error_line(code, out, err, 2)
         assert "unrecognized arguments: --tol-scale" in err
+
+    @pytest.mark.parametrize("ts", ["-1e-3", "-1.5e0", "-2E-3", "-inf"])
+    def test_negative_ts_in_exponent_form_is_a_value(self, capsys, ts):
+        # argparse took -1e-3 for a flag: "expected one argument"
+        code, out, err = run(capsys, "verify", "--ts", ts)
+        assert (code, out) == (2, "")
+        assert err == f"error: ts must be finite and > 0, got {float(ts)}\n"
 
     def test_overflowing_grid_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--ts", "1000", "--out", str(tmp_path / "r.json"))

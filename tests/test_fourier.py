@@ -475,6 +475,18 @@ class TestDftOrthogonality:
             sampled_harmonic(np.uint8(3), 8, 0.25).samples, sampled_harmonic(3, 8, 0.25).samples
         )
 
+    @pytest.mark.parametrize("period", [3, 8])
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1, 10**30, -(2**62) - 1, -7], ids=repr)
+    def test_harmonic_is_reduced_mod_the_period(self, n, period):
+        # n * k wrapped in int64 (2^62 gave errors of 1.73 at period 3), and
+        # 10^30 was an OverflowError
+        want = harmonic_signal(n % period, period).samples
+        assert harmonic_signal(n, period).samples.tobytes() == want.tobytes()
+        assert sampled_harmonic(n, period, 0.25).samples.tobytes() == want.tobytes()
+        if abs(n) < 2**63:
+            column = fourier._unit_roots(np.array([[n]], dtype=np.int64), period)(np.arange(period))
+            assert column.tobytes() == want.tobytes()
+
 
 def test_row_stacked_eigenrelation_is_its_rows_bit_for_bit():
     # f a (rows, N) stack of periods, expo a (rows, 1) column of harmonics and

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convfourier.generators import cosine, gaussian, pulse
+from convfourier.generators import gaussian, pulse
 
 
 @pytest.mark.parametrize("make", [pulse, gaussian], ids=["pulse", "gaussian"])
@@ -12,18 +12,6 @@ def test_grid_spacing_is_checked_before_use(make, ts):
     # 0 divided the width by zero; -0.25 blamed the half-width
     with pytest.raises(ValueError, match="ts must be finite and > 0"):
         make(ts)
-
-
-@pytest.mark.parametrize("harmonic", [1.5, 2.0, True, "1"], ids=repr)
-def test_cosine_harmonic_is_an_integer(harmonic):
-    # harmonic 1.5 gave a "periodic" signal that does not repeat over its samples
-    with pytest.raises(ValueError, match="harmonic must be an integer"):
-        cosine(8, 0.1, harmonic=harmonic)
-
-
-def test_cosine_harmonic_repeats_over_the_period():
-    f = cosine(8, 0.1, harmonic=np.int64(3))
-    assert np.allclose(f.samples, np.cos(2 * np.pi * 3 * np.arange(8) / 8), atol=0)
 
 
 @pytest.mark.parametrize(
@@ -49,3 +37,10 @@ def test_length_beyond_float64_in_grid_steps(make, name):
     # the default length over ts = 1e-320 is inf, which round() cannot take
     with pytest.raises(ValueError, match=f"{name} .* beyond the float64 range"):
         make(1e-320)
+
+
+def test_half_width_is_a_whole_number_of_steps():
+    # 1.1 / 0.3 rounded to 4 steps put samples at |t| = 1.2, past the half-width
+    with pytest.raises(ValueError, match="^half_width 1.1 is not a whole number of steps of 0.3$"):
+        gaussian(0.3, 1.1)
+    assert np.abs(gaussian(0.3, 1.2).times()).max() <= 1.2 * (1 + 1e-12)

@@ -430,3 +430,79 @@ def test_periodic_types_need_one_entry(kind):
         with pytest.raises(ValueError, match=f"^{name} must have size >= 1, got size 0$"):
             make(empty)
     assert make([2j]).value(3) == 2j
+
+
+# ---------------------------------------------------------------------------
+# Every length on a grid is a whole number of steps, read by
+# `signals._grid_steps(length, step, name, error, minimum)`; every lag and
+# scale factor is an integer, read by `signals._integral`.
+# ---------------------------------------------------------------------------
+
+import re  # noqa: E402
+
+from convfourier import harness  # noqa: E402
+from convfourier.convolution import scale_time  # noqa: E402
+from convfourier.generators import gaussian, pulse  # noqa: E402
+from convfourier.signals import GridMismatchError  # noqa: E402
+
+# site -> (call with the length, the step, the length's name, its error,
+# a length below the minimum or None when there is no minimum)
+GRID_LENGTHS = {
+    "shift.sampled": (
+        lambda v: shift(SampledSignal(0.25, 0, [1]), v), 0.25, "time shift", GridMismatchError, None
+    ),
+    "shift.periodic": (
+        lambda v: shift(PeriodicSampledSignal(0.25, [1, 2]), v), 0.25, "time shift", GridMismatchError, None
+    ),
+    "pulse": (lambda v: pulse(0.25, v), 0.25, "pulse width", ValueError, 0.0),
+    "gaussian": (lambda v: gaussian(0.25, v), 0.25, "half_width", ValueError, 0.0),
+    # a positive omega_s under 1e-15 steps counts as 0 steps
+    "periodize_spectrum": (
+        lambda v: four.periodize_spectrum(_SPECTRUM, v, 1), 0.5, "omega_s", GridMismatchError, 1e-17
+    ),
+    "_bump": (lambda v: harness._bump(0.25, v, 2.0), 0.25, "half_width", ValueError, 0.0),
+}
+
+
+@pytest.mark.parametrize("site", GRID_LENGTHS)
+def test_grid_length_is_a_whole_number_of_steps(site):
+    call, step, name, error, below = GRID_LENGTHS[site]
+    call(3 * step)
+    # pulse, gaussian, periodize_spectrum and _bump rounded this to 3 steps
+    off = 3 * step * (1 + 1e-10)
+    message = f"{name} {off} is not a whole number of steps of {step}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(off)
+    if below is None:
+        call(-3 * step)
+    else:
+        # _bump read 0 as one step
+        with pytest.raises(error, match=f"^{name} must be >= 1 steps of {step}, got {below}$"):
+            call(below)
+    with pytest.raises(error, match=f"^{name} 1e\\+308 is beyond the float64 range in steps of {step}$"):
+        call(1e308)
+
+
+# site -> (call with the integer, the integer's name)
+INTEGRAL_SCALARS = {
+    "shift.discrete": (lambda v: shift(DiscreteSignal(0, [1]), v).start, "discrete shift"),
+    "shift.periodic": (
+        lambda v: shift(PeriodicDiscreteSignal([1, 0, 0, 0]), v).samples.argmax(), "discrete shift"
+    ),
+    "scale_time": (lambda v: len(scale_time(SampledSignal(0.5, 0, [1, 2, 3, 4, 5]), v)), "scale factor"),
+}
+
+
+@pytest.mark.parametrize("site", INTEGRAL_SCALARS)
+def test_integral_scalar_is_read_once(site):
+    call, name = INTEGRAL_SCALARS[site]
+    want = call(2)
+    # np.float32(2.0) was "must be an integer"; 1j was scale_time's TypeError
+    for good in (2.0, np.float64(2.0), np.float32(2.0), np.int8(2)):
+        assert call(good) == want
+    for bad in (1.5, np.float32(1.5), math.inf, math.nan, 1j, 2 + 0j):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(bad)
+    for bad in ("2", True, np.True_):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            call(bad)

@@ -177,3 +177,47 @@ def test_no_hand_written_lower_bound(path):
 ])
 def test_bound_guard_sees_each_form(source, states):
     assert any(_states_a_bound(node) for node in ast.walk(ast.parse(source))) is states
+
+
+# A length on a grid is a whole number of steps and a lag or scale factor an
+# integer, decided once by `signals._grid_steps` and `signals._integral`:
+# outside signals.py no code tests `x.is_integer()` or `isclose(steps * step,
+# length)`.
+_GRID_SOURCES = [p for p in SOURCES if p.name != "signals.py"]
+
+
+def _tests_integrality(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "is_integer"
+
+
+def _tests_grid_product(node) -> bool:
+    if not (isinstance(node, ast.Call) and node.args):
+        return False
+    name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    first = node.args[0]
+    return name == "isclose" and isinstance(first, ast.BinOp) and isinstance(first.op, ast.Mult)
+
+
+@pytest.mark.parametrize("path", _GRID_SOURCES, ids=lambda p: p.name)
+def test_no_hand_written_grid_check(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [n.lineno for n in ast.walk(tree) if _tests_integrality(n) or _tests_grid_product(n)]
+    assert not lines, f"{path.name} checks a grid or an integer at lines {lines}: use _grid_steps or _integral"
+
+
+@pytest.mark.parametrize("source, tests", [
+    ("a.is_integer()", True), ("float(a).is_integer()", True), ("check = a.is_integer", True),
+    ("is_integer(a)", False), ("_integral(a, 'lag')", False), ("a.is_integral()", False),
+])
+def test_integrality_guard_sees_each_form(source, tests):
+    assert any(_tests_integrality(node) for node in ast.walk(ast.parse(source))) is tests
+
+
+@pytest.mark.parametrize("source, tests", [
+    ("np.isclose(steps * ts, width, rtol=1e-9, atol=0)", True),
+    ("math.isclose(lag * ts, t0, rel_tol=1e-12)", True), ("isclose(n * dw, omega_s)", True),
+    ("np.isclose(self.omegas[i], omega)", False), ("np.isclose(a, b * c)", False),
+    ("np.allclose(steps * ts, width)", False), ("np.isclose(a + b, c)", False),
+])
+def test_grid_product_guard_sees_each_form(source, tests):
+    assert any(_tests_grid_product(node) for node in ast.walk(ast.parse(source))) is tests
