@@ -163,7 +163,8 @@ class TransformSpectrum:
         return float(self.omegas[1] - self.omegas[0])
 
     def value(self, omega: float) -> complex:
-        """Value at a grid frequency; omega must land on the grid."""
+        """Value at the stored frequency within rtol 1e-9, atol 1e-12 of omega: a lookup,
+        not a grid read, so offset grids and frequencies typed to 12 digits are found."""
         omega = _finite_number(omega, "omega")
         i = int(np.argmin(np.abs(self.omegas - omega)))
         if not np.isclose(self.omegas[i], omega, rtol=1e-9, atol=1e-12):
@@ -400,9 +401,10 @@ def ft_discretize(
     """Compare F(n omega0) against T * C_n of the periodized signal.
 
     ``spectrum`` must be sampled on the omega0 lattice of the period
-    T = N * ts, ``periodized`` is the source folded into one period, and
-    ``source`` must fit inside T (otherwise folding aliases in time and the
-    comparison is rejected).
+    T = N * ts (omega / omega0 within 1e-9 of an integer: where frequencies
+    sit, not a grid length read), ``periodized`` is the source folded into
+    one period, and ``source`` must fit inside T (otherwise folding aliases
+    in time and the comparison is rejected).
     """
     if source.ts != periodized.ts:
         raise GridMismatchError(f"ts mismatch: {source.ts} != {periodized.ts}")

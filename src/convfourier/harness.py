@@ -175,8 +175,9 @@ def _random_sampled(rng, ts, max_len=16) -> sig.SampledSignal:
 
 
 # --------------------------------------------------------------------------
-# comparison helpers; every max-norm residual is fourier._compare, and every
-# eigenrelation f * e = factor * e is fourier._eigenrelation
+# comparison helpers; every max-norm residual is fourier._compare, every fold
+# of legs is _worst_of, and every eigenrelation f * e = factor * e is
+# fourier._eigenrelation
 # --------------------------------------------------------------------------
 
 def _same_signal(out, want):
@@ -204,7 +205,7 @@ def _halving_ratios(residual_at, steps):
     residuals = [residual_at(ts) for ts in steps]
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     note = "halving ratios " + ", ".join(f"{q:.3f}" for q in ratios) + " (want 4)"
-    return float(np.max([abs(q - 4.0) for q in ratios])), 1.0, note
+    return four._compare(ratios, 4.0).residual, 1.0, note
 
 
 def _dexp(a):
@@ -221,8 +222,9 @@ def _harmonic_product(convolve, f, g, n):
     """Residual and scale of (convolve(f, g) (*) x_n) against F(n) G(n) x_n on
     g's period grid, where F and G are the one-period Riemann factors at
     a = j n omega0."""
+    n = sig._index(n, "n")
     period = g.period_samples
-    four._check_alias_window(abs(int(n)), period)
+    four._check_alias_window(abs(n), period)
     a = 1j * n * (_TWO_PI / g.period_t)
     fn = conv.exp_factor_analog(f, a)
     gn = conv.exp_factor_analog(g, a)
@@ -325,7 +327,7 @@ def _ft_derivative_residual(ts: float) -> float:
     omegas = _ft_grid()
     lhs = four.fourier_transform(conv.derivative(f), omegas).values
     rhs = 1j * omegas * four.fourier_transform(f, omegas).values
-    return float(np.abs(lhs - rhs).max())
+    return four._compare(lhs, rhs).residual
 
 
 def _run_ft_derivative(grid, rng):
@@ -355,10 +357,8 @@ def _run_ft_duality(grid, rng):
     second = four.fourier_transform(spectrum_as_signal, w_prime).values
     want = _TWO_PI * np.where(np.abs(w_prime) < 0.5, 1.0, 0.0)
     mask = np.abs(np.abs(w_prime) - 0.5) > 0.2
-    residual = float(np.abs(second - want)[mask].max())
-    scale = float(np.abs(want).max())
     note = "fixed oracle grid; residual dominated by band truncation of the pulse spectrum"
-    return residual, scale, note
+    return *four._compare(second[mask], want[mask]), note
 
 
 def _run_ft_time_scale(grid, rng):
@@ -446,7 +446,7 @@ def _derivative_residual(ts: float) -> float:
     fdot = sig.SampledSignal(ts, f.start, -2.0 * f_times * np.exp(-f_times * f_times))
     lhs = conv.approx_analog_convolve(fdot, g)
     rhs = conv.derivative(conv.approx_analog_convolve(f, g))
-    return float(np.abs(lhs.samples[1:-1] - rhs.samples).max())
+    return four._compare(lhs.samples[1:-1], rhs.samples).residual
 
 
 def _run_derivative(grid, rng):
@@ -605,9 +605,10 @@ def _run_ft_inverse(grid, rng):
     spectrum = four.fourier_transform(f, _ft_grid())
     spec_signal = sig.SampledSignal(dw, -_FT_GRID_HALF, spectrum.values)
     ks = np.arange(-8, 9)
+    reach = sig._grid_steps(2.0, ts, "t0 window")
 
     def trial():
-        t0_index = int(rng.integers(-round(2.0 / ts), round(2.0 / ts) + 1))
+        t0_index = int(rng.integers(-reach, reach + 1))
         t0 = t0_index * ts
         fhat = four.inverse_fourier_transform(spectrum, ts, t0_index, 1).samples[0]
         return four._eigenrelation(
@@ -673,22 +674,20 @@ def _run_ft_sampling(grid, rng):
     dw = omega_s / per_period
     k = np.arange(-(3 * per_period) // 2, (3 * per_period) // 2 + 1)
     omegas = k * dw
-    spectrum = four.fourier_transform(f, omegas)
-    vals = spectrum.values
-    scale = float(np.abs(vals).max())
+    vals = four.fourier_transform(f, omegas).values
     # sampling makes the spectrum periodic with period omega_s
-    periodic = float(np.abs(vals[per_period:] - vals[:-per_period]).max())
+    periodic = four._compare(vals[per_period:], vals[:-per_period])
     # base-band restriction plus replica summation rebuilds the spectrum
     rep = (k + per_period // 2) % per_period - per_period // 2
     masked = four.TransformSpectrum(omegas=omegas, values=np.where(rep == k, vals, 0.0))
     rebuilt = four.periodize_spectrum(masked, omega_s, 2)
-    replicas = float(np.abs(rebuilt.values - vals).max())
+    replicas = four._compare(rebuilt.values, vals)
     # the reversed sample sequence carries the periodized spectrum as its factor
     reversed_f = conv.scale_time(f, -1)
     indices = reversed_f.start + np.arange(len(reversed_f))
     lhs = ts * conv._power_sum(reversed_f.samples, indices, np.exp(-1j * omegas * ts))
-    reversal = float(np.abs(lhs - rebuilt.values).max())
-    return float(np.max([periodic, replicas, reversal])), scale
+    reversal = four._compare(lhs, rebuilt.values)
+    return _worst_of((periodic, replicas, reversal))
 
 
 def _run_dft_vs_series(grid, rng):

@@ -135,6 +135,20 @@ class TestSpectrumTypes:
             s.value(omega)
         assert s.value(np.float64(1.0)) == s.value(1) == 3.0
 
+    @pytest.mark.parametrize("omegas", [
+        100 + 0.001 * np.arange(200),
+        np.arange(257) * (math.pi / 8),
+        -16 * math.pi + np.arange(257) * (math.pi / 8),
+    ], ids=["100 + 0.001k", "k pi/8", "-16 pi + k pi/8"])
+    def test_transform_spectrum_lookup_finds_stored_and_typed_frequencies(self, omegas):
+        # a lookup is no grid read: whole steps from omegas[0] would reject 198
+        # of the 200 stored frequencies of 100 + 0.001k, and a 1e-12 relative
+        # tolerance 45 and 86 of the 257 typed to 12 digits on the pi/8 grids
+        s = TransformSpectrum(omegas=omegas, values=np.arange(omegas.size) + 0j)
+        for i, omega in enumerate(s.omegas):
+            assert s.value(omega) == i
+            assert s.value(float(f"{omega:.12g}")) == i
+
 
 class TestFourierCoefficients:
     def test_cosine_halves(self):

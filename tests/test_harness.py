@@ -67,6 +67,8 @@ _exact_discrete = convolution.discrete_convolve
 _exact_analog = convolution.approx_analog_convolve
 _exact_circular = convolution._circular_convolve
 _exact_riemann = convolution._riemann_sum
+_exact_power_sum = convolution._power_sum
+_exact_dft = fourier.dft
 _exact_scale_time = convolution.scale_time
 _exact_transform = fourier.fourier_transform
 
@@ -187,6 +189,53 @@ FAULTS = {
 }
 
 
+def _scaled(exact, eps, field=None):
+    """exact, with its array output, or that output's ``field``, times (1 + eps)."""
+    def scaled(*args):
+        out = exact(*args)
+        if field is None:
+            return out * (1 + eps)
+        return dataclasses.replace(out, **{field: getattr(out, field) * (1 + eps)})
+
+    return scaled
+
+
+def _riemann_exponent_scaled(eps):
+    return lambda samples, times, ts, a: _exact_riemann(samples, times, ts, a * (1 + eps))
+
+
+# The fault-sensitivity ladder: the smallest relative fault (1 + eps), on the
+# decades 1e-15 .. 1e-6, that the catalog catches on the default grid at seed
+# 42, with the checks that catch it there.  A test passes whenever the true
+# threshold is at or below its pin, so a pin may only be lowered.
+LADDER = {
+    "discrete_convolve output": (
+        convolution, "discrete_convolve", lambda eps: _scaled(_exact_discrete, eps, "samples"),
+        1e-15, {"conv.identity_discrete"},
+    ),
+    "_riemann_sum output": (
+        convolution, "_riemann_sum", lambda eps: _scaled(_exact_riemann, eps),
+        1e-11, {"eigen.analog"},
+    ),
+    "_circular_convolve output": (
+        convolution, "_circular_convolve", lambda eps: _scaled(_exact_circular, eps),
+        1e-10, {"eigen.periodic_discrete", "dft.forward", "dft.inverse"},
+    ),
+    "dft values": (
+        fourier, "dft", lambda eps: _scaled(_exact_dft, eps, "values"),
+        1e-10, {"dft.forward", "dft.inverse"},
+    ),
+    "_power_sum output": (
+        convolution, "_power_sum", lambda eps: _scaled(_exact_power_sum, eps),
+        1e-9, {"eigen.discrete", "eigen.periodic_discrete", "dft.forward"},
+    ),
+    "_riemann_sum exponent": (
+        convolution, "_riemann_sum", _riemann_exponent_scaled,
+        1e-11, {"dft.vs_series"},
+    ),
+}
+
+
 class TestFaultMatrix:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_fault_fails_its_checks(self, monkeypatch, fault):
@@ -212,6 +261,13 @@ class TestFaultMatrix:
                     patched.setattr(module, name, replacement)
                 caught |= {c.id for c in run_all(grid).checks if not c.passed}
         assert caught == set(EXPECTED_IDS)
+
+    @pytest.mark.parametrize("fault", LADDER)
+    def test_relative_fault_is_caught_at_its_pin(self, monkeypatch, fault):
+        module, name, faulty, eps, must_fail = LADDER[fault]
+        monkeypatch.setattr(module, name, faulty(eps))
+        failed = {c.id for c in run_all().checks if not c.passed}
+        assert must_fail <= failed, sorted(must_fail - failed)
 
 
 class TestRegistry:
@@ -392,6 +448,16 @@ class TestRunAll:
         assert check.residual == math.inf
         assert "nan" in check.note
 
+    def test_nan_comparison_fails_every_check(self, monkeypatch):
+        # every leg of every check is one fourier._compare, so a comparison
+        # that loses its residual must reach the whole catalog
+        exact = fourier._compare
+        monkeypatch.setattr(
+            fourier, "_compare", lambda lhs, rhs: exact(lhs, rhs)._replace(residual=math.nan)
+        )
+        passed = [c.id for c in run_all().checks if c.passed]
+        assert not passed
+
     @pytest.mark.parametrize("scale", [math.nan, math.inf])
     def test_non_finite_scale_fails(self, monkeypatch, scale):
         # max(1.0, nan) is 1.0 and tolerance * inf passes anything
@@ -490,6 +556,13 @@ class TestCheckFsConvTime:
         check0 = verdict("fs.conv_time", harness._harmonic_product(circular, x1, x1, 5))
         assert check0.passed
         assert check0.scale <= 1e-12
+
+    @pytest.mark.parametrize("n", [1.5, True, np.float64(1.0)], ids=repr)
+    def test_harmonic_is_an_integer(self, n):
+        # abs(int(n)) read 1.5 and True as harmonic 1
+        x1 = sampled_harmonic(1, 32, 1.0 / 32.0)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            harness._harmonic_product(convolution.periodic_convolve_analog, x1, x1, n)
 
     def test_zero_signal(self):
         n_samples, ts = 16, 0.125

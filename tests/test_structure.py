@@ -221,3 +221,51 @@ def test_integrality_guard_sees_each_form(source, tests):
 ])
 def test_grid_product_guard_sees_each_form(source, tests):
     assert any(_tests_grid_product(node) for node in ast.walk(ast.parse(source))) is tests
+
+
+# A max-norm residual is one `fourier._compare`, and the legs of a check fold
+# by `harness._worst_of`: outside the body of `_compare` no code takes the max
+# of an absolute difference, so a fault in the comparison reaches every check.
+def _abs_of_difference(node) -> bool:
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        node = node.elt
+    if not (isinstance(node, ast.Call) and node.args):
+        return False
+    name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    first = node.args[0]
+    return name in ("abs", "absolute") and isinstance(first, ast.BinOp) and isinstance(first.op, ast.Sub)
+
+
+def _takes_max_norm(node) -> bool:
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("max", "amax")):
+        return False
+    receiver = node.func.value
+    if isinstance(receiver, ast.Name) and receiver.id in ("np", "numpy"):
+        return bool(node.args) and _abs_of_difference(node.args[0])
+    return _abs_of_difference(receiver)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_hand_written_max_norm(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = set()
+    if path.name == "fourier.py":
+        compare = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_compare")
+        exempt = {id(n) for n in ast.walk(compare)}
+    lines = [n.lineno for n in ast.walk(tree) if _takes_max_norm(n) and id(n) not in exempt]
+    assert not lines, f"{path.name} takes a max of an absolute difference at lines {lines}: use fourier._compare"
+
+
+@pytest.mark.parametrize("source, takes", [
+    ("np.abs(a - b).max()", True), ("float(np.abs(lhs - rhs).max())", True),
+    ("np.abs(a - b)[mask].max()", True), ("abs(a - b).max(axis=0)", True),
+    ("np.max(np.abs(a - b))", True), ("np.max(np.abs(a - b)[1:])", True),
+    ("np.max([abs(q - 4.0) for q in ratios])", True), ("numpy.amax(numpy.absolute(a - b))", True),
+    ("np.abs(a).max()", False), ("np.abs(a + b).max()", False), ("np.abs(a - b).min()", False),
+    ("np.abs(np.abs(w_prime) - 0.5) > 0.2", False), ("np.argmin(np.abs(omegas - omega))", False),
+    ("np.max([periodic, replicas, reversal])", False), ("np.max(residuals)", False),
+])
+def test_max_norm_guard_sees_each_form(source, takes):
+    assert any(_takes_max_norm(node) for node in ast.walk(ast.parse(source))) is takes
