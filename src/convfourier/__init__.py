@@ -25,11 +25,9 @@ from .fourier import (
     TransformSpectrum,
     dft,
     dft_orthogonality,
-    dft_vs_series,
     fourier_coefficients,
     fourier_transform,
     fs_eigencheck,
-    ft_discretize,
     harmonic_signal,
     idft,
     inverse_fourier_transform,

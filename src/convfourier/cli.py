@@ -229,14 +229,32 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _plain(parse):
+    """An argparse type that reads a number as io reads a file cell.  int() and
+    float() read '4_2' as 42 and take non-ASCII digits, so a text holding a '_'
+    or a non-ASCII character is rejected before parse.  The type keeps parse's
+    name, so argparse still reports "invalid int value: '4_2'"."""
+
+    def read(text):
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return parse(text)
+
+    read.__name__ = parse.__name__
+    return read
+
+
+_INT, _FLOAT = _plain(int), _plain(float)
+
+
 def _add_io_flags(p, with_gen: bool):
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     if with_gen:
         p.add_argument("--gen", choices=_GENERATORS, help="use a built-in test signal as input")
-        p.add_argument("--ts", type=float, help="grid spacing for --gen")
-        p.add_argument("--n", type=int, help="samples per period for --gen cos/square")
-        p.add_argument("--width", type=float, default=1.0, help="pulse width for --gen pulse")
+        p.add_argument("--ts", type=_FLOAT, help="grid spacing for --gen")
+        p.add_argument("--n", type=_INT, help="samples per period for --gen cos/square")
+        p.add_argument("--width", type=_FLOAT, default=1.0, help="pulse width for --gen pulse")
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
@@ -291,23 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="Fourier series coefficients of a periodic-analog file")
     p.add_argument("input", nargs="?")
-    p.add_argument("--nmax", type=int, required=True, help="largest harmonic |n| to compute")
+    p.add_argument("--nmax", type=_INT, required=True, help="largest harmonic |n| to compute")
     _add_io_flags(p, with_gen=True)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("ft", help="Fourier transform of a finite analog file")
     p.add_argument("input", nargs="?")
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
-    p.add_argument("--omega-step", type=float, required=True)
+    p.add_argument("--omega-min", type=_FLOAT, required=True)
+    p.add_argument("--omega-max", type=_FLOAT, required=True)
+    p.add_argument("--omega-step", type=_FLOAT, required=True)
     _add_io_flags(p, with_gen=True)
     p.set_defaults(func=_cmd_ft)
 
     p = sub.add_parser("verify", help="run the full identity catalog and emit a JSON report")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--n", type=int, default=64, help="samples per period")
-    p.add_argument("--ts", type=float, default=1.0 / 64.0, help="grid spacing (seconds)")
-    p.add_argument("--nmax", type=int, default=8, help="harmonic window for random signals")
+    p.add_argument("--seed", type=_INT, default=42)
+    p.add_argument("--n", type=_INT, default=64, help="samples per period")
+    p.add_argument("--ts", type=_FLOAT, default=1.0 / 64.0, help="grid spacing (seconds)")
+    p.add_argument("--nmax", type=_INT, default=8, help="harmonic window for random signals")
     p.add_argument("--out", default="-", help="report path ('-' for stdout)")
     p.set_defaults(func=_cmd_verify)
 

@@ -72,9 +72,7 @@ __all__ = [
     "dft_orthogonality",
     "fourier_transform",
     "inverse_fourier_transform",
-    "ft_discretize",
     "periodize_spectrum",
-    "dft_vs_series",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -385,49 +383,6 @@ def inverse_fourier_transform(
     return _synthesize(spectrum.values, spectrum.omegas, weight, ts, start, count)
 
 
-def _support_extent(f: SampledSignal) -> int:
-    """Number of grid steps spanned by f's nonzero samples."""
-    nz = np.nonzero(f.samples)[0]
-    if nz.size == 0:
-        return 0
-    return int(nz[-1] - nz[0] + 1)
-
-
-def ft_discretize(
-    spectrum: TransformSpectrum,
-    periodized: PeriodicSampledSignal,
-    source: SampledSignal,
-) -> ResidualReport:
-    """Compare F(n omega0) against T * C_n of the periodized signal.
-
-    ``spectrum`` must be sampled on the omega0 lattice of the period
-    T = N * ts (omega / omega0 within 1e-9 of an integer: where frequencies
-    sit, not a grid length read), ``periodized`` is the source folded into
-    one period, and ``source`` must fit inside T (otherwise folding aliases
-    in time and the comparison is rejected).
-    """
-    if source.ts != periodized.ts:
-        raise GridMismatchError(f"ts mismatch: {source.ts} != {periodized.ts}")
-    n_samples = periodized.period_samples
-    if _support_extent(source) > n_samples:
-        raise AliasingError(
-            f"source support spans {_support_extent(source)} samples, more than the "
-            f"{n_samples}-sample period; periodization would alias in time"
-        )
-    period_t = periodized.period_t
-    omega0 = _TWO_PI / period_t
-    ratio = spectrum.omegas / omega0
-    harmonics = np.round(ratio).astype(int)
-    if not np.allclose(ratio, harmonics, rtol=0, atol=1e-9):
-        raise GridMismatchError(
-            "spectrum frequencies do not sit on the omega0 lattice of the period"
-        )
-    n_max = int(np.abs(harmonics).max()) if harmonics.size else 0
-    _check_alias_window(n_max, n_samples)
-    coeffs = fourier_coefficients(periodized, n_max).coeffs
-    return _compare(spectrum.values, period_t * coeffs[n_max + harmonics])
-
-
 def periodize_spectrum(
     spectrum: TransformSpectrum, omega_s: float, replicas: int
 ) -> TransformSpectrum:
@@ -450,15 +405,3 @@ def periodize_spectrum(
             out[lo:hi] += spectrum.values[lo - r * step : hi - r * step]
     return TransformSpectrum(omegas=spectrum.omegas, values=out)
 
-
-def dft_vs_series(f_d: PeriodicDiscreteSignal, spectrum: SeriesSpectrum) -> ResidualReport:
-    """Compare the DFT of one period of samples against N * C_n.
-
-    ``f_d`` must hold the N per-period samples of the analog signal whose
-    series coefficients are in ``spectrum``; harmonics above the alias
-    window are rejected.
-    """
-    n = f_d.period
-    _check_alias_window(spectrum.n_max, n)
-    lhs = dft(f_d).values[spectrum.harmonics() % n]
-    return _compare(lhs, n * spectrum.coeffs)

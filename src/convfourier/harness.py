@@ -650,15 +650,20 @@ def _run_fs_lti_mixed(grid, rng):
 
 
 def _run_ft_discretize(grid, rng):
-    # pulse of width T centred in a window of 4 T
+    # F(n omega0) against T C_n of f folded into one period T.  A pulse of
+    # width T fits the 4 T window, so the fold does not alias in time, and
+    # the frequencies sit on the omega0 lattice of T by construction.  The
+    # transform runs before the coefficients, so a grid on which both fail
+    # notes the transform's error.
     n_window = 4 * grid.n
     f = gen.pulse(grid.ts, width=grid.t)
     folded = sig.periodize(f, n_window)
     period_t = n_window * grid.ts
     omega0 = _TWO_PI / period_t
     n_max = min(max(grid.n_max, 1), (n_window - 1) // 2)
-    omegas = np.arange(-n_max, n_max + 1) * omega0
-    return four.ft_discretize(four.fourier_transform(f, omegas), folded, f)
+    spectrum = four.fourier_transform(f, np.arange(-n_max, n_max + 1) * omega0)
+    coeffs = four.fourier_coefficients(folded, n_max).coeffs
+    return four._compare(spectrum.values, period_t * coeffs)
 
 
 def _run_ft_sampling(grid, rng):
@@ -693,8 +698,10 @@ def _run_ft_sampling(grid, rng):
 def _run_dft_vs_series(grid, rng):
     def trial():
         f = _random_trig_poly(rng, grid)
+        # the DFT of one period of samples at harmonic n (mod N) is N C_n
         spectrum = four.fourier_coefficients(f, grid.n_max)
-        return four.dft_vs_series(sig.PeriodicDiscreteSignal(f.samples), spectrum)
+        values = four.dft(sig.PeriodicDiscreteSignal(f.samples)).values
+        return four._compare(values[spectrum.harmonics() % grid.n], grid.n * spectrum.coeffs)
 
     return _worst_over(5, trial)
 

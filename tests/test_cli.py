@@ -470,6 +470,44 @@ def test_usage_error_exit_2(capsys, argv, message):
     assert message in err
 
 
+# A numeric flag is read as io reads a file cell: int() and float() read
+# '4_2' as 42 and non-ASCII digits as their values, and each of these command
+# lines used to run on those values and exit 0.
+SERIES_COS = ["series", "--gen", "cos", "--n", "16", "--ts", "0.0625", "--nmax", "3"]
+
+
+def _with(argv, flag, text):
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = text
+    return argv
+
+
+NUMBER_TEXTS = [
+    (["verify", "--seed", "4_2"], "--seed"),
+    (["verify", "--seed", "\u0664\u0662"], "--seed"),
+    (["verify", "--n", "6_4"], "--n"),
+    (["verify", "--ts", "0.0_625"], "--ts"),
+    (["verify", "--nmax", "\u0663"], "--nmax"),
+    (_with(SERIES_COS, "--n", "1_6"), "--n"),
+    (_with(SERIES_COS, "--ts", "0.0_625"), "--ts"),
+    (_with(SERIES_COS, "--nmax", "\u0663"), "--nmax"),
+    (pulse_ft("0", "1", "1") + ["--width", "1_0"], "--width"),
+    (pulse_ft("0", "1", "0.2_5"), "--omega-step"),
+    (pulse_ft("\uff10", "1", "1"), "--omega-min"),
+    (pulse_ft("0", "1_0", "1"), "--omega-max"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", NUMBER_TEXTS, ids=[" ".join(argv) for argv, _ in NUMBER_TEXTS])
+def test_numeric_flag_reads_like_a_file_cell(tmp_path, capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    one_error_line(code, out, err, 2)
+    kind = "int" if flag in ("--seed", "--n", "--nmax") else "float"
+    text = argv[argv.index(flag) + 1]
+    assert f"argument {flag}: invalid {kind} value: {text!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["ft", "--help"]], ids=" ".join)
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

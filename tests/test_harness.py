@@ -375,6 +375,14 @@ class TestRunAll:
         assert not check.passed
         assert check.note == "failed: non-finite residual inf, scale inf"
 
+    def test_subnormal_ts_notes_the_first_failing_step(self):
+        # ft.discretize transforms before it takes the series coefficients, and
+        # dft.vs_series takes the coefficients before its DFT; at ts=5e-324
+        # each note names the first step that fails
+        notes = {c.id: c.note for c in run_all(GridParams(64, 5e-324, 8)).checks}
+        assert notes["ft.discretize"] == "failed: ValueError: omegas must be finite"
+        assert notes["dft.vs_series"] == "failed: ValueError: coefficients contain non-finite values"
+
     def test_coarse_grid_passes_ft_conv_freq(self):
         # a Gaussian sampled at ts=500 against the fixed |omega| <= 16 pi grid
         # failed on synthesis roundoff (relative 2.2e-8 against tolerance 1e-8)

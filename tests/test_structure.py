@@ -269,3 +269,16 @@ def test_no_hand_written_max_norm(path):
 ])
 def test_max_norm_guard_sees_each_form(source, takes):
     assert any(_takes_max_norm(node) for node in ast.walk(ast.parse(source))) is takes
+
+
+def test_fourier_keeps_two_residual_helpers():
+    # Every other residual of the catalog is computed in its harness runner.
+    # These two stay in fourier while perfbench/spans.py maps them to its
+    # `fourier.eigencheck` span group, which a traced verify run needs above
+    # 0; they move to the harness with the benchmark rework in ROADMAP.md.
+    fourier = convfourier.fourier
+    helpers = {
+        name for name in fourier.__all__
+        if getattr(getattr(fourier, name), "__annotations__", {}).get("return") == "ResidualReport"
+    }
+    assert helpers == {"fs_eigencheck", "dft_orthogonality"}
