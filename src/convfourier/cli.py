@@ -29,8 +29,11 @@ from .io import (
     transform_table_text,
 )
 from .signals import AliasingError, GridMismatchError, PeriodicDiscreteSignal
+from .signals import _check_ts, _finite_number, _index
 
-_GENERATORS = ("pulse", "cos", "square")
+# the flags each built-in signal reads; any other of --ts, --n and --width is
+# an error, never dropped
+_GEN_FLAGS = {"pulse": ("ts", "width"), "cos": ("ts", "n"), "square": ("ts", "n")}
 
 # Work budget of every command, checked before any array is built.  At each
 # limit, on a 2-vCPU Xeon: `ft` and `series` (one batched Riemann sum over
@@ -80,17 +83,14 @@ def _finite(what: str, compute, *args):
 def _generate(args):
     if args.ts is None:
         raise SignalFormatError("--gen requires --ts")
-    if not (math.isfinite(args.ts) and args.ts > 0):
-        raise SignalFormatError(f"--ts must be finite and > 0, got {args.ts}")
     if args.gen != "pulse" and args.n is None:
         raise SignalFormatError(f"--gen {args.gen} requires --n")
-    if args.gen == "pulse" and not math.isfinite(args.width):
-        raise SignalFormatError(f"--gen pulse: width must be finite, got {args.width}")
-    samples = args.width / args.ts if args.gen == "pulse" else args.n
+    width = 1.0 if args.width is None else args.width
+    samples = width / args.ts if args.gen == "pulse" else args.n
     _check_budget(f"--gen {args.gen}", f"{samples} samples", ("samples", samples, _GEN_MAX_SAMPLES))
     try:
         if args.gen == "pulse":
-            return gen.pulse(args.ts, width=args.width)
+            return gen.pulse(args.ts, width=width)
         if args.gen == "cos":
             return gen.cosine(args.n, args.ts)
         return gen.square(args.n, args.ts)
@@ -100,11 +100,16 @@ def _generate(args):
 
 
 def _single_input(args):
-    if getattr(args, "gen", None):
-        return _generate(args)
-    if args.input is None:
+    name = getattr(args, "gen", None)
+    if name is None and args.input is None:
         raise SignalFormatError("provide an input file or --gen NAME")
-    return read_signal(args.input)
+    if name is not None and args.input is not None:
+        raise SignalFormatError(f"--gen {name} takes no input file, got {args.input}")
+    for flag in ("ts", "n", "width"):
+        if getattr(args, flag, None) is not None and flag not in _GEN_FLAGS.get(name, ()):
+            source = f"--gen {name}" if name else "an input file"
+            raise SignalFormatError(f"--{flag} is not used with {source}")
+    return read_signal(args.input) if name is None else _generate(args)
 
 
 _CONV_OPS = {
@@ -160,8 +165,6 @@ def _cmd_idft(args) -> int:
 def _cmd_series(args) -> int:
     f = _single_input(args)
     _require_kind(f, "periodic-analog", "series input")
-    if args.nmax < 0:
-        raise SignalFormatError(f"--nmax must be >= 0, got {args.nmax}")
     length, harmonics = f.samples.size, 2 * args.nmax + 1
     _check_budget(
         "series", f"L={length} samples x {harmonics} harmonics",
@@ -175,10 +178,6 @@ def _cmd_series(args) -> int:
 def _cmd_ft(args) -> int:
     f = _single_input(args)
     _require_kind(f, "analog", "ft input")
-    if not all(map(math.isfinite, (args.omega_min, args.omega_max, args.omega_step))):
-        raise SignalFormatError("--omega-min, --omega-max and --omega-step must be finite")
-    if args.omega_step <= 0:
-        raise SignalFormatError(f"--omega-step must be > 0, got {args.omega_step}")
     if args.omega_max < args.omega_min:
         raise SignalFormatError("--omega-max must be >= --omega-min")
     # omega = min + k step for every k with omega <= max; a span within 1e-9
@@ -205,19 +204,13 @@ def _cmd_ft(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        grid = GridParams(n=args.n, ts=args.ts, n_max=args.nmax)
-        _check_budget(
-            "verify", f"n={grid.n}, nmax={grid.n_max}",
-            ("n", grid.n, _VERIFY_MAX_N),
-            ("n*(2*nmax+1)", grid.n * (2 * grid.n_max + 1), _VERIFY_MAX_WORK),
-        )
-        report = run_all(grid=grid, seed=args.seed)
-    except AliasingError:
-        raise
-    except ValueError as exc:
-        # a bad --n, --ts or --nmax; run_all records each check's own errors
-        raise SignalFormatError(str(exc)) from None
+    grid = GridParams(n=args.n, ts=args.ts, n_max=args.nmax)
+    _check_budget(
+        "verify", f"n={grid.n}, nmax={grid.n_max}",
+        ("n", grid.n, _VERIFY_MAX_N),
+        ("n*(2*nmax+1)", grid.n * (2 * grid.n_max + 1), _VERIFY_MAX_WORK),
+    )
+    report = run_all(grid=grid, seed=args.seed)
     _write_text((json.dumps(report.to_dict(), indent=2) + "\n",), args.out)
     if args.out != "-":
         for c in report.checks:
@@ -229,32 +222,45 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _plain(parse):
-    """An argparse type that reads a number as io reads a file cell.  int() and
-    float() read '4_2' as 42 and take non-ASCII digits, so a text holding a '_'
-    or a non-ASCII character is rejected before parse.  The type keeps parse's
-    name, so argparse still reports "invalid int value: '4_2'"."""
+def _plain(parse, bound):
+    """An argparse type that reads a number as io reads a file cell and bounds
+    it with ``bound``, a ``signals`` reader.  int() and float() read '4_2' as 42
+    and take non-ASCII digits, so a text holding a '_' or a non-ASCII character
+    is rejected before parse; the type keeps parse's name, so argparse reports
+    "invalid int value: '4_2'".  The reader's ValueError is argparse's
+    "argument --FLAG: ..." line."""
 
     def read(text):
         if "_" in text or not text.isascii():
             raise ValueError(text)
-        return parse(text)
+        value = parse(text)
+        try:
+            return bound(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     read.__name__ = parse.__name__
     return read
 
 
-_INT, _FLOAT = _plain(int), _plain(float)
+# one type per numeric flag, bounded by the reader that states its range
+_SEED = _plain(int, lambda value: _index(value, "seed", minimum=0))
+_N = _plain(int, lambda value: _index(value, "n", minimum=1))
+_NMAX = _plain(int, lambda value: _index(value, "nmax", minimum=0))
+_TS = _plain(float, _check_ts)
+_WIDTH = _plain(float, lambda value: _finite_number(value, "width"))
+_OMEGA = _plain(float, lambda value: _finite_number(value, "omega"))
+_OMEGA_STEP = _plain(float, lambda value: _finite_number(value, "omega step", positive=True))
 
 
 def _add_io_flags(p, with_gen: bool):
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     if with_gen:
-        p.add_argument("--gen", choices=_GENERATORS, help="use a built-in test signal as input")
-        p.add_argument("--ts", type=_FLOAT, help="grid spacing for --gen")
-        p.add_argument("--n", type=_INT, help="samples per period for --gen cos/square")
-        p.add_argument("--width", type=_FLOAT, default=1.0, help="pulse width for --gen pulse")
+        p.add_argument("--gen", choices=tuple(_GEN_FLAGS), help="use a built-in test signal as input")
+        p.add_argument("--ts", type=_TS, help="grid spacing for --gen")
+        p.add_argument("--n", type=_N, help="samples per period for --gen cos/square")
+        p.add_argument("--width", type=_WIDTH, help="pulse width for --gen pulse (default 1)")
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
@@ -309,23 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="Fourier series coefficients of a periodic-analog file")
     p.add_argument("input", nargs="?")
-    p.add_argument("--nmax", type=_INT, required=True, help="largest harmonic |n| to compute")
+    p.add_argument("--nmax", type=_NMAX, required=True, help="largest harmonic |n| to compute")
     _add_io_flags(p, with_gen=True)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("ft", help="Fourier transform of a finite analog file")
     p.add_argument("input", nargs="?")
-    p.add_argument("--omega-min", type=_FLOAT, required=True)
-    p.add_argument("--omega-max", type=_FLOAT, required=True)
-    p.add_argument("--omega-step", type=_FLOAT, required=True)
+    p.add_argument("--omega-min", type=_OMEGA, required=True)
+    p.add_argument("--omega-max", type=_OMEGA, required=True)
+    p.add_argument("--omega-step", type=_OMEGA_STEP, required=True)
     _add_io_flags(p, with_gen=True)
     p.set_defaults(func=_cmd_ft)
 
     p = sub.add_parser("verify", help="run the full identity catalog and emit a JSON report")
-    p.add_argument("--seed", type=_INT, default=42)
-    p.add_argument("--n", type=_INT, default=64, help="samples per period")
-    p.add_argument("--ts", type=_FLOAT, default=1.0 / 64.0, help="grid spacing (seconds)")
-    p.add_argument("--nmax", type=_INT, default=8, help="harmonic window for random signals")
+    p.add_argument("--seed", type=_SEED, default=42)
+    p.add_argument("--n", type=_N, default=64, help="samples per period")
+    p.add_argument("--ts", type=_TS, default=1.0 / 64.0, help="grid spacing (seconds)")
+    p.add_argument("--nmax", type=_NMAX, default=8, help="harmonic window for random signals")
     p.add_argument("--out", default="-", help="report path ('-' for stdout)")
     p.set_defaults(func=_cmd_verify)
 

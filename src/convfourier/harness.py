@@ -52,7 +52,7 @@ class GridParams:
     n_max: int = 8
 
     def __post_init__(self):
-        # ts first: `verify --n 0 --ts -1` names ts
+        # ts first: GridParams(n=0, ts=-1) names ts
         object.__setattr__(self, "ts", sig._check_ts(self.ts))
         object.__setattr__(self, "n", sig._index(self.n, "n", minimum=1))
         object.__setattr__(self, "n_max", sig._index(self.n_max, "n_max", minimum=0))

@@ -198,7 +198,7 @@ class TestSeries:
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_gen_cos_sample_count_exit_2_names_the_bound(self, capsys, n):
         code, out, err = run(capsys, "series", "--gen", "cos", "--n", n, "--ts", "0.25", "--nmax", "0")
-        assert (code, out, err) == (2, "", f"error: --gen cos: n_samples must be >= 1, got {n}\n")
+        assert (code, out, err) == (2, "", f"error: argument --n: n must be >= 1, got {n}\n")
 
 
 class TestFt:
@@ -284,7 +284,7 @@ class TestFt:
     def test_negative_infinity_is_a_value(self, capsys):
         code, out, err = run(capsys, *pulse_ft("-inf", "0", "1"))
         assert (code, out) == (2, "")
-        assert err == "error: --omega-min, --omega-max and --omega-step must be finite\n"
+        assert err == "error: argument --omega-min: omega must be finite, got -inf\n"
 
     @pytest.mark.parametrize(
         "gen_args",
@@ -330,15 +330,15 @@ class TestFt:
             capsys, "ft", "--gen", "pulse", "--ts", ts, "--omega-min", "0", "--omega-max", "1", "--omega-step", "1"
         )
         assert code == 2
-        assert "--ts must be finite and > 0" in err
+        assert err == f"error: argument --ts: ts must be finite and > 0, got {float(ts)}\n"
 
     @pytest.mark.parametrize(
         "gen_args",
         [
-            ["cos", "--n", "0", "--ts", "0.25"],
+            ["square", "--n", "1", "--ts", "0.25"],
             ["square", "--n", "3", "--ts", "0.25"],
             ["pulse", "--ts", "0.3"],
-            ["pulse", "--ts", "0.25", "--width", "inf"],
+            ["pulse", "--ts", "0.25", "--width", "0"],
         ],
     )
     def test_generator_precondition_exit_2(self, capsys, gen_args):
@@ -508,6 +508,64 @@ def test_numeric_flag_reads_like_a_file_cell(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+# Every numeric flag is read with its bound when parsed: the first value
+# outside it exits 2 with argparse's one line naming the flag, before any file
+# is written, and the bound itself is admitted.
+MAX = repr(float(np.finfo(np.float64).max))
+VERIFY_16 = ["verify", "--n", "16", "--ts", "0.0625", "--nmax", "2"]
+PULSE_AT_0 = pulse_ft("0", "0", "1")
+FLAG_BOUNDS = [
+    # (command line, flag, first value outside the bound, the bound, exit code at the bound)
+    (VERIFY_16 + ["--seed", "1"], "--seed", "-1", "0", 0),
+    (["verify", "--n", "16", "--nmax", "0"], "--n", "0", "1", 0),
+    (VERIFY_16, "--nmax", "-1", "0", 0),
+    (VERIFY_16, "--ts", "0", "5e-324", 1),
+    (["series", "--gen", "cos", "--n", "16", "--ts", "1", "--nmax", "0"], "--n", "0", "1", 0),
+    (["series", "--gen", "cos", "--n", "1", "--ts", "1", "--nmax", "1"], "--nmax", "-1", "0", 0),
+    (PULSE_AT_0 + ["--width", "5e-324"], "--ts", "0", "5e-324", 0),
+    (_with(PULSE_AT_0, "--ts", MAX) + ["--width", MAX], "--width", "inf", MAX, 0),
+    (pulse_ft("0", "-" + MAX, "1"), "--omega-min", "-inf", "-" + MAX, 0),
+    (pulse_ft(MAX, "0", "1"), "--omega-max", "inf", MAX, 0),
+    (PULSE_AT_0, "--omega-step", "0", "5e-324", 0),
+]
+
+
+@pytest.mark.parametrize("argv,flag,outside,bound,code", FLAG_BOUNDS,
+                         ids=[f"{argv[0]} {flag}" for argv, flag, *_ in FLAG_BOUNDS])
+def test_numeric_flag_is_read_with_its_bound(tmp_path, capsys, argv, flag, outside, bound, code):
+    out = tmp_path / "out"
+    result = run(capsys, *_with(argv, flag, outside), "--out", str(out))
+    one_error_line(*result, 2)
+    assert result[2].startswith(f"error: argument {flag}: ")
+    assert not out.exists()
+    assert run(capsys, *_with(argv, flag, bound), "--out", str(out))[0] == code
+
+
+# A --gen flag the input does not read, or an input file beside --gen, exits 2
+# with one line naming the flag; each used to be dropped and the command run
+# on the other input (exit 0).
+WAVE = "# kind=periodic-analog ts=1 n=2\nindex,re,im\n0,1,0\n1,0,0\n"
+UNUSED_INPUTS = [
+    (["series", "missing.csv", "--gen", "cos", "--n", "16", "--ts", "0.0625", "--nmax", "1"],
+     "--gen cos takes no input file, got missing.csv"),
+    (["series", "W", "--ts", "0.5", "--nmax", "1"], "--ts is not used with an input file"),
+    (["series", "W", "--n", "4", "--nmax", "1"], "--n is not used with an input file"),
+    (["series", "W", "--width", "1", "--nmax", "1"], "--width is not used with an input file"),
+    (SERIES_COS + ["--width", "1"], "--width is not used with --gen cos"),
+    (_with(SERIES_COS, "--gen", "square") + ["--width", "1"], "--width is not used with --gen square"),
+    (pulse_ft("0", "1", "1") + ["--n", "4"], "--n is not used with --gen pulse"),
+]
+
+
+@pytest.mark.parametrize("argv,message", UNUSED_INPUTS, ids=[m for _, m in UNUSED_INPUTS])
+def test_gen_flag_the_input_does_not_read_exit_2(tmp_path, capsys, argv, message):
+    wave = write(tmp_path / "wave.csv", WAVE)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *(wave if a == "W" else a for a in argv), "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["ft", "--help"]], ids=" ".join)
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -592,7 +650,7 @@ class TestVerify:
         # argparse took -1e-3 for a flag: "expected one argument"
         code, out, err = run(capsys, "verify", "--ts", ts)
         assert (code, out) == (2, "")
-        assert err == f"error: ts must be finite and > 0, got {float(ts)}\n"
+        assert err == f"error: argument --ts: ts must be finite and > 0, got {float(ts)}\n"
 
     def test_overflowing_grid_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--ts", "1000", "--out", str(tmp_path / "r.json"))
@@ -614,7 +672,7 @@ class TestVerify:
 
     def test_negative_seed_exit_2_names_the_bound(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", "-1")
-        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+        assert (code, out, err) == (2, "", "error: argument --seed: seed must be >= 0, got -1\n")
 
 
 def one_error_line(code, out, err, want):
@@ -777,11 +835,19 @@ def signal_files(draw, kind):
     return text[: draw(st.integers(0, len(text) - 1))] if defect == "truncate" else text
 
 
+@st.composite
+def generated(draw):
+    """--gen and the flags its signal reads, now and then with one it does not
+    read, which exits 2."""
+    name = draw(st.sampled_from(["pulse", "cos", "square"]))
+    reads, unused = (["--width"], ["--n"]) if name == "pulse" else (["--n"], ["--width"])
+    flags = ["--ts", *reads, *draw(st.sampled_from([[], [], [], [], unused]))]
+    values = {"--ts": number, "--width": number, "--n": st.sampled_from(COUNTS)}
+    return ["--gen", name, *(part for flag in flags for part in (flag, draw(values[flag])))]
+
+
 # an input is the file F or a built-in signal
-generated = st.tuples(st.sampled_from(["pulse", "cos", "square"]), st.sampled_from(COUNTS),
-                      number, number).map(
-    lambda g: ["--gen", g[0], "--n", g[1], "--ts", g[2], "--width", g[3]])
-single_input = st.one_of(st.just(["F"]), generated)
+single_input = st.one_of(st.just(["F"]), generated())
 
 
 INPUT_KIND = {"dft": "periodic-discrete", "idft": "periodic-discrete",
