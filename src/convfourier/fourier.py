@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import convolution as conv
+from . import signals as sig
 from .signals import (
     AliasingError,
     GridMismatchError,
@@ -233,13 +234,6 @@ def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
     return _compare(out.samples[ks - out.start], factor * expo(ks))
 
 
-def _unit_roots(n, period: int):
-    """Index function k -> e^(j 2 pi n k / period), with n and then the angle n k
-    reduced mod period, so no product wraps in int64; n is an int, or a
-    (rows, 1) integer column for one row per harmonic."""
-    return lambda k: np.exp(2j * np.pi * (((n % period) * k) % period) / period)
-
-
 def _pair_indices(m, n) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (m[i], n[i]) as two int64 arrays, from two ints or two
     non-empty equal-length 1-d integer arrays; anything else is a ValueError."""
@@ -256,7 +250,7 @@ def _pair_indices(m, n) -> tuple[np.ndarray, np.ndarray]:
 def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:
     """Periodic discrete exponential x_n(k) = e^(j n (2 pi / N) k)."""
     n, period = _index(n, "n"), _index(period, "period", minimum=1)
-    return PeriodicDiscreteSignal(samples=_unit_roots(n, period)(np.arange(period)))
+    return PeriodicDiscreteSignal(samples=sig._unit_roots(n, period)(np.arange(period)))
 
 
 def sampled_harmonic(n: int, period: int, ts: float) -> PeriodicSampledSignal:
@@ -318,7 +312,7 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     n = _index(n, "n")
     _check_alias_window(abs(n), f.period_samples)
     factor = conv.exp_factor_analog(f, 1j * n * (_TWO_PI / f.period_t))
-    return _eigenrelation(f, _unit_roots(n, f.period_samples), factor)
+    return _eigenrelation(f, sig._unit_roots(n, f.period_samples), factor)
 
 
 def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
@@ -350,8 +344,8 @@ def dft_orthogonality(m, n, period: int) -> ResidualReport:
     rows = max(1, conv._RIEMANN_BLOCK // (2 * period))
     residuals = [
         _eigenrelation(
-            _unit_roots(ms[lo : lo + rows], period)(k),
-            _unit_roots(ns[lo : lo + rows], period),
+            sig._unit_roots(ms[lo : lo + rows], period)(k),
+            sig._unit_roots(ns[lo : lo + rows], period),
             np.where(ms[lo : lo + rows] == ns[lo : lo + rows], float(period), 0.0),
         ).residual
         for lo in range(0, ms.shape[0], rows)

@@ -177,7 +177,8 @@ def _random_sampled(rng, ts, max_len=16) -> sig.SampledSignal:
 # --------------------------------------------------------------------------
 # comparison helpers; every max-norm residual is fourier._compare, every fold
 # of legs is _worst_of, and every eigenrelation f * e = factor * e is
-# fourier._eigenrelation
+# fourier._eigenrelation, with e a family of signals (_analog_exp,
+# _discrete_exp or _unit_roots)
 # --------------------------------------------------------------------------
 
 def _same_signal(out, want):
@@ -208,11 +209,6 @@ def _halving_ratios(residual_at, steps):
     return four._compare(ratios, 4.0).residual, 1.0, note
 
 
-def _dexp(a):
-    """Index function k -> a^k of the discrete exponential with base a."""
-    return lambda ks: np.array([sig.eval_discrete_exponential(a, int(k)) for k in ks])
-
-
 # --------------------------------------------------------------------------
 # registry runners: each takes (grid, rng) and returns (residual, scale) or
 # (residual, scale, note)
@@ -228,7 +224,7 @@ def _harmonic_product(convolve, f, g, n):
     a = 1j * n * (_TWO_PI / g.period_t)
     fn = conv.exp_factor_analog(f, a)
     gn = conv.exp_factor_analog(g, a)
-    return four._eigenrelation(convolve(f, g), four._unit_roots(n, period), fn * gn)
+    return four._eigenrelation(convolve(f, g), sig._unit_roots(n, period), fn * gn)
 
 
 def _fs_conv_freq(f, g, t_index, n_max):
@@ -262,7 +258,7 @@ def _fs_conv_freq(f, g, t_index, n_max):
     t = t_index * f.ts
     a = np.exp(-1j * (_TWO_PI / period_t) * t)
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))
-    return four._eigenrelation(fg, _dexp(a), product, np.arange(-8, 9))
+    return four._eigenrelation(fg, sig._discrete_exp(a), product, np.arange(-8, 9))
 
 
 _FT_TS = 1.0 / 64.0
@@ -297,7 +293,7 @@ def _run_ft_conv_time(grid, rng):
         w = float(rng.uniform(-12.0, 12.0))
         fw = four.fourier_transform(f, [w]).values[0]
         gw = four.fourier_transform(g, [w]).values[0]
-        return four._eigenrelation(fg, lambda k: np.exp(1j * w * k * ts), gw * fw, ks)
+        return four._eigenrelation(fg, sig._analog_exp(1j * w, ts), gw * fw, ks)
 
     return _worst_over(3, trial)
 
@@ -314,12 +310,11 @@ def _run_ft_conv_freq(grid, rng):
     g_w = sig.SampledSignal(dw, -_FT_GRID_HALF, g_spec.values)
     fg_w = conv.approx_analog_convolve(f_w, g_w)
     t0_index = int(rng.integers(-8, 9))
-    t0 = t0_index * ts
     fhat = four.inverse_fourier_transform(f_spec, ts, t0_index, 1).samples[0]
     ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
     factor = _TWO_PI * (_TWO_PI * fhat * ghat)
     ks = np.arange(-8, 9)
-    return four._eigenrelation(fg_w, lambda k: np.exp(-1j * (k * dw) * t0), factor, ks)
+    return four._eigenrelation(fg_w, sig._analog_exp(-1j * (t0_index * ts), dw), factor, ks)
 
 
 def _ft_derivative_residual(ts: float) -> float:
@@ -486,7 +481,7 @@ def _run_eigen_analog(grid, rng):
         a = complex(rng.uniform(-1.0, 1.0), rng.uniform(-8.0, 8.0))
         ks = np.arange(f.start - 4, f.end + 4)
         factor = conv.exp_factor_analog(f, a)
-        return four._eigenrelation(f, lambda k: np.exp(a * k * ts), factor, ks)
+        return four._eigenrelation(f, sig._analog_exp(a, ts), factor, ks)
 
     return _worst_over(10, trial)
 
@@ -497,7 +492,7 @@ def _run_eigen_discrete(grid, rng):
         mag = rng.uniform(0.5, 2.0)
         a = mag * np.exp(2j * np.pi * rng.uniform())
         ks = np.arange(f.start - 4, f.end + 4)
-        return four._eigenrelation(f, _dexp(a), conv.exp_factor_discrete(f, a), ks)
+        return four._eigenrelation(f, sig._discrete_exp(a), conv.exp_factor_discrete(f, a), ks)
 
     return _worst_over(20, trial)
 
@@ -516,7 +511,7 @@ def _run_eigen_periodic_discrete(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         n = int(rng.integers(0, grid.n))
         factor = conv.exp_factor_discrete(f, np.exp(2j * np.pi * n / grid.n))
-        return four._eigenrelation(f, four._unit_roots(n, grid.n), factor)
+        return four._eigenrelation(f, sig._unit_roots(n, grid.n), factor)
 
     return _worst_over(10, trial)
 
@@ -540,7 +535,7 @@ def _run_fs_inverse(grid, rng):
         f_sig = sig.DiscreteSignal(-grid.n_max, period_t * spectrum.coeffs)
         k0 = int(rng.integers(0, grid.n))
         a = np.exp(-1j * grid.omega0 * (k0 * grid.ts))
-        return four._eigenrelation(f_sig, _dexp(a), period_t * f.value(k0), ks)
+        return four._eigenrelation(f_sig, sig._discrete_exp(a), period_t * f.value(k0), ks)
 
     return _worst_over(5, trial)
 
@@ -550,7 +545,7 @@ def _run_dft_forward(grid, rng):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         n = int(rng.integers(0, grid.n))
-        eigen = four._eigenrelation(f, four._unit_roots(n, grid.n), spectrum.values[n])
+        eigen = four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.values[n])
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
         power_sum = conv.exp_factor_discrete(f, np.exp(2j * np.pi * n / grid.n))
@@ -565,7 +560,7 @@ def _run_dft_inverse(grid, rng):
         spectrum = four.dft(f)
         spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
         k = int(rng.integers(0, grid.n))
-        xk = four._unit_roots(k, grid.n)
+        xk = sig._unit_roots(k, grid.n)
         eigen = four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k))
         return _worst_of((eigen, four._compare(four.idft(spectrum).samples, f.samples)))
 
@@ -593,7 +588,7 @@ def _run_ft_forward(grid, rng):
         w = float(rng.uniform(-0.5, 0.5) * math.pi / ts)
         ks = np.arange(f.start - 4, f.end + 4)
         fw = four.fourier_transform(f, [w]).values[0]
-        return four._eigenrelation(f, lambda k: np.exp(1j * w * k * ts), fw, ks)
+        return four._eigenrelation(f, sig._analog_exp(1j * w, ts), fw, ks)
 
     return _worst_over(10, trial)
 
@@ -609,11 +604,9 @@ def _run_ft_inverse(grid, rng):
 
     def trial():
         t0_index = int(rng.integers(-reach, reach + 1))
-        t0 = t0_index * ts
         fhat = four.inverse_fourier_transform(spectrum, ts, t0_index, 1).samples[0]
-        return four._eigenrelation(
-            spec_signal, lambda k: np.exp(-1j * (k * dw) * t0), _TWO_PI * fhat, ks
-        )
+        e = sig._analog_exp(-1j * (t0_index * ts), dw)
+        return four._eigenrelation(spec_signal, e, _TWO_PI * fhat, ks)
 
     return _worst_over(5, trial)
 

@@ -12,12 +12,13 @@ spectra of ``fourier``, and ``_finite_number`` every stored scalar such as
 ``ts``: a non-finite number, a str or a bool is a ValueError, never parsed
 or read as 0 or 1.
 
-An exponential signal is its complex parameter ``a`` and its family, which
-the function called names: e^(a t) for ``eval_analog_exponential`` and
-``convolution.exp_factor_analog``, a^k for ``eval_discrete_exponential`` and
-``convolution.exp_factor_discrete``.  ``_exp_param`` is the one check of a
-parameter: a str, a bool or a non-finite value is a ValueError in both
-families, and so is the discrete base 0; the analog a = 0 is the constant 1.
+An exponential signal is its complex parameter ``a`` and its family: e^(a t)
+for ``eval_analog_exponential`` and ``convolution.exp_factor_analog``, a^k for
+``eval_discrete_exponential`` and ``convolution.exp_factor_discrete``.
+``_exp_param`` is the one check of a parameter: a str, a bool, a non-finite
+value or the discrete base 0 is a ValueError; the analog a = 0 is 1.  Callers
+evaluate every exponential signal through this module, by ``_analog_exp``,
+``_discrete_exp`` or ``_unit_roots``; a non-finite scalar is an OverflowError.
 """
 
 from __future__ import annotations
@@ -249,27 +250,44 @@ class PeriodicSampledSignal:
         return complex(self.samples[_index(k, "k") % self.samples.size])
 
 
+def _analog_exp(a, step):
+    """k -> e^(a k step), as np.exp(a * k * step): a * (k * step) rounds differently."""
+    return lambda k: np.exp(a * k * step)
+
+
+def _discrete_exp(a):
+    """k -> a^k for a complex base a, as one np.power."""
+    return lambda k: np.power(a, k)
+
+
+def _unit_roots(n, period: int):
+    """k -> e^(j 2 pi n k / period), n an int or a (rows, 1) column; n k is reduced
+    mod period (no int64 wrap) into a one-period table, as callers take a period."""
+    table = np.exp(2j * np.pi * np.arange(period) / period)
+    return lambda k: table[((n % period) * k) % period]
+
+
+def _one_point(family, k, what: str) -> complex:
+    """family at the index k; a non-finite value is an OverflowError naming what."""
+    with np.errstate(all="ignore"):
+        value = complex(family(k))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{what} is beyond the float64 range")
+    return value
+
+
 def eval_analog_exponential(a, t: float) -> complex:
-    """Value of e^(a t), split into exp(Re a * t) * (cos + j sin)(Im a * t)."""
+    """Value of e^(a t): the analog family at step t and index 1."""
     a = _exp_param(a, discrete=False)
     t = _finite_number(t, "t")
-    mag = math.exp(a.real * t)
-    ang = a.imag * t
-    return complex(mag * math.cos(ang), mag * math.sin(ang))
+    return _one_point(_analog_exp(a, t), 1, f"e^(a t) at t = {t} for a = {a}")
 
 
 def eval_discrete_exponential(a, k: int) -> complex:
-    """Value of a^k for integer k; negative k uses 1 / a^(-k).  A power beyond
-    the float64 range, either way, is an OverflowError."""
+    """Value of a^k for integer k: the discrete family at index k."""
     a = _exp_param(a, discrete=True)
     k = _index(k, "k")
-    if k >= 0:
-        return a ** k
-    power = a ** (-k)
-    value = 1.0 / power if power else math.inf
-    if not cmath.isfinite(value):
-        raise OverflowError(f"a^{k} is beyond the float64 range for a = {a}")
-    return value
+    return _one_point(_discrete_exp(a), k, f"a^{k} for a = {a}")
 
 
 def sample_function(

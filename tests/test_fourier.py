@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from convfourier import convolution as conv
-from convfourier import fourier
+from convfourier import fourier, signals
 from convfourier.convolution import (
     exp_factor_analog,
     exp_factor_discrete,
@@ -419,7 +419,7 @@ class TestDftOrthogonality:
         for i in (0, rows - 1, rows, m.size - 1):
             xm = harmonic_signal(int(m[i]), period)
             factor = period if m[i] == n[i] else 0.0
-            signal_path = fourier._eigenrelation(xm, fourier._unit_roots(int(n[i]), period), factor)
+            signal_path = fourier._eigenrelation(xm, signals._unit_roots(int(n[i]), period), factor)
             assert alone[i].residual == signal_path.residual
 
     def test_nan_residual_is_kept(self, monkeypatch):
@@ -496,7 +496,7 @@ class TestDftOrthogonality:
         assert harmonic_signal(n, period).samples.tobytes() == want.tobytes()
         assert sampled_harmonic(n, period, 0.25).samples.tobytes() == want.tobytes()
         if abs(n) < 2**63:
-            column = fourier._unit_roots(np.array([[n]], dtype=np.int64), period)(np.arange(period))
+            column = signals._unit_roots(np.array([[n]], dtype=np.int64), period)(np.arange(period))
             assert column.tobytes() == want.tobytes()
 
 
@@ -509,10 +509,10 @@ def test_row_stacked_eigenrelation_is_its_rows_bit_for_bit():
         f = rand_values(rng, (rows, period))
         n = rng.integers(0, period, (rows, 1))
         factor = rand_values(rng, (rows, 1))
-        stacked = fourier._eigenrelation(f, fourier._unit_roots(n, period), factor)
+        stacked = fourier._eigenrelation(f, signals._unit_roots(n, period), factor)
         alone = [
             fourier._eigenrelation(
-                PeriodicDiscreteSignal(f[i]), fourier._unit_roots(int(n[i, 0]), period), factor[i, 0]
+                PeriodicDiscreteSignal(f[i]), signals._unit_roots(int(n[i, 0]), period), factor[i, 0]
             )
             for i in range(rows)
         ]

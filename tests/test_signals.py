@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convfourier import signals
 from convfourier.convolution import exp_factor_analog, exp_factor_discrete
 from convfourier.fourier import (
     DftSpectrum,
@@ -83,6 +84,16 @@ class TestEvalAnalogExponential:
         with pytest.raises(ValueError):
             eval_analog_exponential(1.0, float("inf"))
 
+    @pytest.mark.parametrize("a, t", [(1e300, 1e300), (1e200j, 1e200)], ids=repr)
+    def test_value_beyond_float64_is_overflow(self, a, t):
+        # e^(1e600) was returned as (inf+nanj), and the phase 1e400 raised a
+        # ValueError (math domain error)
+        with pytest.raises(OverflowError):
+            eval_analog_exponential(a, t)
+
+    def test_underflow_is_zero(self):
+        assert eval_analog_exponential(-1e300, 1e300) == 0j
+
     @settings(max_examples=200, deadline=None)
     @given(
         re=st.floats(-2, 2),
@@ -122,6 +133,51 @@ class TestEvalDiscreteExponential:
         assert eval_discrete_exponential(2, np.int64(2)) == 4 + 0j
         with pytest.raises(ValueError, match="k must be an integer"):
             eval_discrete_exponential(2, k)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+def _direct_roots(n, period, k):
+    # the expression the table gather replaces: one np.exp per entry
+    return np.exp(2j * np.pi * (((n % period) * k) % period) / period)
+
+
+class TestExponentialFamilies:
+    @pytest.mark.parametrize("period", [1, 2, 7, 64, 257, 1024, 4096])
+    @pytest.mark.parametrize("n", [0, 1, 5, -1, -3, 2**62, 2**63 - 1])
+    def test_unit_roots_gather_is_the_direct_exp(self, n, period):
+        k = np.arange(-period, 2 * period)
+        assert _bits(signals._unit_roots(n, period)(k)) == _bits(_direct_roots(n, period, k))
+
+    @pytest.mark.parametrize("period", [7, 64, 4096])
+    def test_unit_roots_column_is_the_direct_exp(self, period):
+        n = np.array([[0], [3], [-2], [2**62], [2**63 - 1]], dtype=np.int64)
+        k = np.arange(period)
+        rows = signals._unit_roots(n, period)(k)
+        assert rows.shape == (5, period)
+        assert _bits(rows) == _bits(_direct_roots(n, period, k))
+
+    @pytest.mark.parametrize("a", [0.5 + 0.3j, -1.7 + 0.2j, 1.01 * np.exp(0.3j), 2 + 0j, -0.9j, 1 + 1e-3j])
+    def test_discrete_exp_is_the_power(self, a):
+        k = np.arange(-40, 41)
+        want = np.array([complex(a) ** int(i) for i in k])
+        got = signals._discrete_exp(a)(k)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("a", [1 + 0j, -1 + 0j, 1j, -1j], ids=repr)
+    def test_discrete_exp_is_exact_on_the_unit_axes(self, a):
+        k = np.arange(-40, 41)
+        cycle = np.array([1, a, a * a, a * a * a], dtype=np.complex128)
+        assert np.array_equal(signals._discrete_exp(a)(k), cycle[k % 4])
+
+    @pytest.mark.parametrize("a, step", [(0.3 - 2j, 1 / 64), (5.5j, 0.3), (-0.75j, math.pi / 8)])
+    def test_analog_exp_keeps_its_order(self, a, step):
+        # in this order: at a step that is not a power of two, a * (k * step)
+        # rounds differently
+        k = np.arange(-50, 51)
+        assert _bits(signals._analog_exp(a, step)(k)) == _bits(np.exp(a * k * step))
 
 
 class TestSampleFunction:

@@ -13,6 +13,8 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(convfourier.__path__
 SOURCES = sorted(
     p for p in pathlib.Path(convfourier.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+# the modules that read numbers and build exponentials through `signals`
+OUTSIDE_SIGNALS = [p for p in SOURCES if p.name != "signals.py"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -151,7 +153,6 @@ def test_blas_guard_sees_each_form(source, reaches):
 # CLI reads every numeric flag through one when it parses it, so its one
 # `must be >= ` raise is the check that compares two flags, which no reader of
 # a single value can state.
-_BOUNDED_SOURCES = [p for p in SOURCES if p.name != "signals.py"]
 _CROSS_FLAG_BOUNDS = {"cli.py": ["raise SignalFormatError('--omega-max must be >= --omega-min')"]}
 
 
@@ -162,7 +163,7 @@ def _states_a_bound(node) -> bool:
     )
 
 
-@pytest.mark.parametrize("path", _BOUNDED_SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", OUTSIDE_SIGNALS, ids=lambda p: p.name)
 def test_no_hand_written_lower_bound(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     raises = [node for node in ast.walk(tree) if _states_a_bound(node)]
@@ -189,7 +190,6 @@ def test_bound_guard_sees_each_form(source, states):
 # integer, decided once by `signals._grid_steps` and `signals._integral`:
 # outside signals.py no code tests `x.is_integer()` or `isclose(steps * step,
 # length)`.
-_GRID_SOURCES = [p for p in SOURCES if p.name != "signals.py"]
 
 
 def _tests_integrality(node) -> bool:
@@ -204,7 +204,7 @@ def _tests_grid_product(node) -> bool:
     return name == "isclose" and isinstance(first, ast.BinOp) and isinstance(first.op, ast.Mult)
 
 
-@pytest.mark.parametrize("path", _GRID_SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", OUTSIDE_SIGNALS, ids=lambda p: p.name)
 def test_no_hand_written_grid_check(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [n.lineno for n in ast.walk(tree) if _tests_integrality(n) or _tests_grid_product(n)]
@@ -288,3 +288,43 @@ def test_fourier_keeps_two_residual_helpers():
         if getattr(getattr(fourier, name), "__annotations__", {}).get("return") == "ResidualReport"
     }
     assert helpers == {"fs_eigencheck", "dft_orthogonality"}
+
+
+# Every exponential signal is one of the three index functions of `signals`
+# (`_analog_exp`, `_discrete_exp`, `_unit_roots`), reached through the module:
+# outside signals.py no lambda calls an exp or a power, no module defines a
+# family of its own, and none imports a family by name, which a patch of the
+# family at its definition would not reach.
+_FAMILIES = ("_analog_exp", "_discrete_exp", "_unit_roots")
+
+
+def _builds_an_exponential(node) -> bool:
+    if isinstance(node, ast.Lambda):
+        return any(
+            isinstance(call, ast.Call)
+            and (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) in ("exp", "power")
+            for call in ast.walk(node.body)
+        )
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name in ("_dexp",) + _FAMILIES
+    return isinstance(node, ast.ImportFrom) and any(alias.name in _FAMILIES for alias in node.names)
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SIGNALS, ids=lambda p: p.name)
+def test_exponentials_come_from_the_signals_families(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [n.lineno for n in ast.walk(tree) if _builds_an_exponential(n)]
+    assert not lines, f"{path.name} builds an exponential signal at lines {lines}: use a signals family"
+
+
+@pytest.mark.parametrize("source, builds", [
+    ("lambda k: np.exp(1j * w * k * ts)", True), ("lambda k: np.exp(-1j * (k * dw) * t0)", True),
+    ("lambda ks: np.power(a, ks)", True), ("lambda k: 2 * np.exp(a * k)", True),
+    ("def _dexp(a):\n    return a", True), ("def _unit_roots(n, period):\n    return n", True),
+    ("from .signals import _unit_roots", True), ("from .signals import _index, _discrete_exp", True),
+    ("lambda i: np.conj(xk(i))", False), ("sig._analog_exp(1j * w, ts)", False),
+    ("np.exp(-1j * omegas * lag)", False), ("from . import signals as sig", False),
+    ("lambda value: _index(value, 'n')", False), ("def _exp_param(a):\n    return a", False),
+])
+def test_exponential_guard_sees_each_form(source, builds):
+    assert any(_builds_an_exponential(node) for node in ast.walk(ast.parse(source))) is builds
