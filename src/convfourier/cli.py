@@ -21,6 +21,7 @@ from . import generators as gen
 from .harness import GridParams, run_all
 from .io import (
     SignalFormatError,
+    _is_plain,
     _write_text,
     read_signal,
     series_table_text,
@@ -95,8 +96,10 @@ def _generate(args):
             return gen.cosine(args.n, args.ts)
         return gen.square(args.n, args.ts)
     except (ValueError, OverflowError) as exc:
-        # a generator's precondition on --n or --width
-        raise SignalFormatError(f"--gen {args.gen}: {exc}") from None
+        # a generator's precondition on the one flag it reads besides --ts,
+        # which is read with its bound at parse time
+        flag = "--width" if args.gen == "pulse" else "--n"
+        raise SignalFormatError(f"argument {flag}: {exc}") from None
 
 
 def _single_input(args):
@@ -224,14 +227,13 @@ def _cmd_verify(args) -> int:
 
 def _plain(parse, bound):
     """An argparse type that reads a number as io reads a file cell and bounds
-    it with ``bound``, a ``signals`` reader.  int() and float() read '4_2' as 42
-    and take non-ASCII digits, so a text holding a '_' or a non-ASCII character
-    is rejected before parse; the type keeps parse's name, so argparse reports
-    "invalid int value: '4_2'".  The reader's ValueError is argparse's
-    "argument --FLAG: ..." line."""
+    it with ``bound``, a ``signals`` reader.  A text that is not plain
+    (``io._is_plain``: no '_', only ASCII) is rejected before parse; the type
+    keeps parse's name, so argparse reports "invalid int value: '4_2'".  The
+    reader's ValueError is argparse's "argument --FLAG: ..." line."""
 
     def read(text):
-        if "_" in text or not text.isascii():
+        if not _is_plain(text):
             raise ValueError(text)
         value = parse(text)
         try:

@@ -175,10 +175,10 @@ def _random_sampled(rng, ts, max_len=16) -> sig.SampledSignal:
 
 
 # --------------------------------------------------------------------------
-# comparison helpers; every max-norm residual is fourier._compare, every fold
-# of legs is _worst_of, and every eigenrelation f * e = factor * e is
-# fourier._eigenrelation, with e a family of signals (_analog_exp,
-# _discrete_exp or _unit_roots)
+# comparison helpers; every max-norm residual is fourier._compare, the legs of
+# a check are folded once, by _worst_of in _check, and every eigenrelation
+# f * e = factor * e is fourier._eigenrelation, with e a family of signals
+# (_analog_exp, _discrete_exp or _unit_roots)
 # --------------------------------------------------------------------------
 
 def _same_signal(out, want):
@@ -195,23 +195,20 @@ def _worst_of(reports):
     return tuple(np.max(list(reports), axis=0).tolist())
 
 
-def _worst_over(trials: int, trial):
-    """The worst residual and scale of ``trials`` calls of trial()."""
-    return _worst_of(trial() for _ in range(trials))
-
-
-def _halving_ratios(residual_at, steps):
+def _halving_ratios(residual_at, steps, legs):
     """Order-of-convergence gate: each halving of the step must quarter the
-    residual, so the runner reports the worst |ratio - 4| against scale 1."""
+    residual, so the leg is the worst |ratio - 4| against scale 1.  Returns
+    the note that lists the ratios."""
     residuals = [residual_at(ts) for ts in steps]
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
-    note = "halving ratios " + ", ".join(f"{q:.3f}" for q in ratios) + " (want 4)"
-    return four._compare(ratios, 4.0).residual, 1.0, note
+    legs.append((four._compare(ratios, 4.0).residual, 1.0))
+    return "halving ratios " + ", ".join(f"{q:.3f}" for q in ratios) + " (want 4)"
 
 
 # --------------------------------------------------------------------------
-# registry runners: each takes (grid, rng) and returns (residual, scale) or
-# (residual, scale, note)
+# registry runners: each takes (grid, rng, legs), appends one (residual,
+# scale) pair per leg per trial to legs, in the order it computes them, and
+# returns its note or None; trials are a `for _ in range(<literal>)` loop
 # --------------------------------------------------------------------------
 
 def _harmonic_product(convolve, f, g, n):
@@ -282,23 +279,20 @@ def _ft_signal() -> sig.SampledSignal:
     return gen.gaussian(_FT_TS, 6.0)
 
 
-def _run_ft_conv_time(grid, rng):
+def _run_ft_conv_time(grid, rng, legs):
     f = _ft_signal()
     ts = f.ts
     g = _bump(ts, 3.0, 2.0)
     fg = conv.approx_analog_convolve(f, g)
     ks = np.arange(-4, 5)
-
-    def trial():
+    for _ in range(3):
         w = float(rng.uniform(-12.0, 12.0))
         fw = four.fourier_transform(f, [w]).values[0]
         gw = four.fourier_transform(g, [w]).values[0]
-        return four._eigenrelation(fg, sig._analog_exp(1j * w, ts), gw * fw, ks)
-
-    return _worst_over(3, trial)
+        legs.append(four._eigenrelation(fg, sig._analog_exp(1j * w, ts), gw * fw, ks))
 
 
-def _run_ft_conv_freq(grid, rng):
+def _run_ft_conv_freq(grid, rng, legs):
     f = _ft_signal()
     ts = f.ts
     g = _bump(ts, 4.0, 2.0)
@@ -314,7 +308,7 @@ def _run_ft_conv_freq(grid, rng):
     ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
     factor = _TWO_PI * (_TWO_PI * fhat * ghat)
     ks = np.arange(-8, 9)
-    return four._eigenrelation(fg_w, sig._analog_exp(-1j * (t0_index * ts), dw), factor, ks)
+    legs.append(four._eigenrelation(fg_w, sig._analog_exp(-1j * (t0_index * ts), dw), factor, ks))
 
 
 def _ft_derivative_residual(ts: float) -> float:
@@ -325,22 +319,22 @@ def _ft_derivative_residual(ts: float) -> float:
     return four._compare(lhs, rhs).residual
 
 
-def _run_ft_derivative(grid, rng):
+def _run_ft_derivative(grid, rng, legs):
     # the central difference has symbol sin(w ts)/ts = w - w^3 ts^2/6 + ...;
     # the ladder is fixed so the gate does not depend on the caller's grid
-    return _halving_ratios(_ft_derivative_residual, (1 / 16, 1 / 32, 1 / 64))
+    return _halving_ratios(_ft_derivative_residual, (1 / 16, 1 / 32, 1 / 64), legs)
 
 
-def _run_ft_time_shift(grid, rng):
+def _run_ft_time_shift(grid, rng, legs):
     f = _ft_signal()
     omegas = _ft_grid()
     lag = int(rng.integers(-16, 17)) * f.ts
     lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
     rhs = np.exp(-1j * omegas * lag) * four.fourier_transform(f, omegas).values
-    return four._compare(lhs, rhs)
+    legs.append(four._compare(lhs, rhs))
 
 
-def _run_ft_duality(grid, rng):
+def _run_ft_duality(grid, rng, legs):
     # oracle-calibrated fixed grid: pulse at _FT_TS, spectrum on |w| <= 32 pi
     p = gen.pulse(_FT_TS)
     dw = _FT_GRID_STEP
@@ -352,11 +346,11 @@ def _run_ft_duality(grid, rng):
     second = four.fourier_transform(spectrum_as_signal, w_prime).values
     want = _TWO_PI * np.where(np.abs(w_prime) < 0.5, 1.0, 0.0)
     mask = np.abs(np.abs(w_prime) - 0.5) > 0.2
-    note = "fixed oracle grid; residual dominated by band truncation of the pulse spectrum"
-    return *four._compare(second[mask], want[mask]), note
+    legs.append(four._compare(second[mask], want[mask]))
+    return "fixed oracle grid; residual dominated by band truncation of the pulse spectrum"
 
 
-def _run_ft_time_scale(grid, rng):
+def _run_ft_time_scale(grid, rng, legs):
     f = _ft_signal()
     omegas = _ft_grid()
     # a = -1: time reversal flips the frequency axis exactly; the even oracle
@@ -365,73 +359,61 @@ def _run_ft_time_scale(grid, rng):
     off_centre = sig.SampledSignal(f.ts, f.start + 7, f.samples)
     lhs = four.fourier_transform(conv.scale_time(off_centre, -1), omegas).values
     rhs = four.fourier_transform(off_centre, omegas).values[::-1]
+    legs.append(four._compare(lhs, rhs))
     # a = 2: f(2t) has the transform 1/2 F(w/2), with F taken on f's own grid
-    lhs2 = four.fourier_transform(conv.scale_time(f, 2), omegas).values
-    rhs2 = 0.5 * four.fourier_transform(f, omegas / 2.0).values
-    return _worst_of((four._compare(lhs, rhs), four._compare(lhs2, rhs2)))
+    lhs = four.fourier_transform(conv.scale_time(f, 2), omegas).values
+    rhs = 0.5 * four.fourier_transform(f, omegas / 2.0).values
+    legs.append(four._compare(lhs, rhs))
 
 
-def _run_commutativity(grid, rng):
-    def trial():
+def _run_commutativity(grid, rng, legs):
+    for _ in range(20):
         f = _random_discrete(rng)
         g = _random_discrete(rng)
         fg, gf = conv.discrete_convolve(f, g), conv.discrete_convolve(g, f)
-        return four._compare(fg.samples, gf.samples)
-
-    return _worst_over(20, trial)
+        legs.append(four._compare(fg.samples, gf.samples))
 
 
-def _run_associativity(grid, rng):
-    def trial():
+def _run_associativity(grid, rng, legs):
+    for _ in range(20):
         f = _random_discrete(rng)
         g = _random_discrete(rng)
         h = _random_discrete(rng)
         a = conv.discrete_convolve(conv.discrete_convolve(f, g), h)
         b = conv.discrete_convolve(f, conv.discrete_convolve(g, h))
-        return four._compare(a.samples, b.samples)
-
-    return _worst_over(20, trial)
+        legs.append(four._compare(a.samples, b.samples))
 
 
-def _run_identity_discrete(grid, rng):
+def _run_identity_discrete(grid, rng, legs):
     d = sig.delta_signal()
-
-    def trial():
+    for _ in range(20):
         f = _random_discrete(rng)
-        return _same_signal(conv.discrete_convolve(d, f), f)
-
-    return _worst_over(20, trial)
+        legs.append(_same_signal(conv.discrete_convolve(d, f), f))
 
 
-def _run_identity_analog(grid, rng):
+def _run_identity_analog(grid, rng, legs):
     d = sig.delta_approx(grid.ts)
-
-    def trial():
+    for _ in range(20):
         f = _random_sampled(rng, grid.ts)
-        return four._compare(conv.approx_analog_convolve(d, f).samples, f.samples)
-
-    return _worst_over(20, trial)
+        legs.append(four._compare(conv.approx_analog_convolve(d, f).samples, f.samples))
 
 
-def _run_mixed_associativity(grid, rng):
+def _run_mixed_associativity(grid, rng, legs):
     n = max(2, grid.n // 8)
-
-    def trial():
+    for _ in range(5):
         # one fold onto a sampled period, then one onto a discrete period
         h = _random_sampled(rng, grid.ts)
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
         a = conv.periodic_convolve_analog(conv.mixed_convolve(h, f), g)
         b = conv.mixed_convolve(h, conv.periodic_convolve_analog(f, g))
-        sampled = four._compare(a.samples, b.samples)
+        legs.append(four._compare(a.samples, b.samples))
         h = _random_discrete(rng)
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, n))
         g = sig.PeriodicDiscreteSignal(_unit_disk(rng, n))
         a = conv.periodic_convolve_discrete(conv.mixed_convolve(h, f), g)
         b = conv.mixed_convolve(h, conv.periodic_convolve_discrete(f, g))
-        return _worst_of((sampled, four._compare(a.samples, b.samples)))
-
-    return _worst_over(5, trial)
+        legs.append(four._compare(a.samples, b.samples))
 
 
 def _derivative_residual(ts: float) -> float:
@@ -444,130 +426,110 @@ def _derivative_residual(ts: float) -> float:
     return four._compare(lhs.samples[1:-1], rhs.samples).residual
 
 
-def _run_derivative(grid, rng):
-    return _halving_ratios(_derivative_residual, (0.1, 0.05, 0.025))
+def _run_derivative(grid, rng, legs):
+    return _halving_ratios(_derivative_residual, (0.1, 0.05, 0.025), legs)
 
 
-def _run_time_shift(grid, rng):
-    def trial():
+def _run_time_shift(grid, rng, legs):
+    for _ in range(10):
         f = _random_discrete(rng)
         g = _random_discrete(rng)
         lag = int(rng.integers(-6, 7))
         base = conv.shift(conv.discrete_convolve(f, g), lag)
         lhs_f = conv.discrete_convolve(conv.shift(f, lag), g)
         lhs_g = conv.discrete_convolve(f, conv.shift(g, lag))
-        return _worst_of((_same_signal(lhs_f, base), _same_signal(lhs_g, base)))
+        legs.append(_same_signal(lhs_f, base))
+        legs.append(_same_signal(lhs_g, base))
 
-    return _worst_over(10, trial)
 
-
-def _run_time_scale(grid, rng):
-    def trial():
+def _run_time_scale(grid, rng, legs):
+    for _ in range(10):
         f = _random_sampled(rng, grid.ts)
         g = _random_sampled(rng, grid.ts)
         # reversal case is grid-exact: f(-t) * g == reverse(f * reverse(g))
         lhs = conv.approx_analog_convolve(conv.scale_time(f, -1), g)
         rhs = conv.scale_time(conv.approx_analog_convolve(f, conv.scale_time(g, -1)), -1)
-        return _same_signal(lhs, rhs)
-
-    return _worst_over(10, trial)
+        legs.append(_same_signal(lhs, rhs))
 
 
-def _run_eigen_analog(grid, rng):
+def _run_eigen_analog(grid, rng, legs):
     ts = grid.ts
-
-    def trial():
+    for _ in range(10):
         f = _random_sampled(rng, ts)
         a = complex(rng.uniform(-1.0, 1.0), rng.uniform(-8.0, 8.0))
         ks = np.arange(f.start - 4, f.end + 4)
         factor = conv.exp_factor_analog(f, a)
-        return four._eigenrelation(f, sig._analog_exp(a, ts), factor, ks)
-
-    return _worst_over(10, trial)
+        legs.append(four._eigenrelation(f, sig._analog_exp(a, ts), factor, ks))
 
 
-def _run_eigen_discrete(grid, rng):
-    def trial():
+def _run_eigen_discrete(grid, rng, legs):
+    for _ in range(20):
         f = _random_discrete(rng, start_lo=-8, start_hi=0)
         mag = rng.uniform(0.5, 2.0)
         a = mag * np.exp(2j * np.pi * rng.uniform())
         ks = np.arange(f.start - 4, f.end + 4)
-        return four._eigenrelation(f, sig._discrete_exp(a), conv.exp_factor_discrete(f, a), ks)
+        factor = conv.exp_factor_discrete(f, a)
+        legs.append(four._eigenrelation(f, sig._discrete_exp(a), factor, ks))
 
-    return _worst_over(20, trial)
 
-
-def _run_eigen_periodic_analog(grid, rng):
-    def trial():
+def _run_eigen_periodic_analog(grid, rng, legs):
+    for _ in range(10):
         f = _random_trig_poly(rng, grid)
         n = int(rng.integers(-grid.n_max, grid.n_max + 1))
-        return four.fs_eigencheck(f, n)
-
-    return _worst_over(10, trial)
+        legs.append(four.fs_eigencheck(f, n))
 
 
-def _run_eigen_periodic_discrete(grid, rng):
-    def trial():
+def _run_eigen_periodic_discrete(grid, rng, legs):
+    for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         n = int(rng.integers(0, grid.n))
         factor = conv.exp_factor_discrete(f, np.exp(2j * np.pi * n / grid.n))
-        return four._eigenrelation(f, sig._unit_roots(n, grid.n), factor)
-
-    return _worst_over(10, trial)
+        legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), factor))
 
 
-def _run_fs_forward(grid, rng):
-    def trial():
+def _run_fs_forward(grid, rng, legs):
+    for _ in range(10):
         coeffs = _unit_disk(rng, 2 * grid.n_max + 1)
         spectrum = four.fourier_coefficients(_trig_poly(grid, coeffs), grid.n_max)
-        return four._compare(spectrum.coeffs, coeffs)
-
-    return _worst_over(10, trial)
+        legs.append(four._compare(spectrum.coeffs, coeffs))
 
 
-def _run_fs_inverse(grid, rng):
+def _run_fs_inverse(grid, rng, legs):
     period_t = grid.t
     ks = np.arange(-8, 9)
-
-    def trial():
+    for _ in range(5):
         f = _random_trig_poly(rng, grid)
         spectrum = four.fourier_coefficients(f, grid.n_max)
         f_sig = sig.DiscreteSignal(-grid.n_max, period_t * spectrum.coeffs)
         k0 = int(rng.integers(0, grid.n))
         a = np.exp(-1j * grid.omega0 * (k0 * grid.ts))
-        return four._eigenrelation(f_sig, sig._discrete_exp(a), period_t * f.value(k0), ks)
-
-    return _worst_over(5, trial)
+        legs.append(four._eigenrelation(f_sig, sig._discrete_exp(a), period_t * f.value(k0), ks))
 
 
-def _run_dft_forward(grid, rng):
-    def trial():
+def _run_dft_forward(grid, rng, legs):
+    for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         n = int(rng.integers(0, grid.n))
-        eigen = four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.values[n])
+        legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.values[n]))
         # the direct N-term power sum keeps an independent side: both of the
         # above run on the FFT
         power_sum = conv.exp_factor_discrete(f, np.exp(2j * np.pi * n / grid.n))
-        return _worst_of((eigen, four._compare(spectrum.values[n], power_sum)))
-
-    return _worst_over(10, trial)
+        legs.append(four._compare(spectrum.values[n], power_sum))
 
 
-def _run_dft_inverse(grid, rng):
-    def trial():
+def _run_dft_inverse(grid, rng, legs):
+    for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
         k = int(rng.integers(0, grid.n))
         xk = sig._unit_roots(k, grid.n)
-        eigen = four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k))
-        return _worst_of((eigen, four._compare(four.idft(spectrum).samples, f.samples)))
-
-    return _worst_over(10, trial)
+        legs.append(four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k)))
+        legs.append(four._compare(four.idft(spectrum).samples, f.samples))
 
 
-def _run_dft_orthogonality(grid, rng):
+def _run_dft_orthogonality(grid, rng, legs):
     n = grid.n
     if n <= 16:
         m, k = np.divmod(np.arange(n * n), n)
@@ -576,24 +538,21 @@ def _run_dft_orthogonality(grid, rng):
         m, k = rng.integers(0, n, size=(200, 2)).T
         diagonal = np.arange(0, n, max(1, n // 16))
         m, k = np.concatenate((m, diagonal)), np.concatenate((k, diagonal))
-    residual, scale = four.dft_orthogonality(m, k, n)
-    return residual, scale, f"{m.size} pairs"
+    legs.append(four.dft_orthogonality(m, k, n))
+    return f"{m.size} pairs"
 
 
-def _run_ft_forward(grid, rng):
+def _run_ft_forward(grid, rng, legs):
     ts = grid.ts
-
-    def trial():
+    for _ in range(10):
         f = _random_sampled(rng, ts)
         w = float(rng.uniform(-0.5, 0.5) * math.pi / ts)
         ks = np.arange(f.start - 4, f.end + 4)
         fw = four.fourier_transform(f, [w]).values[0]
-        return four._eigenrelation(f, sig._analog_exp(1j * w, ts), fw, ks)
-
-    return _worst_over(10, trial)
+        legs.append(four._eigenrelation(f, sig._analog_exp(1j * w, ts), fw, ks))
 
 
-def _run_ft_inverse(grid, rng):
+def _run_ft_inverse(grid, rng, legs):
     f = _ft_signal()
     ts = f.ts
     dw = _FT_GRID_STEP
@@ -601,48 +560,39 @@ def _run_ft_inverse(grid, rng):
     spec_signal = sig.SampledSignal(dw, -_FT_GRID_HALF, spectrum.values)
     ks = np.arange(-8, 9)
     reach = sig._grid_steps(2.0, ts, "t0 window")
-
-    def trial():
+    for _ in range(5):
         t0_index = int(rng.integers(-reach, reach + 1))
         fhat = four.inverse_fourier_transform(spectrum, ts, t0_index, 1).samples[0]
         e = sig._analog_exp(-1j * (t0_index * ts), dw)
-        return four._eigenrelation(spec_signal, e, _TWO_PI * fhat, ks)
-
-    return _worst_over(5, trial)
+        legs.append(four._eigenrelation(spec_signal, e, _TWO_PI * fhat, ks))
 
 
-def _run_fs_conv_time(grid, rng):
-    def trial():
+def _run_fs_conv_time(grid, rng, legs):
+    for _ in range(5):
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
         n = int(rng.integers(-grid.n_max, grid.n_max + 1))
-        return _harmonic_product(conv.periodic_convolve_analog, f, g, n)
-
-    return _worst_over(5, trial)
+        legs.append(_harmonic_product(conv.periodic_convolve_analog, f, g, n))
 
 
-def _run_fs_conv_freq(grid, rng):
-    def trial():
+def _run_fs_conv_freq(grid, rng, legs):
+    for _ in range(5):
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
-        return _fs_conv_freq(f, g, int(rng.integers(0, grid.n)), grid.n_max)
-
-    return _worst_over(5, trial)
+        legs.append(_fs_conv_freq(f, g, int(rng.integers(0, grid.n)), grid.n_max))
 
 
-def _run_fs_lti_mixed(grid, rng):
+def _run_fs_lti_mixed(grid, rng, legs):
     # periodic input through a finite impulse response: each harmonic is
     # scaled by the response's own factor, ((h*u) (*) x_n) = U(n) H(n) x_n
-    def trial():
+    for _ in range(5):
         h = _random_sampled(rng, grid.ts, max_len=min(16, grid.n))
         u = _random_trig_poly(rng, grid)
         n = int(rng.integers(-grid.n_max, grid.n_max + 1))
-        return _harmonic_product(conv.mixed_convolve, h, u, n)
-
-    return _worst_over(5, trial)
+        legs.append(_harmonic_product(conv.mixed_convolve, h, u, n))
 
 
-def _run_ft_discretize(grid, rng):
+def _run_ft_discretize(grid, rng, legs):
     # F(n omega0) against T C_n of f folded into one period T.  A pulse of
     # width T fits the 4 T window, so the fold does not alias in time, and
     # the frequencies sit on the omega0 lattice of T by construction.  The
@@ -656,10 +606,10 @@ def _run_ft_discretize(grid, rng):
     n_max = min(max(grid.n_max, 1), (n_window - 1) // 2)
     spectrum = four.fourier_transform(f, np.arange(-n_max, n_max + 1) * omega0)
     coeffs = four.fourier_coefficients(folded, n_max).coeffs
-    return four._compare(spectrum.values, period_t * coeffs)
+    legs.append(four._compare(spectrum.values, period_t * coeffs))
 
 
-def _run_ft_sampling(grid, rng):
+def _run_ft_sampling(grid, rng, legs):
     # a fixed 37-sample pulse at the grid's ts: the identity is about ts, and
     # a fixed length keeps the work the same at every ts.  Off-centre, and of
     # a length that does not divide the 64 frequencies per omega_s, so its
@@ -674,29 +624,26 @@ def _run_ft_sampling(grid, rng):
     omegas = k * dw
     vals = four.fourier_transform(f, omegas).values
     # sampling makes the spectrum periodic with period omega_s
-    periodic = four._compare(vals[per_period:], vals[:-per_period])
+    legs.append(four._compare(vals[per_period:], vals[:-per_period]))
     # base-band restriction plus replica summation rebuilds the spectrum
     rep = (k + per_period // 2) % per_period - per_period // 2
     masked = four.TransformSpectrum(omegas=omegas, values=np.where(rep == k, vals, 0.0))
     rebuilt = four.periodize_spectrum(masked, omega_s, 2)
-    replicas = four._compare(rebuilt.values, vals)
+    legs.append(four._compare(rebuilt.values, vals))
     # the reversed sample sequence carries the periodized spectrum as its factor
     reversed_f = conv.scale_time(f, -1)
     indices = reversed_f.start + np.arange(len(reversed_f))
     lhs = ts * conv._power_sum(reversed_f.samples, indices, np.exp(-1j * omegas * ts))
-    reversal = four._compare(lhs, rebuilt.values)
-    return _worst_of((periodic, replicas, reversal))
+    legs.append(four._compare(lhs, rebuilt.values))
 
 
-def _run_dft_vs_series(grid, rng):
-    def trial():
+def _run_dft_vs_series(grid, rng, legs):
+    for _ in range(5):
         f = _random_trig_poly(rng, grid)
         # the DFT of one period of samples at harmonic n (mod N) is N C_n
         spectrum = four.fourier_coefficients(f, grid.n_max)
         values = four.dft(sig.PeriodicDiscreteSignal(f.samples)).values
-        return four._compare(values[spectrum.harmonics() % grid.n], grid.n * spectrum.coeffs)
-
-    return _worst_over(5, trial)
+        legs.append(four._compare(values[spectrum.harmonics() % grid.n], grid.n * spectrum.coeffs))
 
 
 @dataclass(frozen=True)
@@ -941,10 +888,30 @@ def registry_ids() -> tuple:
     return tuple(spec.id for spec in REGISTRY)
 
 
+def _check(spec, grid: GridParams, rng) -> IdentityCheck:
+    """Run one registry entry and judge it with ``_finish``: the worst residual
+    and the worst scale over the legs the runner recorded, with its note.  A
+    runner that raises, or records no leg, fails with an infinite residual."""
+    legs = []
+    try:
+        # a grid beyond the float64 range (e^(a t) at a large ts, an infinite
+        # omega at a subnormal ts) gives non-finite values, which a
+        # constructor rejects or _finish fails; NumPy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            note = spec.runner(grid, rng, legs)
+    except Exception as exc:
+        # a check that cannot be computed is a failure, never a skip
+        return _finish(spec, math.inf, 0.0, f"failed: {type(exc).__name__}: {exc}")
+    if not legs:
+        # a check that compares nothing is a gate that cannot fail
+        return _finish(spec, math.inf, 0.0, "failed: the runner recorded no leg")
+    return _finish(spec, *_worst_of(legs), note or "")
+
+
 def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:
     """Execute every registered check; deterministic under a fixed seed.
 
-    Each check is judged by ``_finish`` against its declared tolerance, which
+    Each check is judged by ``_check`` against its declared tolerance, which
     no argument rescales.  Individual failures are recorded in the report,
     never raised.  Every check runs on every grid (at n_max = 0 the periodic
     checks run on harmonic 0), and a check whose runner raises fails with an
@@ -953,21 +920,11 @@ def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:
     grid = GridParams() if grid is None else grid
     seed = sig._index(seed, "seed", minimum=0)
     streams = np.random.SeedSequence(seed).spawn(len(REGISTRY))
-    checks = []
-    for spec, stream in zip(REGISTRY, streams):
-        rng = np.random.default_rng(stream)
-        try:
-            # a grid beyond the float64 range (e^(a t) at a large ts, an
-            # infinite omega at a subnormal ts) gives non-finite values, which
-            # a constructor rejects or _finish fails; NumPy need not warn
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = spec.runner(grid, rng)
-        except Exception as exc:
-            # a check that cannot be computed is a failure, never a skip
-            result = math.inf, 0.0, f"failed: {type(exc).__name__}: {exc}"
-        checks.append(_finish(spec, *result))
+    checks = tuple(
+        _check(spec, grid, np.random.default_rng(stream)) for spec, stream in zip(REGISTRY, streams)
+    )
     return Report(
-        checks=tuple(checks),
+        checks=checks,
         seed=seed,
         grid_params={"n": grid.n, "ts": grid.ts, "t": grid.t, "n_max": grid.n_max},
     )

@@ -100,6 +100,14 @@ def signal_kind(signal) -> str:
 # reading
 # --------------------------------------------------------------------------
 
+def _is_plain(text: str) -> bool:
+    """Whether int() and float() read text as written: they read '1_5' as 15
+    and accept non-ASCII digits, so a text with a '_' or a non-ASCII
+    character is not plain.  Every number cell and numeric CLI flag is held
+    to this rule."""
+    return text.isascii() and "_" not in text
+
+
 def _ints(cells, what: str) -> list:
     try:
         return list(map(int, cells))
@@ -238,11 +246,10 @@ def _csv_stages(rows, named=()):
                 raise SignalFormatError(f"expected 3 columns, got {line.count(',') + 1}: {line!r}")
 
     def plain():
-        # int() and float() read '1_5' as 15 and accept non-ASCII digits
-        suspect = not joined.isascii() or "_" in joined
+        suspect = not _is_plain(joined)
         own = zip(itertools.cycle(("index", "re", "im")), cells) if suspect else ()
         for what, cell in itertools.chain(named, own):
-            if "_" in cell or not cell.isascii():
+            if not _is_plain(cell):
                 bad = f"{what} holds a '_' or a non-ASCII character: {cell.strip()!r}"
                 raise SignalFormatError(bad)
 

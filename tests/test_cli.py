@@ -333,20 +333,26 @@ class TestFt:
         assert err == f"error: argument --ts: ts must be finite and > 0, got {float(ts)}\n"
 
     @pytest.mark.parametrize(
-        "gen_args",
+        "gen_args, message",
         [
-            ["square", "--n", "1", "--ts", "0.25"],
-            ["square", "--n", "3", "--ts", "0.25"],
-            ["pulse", "--ts", "0.3"],
-            ["pulse", "--ts", "0.25", "--width", "0"],
+            (["square", "--n", "1", "--ts", "0.25"], "argument --n: n_samples must be >= 2, got 1"),
+            (["square", "--n", "3", "--ts", "0.25"],
+             "argument --n: square wave needs an even sample count, got 3"),
+            (["pulse", "--ts", "0.3"],
+             "argument --width: pulse width 1.0 is not a whole number of steps of 0.3"),
+            (["pulse", "--ts", "0.25", "--width", "0"],
+             "argument --width: pulse width must be >= 1 steps of 0.25, got 0.0"),
+            (["pulse", "--ts", "0.25", "--width", "0.3"],
+             "argument --width: pulse width 0.3 is not a whole number of steps of 0.25"),
         ],
     )
-    def test_generator_precondition_exit_2(self, capsys, gen_args):
-        code, _, err = run(
+    def test_generator_precondition_exit_2(self, capsys, gen_args, message):
+        # the generator's reason, under the flag that carries the value, as
+        # every parse-time bound is reported
+        code, out, err = run(
             capsys, "ft", "--gen", *gen_args, "--omega-min", "0", "--omega-max", "1", "--omega-step", "1"
         )
-        assert code == 2
-        assert err.startswith(f"error: --gen {gen_args[0]}:")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # Unreadable input exits 2 with one "error:" line; each used to raise out of

@@ -59,8 +59,13 @@ GOLDEN_GRIDS = {
 
 
 def verdict(check_id, result):
-    """The harness verdict on a (residual, scale) pair or a runner result."""
+    """The harness verdict on a helper's (residual, scale) pair."""
     return harness._finish(SPECS[check_id], *result)
+
+
+def evaluate(check_id, grid, rng):
+    """The verdict of one registry entry, run as run_all runs it."""
+    return harness._check(SPECS[check_id], grid, rng)
 
 
 # Mutation adequacy (DeMillo, Lipton & Sayward, "Hints on test data selection",
@@ -503,16 +508,23 @@ class TestRunAll:
         assert not passed
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf])
-    def test_non_finite_scale_fails(self, monkeypatch, scale):
+    def test_non_finite_scale_fails(self, scale):
         # max(1.0, nan) is 1.0 and tolerance * inf passes anything
         spec = dataclasses.replace(
-            SPECS["conv.commutativity"], runner=lambda grid, rng: (0.0, scale, "")
+            SPECS["conv.commutativity"], runner=lambda grid, rng, legs: legs.append((0.0, scale))
         )
-        monkeypatch.setattr(harness, "REGISTRY", (spec,))
-        (check,) = run_all().checks
-        assert not check.passed
-        assert check.residual == math.inf
-        assert check.note == f"failed: non-finite residual 0.0, scale {scale!r}"
+        result = harness._check(spec, GridParams(), np.random.default_rng(0))
+        assert not result.passed
+        assert result.residual == math.inf
+        assert result.note == f"failed: non-finite residual 0.0, scale {scale!r}"
+
+    def test_runner_without_a_leg_fails(self):
+        # a check that compares nothing is a gate that cannot fail
+        spec = dataclasses.replace(SPECS["conv.commutativity"], runner=lambda grid, rng, legs: None)
+        result = harness._check(spec, GridParams(), np.random.default_rng(0))
+        assert not result.passed
+        assert result.residual == math.inf
+        assert result.note.startswith("failed:")
 
     def test_report_dict_shape(self):
         d = run_all().to_dict()
@@ -550,12 +562,12 @@ class TestDftOrthogonalityPairs:
     @pytest.mark.parametrize("n, pairs", [(7, 49), (16, 256), (64, 216), (1024, 216)])
     def test_note_counts_the_pairs(self, n, pairs):
         grid = GridParams(n=n, ts=1 / n, n_max=min(3, (n - 1) // 2))
-        rng = np.random.default_rng(42)
-        assert harness._run_dft_orthogonality(grid, rng)[1:] == (float(n), f"{pairs} pairs")
+        result = evaluate("dft.orthogonality", grid, np.random.default_rng(42))
+        assert (result.scale, result.note) == (float(n), f"{pairs} pairs")
 
 
 class TestWorstOf:
-    """harness._worst_of folds every multi-leg runner; a NaN must survive it."""
+    """harness._worst_of folds the legs of every check; a NaN must survive it."""
 
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("field", [0, 1], ids=["residual", "scale"])
@@ -666,9 +678,9 @@ class TestFtSampling:
             return exact(f, omegas)
 
         monkeypatch.setattr(fourier, "fourier_transform", recording)
-        check = verdict("ft.sampling", SPECS["ft.sampling"].runner(GridParams(ts=ts), None))
+        result = evaluate("ft.sampling", GridParams(ts=ts), None)
         assert transformed == [(37, ts)]
-        assert check.passed
+        assert result.passed
 
 
 class TestCheckFtProperties:
@@ -677,7 +689,7 @@ class TestCheckFtProperties:
     def test_all_selectors_pass(self):
         rng = np.random.default_rng(3)
         ft_ids = [i for i in EXPECTED_IDS if i.startswith("ft.")]
-        assert all(verdict(i, SPECS[i].runner(GridParams(), rng)).passed for i in ft_ids)
+        assert all(evaluate(i, GridParams(), rng).passed for i in ft_ids)
 
     @pytest.mark.parametrize(
         "check_id",
@@ -686,11 +698,12 @@ class TestCheckFtProperties:
     )
     def test_property_checks_run_on_a_fixed_oracle(self, check_id):
         # the caller's grid, even one as coarse as ts = 4, must not reach their inputs
-        runner = SPECS[check_id].runner
         coarse = GridParams(n=16, ts=4.0, n_max=2)
-        assert runner(coarse, np.random.default_rng(3)) == runner(GridParams(), np.random.default_rng(3))
+        assert evaluate(check_id, coarse, np.random.default_rng(3)) == evaluate(
+            check_id, GridParams(), np.random.default_rng(3)
+        )
 
     def test_identity_check_invariant(self):
-        check = verdict("ft.derivative", SPECS["ft.derivative"].runner(GridParams(), None))
-        assert isinstance(check, IdentityCheck)
-        assert check.passed == (check.residual <= check.tolerance * max(1.0, check.scale))
+        result = evaluate("ft.derivative", GridParams(), None)
+        assert isinstance(result, IdentityCheck)
+        assert result.passed == (result.residual <= result.tolerance * max(1.0, result.scale))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -58,15 +59,55 @@ def _calls_kernel(node) -> bool:
     )
 
 
+def _is_trial_loop(node) -> bool:
+    """`for _ in range(<int literal>):` whose body never reads `_`: it repeats a
+    random trial a fixed number of times, so it cannot index a grid."""
+    literal_range = (
+        isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name) and node.target.id == "_"
+        and isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"
+        and len(node.iter.args) == 1 and not node.iter.keywords
+        and isinstance(node.iter.args[0], ast.Constant) and type(node.iter.args[0].value) is int
+    )
+    return literal_range and not any(
+        isinstance(n, ast.Name) and n.id == "_" and isinstance(n.ctx, ast.Load)
+        for statement in node.body + node.orelse for n in ast.walk(statement)
+    )
+
+
+def _kernel_calls_in_loops(tree) -> list:
+    """Lines of kernel calls inside any loop or comprehension but a trial loop;
+    a per-point loop nested in a trial loop is a loop of its own."""
+    loops = [n for n in ast.walk(tree) if isinstance(n, _LOOPS) and not _is_trial_loop(n)]
+    return sorted({c.lineno for loop in loops for c in ast.walk(loop) if _calls_kernel(c)})
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_riemann_sum_is_never_called_per_point(path):
     # no batched kernel, _riemann_sum or otherwise, runs in a loop: a loop
     # around one is a per-point Python loop over the output grid (or, for
-    # dft_orthogonality, over the harmonic pairs)
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for loop in (n for n in ast.walk(tree) if isinstance(n, _LOOPS)):
-        calls = [c.lineno for c in ast.walk(loop) if _calls_kernel(c)]
-        assert not calls, f"{path.name}:{loop.lineno} calls a factor kernel in a loop at lines {calls}"
+    # dft_orthogonality, over the harmonic pairs).  A harness trial loop
+    # repeats a whole random trial and is exempt.
+    calls = _kernel_calls_in_loops(ast.parse(path.read_text(encoding="utf-8")))
+    assert not calls, f"{path.name} calls a factor kernel in a loop at lines {calls}"
+
+
+@pytest.mark.parametrize("source, per_point", [
+    ("for w in ws:\n    conv.exp_factor_analog(f, 1j * w)", True),
+    ("[conv.exp_factor_analog(f, 1j * w) for w in omegas]", True),
+    ("for _ in range(n):\n    conv.exp_factor_analog(f, a)", True),
+    ("for _ in range(10):\n    conv.exp_factor_discrete(f, bases[_])", True),
+    ("for _ in range(10):\n    for w in ws:\n        conv.exp_factor_analog(f, 1j * w)", True),
+    ("while more:\n    conv.dft_orthogonality(m, k, n)", True),
+    ("for i in range(10):\n    conv.exp_factor_analog(f, a)", True),
+    ("for _ in range(10.0):\n    conv.exp_factor_analog(f, a)", True),
+    ("for _ in range(0, 10):\n    conv.exp_factor_analog(f, a)", True),
+    ("for _ in range(10):\n    conv.exp_factor_analog(f, rng.uniform())", False),
+    ("for _ in range(10):\n    legs.append(conv._power_sum(s, k, a))", False),
+    ("conv._riemann_sum(s, t, ts, a)", False),
+])
+def test_kernel_loop_guard_sees_each_form(source, per_point):
+    assert bool(_kernel_calls_in_loops(ast.parse(source))) is per_point
 
 
 def _subscripts_riemann_sum(node) -> bool:
@@ -275,6 +316,48 @@ def test_no_hand_written_max_norm(path):
 ])
 def test_max_norm_guard_sees_each_form(source, takes):
     assert any(_takes_max_norm(node) for node in ast.walk(ast.parse(source))) is takes
+
+
+# A number text with a '_' or a non-ASCII character is rejected by one
+# predicate, `io._is_plain`, for file cells and CLI flags alike.
+def test_plain_number_rule_is_stated_once():
+    # each top-level definition that tests isascii
+    sites = [
+        (path.name, getattr(statement, "name", statement.lineno)) for path in SOURCES
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        if any(isinstance(n, ast.Attribute) and n.attr == "isascii" for n in ast.walk(statement))
+    ]
+    assert sites == [("io.py", "_is_plain")]
+
+
+# A runner takes (grid, rng, legs) and appends one (residual, scale) pair per
+# leg per trial to legs; `harness._check` folds them, in the one `_worst_of`
+# call of the harness, so every leg of every check reaches the verdict the
+# same way.
+HARNESS_TREE = ast.parse(pathlib.Path(convfourier.harness.__file__).read_text(encoding="utf-8"))
+
+
+def test_harness_folds_legs_once():
+    calls = [
+        node.lineno for node in ast.walk(HARNESS_TREE)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "_worst_of"
+    ]
+    assert len(calls) == 1, f"harness.py calls _worst_of at lines {calls}"
+
+
+def test_runners_define_no_nested_function():
+    runners = [n for n in HARNESS_TREE.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_run_")]
+    nested = [
+        f"{runner.name}.{node.name}" for runner in runners for node in ast.walk(runner)
+        if node is not runner and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert runners and not nested, nested
+
+
+def test_registry_runners_take_grid_rng_legs():
+    for spec in convfourier.harness.REGISTRY:
+        assert list(inspect.signature(spec.runner).parameters) == ["grid", "rng", "legs"], spec.id
 
 
 def test_fourier_keeps_two_residual_helpers():
