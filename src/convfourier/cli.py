@@ -185,12 +185,15 @@ def _cmd_ft(args) -> int:
         raise SignalFormatError("--omega-max must be >= --omega-min")
     # omega = min + k step for every k with omega <= max; a span within 1e-9
     # of a whole number of steps keeps its last frequency, and a span beyond
-    # the float64 range in steps counts inf frequencies
+    # the float64 range in steps counts inf frequencies; a count from 2^53 on,
+    # where float64 no longer holds every whole number, is shown to 6 digits
+    # (M=2e+300), not as the hundreds of digits of math.floor
     span = (args.omega_max - args.omega_min) / args.omega_step + 1e-9
     count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    shown = count if count < 2**53 else f"{count:g}"
     length = f.samples.size
     _check_budget(
-        "ft", f"M={count} frequencies x L={length} samples",
+        "ft", f"M={shown} frequencies x L={length} samples",
         ("M", count, _FT_MAX_FREQUENCIES), ("L*M", count * length, _MAX_TERMS),
     )
     omegas = args.omega_min + np.arange(count) * args.omega_step
@@ -331,9 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full identity catalog and emit a JSON report")
     p.add_argument("--seed", type=_SEED, default=42)
-    p.add_argument("--n", type=_N, default=64, help="samples per period")
-    p.add_argument("--ts", type=_TS, default=1.0 / 64.0, help="grid spacing (seconds)")
-    p.add_argument("--nmax", type=_NMAX, default=8, help="harmonic window for random signals")
+    p.add_argument("--n", type=_N, default=GridParams.n, help="samples per period")
+    p.add_argument("--ts", type=_TS, default=GridParams.ts, help="grid spacing (seconds)")
+    p.add_argument(
+        "--nmax", type=_NMAX, default=GridParams.n_max, help="harmonic window for random signals"
+    )
     p.add_argument("--out", default="-", help="report path ('-' for stdout)")
     p.set_defaults(func=_cmd_verify)
 

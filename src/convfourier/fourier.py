@@ -36,7 +36,6 @@ spectrum's omegas are checked before its values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -76,9 +75,6 @@ __all__ = [
     "periodize_spectrum",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
-
 @dataclass(frozen=True, eq=False)
 class SeriesSpectrum:
     """Fourier series coefficients C_n on the window |n| <= n_max.
@@ -101,7 +97,7 @@ class SeriesSpectrum:
     @property
     def omega0(self) -> float:
         """The fundamental 2*pi / period_t (rad/s); never stored separately."""
-        return _TWO_PI / self.period_t
+        return sig._TWO_PI / self.period_t
 
     @property
     def n_max(self) -> int:
@@ -275,10 +271,9 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     """
     n_max = _index(n_max, "n_max", minimum=0)
     _check_alias_window(n_max, f.period_samples)
-    period_t = f.period_t
-    a = 1j * np.arange(-n_max, n_max + 1) * (_TWO_PI / period_t)
+    a = 1j * np.arange(-n_max, n_max + 1) * f.omega0
     factors = conv._riemann_sum(f.samples, f.times(), f.ts, a)
-    return SeriesSpectrum(period_t=period_t, coeffs=factors / period_t)
+    return SeriesSpectrum(period_t=f.period_t, coeffs=factors / f.period_t)
 
 
 def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSignal:
@@ -311,7 +306,7 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     """
     n = _index(n, "n")
     _check_alias_window(abs(n), f.period_samples)
-    factor = conv.exp_factor_analog(f, 1j * n * (_TWO_PI / f.period_t))
+    factor = conv.exp_factor_analog(f, 1j * n * f.omega0)
     return _eigenrelation(f, sig._unit_roots(n, f.period_samples), factor)
 
 
@@ -373,7 +368,7 @@ def inverse_fourier_transform(
     Each output sample is the Riemann sum over the frequency grid with
     weight dw / 2pi and a = -j t.
     """
-    weight = spectrum.delta_omega / _TWO_PI
+    weight = spectrum.delta_omega / sig._TWO_PI
     return _synthesize(spectrum.values, spectrum.omegas, weight, ts, start, count)
 
 

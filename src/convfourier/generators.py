@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .signals import (
-    PeriodicSampledSignal, SampledSignal, _check_ts, _finite_number, _grid_steps, _index,
+    _TWO_PI, PeriodicSampledSignal, SampledSignal, _check_ts, _finite_number, _grid_steps, _index,
 )
 
 __all__ = ["pulse", "cosine", "square", "gaussian"]
@@ -27,7 +27,7 @@ def cosine(n_samples: int, ts: float) -> PeriodicSampledSignal:
     n_samples = _index(n_samples, "n_samples", minimum=1)
     k = np.arange(n_samples)
     return PeriodicSampledSignal(
-        ts=ts, samples=np.cos(2.0 * np.pi * k / n_samples).astype(np.complex128)
+        ts=ts, samples=np.cos(_TWO_PI * k / n_samples).astype(np.complex128)
     )
 
 
@@ -41,13 +41,15 @@ def square(n_samples: int, ts: float) -> PeriodicSampledSignal:
     return PeriodicSampledSignal(ts=ts, samples=samples)
 
 
-def gaussian(ts: float, half_width: float = 6.0) -> SampledSignal:
-    """Samples of e^(-t^2) on the symmetric grid |t| <= half_width.
+def gaussian(ts: float, half_width: float = 6.0, rate: float = 1.0) -> SampledSignal:
+    """Samples of e^(-rate t^2) on the symmetric grid |t| <= half_width.
 
-    half_width must be a whole number (at least 1) of grid steps.
+    half_width must be a whole number (at least 1) of grid steps, and rate a
+    finite number > 0.
     """
     ts = _check_ts(ts)
     k_max = _grid_steps(_finite_number(half_width, "half_width"), ts, "half_width", minimum=1)
-    k = np.arange(-k_max, k_max + 1)
-    t = k * ts
-    return SampledSignal(ts=ts, start=-k_max, samples=np.exp(-t * t).astype(np.complex128))
+    rate = _finite_number(rate, "rate", positive=True)
+    t = np.arange(-k_max, k_max + 1) * ts
+    # at rate 1.0, -rate * t is -t exactly
+    return SampledSignal(ts=ts, start=-k_max, samples=np.exp(-rate * t * t))

@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# the one statement of 2 pi; every fundamental omega0 = 2 pi / T is read from
+# a periodic signal or its spectrum
+_TWO_PI = 2.0 * math.pi
+
+
 class GridMismatchError(ValueError):
     """Two signals live on incompatible grids (ts, period or start)."""
 
@@ -143,19 +148,9 @@ def _grid_steps(length, step, name: str, error=ValueError, minimum: int | None =
     return steps
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteSignal:
-    """Finite-support complex sequence; sample ``i`` sits at index ``start + i``.
-
-    Evaluation outside the stored support returns exactly zero.
-    """
-
-    start: int
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", _index(self.start, "start"))
-        object.__setattr__(self, "samples", _as_complex_array(self.samples))
+class _Finite:
+    """The accessors of a finite-support signal, sample ``i`` at index
+    ``start + i`` and zero elsewhere; the subclass holds the fields."""
 
     def __len__(self) -> int:
         return self.samples.size
@@ -172,8 +167,30 @@ class DiscreteSignal:
         return 0j
 
 
+class _Periodic:
+    """The accessor of a periodic signal that stores one period."""
+
+    def value(self, k: int) -> complex:
+        return complex(self.samples[_index(k, "k") % self.samples.size])
+
+
 @dataclass(frozen=True, eq=False)
-class PeriodicDiscreteSignal:
+class DiscreteSignal(_Finite):
+    """Finite-support complex sequence; sample ``i`` sits at index ``start + i``.
+
+    Evaluation outside the stored support returns exactly zero.
+    """
+
+    start: int
+    samples: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", _index(self.start, "start"))
+        object.__setattr__(self, "samples", _as_complex_array(self.samples))
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodicDiscreteSignal(_Periodic):
     """Period-N complex sequence storing the window k = 0 .. N-1."""
 
     samples: np.ndarray = field(repr=False)
@@ -185,12 +202,9 @@ class PeriodicDiscreteSignal:
     def period(self) -> int:
         return self.samples.size
 
-    def value(self, k: int) -> complex:
-        return complex(self.samples[_index(k, "k") % self.period])
-
 
 @dataclass(frozen=True, eq=False)
-class SampledSignal:
+class SampledSignal(_Finite):
     """Finite-support samples of an analog signal on a uniform grid.
 
     Sample ``i`` holds f((start + i) * ts); the signal is zero off support.
@@ -205,26 +219,13 @@ class SampledSignal:
         object.__setattr__(self, "start", _index(self.start, "start"))
         object.__setattr__(self, "samples", _as_complex_array(self.samples))
 
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def end(self) -> int:
-        return self.start + self.samples.size
-
     def times(self) -> np.ndarray:
         """Time coordinate of every stored sample."""
         return (self.start + np.arange(self.samples.size)) * self.ts
 
-    def value(self, k: int) -> complex:
-        i = _index(k, "k") - self.start
-        if 0 <= i < self.samples.size:
-            return complex(self.samples[i])
-        return 0j
-
 
 @dataclass(frozen=True, eq=False)
-class PeriodicSampledSignal:
+class PeriodicSampledSignal(_Periodic):
     """One period (N samples, period T = N*ts) of a sampled analog signal."""
 
     ts: float
@@ -243,11 +244,13 @@ class PeriodicSampledSignal:
         """Period in seconds; always the pair N*ts, never stored separately."""
         return self.samples.size * self.ts
 
+    @property
+    def omega0(self) -> float:
+        """The fundamental 2*pi / period_t (rad/s) of the harmonics e^(j n omega0 t)."""
+        return _TWO_PI / self.period_t
+
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) * self.ts
-
-    def value(self, k: int) -> complex:
-        return complex(self.samples[_index(k, "k") % self.samples.size])
 
 
 def _analog_exp(a, step):
@@ -263,7 +266,7 @@ def _discrete_exp(a):
 def _unit_roots(n, period: int):
     """k -> e^(j 2 pi n k / period), n an int or a (rows, 1) column; n k is reduced
     mod period (no int64 wrap) into a one-period table, as callers take a period."""
-    table = np.exp(2j * np.pi * np.arange(period) / period)
+    table = np.exp(1j * _TWO_PI * np.arange(period) / period)
     return lambda k: table[((n % period) * k) % period]
 
 
@@ -334,11 +337,11 @@ def periodize(f, period_samples: int):
     overlapping wraps add up (time-domain aliasing).
     """
     n = _index(period_samples, "period", minimum=1)
+    if not isinstance(f, _Finite):
+        raise TypeError(f"cannot periodize {type(f).__name__}")
     folded = np.zeros(n, dtype=np.complex128)
     idx = (f.start + np.arange(len(f))) % n
     np.add.at(folded, idx, f.samples)
     if isinstance(f, SampledSignal):
         return PeriodicSampledSignal(ts=f.ts, samples=folded)
-    if isinstance(f, DiscreteSignal):
-        return PeriodicDiscreteSignal(samples=folded)
-    raise TypeError(f"cannot periodize {type(f).__name__}")
+    return PeriodicDiscreteSignal(samples=folded)

@@ -274,6 +274,21 @@ class TestFt:
             f"the limit is M <= {cli._FT_MAX_FREQUENCIES}, L*M <= {cli._MAX_TERMS}\n"
         )
 
+    @pytest.mark.parametrize(
+        "step, count",
+        # from 2^53 on a count prints to 6 digits, not as the 301 digits of
+        # math.floor(2e300); below it every digit is kept
+        [("1e-300", "2e+300"), ("2.220446049250313e-16", "9.0072e+15"),
+         ("4.440892098500626e-16", "4503599627370497")],
+    )
+    def test_huge_frequency_count_prints_short(self, capsys, step, count):
+        code, out, err = run(capsys, *pulse_ft("-1", "1", step))
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: ft work budget exceeded: M={count} frequencies x L=4 samples; "
+            f"the limit is M <= {cli._FT_MAX_FREQUENCIES}, L*M <= {cli._MAX_TERMS}\n"
+        )
+
     @pytest.mark.parametrize("omega_min, first", [("-1.5e0", -1.5), ("-2E-3", -0.002), ("-.5", -0.5)])
     def test_negative_value_in_exponent_form_is_a_value(self, capsys, omega_min, first):
         # argparse took -1.5e0 for a flag: "expected one argument"
@@ -445,6 +460,36 @@ BAD_ARGUMENTS = [
     pulse_ft("0", "1", "inf"),
     ["series", "--gen", "cos", "--n", "16", "--ts", "0.0625", "--nmax", "-1"],
 ]
+
+
+_OMEGAS = ["--omega-min", "0", "--omega-max", "1", "--omega-step", "1"]
+
+# an input that is missing or whose file breaks the schema, with its one error line
+MISSING_OR_BAD_INPUT = {
+    "gen-cos-without-n": ({}, ["series", "--gen", "cos", "--ts", "0.25", "--nmax", "1"],
+                          "--gen cos requires --n"),
+    "series-without-input": ({}, ["series", "--nmax", "1"], "provide an input file or --gen NAME"),
+    "ft-without-input": ({}, ["ft", *_OMEGAS], "provide an input file or --gen NAME"),
+    "csv-negative-ts": ({"f.csv": "# kind=analog ts=-0.5\nindex,re,im\n0,1,0\n"},
+                        ["ft", "f.csv", *_OMEGAS], "ts must be > 0, got -0.5"),
+    "csv-zero-ts": ({"f.csv": "# kind=periodic-analog ts=0 n=1\nindex,re,im\n0,1,0\n"},
+                    ["series", "f.csv", "--nmax", "0"], "ts must be > 0, got 0.0"),
+    "json-negative-ts": ({"f.json": '{"kind": "analog", "ts": -0.5, "rows": [[0, 1, 0]]}'},
+                         ["ft", "f.json", *_OMEGAS], "ts must be > 0, got -0.5"),
+    "json-no-kind": ({"f.json": '{"n": 1, "rows": [[0, 1, 0]]}'}, ["dft", "f.json"],
+                     "missing or non-string 'kind'"),
+    "json-numeric-kind": ({"f.json": '{"kind": 1, "rows": []}'}, ["dft", "f.json"],
+                          "missing or non-string 'kind'"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_OR_BAD_INPUT)
+def test_missing_or_bad_input_exit_2(tmp_path, capsys, monkeypatch, case):
+    files, argv, message = MISSING_OR_BAD_INPUT[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)

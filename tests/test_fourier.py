@@ -79,6 +79,23 @@ class TestSpectrumTypes:
         with pytest.raises(ValueError, match="period must be finite and > 0"):
             SeriesSpectrum(period_t=period_t, coeffs=[1.0])
 
+    def test_series_needs_an_odd_coefficient_count(self):
+        with pytest.raises(ValueError, match=r"^coefficients must cover a symmetric window -n_max\.\.n_max$"):
+            SeriesSpectrum(period_t=1.0, coeffs=[1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "omegas, values, message",
+        [
+            ([0.0, 1.0], [1.0], "omegas and values must be matching 1-d arrays"),
+            ([[0.0, 1.0]], [[1.0, 2.0]], "omegas and values must be matching 1-d arrays"),
+            ([], [], "spectrum needs at least one frequency"),
+        ],
+        ids=["lengths", "2-d", "empty"],
+    )
+    def test_transform_spectrum_shapes(self, omegas, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransformSpectrum(omegas=omegas, values=values)
+
     def test_dft_spectrum_periodic_evaluation(self):
         s = DftSpectrum(values=np.array([1.0, 2.0, 3.0]))
         for n in range(-9, 9):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,3 +45,25 @@ def test_half_width_is_a_whole_number_of_steps():
     with pytest.raises(ValueError, match="^half_width 1.1 is not a whole number of steps of 0.3$"):
         gaussian(0.3, 1.1)
     assert np.abs(gaussian(0.3, 1.2).times()).max() <= 1.2 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (0, "rate must be finite and > 0, got 0.0"),
+        (-1, "rate must be finite and > 0, got -1.0"),
+        (math.nan, "rate must be finite and > 0, got nan"),
+        ("2", "rate must be a number, got '2'"),
+        (True, "rate must be a number, got True"),
+    ],
+    ids=["zero", "negative", "nan", "str", "bool"],
+)
+def test_gaussian_rate_is_a_positive_number(rate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gaussian(0.25, 1.0, rate=rate)
+
+
+def test_gaussian_rate_scales_the_exponent():
+    t = np.arange(-4, 5) * 0.25
+    assert np.array_equal(gaussian(0.25, 1.0).samples, np.exp(-t * t))
+    assert np.array_equal(gaussian(0.25, 1.0, rate=2.0).samples, np.exp(-2.0 * t * t))

@@ -248,6 +248,10 @@ class TestTables:
             "1,-0,-1,0,-1e-167",
         ]
 
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            signal_text(DiscreteSignal(0, [1]), "xml")
+
     def test_transform_table(self):
         spectrum = TransformSpectrum(
             omegas=np.array([-1.0, 0.0, 1.0]), values=np.array([1j, 2.0, -1j])

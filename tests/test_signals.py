@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convfourier import signals
-from convfourier.convolution import exp_factor_analog, exp_factor_discrete
+from convfourier.convolution import exp_factor_analog, exp_factor_discrete, shift
 from convfourier.fourier import (
     DftSpectrum,
     SeriesSpectrum,
@@ -14,6 +14,7 @@ from convfourier.fourier import (
     inverse_fourier_transform,
 )
 from convfourier.harness import GridParams
+from convfourier.io import signal_kind
 from convfourier.signals import (
     DiscreteSignal,
     PeriodicDiscreteSignal,
@@ -219,6 +220,10 @@ class TestDiscreteSignal:
         assert f.value(4) == 3 + 0j
         assert f.value(5) == 0j
 
+    def test_sampled_zero_off_support(self):
+        f = SampledSignal(0.5, 2, [1, 2])
+        assert (f.value(1), f.value(2), f.value(3), f.value(4)) == (0j, 1 + 0j, 2 + 0j, 0j)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             DiscreteSignal(0, [1.0, float("inf")])
@@ -341,6 +346,7 @@ class TestPeriodicSignals:
         f = PeriodicSampledSignal(ts=0.25, samples=[1, 2, 3, 4])
         assert f.period_t == 4 * 0.25
         assert f.period_samples == 4
+        assert f.omega0 == 2 * math.pi / f.period_t
 
     def test_sampled_wrap(self):
         f = PeriodicSampledSignal(ts=0.5, samples=[1, 2])
@@ -383,13 +389,29 @@ class TestPeriodize:
         assert list(folded.samples.real) == [2, 2]
 
 
+@pytest.mark.parametrize(
+    "call, x, message",
+    [
+        (lambda x: shift(x, 1), DftSpectrum([1]), "cannot shift DftSpectrum"),
+        (lambda x: periodize(x, 4), DftSpectrum([1]), "cannot periodize DftSpectrum"),
+        # a periodic signal has no start; this was an AttributeError
+        (lambda x: periodize(x, 4), PeriodicDiscreteSignal([1, 2]),
+         "cannot periodize PeriodicDiscreteSignal"),
+        (signal_kind, DftSpectrum([1]), "not a signal type: DftSpectrum"),
+    ],
+    ids=["shift", "periodize", "periodize-periodic", "signal_kind"],
+)
+def test_a_non_signal_is_a_type_error(call, x, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call(x)
+
+
 # ---------------------------------------------------------------------------
 # Start, count, period and window arguments are read through signals._index:
 # a float, a bool or a string is a ValueError, never truncated by int().
 # ---------------------------------------------------------------------------
 
 from convfourier import fourier as four  # noqa: E402
-from convfourier.convolution import shift  # noqa: E402
 from convfourier.generators import cosine, square  # noqa: E402
 from convfourier.harness import GridParams  # noqa: E402
 
@@ -496,7 +518,6 @@ def test_periodic_types_need_one_entry(kind):
 
 import re  # noqa: E402
 
-from convfourier import harness  # noqa: E402
 from convfourier.convolution import scale_time  # noqa: E402
 from convfourier.generators import gaussian, pulse  # noqa: E402
 from convfourier.signals import GridMismatchError  # noqa: E402
@@ -516,7 +537,6 @@ GRID_LENGTHS = {
     "periodize_spectrum": (
         lambda v: four.periodize_spectrum(_SPECTRUM, v, 1), 0.5, "omega_s", GridMismatchError, 1e-17
     ),
-    "_bump": (lambda v: harness._bump(0.25, v, 2.0), 0.25, "half_width", ValueError, 0.0),
 }
 
 
@@ -524,7 +544,7 @@ GRID_LENGTHS = {
 def test_grid_length_is_a_whole_number_of_steps(site):
     call, step, name, error, below = GRID_LENGTHS[site]
     call(3 * step)
-    # pulse, gaussian, periodize_spectrum and _bump rounded this to 3 steps
+    # pulse, gaussian and periodize_spectrum rounded this to 3 steps
     off = 3 * step * (1 + 1e-10)
     message = f"{name} {off} is not a whole number of steps of {step}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -532,7 +552,6 @@ def test_grid_length_is_a_whole_number_of_steps(site):
     if below is None:
         call(-3 * step)
     else:
-        # _bump read 0 as one step
         with pytest.raises(error, match=f"^{name} must be >= 1 steps of {step}, got {below}$"):
             call(below)
     with pytest.raises(error, match=f"^{name} 1e\\+308 is beyond the float64 range in steps of {step}$"):

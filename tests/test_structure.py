@@ -411,3 +411,57 @@ def test_exponentials_come_from_the_signals_families(path):
 ])
 def test_exponential_guard_sees_each_form(source, builds):
     assert any(_builds_an_exponential(node) for node in ast.walk(ast.parse(source))) is builds
+
+
+# 2 pi is stated once, as `signals._TWO_PI`, and every fundamental
+# omega0 = 2 pi / T is read from the periodic signal that has the period
+# (`PeriodicSampledSignal.omega0`) or from a spectrum that carries its own
+# (`SeriesSpectrum.omega0`).
+def _attr_or_name(node):
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def _states_two_pi(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and any(isinstance(side, ast.Constant) and side.value in (2, 2j) for side in (node.left, node.right))
+        and any(_attr_or_name(side) == "pi" for side in (node.left, node.right))
+    )
+
+
+def _states_a_fundamental(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and _attr_or_name(node.left) == "_TWO_PI"
+        and any(_attr_or_name(n) in ("period_t", "t", "period") for n in ast.walk(node.right))
+    )
+
+
+def _sites(predicate):
+    """(module, top-level name) of each top-level statement holding a match."""
+    return sorted(
+        (path.name, getattr(statement, "name", None) or ast.unparse(statement.targets[0]))
+        for path in SOURCES
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        if any(predicate(n) for n in ast.walk(statement))
+    )
+
+
+def test_two_pi_and_omega0_are_stated_once():
+    assert _sites(_states_two_pi) == [("signals.py", "_TWO_PI")]
+    assert _sites(_states_a_fundamental) == [
+        ("fourier.py", "SeriesSpectrum"), ("signals.py", "PeriodicSampledSignal"),
+    ]
+
+
+@pytest.mark.parametrize("source, two_pi, fundamental", [
+    ("2.0 * math.pi", True, False), ("2j * np.pi", True, False), ("np.pi * 2", True, False),
+    ("math.pi / 8", False, False), ("1j * sig._TWO_PI * k", False, False),
+    ("_TWO_PI / f.period_t", False, True), ("sig._TWO_PI / self.t", False, True),
+    ("sig._TWO_PI / (n * period)", False, True), ("sig._TWO_PI / ts", False, False),
+    ("dw / sig._TWO_PI", False, False),
+])
+def test_two_pi_guard_sees_each_form(source, two_pi, fundamental):
+    nodes = list(ast.walk(ast.parse(source)))
+    assert any(map(_states_two_pi, nodes)) is two_pi
+    assert any(map(_states_a_fundamental, nodes)) is fundamental
