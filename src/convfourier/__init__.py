@@ -24,7 +24,6 @@ from .fourier import (
     SeriesSpectrum,
     TransformSpectrum,
     dft,
-    dft_orthogonality,
     fourier_coefficients,
     fourier_transform,
     fs_eigencheck,
@@ -47,11 +46,8 @@ from .signals import (
     SampledSignal,
     delta_approx,
     delta_signal,
-    eval_analog_exponential,
     eval_discrete_exponential,
-    periodic_delta,
     periodize,
-    sample_function,
 )
 
 __version__ = "0.1.0"

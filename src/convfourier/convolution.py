@@ -244,7 +244,7 @@ def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, a) -> comple
     rejected because the convolution is then ill-defined.
     """
     a = _exp_param(a, discrete=True)
-    indices = getattr(f, "start", 0) + np.arange(f.samples.size)
+    indices = getattr(f, "start", 0) + np.arange(f.samples.size, dtype=np.float64)
     return _finite(_power_sum(f.samples, indices, np.array([a]))[0])
 
 
@@ -296,9 +296,11 @@ def scale_time(f: SampledSignal, a) -> SampledSignal:
     if p < 0:
         lo, hi = hi, lo
     k_min = -(-lo // p)  # ceil(lo / p)
-    k_max = hi // p
-    k = np.arange(k_min, k_max + 1)
-    return SampledSignal(ts=new_ts, start=int(k_min), samples=f.samples[k * p - f.start])
+    count = max(0, hi // p - k_min + 1)
+    # a slice from the first picked sample, not an index array: a start or a
+    # factor beyond int64 never reaches NumPy's index arithmetic
+    samples = f.samples[k_min * p - f.start :: p][:count]
+    return SampledSignal(ts=new_ts, start=k_min, samples=samples)
 
 
 def derivative(f: SampledSignal) -> SampledSignal:

@@ -24,11 +24,9 @@ eigenfactor goes through ``exp_factor_analog``, never a one-exponent
 ``_check_alias_window``, its one max-norm comparison is ``_compare``, and
 its one eigenrelation f * e = factor * e, for all four convolutions, is
 ``_eigenrelation``.  Its circular branch also takes a row stack of discrete
-periods, one circular convolution for the whole stack, so
-``dft_orthogonality`` checks arrays of harmonic pairs x_m (*) x_n in row
-blocks of at most ``_RIEMANN_BLOCK // 2`` samples per operand instead of one
-call per pair.  A harmonic index is an integer or an integer array, never
-truncated: 1.7 is rejected, not read as harmonic 1.
+periods, one circular convolution for the whole stack, so the harness checks
+blocks of harmonic pairs x_m (*) x_n in one call each.  A harmonic index is
+an integer, never truncated: 1.7 is rejected, not read as harmonic 1.
 
 The three spectrum types hold numbers by the rule of ``signals``, and a
 spectrum's omegas are checked before its values.
@@ -69,7 +67,6 @@ __all__ = [
     "fs_eigencheck",
     "dft",
     "idft",
-    "dft_orthogonality",
     "fourier_transform",
     "inverse_fourier_transform",
     "periodize_spectrum",
@@ -230,19 +227,6 @@ def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
     return _compare(out.samples[ks - out.start], factor * expo(ks))
 
 
-def _pair_indices(m, n) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (m[i], n[i]) as two int64 arrays, from two ints or two
-    non-empty equal-length 1-d integer arrays; anything else is a ValueError."""
-    ms, ns = np.atleast_1d(m), np.atleast_1d(n)
-    if not (ms.dtype.kind in "iu" and ns.dtype.kind in "iu"):
-        raise ValueError(f"m and n must be integers, got {ms.dtype} and {ns.dtype}")
-    if not (ms.ndim == ns.ndim == 1 and ms.size == ns.size > 0):
-        raise ValueError(
-            f"m and n must be non-empty 1-d arrays of one length, got shapes {ms.shape} and {ns.shape}"
-        )
-    return ms.astype(np.int64), ns.astype(np.int64)
-
-
 def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:
     """Periodic discrete exponential x_n(k) = e^(j n (2 pi / N) k)."""
     n, period = _index(n, "n"), _index(period, "period", minimum=1)
@@ -250,7 +234,9 @@ def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:
 
 
 def sampled_harmonic(n: int, period: int, ts: float) -> PeriodicSampledSignal:
-    """One period of the analog harmonic e^(j n omega0 t) sampled at spacing ts."""
+    """One period of the analog harmonic e^(j n omega0 t) sampled at spacing ts:
+    the paper's eigensignal, built for callers and tests; the library's own
+    checks take the harmonic as an index function (``signals._unit_roots``)."""
     return PeriodicSampledSignal(ts=ts, samples=harmonic_signal(n, period).samples)
 
 
@@ -281,7 +267,7 @@ def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSig
     the Riemann sum with "times" freqs and one exponent a = -j t per output time."""
     start, count = _index(start, "start"), _index(count, "count", minimum=0)
     ts = _check_ts(ts)
-    t = (start + np.arange(count)) * ts
+    t = (start + np.arange(count, dtype=np.float64)) * ts
     samples = conv._riemann_sum(values, freqs, weight, -1j * t)
     return SampledSignal(ts=ts, start=start, samples=samples)
 
@@ -292,7 +278,8 @@ def series_synthesize(
     """Truncated synthesis sum_{|n| <= n_max} C_n e^(j n omega0 t) on a grid.
 
     Each output sample is the Riemann sum over the harmonics with unit
-    weight, "times" n omega0 and a = -j t.
+    weight, "times" n omega0 and a = -j t.  The library has no caller yet:
+    its fs.inverse leg waits for the next golden regeneration (ROADMAP.md, item 12).
     """
     freqs = spectrum.harmonics() * spectrum.omega0
     return _synthesize(spectrum.coeffs, freqs, 1.0, ts, start, count)
@@ -318,35 +305,6 @@ def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
 def idft(spectrum: DftSpectrum) -> PeriodicDiscreteSignal:
     """Inverse DFT f(k) = (1/N) sum_m F(m) e^(j m (2 pi / N) k), computed by FFT."""
     return PeriodicDiscreteSignal(samples=np.fft.ifft(spectrum.values))
-
-
-def dft_orthogonality(m, n, period: int) -> ResidualReport:
-    """Residual of x_m (*) x_n against N * delta(m - n) * x_n, the worst over
-    the pairs (m[i], n[i]) when m and n are integer arrays; the scale is N.
-
-    The pairs go through ``_eigenrelation`` in row blocks of at most
-    ``_RIEMANN_BLOCK // 2`` samples per operand, one circular convolution per
-    block; each pair's residual is the one it has alone, bit for bit.
-    """
-    ms, ns = _pair_indices(m, n)
-    period = _index(period, "period")
-    bad = np.flatnonzero((ms < 0) | (ms >= period) | (ns < 0) | (ns >= period))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"need 0 <= m, n < N, got m={ms[i]}, n={ns[i]}, N={period}")
-    ms, ns = ms[:, None], ns[:, None]
-    k = np.arange(period)
-    rows = max(1, conv._RIEMANN_BLOCK // (2 * period))
-    residuals = [
-        _eigenrelation(
-            sig._unit_roots(ms[lo : lo + rows], period)(k),
-            sig._unit_roots(ns[lo : lo + rows], period),
-            np.where(ms[lo : lo + rows] == ns[lo : lo + rows], float(period), 0.0),
-        ).residual
-        for lo in range(0, ms.shape[0], rows)
-    ]
-    # np.max keeps a NaN, as the harness's _worst_of does
-    return ResidualReport(float(np.max(residuals)), float(period))
 
 
 def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:

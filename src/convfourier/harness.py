@@ -521,8 +521,17 @@ def _run_dft_orthogonality(grid, rng, legs):
         m, k = rng.integers(0, n, size=(200, 2)).T
         diagonal = np.arange(0, n, max(1, n // 16))
         m, k = np.concatenate((m, diagonal)), np.concatenate((k, diagonal))
-    legs.append(four.dft_orthogonality(m, k, n))
-    return f"{m.size} pairs"
+    # x_m (*) x_k = N delta(m - k) x_k against scale N, one circular
+    # convolution per block of _RIEMANN_BLOCK // (2 N) pairs; each pair's
+    # residual is the one it has alone, bit for bit
+    m, k = m[:, None], k[:, None]
+    rows = max(1, conv._RIEMANN_BLOCK // (2 * n))
+    for lo in range(0, m.shape[0], rows):
+        ms, ks = m[lo : lo + rows], k[lo : lo + rows]
+        x_m = sig._unit_roots(ms, n)(np.arange(n))
+        factor = np.where(ms == ks, float(n), 0.0)
+        legs.append((four._eigenrelation(x_m, sig._unit_roots(ks, n), factor).residual, float(n)))
+    return f"{m.shape[0]} pairs"
 
 
 def _run_ft_forward(grid, rng, legs):

@@ -461,7 +461,9 @@ def signal_text(signal, fmt: str = "csv") -> str:
 
 def write_signal(signal, path: str, fmt: str = "csv"):
     """Write a signal's CSV or JSON text to ``path``, or to standard output
-    when ``path`` is ``-``, one block of rows at a time."""
+    when ``path`` is ``-``, one block of rows at a time.  The library's file
+    writer, the counterpart of ``read_signal``; the CLI does not call it yet
+    (ROADMAP.md, item 9)."""
     _write_text(_table_text(*_signal_table(signal), fmt), path)
 
 

@@ -13,8 +13,8 @@ spectra of ``fourier``, and ``_finite_number`` every stored scalar such as
 or read as 0 or 1.
 
 An exponential signal is its complex parameter ``a`` and its family: e^(a t)
-for ``eval_analog_exponential`` and ``convolution.exp_factor_analog``, a^k for
-``eval_discrete_exponential`` and ``convolution.exp_factor_discrete``.
+for ``convolution.exp_factor_analog``, a^k for ``eval_discrete_exponential``
+and ``convolution.exp_factor_discrete``.
 ``_exp_param`` is the one check of a parameter: a str, a bool, a non-finite
 value or the discrete base 0 is a ValueError; the analog a = 0 is 1.  Callers
 evaluate every exponential signal through this module, by ``_analog_exp``,
@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -37,12 +36,9 @@ __all__ = [
     "PeriodicDiscreteSignal",
     "SampledSignal",
     "PeriodicSampledSignal",
-    "eval_analog_exponential",
     "eval_discrete_exponential",
-    "sample_function",
     "delta_signal",
     "delta_approx",
-    "periodic_delta",
     "periodize",
 ]
 
@@ -221,7 +217,7 @@ class SampledSignal(_Finite):
 
     def times(self) -> np.ndarray:
         """Time coordinate of every stored sample."""
-        return (self.start + np.arange(self.samples.size)) * self.ts
+        return (self.start + np.arange(self.samples.size, dtype=np.float64)) * self.ts
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,40 +266,17 @@ def _unit_roots(n, period: int):
     return lambda k: table[((n % period) * k) % period]
 
 
-def _one_point(family, k, what: str) -> complex:
-    """family at the index k; a non-finite value is an OverflowError naming what."""
-    with np.errstate(all="ignore"):
-        value = complex(family(k))
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{what} is beyond the float64 range")
-    return value
-
-
-def eval_analog_exponential(a, t: float) -> complex:
-    """Value of e^(a t): the analog family at step t and index 1."""
-    a = _exp_param(a, discrete=False)
-    t = _finite_number(t, "t")
-    return _one_point(_analog_exp(a, t), 1, f"e^(a t) at t = {t} for a = {a}")
-
-
 def eval_discrete_exponential(a, k: int) -> complex:
-    """Value of a^k for integer k: the discrete family at index k."""
+    """Value of a^k for integer k: the discrete family at index k; a value beyond
+    the float64 range is an OverflowError.  No library code calls it: it is the
+    scalar reference of tests/test_convolution.py and tests/test_acceptance.py."""
     a = _exp_param(a, discrete=True)
     k = _index(k, "k")
-    return _one_point(_discrete_exp(a), k, f"a^{k} for a = {a}")
-
-
-def sample_function(
-    f: Callable[[float], complex], ts: float, start: int, count: int
-) -> SampledSignal:
-    """Sample an analog signal on the grid t = (start + i) * ts, i < count."""
-    ts = _check_ts(ts)
-    start = _index(start, "start")
-    count = _index(count, "count", minimum=0)
-    values = np.asarray(
-        [complex(f((start + i) * ts)) for i in range(count)], dtype=np.complex128
-    )
-    return SampledSignal(ts=ts, start=start, samples=values)
+    with np.errstate(all="ignore"):
+        value = complex(_discrete_exp(a)(k))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"a^{k} for a = {a} is beyond the float64 range")
+    return value
 
 
 def delta_signal() -> DiscreteSignal:
@@ -321,14 +294,6 @@ def delta_approx(ts: float) -> SampledSignal:
     return SampledSignal(ts=ts, start=0, samples=np.asarray([1.0 / ts], dtype=np.complex128))
 
 
-def periodic_delta(n: int) -> PeriodicDiscreteSignal:
-    """Identity of period-n circular convolution: 1 at k = 0 within the period."""
-    n = _index(n, "period", minimum=1)
-    samples = np.zeros(n, dtype=np.complex128)
-    samples[0] = 1.0
-    return PeriodicDiscreteSignal(samples=samples)
-
-
 def periodize(f, period_samples: int):
     """Fold a finite-support signal onto one period, wrapping by index modulo.
 
@@ -340,7 +305,7 @@ def periodize(f, period_samples: int):
     if not isinstance(f, _Finite):
         raise TypeError(f"cannot periodize {type(f).__name__}")
     folded = np.zeros(n, dtype=np.complex128)
-    idx = (f.start + np.arange(len(f))) % n
+    idx = (f.start % n + np.arange(len(f))) % n
     np.add.at(folded, idx, f.samples)
     if isinstance(f, SampledSignal):
         return PeriodicSampledSignal(ts=f.ts, samples=folded)

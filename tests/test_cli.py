@@ -252,6 +252,14 @@ class TestFt:
         assert code == 0
         assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == rows
 
+    def test_index_beyond_int64_exit_0(self, tmp_path, capsys):
+        # the sample times of a start at 1e23 raised "Python int too large to
+        # convert to C long", exit 4; float64 rounds all four times to 5e22
+        f = write(tmp_path / "big.csv", "# kind=analog ts=0.5\nindex,re,im\n"
+                  + "".join(f"{10**23 + i},1,0\n" for i in range(4)))
+        code, out, err = run(capsys, "ft", f, "--omega-min", "0", "--omega-max", "0", "--omega-step", "1")
+        assert (code, out, err) == (0, "# kind=spectrum\nomega,re,im\n0,2,0\n", "")
+
     def test_frequency_count_overflow_exit_4(self, capsys):
         # (omega_max - omega_min) / omega_step overflows to inf
         code, out, err = run(capsys, "ft", "--gen", "pulse", "--ts", "0.25", "--omega-min=-1e308",
@@ -478,6 +486,12 @@ MISSING_OR_BAD_INPUT = {
                          ["ft", "f.json", *_OMEGAS], "ts must be > 0, got -0.5"),
     "json-no-kind": ({"f.json": '{"n": 1, "rows": [[0, 1, 0]]}'}, ["dft", "f.json"],
                      "missing or non-string 'kind'"),
+    "csv-periodic-without-n": ({"f.csv": "# kind=periodic-analog ts=0.25\nindex,re,im\n0,1,0\n"},
+                               ["series", "f.csv", "--nmax", "0"],
+                               "kind=periodic-analog requires n metadata"),
+    "json-periodic-without-n": ({"f.json": '{"kind": "periodic-discrete", "rows": [[0, 1, 0]]}'},
+                                ["dft", "f.json"], "kind=periodic-discrete requires n metadata"),
+    "ft-omega-max-below-min": ({}, pulse_ft("1", "0", "0.5"), "--omega-max must be >= --omega-min"),
     "json-numeric-kind": ({"f.json": '{"kind": 1, "rows": []}'}, ["dft", "f.json"],
                           "missing or non-string 'kind'"),
 }

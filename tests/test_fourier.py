@@ -1,5 +1,4 @@
 import math
-import re
 import time
 import tracemalloc
 
@@ -18,7 +17,6 @@ from convfourier.fourier import (
     SeriesSpectrum,
     TransformSpectrum,
     dft,
-    dft_orthogonality,
     fourier_coefficients,
     fourier_transform,
     fs_eigencheck,
@@ -394,102 +392,29 @@ def test_transforms_stay_linear_in_memory():
     })
 
 
+def orthogonality_residual(m, k, n):
+    """max |x_m (*) x_k - N delta(m - k) x_k| through the public circular convolution."""
+    out = periodic_convolve_discrete(harmonic_signal(m, n), harmonic_signal(k, n)).samples
+    return np.max(np.abs(out - (n if m == k else 0) * harmonic_signal(k, n).samples))
+
+
 class TestDftOrthogonality:
     def test_dc_pair(self):
-        report = dft_orthogonality(0, 0, 4)
-        assert report.residual <= 1e-12
+        assert orthogonality_residual(0, 0, 4) <= 1e-12
         out = harmonic_signal(0, 4).samples * 4
         assert np.allclose(out, 4.0, atol=0)
 
     def test_cross_pair_cancels(self):
-        report = dft_orthogonality(1, 2, 8)
-        assert report.residual <= 1e-12 * 8
+        assert orthogonality_residual(1, 2, 8) <= 1e-12 * 8
 
     def test_self_pair(self):
-        report = dft_orthogonality(3, 3, 8)
-        assert report.residual <= 1e-12 * 8
+        assert orthogonality_residual(3, 3, 8) <= 1e-12 * 8
 
     def test_all_pairs_small(self):
         for n in range(1, 13):
             for m in range(n):
                 for k in range(n):
-                    report = dft_orthogonality(m, k, n)
-                    assert report.residual <= 1e-9 * n
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            dft_orthogonality(0, 4, 4)
-
-    @pytest.mark.parametrize("period", [1, 2, 7, 16, 64, 257, 1024])
-    def test_batch_is_the_worst_pair_bit_for_bit(self, period):
-        # enough pairs to fill two row blocks and start a third
-        rows = max(1, conv._RIEMANN_BLOCK // (2 * period))
-        rng = np.random.default_rng(period)
-        m = rng.integers(0, period, 2 * rows + 3)
-        n = rng.integers(0, period, m.size)
-        n[::4] = m[::4]
-        alone = [dft_orthogonality(int(a), int(b), period) for a, b in zip(m, n)]
-        assert dft_orthogonality(m, n, period) == (
-            max(r.residual for r in alone), float(period)
-        )
-        # and a pair alone is x_m (*) x_n by the signal path
-        for i in (0, rows - 1, rows, m.size - 1):
-            xm = harmonic_signal(int(m[i]), period)
-            factor = period if m[i] == n[i] else 0.0
-            signal_path = fourier._eigenrelation(xm, signals._unit_roots(int(n[i]), period), factor)
-            assert alone[i].residual == signal_path.residual
-
-    def test_nan_residual_is_kept(self, monkeypatch):
-        # a NaN in one block, not the last, survives the fold over blocks
-        exact = conv._circular_convolve
-        calls = []
-
-        def nan_first_block(a, b):
-            calls.append(1)
-            out = exact(a, b)
-            return out * np.nan if len(calls) == 1 else out
-
-        monkeypatch.setattr(conv, "_circular_convolve", nan_first_block)
-        report = dft_orthogonality(np.arange(20), np.arange(20), 64)
-        assert len(calls) == 3 and math.isnan(report.residual)
-
-    def test_216_pairs_at_64_samples_stay_under_96_kib(self):
-        rng = np.random.default_rng(1)
-        m, n = rng.integers(0, 64, (2, 216))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            dft_orthogonality(m, n, 64)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 96 * 1024, peak
-
-    @pytest.mark.parametrize(
-        "m, n, match",
-        [
-            (1.7, 1, "must be integers, got float64 and int64"),
-            (1, 2.0, "must be integers, got int64 and float64"),
-            (True, 1, "must be integers, got bool"),
-            (1, np.bool_(False), "must be integers"),
-            (2**70, 1, "must be integers, got object"),
-            (np.array([0.5, 1.0]), np.array([0, 1]), "must be integers"),
-            (np.array([True]), np.array([0]), "must be integers"),
-            (np.array([0, 1]), np.array([0, 1, 2]), "one length"),
-            (np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), "1-d"),
-            (np.array([], dtype=int), np.array([], dtype=int), "non-empty"),
-            (np.array([1, 2]), 1, "one length"),
-            (0, 4, "need 0 <= m, n < N, got m=0, n=4, N=4"),
-            (np.array([0, 1, -1]), np.array([0, 1, 2]), "need 0 <= m, n < N, got m=-1, n=2, N=4"),
-        ],
-    )
-    def test_rejects_indices_that_are_not_valid_pairs(self, m, n, match):
-        with pytest.raises(ValueError, match=re.escape(match)):
-            dft_orthogonality(m, n, 4)
-
-    def test_rejects_a_period_that_is_not_an_integer(self):
-        with pytest.raises(ValueError, match="period must be an integer"):
-            dft_orthogonality(1, 1, 4.5)
+                    assert orthogonality_residual(m, k, n) <= 1e-9 * n
 
     @pytest.mark.parametrize("n", [1.7, 2.0, True, np.float64(1.0), np.array([1, 2])])
     def test_harmonics_reject_an_index_that_is_not_an_integer(self, n):
@@ -542,7 +467,8 @@ def test_residual_report_is_a_pair():
     residual, scale = report = fourier._compare(np.array([1.0, 3.0]), np.array([1.0, -1.0]))
     assert (residual, scale) == (report.residual, report.scale) == (4.0, 1.0)
     assert tuple(fourier._compare(np.empty(0), np.empty(0))) == (0.0, 0.0)
-    assert tuple(dft_orthogonality(1, 2, 8)) == (dft_orthogonality(1, 2, 8).residual, 8.0)
+    report = fs_eigencheck(sampled_harmonic(1, 8, 0.25), 2)
+    assert tuple(report) == (report.residual, report.scale)
 
 
 # The four convolutions of the eigenrelation f * e = factor * e: each case

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convfourier import convolution, fourier, harness, signals
-from convfourier.fourier import sampled_harmonic
+from convfourier.fourier import harmonic_signal, sampled_harmonic
 from convfourier.harness import REGISTRY, GridParams, IdentityCheck, registry_ids, run_all
 from convfourier.signals import AliasingError, PeriodicSampledSignal, SampledSignal, delta_approx
 
@@ -565,6 +566,56 @@ class TestDftOrthogonalityPairs:
         grid = GridParams(n=n, ts=1 / n, n_max=min(3, (n - 1) // 2))
         result = evaluate("dft.orthogonality", grid, np.random.default_rng(42))
         assert (result.scale, result.note) == (float(n), f"{pairs} pairs")
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 257, 1024])
+    def test_residual_is_the_worst_pair_alone_bit_for_bit(self, n):
+        # the runner works the pairs in row blocks of _RIEMANN_BLOCK // (2 n);
+        # each pair alone goes through the signal path
+        grid = GridParams(n=n, ts=1 / n, n_max=0)
+        result = evaluate("dft.orthogonality", grid, np.random.default_rng(n))
+        alone = [
+            fourier._eigenrelation(harmonic_signal(m, n), signals._unit_roots(k, n), float(n * (m == k)))
+            for m, k in _orthogonality_pairs(n, np.random.default_rng(n))
+        ]
+        assert (result.residual, result.scale) == (max(r.residual for r in alone), float(n))
+
+    def test_nan_in_a_block_before_the_last_fails_the_check(self, monkeypatch):
+        # the default grid's 216 pairs take 27 blocks, one _circular_convolve each
+        calls = []
+
+        def nan_first_block(a, b):
+            calls.append(1)
+            out = _exact_circular(a, b)
+            return out * np.nan if len(calls) == 1 else out
+
+        monkeypatch.setattr(convolution, "_circular_convolve", nan_first_block)
+        result = evaluate("dft.orthogonality", GridParams(), np.random.default_rng(42))
+        assert len(calls) == 27
+        assert (result.passed, result.residual) == (False, math.inf)
+        assert result.note == "216 pairs; failed: non-finite residual nan, scale 64.0"
+
+    def test_216_pairs_at_64_samples_stay_under_96_kib(self):
+        runner = SPECS["dft.orthogonality"].runner
+        # a first call in the process also fills NumPy's FFT caches (about 140 KiB)
+        runner(GridParams(), np.random.default_rng(1), [])
+        grid, rng, legs = GridParams(), np.random.default_rng(1), []
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            runner(grid, rng, legs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(legs) == 27 and peak < 96 * 1024, peak
+
+
+def _orthogonality_pairs(n, rng):
+    """The (m, k) pairs dft.orthogonality checks: every pair up to n = 16, else
+    200 drawn pairs and every max(1, n // 16)-th diagonal pair."""
+    if n <= 16:
+        return [divmod(i, n) for i in range(n * n)]
+    drawn = [tuple(pair) for pair in rng.integers(0, n, size=(200, 2)).tolist()]
+    return drawn + [(m, m) for m in range(0, n, max(1, n // 16))]
 
 
 class TestWorstOf:

@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from convfourier import signals
-from convfourier.convolution import exp_factor_analog, exp_factor_discrete, shift
+from convfourier.convolution import exp_factor_analog, exp_factor_discrete, scale_time, shift
 from convfourier.fourier import (
     DftSpectrum,
     SeriesSpectrum,
@@ -22,18 +20,14 @@ from convfourier.signals import (
     SampledSignal,
     delta_approx,
     delta_signal,
-    eval_analog_exponential,
     eval_discrete_exponential,
-    periodic_delta,
     periodize,
-    sample_function,
 )
 
 
-# the four functions that take an exponential's complex parameter, each
+# the three functions that take an exponential's complex parameter, each
 # called with a valid signal or point and the parameter last
 _ANALOG_PARAM = [
-    pytest.param(lambda a: eval_analog_exponential(a, 1.0), id="eval_analog"),
     pytest.param(lambda a: exp_factor_analog(SampledSignal(0.5, 0, [1, 2]), a), id="factor_analog"),
 ]
 _DISCRETE_PARAM = [
@@ -61,53 +55,6 @@ class TestExpParam:
         # complex("2") would parse the string, complex(True) read it as 1
         with pytest.raises(ValueError, match="exponential parameter must be a number"):
             call(a)
-
-
-class TestEvalAnalogExponential:
-    def test_euler_identity(self):
-        # e^{j pi} = -1
-        value = eval_analog_exponential(1j * math.pi, 1.0)
-        assert value.real == pytest.approx(-1.0, abs=1e-15)
-        assert value.imag == pytest.approx(0.0, abs=1e-15)
-
-    def test_at_zero(self):
-        assert eval_analog_exponential(1.0, 0.0) == 1.0 + 0j
-
-    def test_zero_parameter_is_the_constant_one(self):
-        assert eval_analog_exponential(0, 5.0) == 1.0 + 0j
-
-    def test_three_quarter_turn(self):
-        # cos(3 pi / 2) + j sin(3 pi / 2) = -j
-        value = eval_analog_exponential(1j * math.pi / 2, 3.0)
-        assert abs(value - (0 - 1j)) < 1e-15
-
-    def test_rejects_nonfinite_t(self):
-        with pytest.raises(ValueError):
-            eval_analog_exponential(1.0, float("inf"))
-
-    @pytest.mark.parametrize("a, t", [(1e300, 1e300), (1e200j, 1e200)], ids=repr)
-    def test_value_beyond_float64_is_overflow(self, a, t):
-        # e^(1e600) was returned as (inf+nanj), and the phase 1e400 raised a
-        # ValueError (math domain error)
-        with pytest.raises(OverflowError):
-            eval_analog_exponential(a, t)
-
-    def test_underflow_is_zero(self):
-        assert eval_analog_exponential(-1e300, 1e300) == 0j
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        re=st.floats(-2, 2),
-        im=st.floats(-2, 2),
-        t1=st.floats(-50, 50),
-        t2=st.floats(-50, 50),
-    )
-    def test_multiplicative(self, re, im, t1, t2):
-        # e^{a(t1+t2)} = e^{a t1} e^{a t2} within 1e-12 relative for |t| <= 100
-        a = complex(re, im)
-        whole = eval_analog_exponential(a, t1 + t2)
-        split = eval_analog_exponential(a, t1) * eval_analog_exponential(a, t2)
-        assert abs(whole - split) <= 1e-12 * max(abs(whole), abs(split), 1e-300)
 
 
 class TestEvalDiscreteExponential:
@@ -181,37 +128,6 @@ class TestExponentialFamilies:
         assert _bits(signals._analog_exp(a, step)(k)) == _bits(np.exp(a * k * step))
 
 
-class TestSampleFunction:
-    def test_constant(self):
-        out = sample_function(lambda t: 1.0, ts=0.5, start=0, count=3)
-        assert np.array_equal(out.samples, np.ones(3, dtype=complex))
-        assert np.array_equal(out.times(), [0.0, 0.5, 1.0])
-
-    def test_cosine_quarters(self):
-        out = sample_function(lambda t: math.cos(math.pi * t / 2), ts=1.0, start=0, count=4)
-        assert np.allclose(out.samples, [1, 0, -1, 0], atol=1e-15)
-
-    def test_empty(self):
-        out = sample_function(lambda t: 1.0, ts=0.5, start=0, count=0)
-        assert len(out) == 0
-
-    def test_rejects_bad_ts(self):
-        with pytest.raises(ValueError):
-            sample_function(lambda t: 1.0, ts=0.0, start=0, count=1)
-
-    def test_rejects_nonfinite_samples(self):
-        with pytest.raises(ValueError):
-            sample_function(lambda t: float("nan"), ts=1.0, start=0, count=1)
-
-    def test_grid_reproduction_is_exact(self):
-        # sampling then point evaluation reproduces f on the grid exactly
-        f = lambda t: complex(math.sin(t), math.cos(3 * t))
-        out = sample_function(f, ts=0.25, start=-5, count=11)
-        for i in range(11):
-            k = -5 + i
-            assert out.value(k) == complex(f(k * 0.25))
-
-
 class TestDiscreteSignal:
     def test_zero_off_support(self):
         f = DiscreteSignal(2, [1, 2, 3])
@@ -281,7 +197,6 @@ _VALUE_TYPES = {
 _SCALARS = {
     "SampledSignal.ts": lambda x: SampledSignal(x, 0, [1.0]),
     "PeriodicSampledSignal.ts": lambda x: PeriodicSampledSignal(x, [1.0]),
-    "sample_function.ts": lambda x: sample_function(lambda t: 1.0, x, 0, 1),
     "delta_approx.ts": delta_approx,
     "inverse_fourier_transform.ts": lambda x: inverse_fourier_transform(
         TransformSpectrum([0.0, 1.0], [1.0, 1.0]), x, 0, 1
@@ -366,10 +281,6 @@ class TestIdentitySignals:
         assert d.value(0) == 4.0
         assert len(d) == 1
 
-    def test_periodic_delta(self):
-        d = periodic_delta(4)
-        assert list(d.samples.real) == [1, 0, 0, 0]
-
 
 class TestPeriodize:
     def test_plain_relocation(self):
@@ -422,9 +333,6 @@ _SERIES = four.SeriesSpectrum(period_t=1.0, coeffs=np.ones(3, dtype=complex))
 INTEGER_ARGUMENTS = {
     "DiscreteSignal.start": (lambda v: DiscreteSignal(v, [1]).start, 2, 2),
     "SampledSignal.start": (lambda v: SampledSignal(0.5, v, [1]).start, 2, 2),
-    "sample_function.start": (lambda v: sample_function(abs, 0.5, v, 2).start, 2, 2),
-    "sample_function.count": (lambda v: len(sample_function(abs, 0.5, 0, v)), 3, 3),
-    "periodic_delta": (lambda v: periodic_delta(v).period, 3, 3),
     "periodize": (lambda v: periodize(DiscreteSignal(0, [1, 2, 3]), v).period, 2, 2),
     "cosine": (lambda v: cosine(v, 1 / 16).samples.size, 16, 16),
     "square": (lambda v: square(v, 0.1).samples.size, 4, 4),
@@ -455,6 +363,45 @@ def test_discrete_shift_keeps_its_integral_float_rule():
 
 
 # ---------------------------------------------------------------------------
+# io reads an index beyond int64 as a Python int, and every site that does
+# arithmetic on a start keeps it out of NumPy's int64: each of these raised
+# OverflowError ("Python int too large to convert to C long") or IndexError.
+# ---------------------------------------------------------------------------
+
+BIG = 10**23
+_BIG_SIGNAL = SampledSignal(0.5, BIG, [1, 2, 3, 4])
+
+# site -> (call, what it returns)
+BEYOND_INT64 = {
+    # float64 holds no step of 1 near 1e23: every time rounds to BIG * ts
+    "SampledSignal.times": (lambda: _BIG_SIGNAL.times().tolist(), [BIG * 0.5] * 4),
+    "scale_time.decimate": (lambda: _started(scale_time(_BIG_SIGNAL, 2)), (BIG // 2, [1, 3])),
+    "scale_time.reverse": (lambda: _started(scale_time(_BIG_SIGNAL, -1)), (-BIG - 3, [4, 3, 2, 1])),
+    "scale_time.big_factor": (
+        lambda: _started(scale_time(SampledSignal(0.5, 0, [1, 2]), BIG)), (0, [1]),
+    ),
+    "exp_factor_discrete": (lambda: exp_factor_discrete(DiscreteSignal(BIG, [1, 2]), 1.0), 3),
+    "_synthesize": (
+        lambda: _started(
+            four.inverse_fourier_transform(four.TransformSpectrum([0.0, 1.0], [1, 0]), 0.5, BIG, 2)
+        ),
+        (BIG, [1 / (2 * math.pi)] * 2),
+    ),
+    "periodize": (lambda: periodize(DiscreteSignal(BIG + 1, [1, 2]), 4).samples.tolist(), [0, 1, 2, 0]),
+}
+
+
+def _started(signal):
+    return signal.start, signal.samples.tolist()
+
+
+@pytest.mark.parametrize("site", BEYOND_INT64)
+def test_start_beyond_int64(site):
+    call, want = BEYOND_INT64[site]
+    assert call() == want
+
+
+# ---------------------------------------------------------------------------
 # Every lower bound on an integer argument is checked by the reader itself,
 # `_index(value, name, minimum)`, with one message; the periodic types and
 # DftSpectrum take at least one entry through `_as_complex_array`.
@@ -465,8 +412,6 @@ from convfourier.harness import run_all  # noqa: E402
 # site -> (call with the argument, the argument's name, its minimum)
 BOUNDED_ARGUMENTS = {
     "harmonic_signal.period": (lambda v: four.harmonic_signal(1, v), "period", 1),
-    "sample_function.count": (lambda v: sample_function(abs, 0.5, 0, v), "count", 0),
-    "periodic_delta": (periodic_delta, "period", 1),
     "periodize": (lambda v: periodize(DiscreteSignal(0, [1, 2, 3]), v), "period", 1),
     "cosine": (lambda v: cosine(v, 1 / 16), "n_samples", 1),
     "GridParams.n": (lambda v: GridParams(n=v, n_max=0), "n", 1),
@@ -518,7 +463,6 @@ def test_periodic_types_need_one_entry(kind):
 
 import re  # noqa: E402
 
-from convfourier.convolution import scale_time  # noqa: E402
 from convfourier.generators import gaussian, pulse  # noqa: E402
 from convfourier.signals import GridMismatchError  # noqa: E402
 

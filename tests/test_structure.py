@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -46,11 +47,8 @@ def test_convolution_is_called_through_its_module(path):
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-# The batched kernels: each takes every exponent, base or harmonic pair of a
-# job in one call.
-_KERNELS = (
-    "_riemann_sum", "_power_sum", "exp_factor_analog", "exp_factor_discrete", "dft_orthogonality",
-)
+# The batched kernels: each takes every exponent or base of a job in one call.
+_KERNELS = ("_riemann_sum", "_power_sum", "exp_factor_analog", "exp_factor_discrete")
 
 
 def _calls_kernel(node) -> bool:
@@ -85,9 +83,8 @@ def _kernel_calls_in_loops(tree) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_riemann_sum_is_never_called_per_point(path):
     # no batched kernel, _riemann_sum or otherwise, runs in a loop: a loop
-    # around one is a per-point Python loop over the output grid (or, for
-    # dft_orthogonality, over the harmonic pairs).  A harness trial loop
-    # repeats a whole random trial and is exempt.
+    # around one is a per-point Python loop over the output grid.  A harness
+    # trial loop repeats a whole random trial and is exempt.
     calls = _kernel_calls_in_loops(ast.parse(path.read_text(encoding="utf-8")))
     assert not calls, f"{path.name} calls a factor kernel in a loop at lines {calls}"
 
@@ -98,7 +95,6 @@ def test_riemann_sum_is_never_called_per_point(path):
     ("for _ in range(n):\n    conv.exp_factor_analog(f, a)", True),
     ("for _ in range(10):\n    conv.exp_factor_discrete(f, bases[_])", True),
     ("for _ in range(10):\n    for w in ws:\n        conv.exp_factor_analog(f, 1j * w)", True),
-    ("while more:\n    conv.dft_orthogonality(m, k, n)", True),
     ("for i in range(10):\n    conv.exp_factor_analog(f, a)", True),
     ("for _ in range(10.0):\n    conv.exp_factor_analog(f, a)", True),
     ("for _ in range(0, 10):\n    conv.exp_factor_analog(f, a)", True),
@@ -144,6 +140,15 @@ _REEXPORTS = [
     if isinstance(node, ast.ImportFrom) and node.level == 1
     for alias in node.names
 ]
+
+
+def test_readme_names_a_caller_for_every_export():
+    # README's quick tour has one row per group of exports, with the library
+    # code that calls them or the reason they are public without a caller
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| module | exports | called by |"):].split("\n\n")[0]
+    listed = [name for row in table.splitlines()[2:] for name in re.findall(r"`(\w+)`", row.split("|")[2])]
+    assert sorted(listed) == sorted(name for _, name in _REEXPORTS)
 
 
 @pytest.mark.parametrize("module, name", _REEXPORTS, ids=[f"{m}.{n}" for m, n in _REEXPORTS])
@@ -360,17 +365,17 @@ def test_registry_runners_take_grid_rng_legs():
         assert list(inspect.signature(spec.runner).parameters) == ["grid", "rng", "legs"], spec.id
 
 
-def test_fourier_keeps_two_residual_helpers():
+def test_fourier_keeps_one_residual_helper():
     # Every other residual of the catalog is computed in its harness runner.
-    # These two stay in fourier while perfbench/spans.py maps them to its
+    # This one stays in fourier while perfbench/spans.py maps it to its
     # `fourier.eigencheck` span group, which a traced verify run needs above
-    # 0; they move to the harness with the benchmark rework in ROADMAP.md.
+    # 0; it moves to the harness with the benchmark rework in ROADMAP.md.
     fourier = convfourier.fourier
     helpers = {
         name for name in fourier.__all__
         if getattr(getattr(fourier, name), "__annotations__", {}).get("return") == "ResidualReport"
     }
-    assert helpers == {"fs_eigencheck", "dft_orthogonality"}
+    assert helpers == {"fs_eigencheck"}
 
 
 # Every exponential signal is one of the three index functions of `signals`
