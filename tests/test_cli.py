@@ -47,6 +47,26 @@ class TestConv:
         assert code == 0
         assert out == DISCRETE_A
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "discrete"]], ids=["default", "discrete"])
+    def test_indices_beyond_int64_cancel(self, tmp_path, capsys, mode):
+        # starts of +1e23 and -1e23 add up to an output at index 0
+        a = write(tmp_path / "a.csv", "# kind=discrete\nindex,re,im\n"
+                  + "".join(f"{10**23 + i},{i + 1},0\n" for i in range(3)))
+        b = write(tmp_path / "b.csv", "# kind=discrete\nindex,re,im\n"
+                  + "".join(f"{i - 10**23},1,0\n" for i in range(2)))
+        code, out, err = run(capsys, "conv", a, b, *mode)
+        assert (code, out, err) == (0, "# kind=discrete\nindex,re,im\n0,1,0\n1,3,0\n2,5,0\n3,3,0\n", "")
+
+    def test_analog_index_beyond_int64_exit_0(self, tmp_path, capsys):
+        a = write(tmp_path / "a.csv", "# kind=analog ts=0.5\nindex,re,im\n"
+                  + "".join(f"{10**23 + i},{i + 1},0\n" for i in range(3)))
+        b = write(tmp_path / "b.json", '{"kind": "analog", "ts": 0.5, "rows": [[%d, 1, 0], [%d, 1, 0]]}'
+                  % (10**23, 10**23 + 1))
+        code, out, err = run(capsys, "conv", a, b)
+        big = 2 * 10**23
+        rows = "".join(f"{big + i},{v},0\n" for i, v in enumerate([0.5, 1.5, 2.5, 1.5]))
+        assert (code, out, err) == (0, "# kind=analog ts=0.5\nindex,re,im\n" + rows, "")
+
     def test_ts_mismatch_exit_3(self, tmp_path, capsys):
         a = write(tmp_path / "a.csv", "# kind=analog ts=0.5\nindex,re,im\n0,1,0\n")
         b = write(tmp_path / "b.csv", "# kind=analog ts=0.25\nindex,re,im\n0,1,0\n")
@@ -491,6 +511,11 @@ MISSING_OR_BAD_INPUT = {
                                "kind=periodic-analog requires n metadata"),
     "json-periodic-without-n": ({"f.json": '{"kind": "periodic-discrete", "rows": [[0, 1, 0]]}'},
                                 ["dft", "f.json"], "kind=periodic-discrete requires n metadata"),
+    "csv-periodic-discrete-without-n": ({"f.csv": "# kind=periodic-discrete\nindex,re,im\n0,1,0\n"},
+                                        ["dft", "f.csv"], "kind=periodic-discrete requires n metadata"),
+    "json-periodic-analog-without-n": ({"f.json": '{"kind": "periodic-analog", "ts": 0.25, "rows": [[0, 1, 0]]}'},
+                                       ["series", "f.json", "--nmax", "0"],
+                                       "kind=periodic-analog requires n metadata"),
     "ft-omega-max-below-min": ({}, pulse_ft("1", "0", "0.5"), "--omega-max must be >= --omega-min"),
     "json-numeric-kind": ({"f.json": '{"kind": 1, "rows": []}'}, ["dft", "f.json"],
                           "missing or non-string 'kind'"),

@@ -594,6 +594,36 @@ class TestDftOrthogonalityPairs:
         assert (result.passed, result.residual) == (False, math.inf)
         assert result.note == "216 pairs; failed: non-finite residual nan, scale 64.0"
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 257, 1024])
+    def test_one_leg_per_row_block(self, n):
+        # each block of _RIEMANN_BLOCK // (2 n) pairs is one leg at scale n,
+        # whose residual is the worst of its own pairs alone
+        rows = max(1, convolution._RIEMANN_BLOCK // (2 * n))
+        grid, legs = GridParams(n=n, ts=1 / n, n_max=0), []
+        SPECS["dft.orthogonality"].runner(grid, np.random.default_rng(n), legs)
+        alone = [
+            fourier._eigenrelation(
+                harmonic_signal(m, n), signals._unit_roots(k, n), float(n * (m == k))
+            ).residual
+            for m, k in _orthogonality_pairs(n, np.random.default_rng(n))
+        ]
+        blocks = [alone[lo : lo + rows] for lo in range(0, len(alone), rows)]
+        assert legs == [(max(block), float(n)) for block in blocks]
+
+    @pytest.mark.parametrize("block", [13, 26], ids=["middle", "last"])
+    def test_nan_in_any_block_fails_the_check(self, monkeypatch, block):
+        calls = []
+
+        def nan_one_block(a, b):
+            calls.append(1)
+            out = _exact_circular(a, b)
+            return out * np.nan if len(calls) == block + 1 else out
+
+        monkeypatch.setattr(convolution, "_circular_convolve", nan_one_block)
+        result = evaluate("dft.orthogonality", GridParams(), np.random.default_rng(42))
+        assert len(calls) == 27
+        assert (result.passed, result.residual) == (False, math.inf)
+
     def test_216_pairs_at_64_samples_stay_under_96_kib(self):
         runner = SPECS["dft.orthogonality"].runner
         # a first call in the process also fills NumPy's FFT caches (about 140 KiB)

@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfourier import signals
-from convfourier.convolution import exp_factor_analog, exp_factor_discrete, scale_time, shift
+from convfourier.convolution import (
+    approx_analog_convolve,
+    derivative,
+    discrete_convolve,
+    exp_factor_analog,
+    exp_factor_discrete,
+    scale_time,
+    shift,
+)
 from convfourier.fourier import (
     DftSpectrum,
     SeriesSpectrum,
@@ -127,6 +137,31 @@ class TestExponentialFamilies:
         k = np.arange(-50, 51)
         assert _bits(signals._analog_exp(a, step)(k)) == _bits(np.exp(a * k * step))
 
+    def test_analog_exp_euler_identity(self):
+        # e^(j pi) = -1, and e^(j pi / 2 * 3) = -j
+        assert abs(signals._analog_exp(1j * math.pi, 1.0)(1) - (-1)) <= 1e-15
+        assert abs(signals._analog_exp(1j * math.pi / 2, 1.0)(3) - (-1j)) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0, 0j, 1.0, -2 + 3j], ids=repr)
+    def test_analog_exp_is_one_at_zero(self, a):
+        # t = 0 for any parameter; every t for the parameter 0
+        assert signals._analog_exp(a, 0.25)(0) == 1
+        if a == 0:
+            assert np.array_equal(signals._analog_exp(a, 0.25)(np.arange(-5, 6)), np.ones(11))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        re=st.floats(-2, 2),
+        im=st.floats(-2, 2),
+        k1=st.integers(-200, 200),
+        k2=st.integers(-200, 200),
+    )
+    def test_analog_exp_is_multiplicative(self, re, im, k1, k2):
+        # e^(a (t1 + t2)) = e^(a t1) e^(a t2) within 1e-12 relative for |t| <= 100
+        e = signals._analog_exp(complex(re, im), 0.25)
+        whole, split = e(k1 + k2), e(k1) * e(k2)
+        assert abs(whole - split) <= 1e-12 * max(abs(whole), abs(split), 1e-300)
+
 
 class TestDiscreteSignal:
     def test_zero_off_support(self):
@@ -203,6 +238,13 @@ _SCALARS = {
     ),
     "GridParams.ts": lambda x: GridParams(ts=x),
     "SeriesSpectrum.period_t": lambda x: SeriesSpectrum(x, [1.0]),
+    "series_synthesize.ts": lambda x: four.series_synthesize(SeriesSpectrum(1.0, [1.0]), x, 0, 1),
+    "sampled_harmonic.ts": lambda x: four.sampled_harmonic(1, 4, x),
+    "cosine.ts": lambda x: cosine(4, x),
+    "square.ts": lambda x: square(4, x),
+    "periodize_spectrum.omega_s": lambda x: four.periodize_spectrum(
+        TransformSpectrum([0.0, 0.5], [1.0, 1.0]), x, 1
+    ),
 }
 _BAD_ARRAYS = [[math.nan], [math.inf], [-math.inf], np.array(["1"]), np.array([b"1"]), np.array([True])]
 _BAD_SCALARS = ["0.5", True, math.inf, math.nan]
@@ -276,6 +318,11 @@ class TestIdentitySignals:
         assert d.value(1) == 0
         assert d.value(-1) == 0
 
+    def test_periodized_delta(self):
+        # the identity of circular convolution is the delta folded onto one period
+        d = periodize(delta_signal(), 4)
+        assert d.samples.tolist() == [1, 0, 0, 0]
+
     def test_delta_approx_height(self):
         d = delta_approx(0.25)
         assert d.value(0) == 4.0
@@ -343,6 +390,8 @@ INTEGER_ARGUMENTS = {
     "_synthesize.count": (lambda v: len(four.inverse_fourier_transform(_SPECTRUM, 0.25, 0, v)), 5, 5),
     "periodize_spectrum": (lambda v: four.periodize_spectrum(_SPECTRUM, 1.0, v).omegas.size, 1, 8),
     "shift": (lambda v: shift(DiscreteSignal(0, [1]), v).start, 3, 3),
+    "harmonic_signal.period": (lambda v: four.harmonic_signal(1, v).period, 4, 4),
+    "sampled_harmonic.period": (lambda v: four.sampled_harmonic(1, v, 0.5).period_samples, 4, 4),
 }
 
 
@@ -388,6 +437,25 @@ BEYOND_INT64 = {
         (BIG, [1 / (2 * math.pi)] * 2),
     ),
     "periodize": (lambda: periodize(DiscreteSignal(BIG + 1, [1, 2]), 4).samples.tolist(), [0, 1, 2, 0]),
+    "periodize.sampled": (lambda: periodize(_BIG_SIGNAL, 4).samples.tolist(), [1, 2, 3, 4]),
+    "value": (lambda: [_BIG_SIGNAL.value(BIG + i) for i in (-1, 0, 3, 4)], [0, 1, 4, 0]),
+    "end": (lambda: DiscreteSignal(BIG, [1, 2]).end, BIG + 2),
+    "shift.discrete": (lambda: _started(shift(DiscreteSignal(BIG, [1, 2]), 5)), (BIG + 5, [1, 2])),
+    "shift.analog": (lambda: _started(shift(_BIG_SIGNAL, 1.0)), (BIG + 2, [1, 2, 3, 4])),
+    "discrete_convolve": (
+        lambda: _started(discrete_convolve(DiscreteSignal(BIG, [1, 2]), DiscreteSignal(-BIG, [1, 1]))),
+        (0, [1, 3, 2]),
+    ),
+    "approx_analog_convolve": (
+        lambda: _started(approx_analog_convolve(_BIG_SIGNAL, SampledSignal(0.5, BIG, [1, 1]))),
+        (2 * BIG, [0.5, 1.5, 2.5, 3.5, 2]),
+    ),
+    "derivative": (lambda: _started(derivative(_BIG_SIGNAL)), (BIG + 1, [2, 2])),
+    "exp_factor_analog": (lambda: exp_factor_analog(_BIG_SIGNAL, 0), 5),
+    "fourier_transform": (lambda: four.fourier_transform(_BIG_SIGNAL, [0.0]).values.tolist(), [5]),
+    "series_synthesize": (
+        lambda: _started(four.series_synthesize(SeriesSpectrum(1.0, [1.0]), 0.5, BIG, 2)), (BIG, [1, 1]),
+    ),
 }
 
 
@@ -414,6 +482,8 @@ BOUNDED_ARGUMENTS = {
     "harmonic_signal.period": (lambda v: four.harmonic_signal(1, v), "period", 1),
     "periodize": (lambda v: periodize(DiscreteSignal(0, [1, 2, 3]), v), "period", 1),
     "cosine": (lambda v: cosine(v, 1 / 16), "n_samples", 1),
+    "square": (lambda v: square(v, 1 / 16), "n_samples", 2),
+    "sampled_harmonic.period": (lambda v: four.sampled_harmonic(1, v, 0.5), "period", 1),
     "GridParams.n": (lambda v: GridParams(n=v, n_max=0), "n", 1),
     "GridParams.n_max": (lambda v: GridParams(n_max=v), "n_max", 0),
     "fourier_coefficients": (lambda v: four.fourier_coefficients(cosine(16, 1 / 16), v), "n_max", 0),

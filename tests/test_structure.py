@@ -95,6 +95,7 @@ def test_riemann_sum_is_never_called_per_point(path):
     ("for _ in range(n):\n    conv.exp_factor_analog(f, a)", True),
     ("for _ in range(10):\n    conv.exp_factor_discrete(f, bases[_])", True),
     ("for _ in range(10):\n    for w in ws:\n        conv.exp_factor_analog(f, 1j * w)", True),
+    ("while more:\n    conv._power_sum(samples, ks, bases)", True),
     ("for i in range(10):\n    conv.exp_factor_analog(f, a)", True),
     ("for _ in range(10.0):\n    conv.exp_factor_analog(f, a)", True),
     ("for _ in range(0, 10):\n    conv.exp_factor_analog(f, a)", True),
