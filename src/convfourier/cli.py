@@ -102,7 +102,7 @@ def _generate(args):
         raise SignalFormatError(f"argument {flag}: {exc}") from None
 
 
-def _single_input(args):
+def _single_input(args, kind: str):
     name = getattr(args, "gen", None)
     if name is None and args.input is None:
         raise SignalFormatError("provide an input file or --gen NAME")
@@ -112,7 +112,12 @@ def _single_input(args):
         if getattr(args, flag, None) is not None and flag not in _GEN_FLAGS.get(name, ()):
             source = f"--gen {name}" if name else "an input file"
             raise SignalFormatError(f"--{flag} is not used with {source}")
-    return read_signal(args.input) if name is None else _generate(args)
+    signal = read_signal(args.input) if name is None else _generate(args)
+    got = signal_kind(signal)
+    if got != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise SignalFormatError(f"{args.command} input must be {article} {kind} signal, got kind={got}")
+    return signal
 
 
 _CONV_OPS = {
@@ -142,32 +147,22 @@ def _cmd_conv(args) -> int:
     return 0
 
 
-def _require_kind(signal, wanted: str, what: str):
-    kind = signal_kind(signal)
-    if kind != wanted:
-        article = "an" if wanted[0] in "aeiou" else "a"
-        raise SignalFormatError(f"{what} must be {article} {wanted} signal, got kind={kind}")
-
-
 def _cmd_dft(args) -> int:
-    f = _single_input(args)
-    _require_kind(f, "periodic-discrete", "dft input")
+    f = _single_input(args, "periodic-discrete")
     spectrum = _finite("dft", four.dft, f)
     _write_text((signal_text(PeriodicDiscreteSignal(spectrum.values), args.format),), args.out)
     return 0
 
 
 def _cmd_idft(args) -> int:
-    f = _single_input(args)
-    _require_kind(f, "periodic-discrete", "idft input")
+    f = _single_input(args, "periodic-discrete")
     result = _finite("idft", four.idft, four.DftSpectrum(values=f.samples))
     _write_text((signal_text(result, args.format),), args.out)
     return 0
 
 
 def _cmd_series(args) -> int:
-    f = _single_input(args)
-    _require_kind(f, "periodic-analog", "series input")
+    f = _single_input(args, "periodic-analog")
     length, harmonics = f.samples.size, 2 * args.nmax + 1
     _check_budget(
         "series", f"L={length} samples x {harmonics} harmonics",
@@ -179,8 +174,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_ft(args) -> int:
-    f = _single_input(args)
-    _require_kind(f, "analog", "ft input")
+    f = _single_input(args, "analog")
     if args.omega_max < args.omega_min:
         raise SignalFormatError("--omega-max must be >= --omega-min")
     # omega = min + k step for every k with omega <= max; a span within 1e-9
@@ -271,12 +265,8 @@ def _add_io_flags(p, with_gen: bool):
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
-class _UsageError(Exception):
-    """A command line that argparse rejects (exit 2)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise _UsageError, so that ``main``
+    """An ArgumentParser whose usage errors raise SignalFormatError, so that ``main``
     returns 2 with one ``error:`` line instead of argparse printing its usage
     and exiting; ``--help`` still prints and exits 0."""
 
@@ -287,7 +277,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
-        raise _UsageError(message)
+        raise SignalFormatError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode",
         choices=tuple(_CONV_OPS),
-        help="convolution flavour; defaults to the kind of the inputs",
+        help="the kind both inputs must have, else exit 3; it selects nothing, "
+        "as the inputs' kind sets the convolution",
     )
     _add_io_flags(p, with_gen=False)
     p.set_defaults(func=_cmd_conv)
@@ -348,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 # exception type -> exit code; 1 is kept for a failed verification
 _EXIT_CODES = {
     SignalFormatError: 2,
-    _UsageError: 2,
     GridMismatchError: 3,
     AliasingError: 4,
     OverflowError: 4,

@@ -45,6 +45,7 @@ from .signals import (
     SampledSignal,
     _exp_param,
     _finite_number,
+    _float_indices,
     _grid_steps,
     _integral,
     periodize,
@@ -244,7 +245,7 @@ def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, a) -> comple
     rejected because the convolution is then ill-defined.
     """
     a = _exp_param(a, discrete=True)
-    indices = getattr(f, "start", 0) + np.arange(f.samples.size, dtype=np.float64)
+    indices = _float_indices(getattr(f, "start", 0), f.samples.size)
     return _finite(_power_sum(f.samples, indices, np.array([a]))[0])
 
 

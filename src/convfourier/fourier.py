@@ -267,7 +267,7 @@ def _synthesize(values, freqs, weight, ts, start: int, count: int) -> SampledSig
     the Riemann sum with "times" freqs and one exponent a = -j t per output time."""
     start, count = _index(start, "start"), _index(count, "count", minimum=0)
     ts = _check_ts(ts)
-    t = (start + np.arange(count, dtype=np.float64)) * ts
+    t = sig._float_indices(start, count) * ts
     samples = conv._riemann_sum(values, freqs, weight, -1j * t)
     return SampledSignal(ts=ts, start=start, samples=samples)
 

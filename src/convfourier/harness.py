@@ -203,7 +203,6 @@ def _harmonic_product(convolve, f, g, n):
     a = j n omega0."""
     n = sig._index(n, "n")
     period = g.period_samples
-    four._check_alias_window(abs(n), period)
     a = 1j * n * g.omega0
     fn = conv.exp_factor_analog(f, a)
     gn = conv.exp_factor_analog(g, a)
@@ -212,31 +211,11 @@ def _harmonic_product(convolve, f, g, n):
 
 def _fs_conv_freq(f, g, t_index, n_max):
     """Residual and scale of the discrete convolution of two coefficient
-    spectra, which synthesizes T^2 f(t) g(t).
-
-    Both inputs must be band-limited; if a resolvable coefficient just
-    outside the window is not negligible the window is reported as too
-    small.
-    """
-    period = f.period_samples
+    spectra, which synthesizes T^2 f(t) g(t) when f and g hold no harmonic
+    beyond |n| <= n_max."""
     period_t = f.period_t
-    four._check_alias_window(n_max, period)
-    # the edge probe, one harmonic past the window while that is alias-free
-    probe = min(n_max + 1, (period - 1) // 2)
-    spec_f = four.fourier_coefficients(f, probe)
-    spec_g = four.fourier_coefficients(g, probe)
-    if probe > n_max:
-        peak = max(np.abs(spec_f.coeffs).max(), np.abs(spec_g.coeffs).max(), 1.0)
-        for s in (spec_f, spec_g):
-            edge = max(abs(s.coefficient(probe)), abs(s.coefficient(-probe)))
-            if edge > 1e-8 * peak:
-                raise sig.AliasingError(
-                    f"coefficient window |n| <= {n_max} is too small: energy at |n| = {probe}"
-                )
-    lo = probe - n_max
-    hi = probe + n_max + 1
-    f_sig = sig.DiscreteSignal(-n_max, period_t * spec_f.coeffs[lo:hi])
-    g_sig = sig.DiscreteSignal(-n_max, period_t * spec_g.coeffs[lo:hi])
+    f_sig = sig.DiscreteSignal(-n_max, period_t * four.fourier_coefficients(f, n_max).coeffs)
+    g_sig = sig.DiscreteSignal(-n_max, period_t * four.fourier_coefficients(g, n_max).coeffs)
     fg = conv.discrete_convolve(f_sig, g_sig)
     a = np.exp(-1j * f.omega0 * (t_index * f.ts))
     product = period_t * (period_t * g.value(t_index) * f.value(t_index))

@@ -69,7 +69,7 @@ __all__ = [
 
 
 class SignalFormatError(ValueError):
-    """A signal file does not parse or violates the schema."""
+    """A signal file or a command line does not parse or violates its schema."""
 
 
 # the metadata keys of a signal file; analog kinds carry ts, periodic kinds carry n

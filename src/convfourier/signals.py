@@ -144,6 +144,17 @@ def _grid_steps(length, step, name: str, error=ValueError, minimum: int | None =
     return steps
 
 
+def _float_indices(start: int, count: int) -> np.ndarray:
+    """start + k as float64 for k < count; every index is made a float here.
+    float64 holds every integer only up to 2^53, so |start| + count > 2^53 is
+    an OverflowError, never indices rounded onto one another."""
+    if abs(start) + count > 2**53:
+        raise OverflowError(
+            f"{count} samples from index {start} reach past 2^53, where float64 skips integers"
+        )
+    return start + np.arange(count, dtype=np.float64)
+
+
 class _Finite:
     """The accessors of a finite-support signal, sample ``i`` at index
     ``start + i`` and zero elsewhere; the subclass holds the fields."""
@@ -217,7 +228,7 @@ class SampledSignal(_Finite):
 
     def times(self) -> np.ndarray:
         """Time coordinate of every stored sample."""
-        return (self.start + np.arange(self.samples.size, dtype=np.float64)) * self.ts
+        return _float_indices(self.start, self.samples.size) * self.ts
 
 
 @dataclass(frozen=True, eq=False)

@@ -272,13 +272,14 @@ class TestFt:
         assert code == 0
         assert [float(line.split(",")[0]) for line in out.splitlines()[2:]] == rows
 
-    def test_index_beyond_int64_exit_0(self, tmp_path, capsys):
-        # the sample times of a start at 1e23 raised "Python int too large to
-        # convert to C long", exit 4; float64 rounds all four times to 5e22
+    def test_index_beyond_int64_exit_4(self, tmp_path, capsys):
+        # float64 would round all four sample times to 5e22: the times of a
+        # span past 2^53 are an error, never a spectrum of one instant
         f = write(tmp_path / "big.csv", "# kind=analog ts=0.5\nindex,re,im\n"
                   + "".join(f"{10**23 + i},1,0\n" for i in range(4)))
         code, out, err = run(capsys, "ft", f, "--omega-min", "0", "--omega-max", "0", "--omega-step", "1")
-        assert (code, out, err) == (0, "# kind=spectrum\nomega,re,im\n0,2,0\n", "")
+        assert (code, out) == (4, "")
+        assert err == f"error: 4 samples from index {10**23} reach past 2^53, where float64 skips integers\n"
 
     def test_frequency_count_overflow_exit_4(self, capsys):
         # (omega_max - omega_min) / omega_step overflows to inf

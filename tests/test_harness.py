@@ -718,11 +718,14 @@ class TestCheckFsConvFreq:
         residual, _ = harness._fs_conv_freq(f, z, 0, 3)
         assert residual == 0.0
 
-    def test_window_too_small_reported(self):
+    def test_too_small_window_fails_by_its_residual(self):
+        # harmonic 5 lies outside |n| <= 4: both spectra miss it, so their
+        # convolution synthesizes 0 where T^2 x_5(0)^2 = 1 is wanted
         n_samples, ts = 32, 1.0 / 32.0
         f = sampled_harmonic(5, n_samples, ts)
-        with pytest.raises(AliasingError):
-            harness._fs_conv_freq(f, f, 0, 4)
+        check = verdict("fs.conv_freq", harness._fs_conv_freq(f, f, 0, 4))
+        assert not check.passed
+        assert check.residual >= 1.0
 
 
 class TestCheckFsMixed:

@@ -415,6 +415,9 @@ def test_discrete_shift_keeps_its_integral_float_rule():
 # io reads an index beyond int64 as a Python int, and every site that does
 # arithmetic on a start keeps it out of NumPy's int64: each of these raised
 # OverflowError ("Python int too large to convert to C long") or IndexError.
+# A site that makes an index a float (`signals._float_indices`) raises
+# OverflowError instead: float64 holds no step of 1 near 1e23, so every time
+# would round to BIG * ts.
 # ---------------------------------------------------------------------------
 
 BIG = 10**23
@@ -422,19 +425,16 @@ _BIG_SIGNAL = SampledSignal(0.5, BIG, [1, 2, 3, 4])
 
 # site -> (call, what it returns)
 BEYOND_INT64 = {
-    # float64 holds no step of 1 near 1e23: every time rounds to BIG * ts
-    "SampledSignal.times": (lambda: _BIG_SIGNAL.times().tolist(), [BIG * 0.5] * 4),
+    "SampledSignal.times": (lambda: _BIG_SIGNAL.times().tolist(), OverflowError),
     "scale_time.decimate": (lambda: _started(scale_time(_BIG_SIGNAL, 2)), (BIG // 2, [1, 3])),
     "scale_time.reverse": (lambda: _started(scale_time(_BIG_SIGNAL, -1)), (-BIG - 3, [4, 3, 2, 1])),
     "scale_time.big_factor": (
         lambda: _started(scale_time(SampledSignal(0.5, 0, [1, 2]), BIG)), (0, [1]),
     ),
-    "exp_factor_discrete": (lambda: exp_factor_discrete(DiscreteSignal(BIG, [1, 2]), 1.0), 3),
+    "exp_factor_discrete": (lambda: exp_factor_discrete(DiscreteSignal(BIG, [1, 2]), 1.0), OverflowError),
     "_synthesize": (
-        lambda: _started(
-            four.inverse_fourier_transform(four.TransformSpectrum([0.0, 1.0], [1, 0]), 0.5, BIG, 2)
-        ),
-        (BIG, [1 / (2 * math.pi)] * 2),
+        lambda: four.inverse_fourier_transform(four.TransformSpectrum([0.0, 1.0], [1, 0]), 0.5, BIG, 2),
+        OverflowError,
     ),
     "periodize": (lambda: periodize(DiscreteSignal(BIG + 1, [1, 2]), 4).samples.tolist(), [0, 1, 2, 0]),
     "periodize.sampled": (lambda: periodize(_BIG_SIGNAL, 4).samples.tolist(), [1, 2, 3, 4]),
@@ -451,10 +451,10 @@ BEYOND_INT64 = {
         (2 * BIG, [0.5, 1.5, 2.5, 3.5, 2]),
     ),
     "derivative": (lambda: _started(derivative(_BIG_SIGNAL)), (BIG + 1, [2, 2])),
-    "exp_factor_analog": (lambda: exp_factor_analog(_BIG_SIGNAL, 0), 5),
-    "fourier_transform": (lambda: four.fourier_transform(_BIG_SIGNAL, [0.0]).values.tolist(), [5]),
+    "exp_factor_analog": (lambda: exp_factor_analog(_BIG_SIGNAL, 0), OverflowError),
+    "fourier_transform": (lambda: four.fourier_transform(_BIG_SIGNAL, [0.0]), OverflowError),
     "series_synthesize": (
-        lambda: _started(four.series_synthesize(SeriesSpectrum(1.0, [1.0]), 0.5, BIG, 2)), (BIG, [1, 1]),
+        lambda: four.series_synthesize(SeriesSpectrum(1.0, [1.0]), 0.5, BIG, 2), OverflowError,
     ),
 }
 
@@ -466,7 +466,38 @@ def _started(signal):
 @pytest.mark.parametrize("site", BEYOND_INT64)
 def test_start_beyond_int64(site):
     call, want = BEYOND_INT64[site]
-    assert call() == want
+    if want is OverflowError:
+        with pytest.raises(OverflowError, match=rf"samples from index {BIG} reach past 2\^53"):
+            call()
+    else:
+        assert call() == want
+
+
+# The three sites that make an index a float, each with (start, count):
+# |start| + count = 2^53 is the last span float64 holds exactly.
+FLOAT_INDEX_SITES = {
+    "SampledSignal.times": lambda start, count: SampledSignal(1.0, start, np.ones(count)).times(),
+    "exp_factor_discrete": lambda start, count: exp_factor_discrete(
+        DiscreteSignal(start, np.ones(count)), 1.0
+    ),
+    "_synthesize": lambda start, count: four.inverse_fourier_transform(
+        four.TransformSpectrum([0.0, 1.0], [1, 0]), 1.0, start, count
+    ).samples,
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("site", FLOAT_INDEX_SITES)
+def test_float_indices_end_at_2_53(site, sign):
+    call = FLOAT_INDEX_SITES[site]
+    call(sign * (2**53 - 2), 2)
+    with pytest.raises(OverflowError, match=rf"^2 samples from index {sign * (2**53 - 1)} reach past 2\^53"):
+        call(sign * (2**53 - 1), 2)
+
+
+@pytest.mark.parametrize("start", [2**53 - 2, -(2**53 - 2)])
+def test_float_indices_are_exact_up_to_2_53(start):
+    assert SampledSignal(1.0, start, [1, 1]).times().tolist() == [start, start + 1]
 
 
 # ---------------------------------------------------------------------------

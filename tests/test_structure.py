@@ -352,6 +352,44 @@ def test_harness_folds_legs_once():
     assert len(calls) == 1, f"harness.py calls _worst_of at lines {calls}"
 
 
+# The harness raises nothing of its own: a check fails by its residual
+# against its tolerance, or by an error the library raised.  Only
+# `GridParams` may reject a grid, and only it checks the alias window, which
+# `fourier_coefficients` and `fs_eigencheck` also check for themselves.
+def _own_errors(tree) -> list:
+    """Lines of each raise and each _check_alias_window call outside GridParams."""
+    grid = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GridParams"]
+    exempt = {id(n) for c in grid for n in ast.walk(c)}
+    return [
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in exempt
+        and (isinstance(node, ast.Raise) or (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "_check_alias_window"
+        ))
+    ]
+
+
+def test_harness_raises_nothing_of_its_own():
+    lines = _own_errors(HARNESS_TREE)
+    assert not lines, f"harness.py raises or re-checks the alias window at lines {lines}"
+
+
+@pytest.mark.parametrize("source, errors", [
+    ("raise sig.AliasingError('window too small')", 1), ("raise ValueError", 1),
+    ("try:\n    f()\nexcept ValueError:\n    raise", 1),
+    ("four._check_alias_window(n_max, period)", 1), ("_check_alias_window(abs(n), period)", 1),
+    ("def _helper(f):\n    if f:\n        raise ValueError(f)", 1),
+    ("class Other:\n    def check(self):\n        four._check_alias_window(1, 4)", 1),
+    ("class GridParams:\n    def __post_init__(self):\n        four._check_alias_window(self.n_max, self.n)", 0),
+    ("class GridParams:\n    def __post_init__(self):\n        raise ValueError('n')", 0),
+    ("four.fourier_coefficients(f, n_max)", 0), ("spec.coefficient(n)", 0),
+    ("window = four._check_alias_window", 0),
+])
+def test_own_error_guard_sees_each_form(source, errors):
+    assert len(_own_errors(ast.parse(source))) == errors
+
+
 def test_runners_define_no_nested_function():
     runners = [n for n in HARNESS_TREE.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_run_")]
     nested = [

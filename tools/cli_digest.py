@@ -84,7 +84,15 @@ COMMANDS = {
     "verify seed 42 out": ["verify", "--seed", "42", "--n", "16", "--nmax", "2", "--out", "OUT"],
     "exit 2 omega-max below omega-min": ["ft", "--gen", "pulse", "--ts", "0.25", "--omega-min", "1",
                                          "--omega-max", "0", "--omega-step", "0.5"],
+    "exit 2 argparse type": ["verify", "--seed", "4_2"],
+    "exit 2 missing required flag": ["series", "pa1.csv"],
+    "exit 2 unknown subcommand": ["transform", "pa1.csv"],
+    "exit 2 unused --gen flag": ["series", "--gen", "cos", "--n", "8", "--ts", "0.125", "--width", "1",
+                                 "--nmax", "1"],
+    "exit 2 ft kind": ["ft", "d1.csv", *OMEGAS],
+    "exit 2 idft kind": ["idft", "a1.csv"],
     "exit 3 ts mismatch": ["conv", "a1.csv", "a3.csv"],
+    "exit 3 mode mismatch": ["conv", "d1.csv", "d2.csv", "--mode", "analog"],
     "exit 4 alias window": ["series", "pa1.csv", "--nmax", "4"],
 }
 
