@@ -46,7 +46,6 @@ from .signals import (
     SampledSignal,
     delta_approx,
     delta_signal,
-    eval_discrete_exponential,
     periodize,
 )
 

@@ -152,7 +152,8 @@ _EXP_REACH = 700.0
 
 
 def _power_sum(samples: np.ndarray, indices: np.ndarray, a) -> np.ndarray:
-    """sum_n samples[n] a_m^(-indices[n]) for each base a_m of the 1-d array a.
+    """sum_n samples[n] a_m^(-indices[n]) for each base a_m of the 1-d array a,
+    the indices as floats (``signals._float_indices``).
 
     Rows go in blocks of at most _RIEMANN_BLOCK powers, and each row is
     reduced on its own in a fixed order, so a base's value does not depend
@@ -162,7 +163,7 @@ def _power_sum(samples: np.ndarray, indices: np.ndarray, a) -> np.ndarray:
     out = np.zeros(a.size, dtype=np.complex128)
     if samples.size == 0:
         return out
-    exponents = -indices.astype(np.float64)
+    exponents = -indices
     rows = max(1, _RIEMANN_BLOCK // samples.size)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         # a non-finite factor is rejected by exp_factor_*'s finiteness check

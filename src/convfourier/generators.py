@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .signals import (
-    _TWO_PI, PeriodicSampledSignal, SampledSignal, _check_ts, _finite_number, _grid_steps, _index,
+    _TWO_PI, PeriodicSampledSignal, SampledSignal, _check_ts, _finite_number, _float_indices,
+    _grid_steps, _index,
 )
 
 __all__ = ["pulse", "cosine", "square", "gaussian"]
@@ -50,6 +51,6 @@ def gaussian(ts: float, half_width: float = 6.0, rate: float = 1.0) -> SampledSi
     ts = _check_ts(ts)
     k_max = _grid_steps(_finite_number(half_width, "half_width"), ts, "half_width", minimum=1)
     rate = _finite_number(rate, "rate", positive=True)
-    t = np.arange(-k_max, k_max + 1) * ts
+    t = _float_indices(-k_max, 2 * k_max + 1) * ts
     # at rate 1.0, -rate * t is -t exactly
     return SampledSignal(ts=ts, start=-k_max, samples=np.exp(-rate * t * t))

@@ -148,9 +148,9 @@ def _random_trig_poly(rng, grid: GridParams) -> sig.PeriodicSampledSignal:
     return _trig_poly(grid, _unit_disk(rng, 2 * grid.n_max + 1))
 
 
-def _random_discrete(rng, max_len=16, start_lo=-8, start_hi=8) -> sig.DiscreteSignal:
+def _random_discrete(rng, max_len=16, start_hi=8) -> sig.DiscreteSignal:
     length = int(rng.integers(1, max_len + 1))
-    start = int(rng.integers(start_lo, start_hi + 1))
+    start = int(rng.integers(-8, start_hi + 1))
     return sig.DiscreteSignal(start, _unit_disk(rng, length))
 
 
@@ -427,7 +427,7 @@ def _run_eigen_analog(grid, rng, legs):
 
 def _run_eigen_discrete(grid, rng, legs):
     for _ in range(20):
-        f = _random_discrete(rng, start_lo=-8, start_hi=0)
+        f = _random_discrete(rng, start_hi=0)
         mag = rng.uniform(0.5, 2.0)
         a = mag * np.exp(1j * sig._TWO_PI * rng.uniform())
         ks = np.arange(f.start - 4, f.end + 4)
@@ -502,14 +502,16 @@ def _run_dft_orthogonality(grid, rng, legs):
         m, k = np.concatenate((m, diagonal)), np.concatenate((k, diagonal))
     # x_m (*) x_k = N delta(m - k) x_k against scale N, one circular
     # convolution per block of _RIEMANN_BLOCK // (2 N) pairs; each pair's
-    # residual is the one it has alone, bit for bit
+    # residual is the one it has alone, bit for bit.  Every x_m and x_k is
+    # gathered from one root table, x_m(i) = roots(m i)
     m, k = m[:, None], k[:, None]
+    roots = sig._unit_roots(1, n)
     rows = max(1, conv._RIEMANN_BLOCK // (2 * n))
     for lo in range(0, m.shape[0], rows):
         ms, ks = m[lo : lo + rows], k[lo : lo + rows]
-        x_m = sig._unit_roots(ms, n)(np.arange(n))
+        x_m = roots(ms * np.arange(n))
         factor = np.where(ms == ks, float(n), 0.0)
-        legs.append((four._eigenrelation(x_m, sig._unit_roots(ks, n), factor).residual, float(n)))
+        legs.append((four._eigenrelation(x_m, lambda j: roots(ks * j), factor).residual, float(n)))
     return f"{m.shape[0]} pairs"
 
 
@@ -601,7 +603,7 @@ def _run_ft_sampling(grid, rng, legs):
     legs.append(four._compare(rebuilt.values, vals))
     # the reversed sample sequence carries the periodized spectrum as its factor
     reversed_f = conv.scale_time(f, -1)
-    indices = reversed_f.start + np.arange(len(reversed_f))
+    indices = sig._float_indices(reversed_f.start, len(reversed_f))
     lhs = ts * conv._power_sum(reversed_f.samples, indices, np.exp(-1j * omegas * ts))
     legs.append(four._compare(lhs, rebuilt.values))
 

@@ -13,8 +13,8 @@ spectra of ``fourier``, and ``_finite_number`` every stored scalar such as
 or read as 0 or 1.
 
 An exponential signal is its complex parameter ``a`` and its family: e^(a t)
-for ``convolution.exp_factor_analog``, a^k for ``eval_discrete_exponential``
-and ``convolution.exp_factor_discrete``.
+for ``convolution.exp_factor_analog``, a^k for
+``convolution.exp_factor_discrete``.
 ``_exp_param`` is the one check of a parameter: a str, a bool, a non-finite
 value or the discrete base 0 is a ValueError; the analog a = 0 is 1.  Callers
 evaluate every exponential signal through this module, by ``_analog_exp``,
@@ -36,7 +36,6 @@ __all__ = [
     "PeriodicDiscreteSignal",
     "SampledSignal",
     "PeriodicSampledSignal",
-    "eval_discrete_exponential",
     "delta_signal",
     "delta_approx",
     "periodize",
@@ -257,7 +256,7 @@ class PeriodicSampledSignal(_Periodic):
         return _TWO_PI / self.period_t
 
     def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.ts
+        return _float_indices(0, self.samples.size) * self.ts
 
 
 def _analog_exp(a, step):
@@ -275,19 +274,6 @@ def _unit_roots(n, period: int):
     mod period (no int64 wrap) into a one-period table, as callers take a period."""
     table = np.exp(1j * _TWO_PI * np.arange(period) / period)
     return lambda k: table[((n % period) * k) % period]
-
-
-def eval_discrete_exponential(a, k: int) -> complex:
-    """Value of a^k for integer k: the discrete family at index k; a value beyond
-    the float64 range is an OverflowError.  No library code calls it: it is the
-    scalar reference of tests/test_convolution.py and tests/test_acceptance.py."""
-    a = _exp_param(a, discrete=True)
-    k = _index(k, "k")
-    with np.errstate(all="ignore"):
-        value = complex(_discrete_exp(a)(k))
-    if not cmath.isfinite(value):
-        raise OverflowError(f"a^{k} for a = {a} is beyond the float64 range")
-    return value
 
 
 def delta_signal() -> DiscreteSignal:

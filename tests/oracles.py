@@ -1,14 +1,44 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here is plain Python over cmath, deliberately sharing no code
-with the library: dictionary-accumulated double loops for convolution,
-term-by-term sums for factors and transforms, and a whole-file parser of
-the signal-file contract.
+with the library: the scalar exponential a^k, dictionary-accumulated double
+loops for convolution, term-by-term sums for factors and transforms, and a
+whole-file parser of the signal-file contract.
 """
 
 import cmath
 import json
 import math
+import numbers
+
+
+def _is_bool(value):
+    # Python's bool and NumPy's, whose type is also named bool
+    return type(value).__name__ in ("bool", "bool_")
+
+
+def eval_discrete_exponential(a, k):
+    """a^k for a nonzero finite base a and an integer k, as Python's complex
+    power; a value beyond the float64 range is an OverflowError.  A str or a
+    bool base, or an index that is no integer, is a ValueError, never parsed
+    or truncated."""
+    if isinstance(a, str) or _is_bool(a):
+        raise ValueError(f"exponential parameter must be a number, got {a!r}")
+    a = complex(a)
+    if not cmath.isfinite(a):
+        raise ValueError(f"exponential parameter must be finite, got {a}")
+    if a == 0:
+        raise ValueError("discrete base must be nonzero")
+    if _is_bool(k) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    k = int(k)
+    try:
+        value = a**k
+    except (OverflowError, ZeroDivisionError):  # 1 / a^-k with a^-k rounded to 0
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"a^{k} for a = {a} is beyond the float64 range")
+    return value
 
 
 def conv_brute(f_vals, f_start, g_vals, g_start):

@@ -34,10 +34,9 @@ from convfourier.signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
-    eval_discrete_exponential,
 )
 
-from oracles import riemann_factor_brute
+from oracles import eval_discrete_exponential, riemann_factor_brute
 
 
 def _report(num, label, ok, elapsed, limit):

@@ -31,11 +31,11 @@ from convfourier.signals import (
     SampledSignal,
     delta_approx,
     delta_signal,
-    eval_discrete_exponential,
 )
 
 from oracles import (
     conv_brute,
+    eval_discrete_exponential,
     mixed_conv_brute,
     periodic_conv_brute,
     power_factor_brute,

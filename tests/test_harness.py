@@ -610,6 +610,19 @@ class TestDftOrthogonalityPairs:
         blocks = [alone[lo : lo + rows] for lo in range(0, len(alone), rows)]
         assert legs == [(max(block), float(n)) for block in blocks]
 
+    @pytest.mark.parametrize("n", [1, 7, 64, 1024])
+    def test_one_root_table_per_call(self, monkeypatch, n):
+        # every x_m and x_k of every row block is gathered from one table
+        grid, tables = GridParams(n=n, ts=1 / n, n_max=0), []
+
+        def counted(harmonic, period):
+            tables.append(period)
+            return _exact_unit_roots(harmonic, period)
+
+        monkeypatch.setattr(signals, "_unit_roots", counted)
+        evaluate("dft.orthogonality", grid, np.random.default_rng(n))
+        assert tables == [n]
+
     @pytest.mark.parametrize("block", [13, 26], ids=["middle", "last"])
     def test_nan_in_any_block_fails_the_check(self, monkeypatch, block):
         calls = []

@@ -30,9 +30,10 @@ from convfourier.signals import (
     SampledSignal,
     delta_approx,
     delta_signal,
-    eval_discrete_exponential,
     periodize,
 )
+
+from oracles import eval_discrete_exponential
 
 
 # the three functions that take an exponential's complex parameter, each

@@ -509,3 +509,49 @@ def test_two_pi_guard_sees_each_form(source, two_pi, fundamental):
     nodes = list(ast.walk(ast.parse(source)))
     assert any(map(_states_two_pi, nodes)) is two_pi
     assert any(map(_states_a_fundamental, nodes)) is fundamental
+
+
+# An index becomes a float in one place, `signals._float_indices`, which
+# bounds it at 2^53: sample times, synthesis times and the indices of the
+# discrete power sum come from it.  Outside it no code makes an `arange`
+# float, scales one by a sample spacing `ts`, or casts an array to float.
+_FLOAT_TYPES = ("float", "float64", "double")
+
+
+def _names_a_float_type(node) -> bool:
+    return _attr_or_name(node) in _FLOAT_TYPES
+
+
+def _makes_an_index_float(node) -> bool:
+    if isinstance(node, ast.Call):
+        name = _attr_or_name(node.func)
+        if name == "astype":
+            return any(map(_names_a_float_type, node.args + [k.value for k in node.keywords]))
+        return name == "arange" and any(
+            k.arg == "dtype" and _names_a_float_type(k.value) for k in node.keywords
+        )
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    sides = (node.left, node.right)
+    return any(
+        any(isinstance(n, ast.Call) and _attr_or_name(n.func) == "arange" for n in ast.walk(side))
+        and any(_attr_or_name(n) == "ts" for n in ast.walk(other))
+        for side, other in (sides, sides[::-1])
+    )
+
+
+def test_an_index_becomes_a_float_in_one_place():
+    assert _sites(_makes_an_index_float) == [("signals.py", "_float_indices")]
+
+
+@pytest.mark.parametrize("source, makes", [
+    ("start + np.arange(count, dtype=np.float64)", True), ("np.arange(n, dtype=float)", True),
+    ("np.arange(self.samples.size) * self.ts", True), ("np.arange(-k_max, k_max + 1) * ts", True),
+    ("ts * (start + np.arange(n))", True), ("np.arange(n) * (2 * f.ts)", True),
+    ("-indices.astype(np.float64)", True), ("k.astype(float)", True), ("k.astype(dtype=np.double)", True),
+    ("np.arange(n)", False), ("np.arange(n, dtype=np.int64)", False), ("np.arange(-4, 5) * dw", False),
+    ("sig._float_indices(start, n) * ts", False), ("t_index * f.ts", False),
+    ("times.astype(np.complex128)", False), ("np.exp(-1j * omegas * ts)", False),
+])
+def test_float_index_guard_sees_each_form(source, makes):
+    assert any(map(_makes_an_index_float, ast.walk(ast.parse(source)))) is makes
