@@ -21,6 +21,7 @@ from . import generators as gen
 from .harness import GridParams, run_all
 from .io import (
     SignalFormatError,
+    _TYPES,
     _is_plain,
     _write_text,
     read_signal,
@@ -120,14 +121,6 @@ def _single_input(args, kind: str):
     return signal
 
 
-_CONV_OPS = {
-    "discrete": conv.discrete_convolve,
-    "analog": conv.approx_analog_convolve,
-    "periodic-discrete": conv.periodic_convolve_discrete,
-    "periodic-analog": conv.periodic_convolve_analog,
-}
-
-
 def _cmd_conv(args) -> int:
     f = read_signal(args.first)
     g = read_signal(args.second)
@@ -142,7 +135,7 @@ def _cmd_conv(args) -> int:
             "conv", f"{len(f)} x {len(g)} samples",
             ("len(f)*len(g)", len(f) * len(g), _CONV_MAX_MACS),
         )
-    result = _finite(f"{mode} convolution", _CONV_OPS[mode], f, g)
+    result = _finite(f"{mode} convolution", conv._convolve, f, g)
     _write_text((signal_text(result, args.format),), args.out)
     return 0
 
@@ -292,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.add_argument(
         "--mode",
-        choices=tuple(_CONV_OPS),
+        choices=tuple(_TYPES),
         help="the kind both inputs must have, else exit 3; it selects nothing, "
         "as the inputs' kind sets the convolution",
     )

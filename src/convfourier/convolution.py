@@ -123,6 +123,18 @@ def periodic_convolve_analog(
     return PeriodicSampledSignal(ts=f.ts, samples=f.ts * _circular_convolve(f.samples, g.samples))
 
 
+def _convolve(f, g):
+    """f * g by the convolution of the operands' kind, read from f's type; each
+    variant is called by its module name, so a patch here reaches every caller."""
+    if isinstance(f, DiscreteSignal):
+        return discrete_convolve(f, g)
+    if isinstance(f, SampledSignal):
+        return approx_analog_convolve(f, g)
+    if isinstance(f, PeriodicDiscreteSignal):
+        return periodic_convolve_discrete(f, g)
+    return periodic_convolve_analog(f, g)
+
+
 def mixed_convolve(h, f):
     """Convolve a finite-support signal with a periodic one.
 
@@ -130,10 +142,9 @@ def mixed_convolve(h, f):
     period, so output k is sum_m h(m) f(k-m) with f evaluated periodically
     (scaled by ts in the analog case).
     """
-    if isinstance(h, SampledSignal) and isinstance(f, PeriodicSampledSignal):
-        return periodic_convolve_analog(periodize(h, f.period_samples), f)
-    if isinstance(h, DiscreteSignal) and isinstance(f, PeriodicDiscreteSignal):
-        return periodic_convolve_discrete(periodize(h, f.period), f)
+    pairs = ((SampledSignal, PeriodicSampledSignal), (DiscreteSignal, PeriodicDiscreteSignal))
+    if any(isinstance(h, finite) and isinstance(f, periodic) for finite, periodic in pairs):
+        return _convolve(periodize(h, f.samples.size), f)
     raise TypeError(
         f"mixed_convolve needs (SampledSignal, PeriodicSampledSignal) or "
         f"(DiscreteSignal, PeriodicDiscreteSignal), got "

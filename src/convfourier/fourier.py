@@ -204,10 +204,10 @@ def _compare(lhs, rhs) -> ResidualReport:
 
 
 def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
-    """Residual of f * e = factor * e, e(k) = expo(k), by the convolution of f's
-    family: circular over one period when ``ks`` is None, else linear at the
-    sorted indices ``ks``, with e on exactly the indices that overlap f from
-    some k, so every overlap is complete.
+    """Residual of f * e = factor * e, e(k) = expo(k), by ``conv._convolve``:
+    circular over one period when ``ks`` is None (f periodic), else linear at
+    the sorted indices ``ks``, with e on exactly the indices that overlap f
+    from some k, so every overlap is complete.
 
     f may also be a (rows, N) array of discrete periods, with expo giving a
     (rows, N) array and factor a (rows, 1) column: one circular convolution
@@ -215,15 +215,12 @@ def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
     if isinstance(f, np.ndarray):
         e = expo(np.arange(f.shape[-1]))
         return _compare(conv._circular_convolve(f, e), factor * e)
-    analog = isinstance(f, (SampledSignal, PeriodicSampledSignal))
     if ks is None:
-        convolve = conv.periodic_convolve_analog if analog else conv.periodic_convolve_discrete
         e = expo(np.arange(f.samples.size))
-        return _compare(convolve(f, replace(f, samples=e)).samples, factor * e)
-    convolve = conv.approx_analog_convolve if analog else conv.discrete_convolve
+        return _compare(conv._convolve(f, replace(f, samples=e)).samples, factor * e)
     e_start = int(ks[0]) - (f.end - 1)
     e_idx = np.arange(e_start, int(ks[-1]) - f.start + 1)
-    out = convolve(f, replace(f, start=e_start, samples=expo(e_idx)))
+    out = conv._convolve(f, replace(f, start=e_start, samples=expo(e_idx)))
     return _compare(out.samples[ks - out.start], factor * expo(ks))
 
 

@@ -172,7 +172,7 @@ def _build_signal(kind, ts, n, start, contiguous, samples):
     return _TYPES[kind](samples=samples, **fields)
 
 
-def _rows(blocks, capacity: int):
+def _rows(blocks):
     """(start, contiguous, samples) of a file's rows, parsed block by block.
 
     Each block is a tuple of stages: callables that each look for one class
@@ -185,7 +185,7 @@ def _rows(blocks, capacity: int):
     the ones that continue the file's first index, as Python ints, so
     indices beyond int64 work; ``start`` is 0 for a file with no rows.
     """
-    samples = np.empty(capacity, dtype=np.complex128)
+    parts = [np.empty(0, dtype=np.complex128)]
     start, contiguous, filled = None, True, 0
     error = None  # (stage number, SignalFormatError) of the first defect found
     for stages in blocks:
@@ -206,15 +206,14 @@ def _rows(blocks, capacity: int):
             if start is None:
                 start = index[0]
             contiguous = contiguous and index == list(range(start + filled, start + end))
-        if end > samples.size:  # CSV lines broken by another separator than '\n'
-            samples = np.resize(samples, 2 * end)
-        # filled part by part, so signed zeros survive
-        samples.real[filled:end] = re
-        samples.imag[filled:end] = im
+        # real part, then imaginary part, so signed zeros survive
+        part = np.empty(len(index), dtype=np.complex128)
+        part.real, part.imag = re, im
+        parts.append(part)
         filled = end
     if error:
         raise error[1]
-    return 0 if start is None else start, contiguous, samples[:filled]
+    return 0 if start is None else start, contiguous, np.concatenate(parts)
 
 
 def _csv_line_blocks(text: str):
@@ -287,7 +286,7 @@ def _read_csv(text: str):
         raise SignalFormatError("expected header row 'index,re,im'")
     named = [("ts", meta.get("ts", "")), ("n", meta.get("n", ""))]
     first = _csv_stages(body[1:], named)
-    rows = _rows(itertools.chain([first], map(_csv_stages, blocks)), text.count("\n") + 1)
+    rows = _rows(itertools.chain([first], map(_csv_stages, blocks)))
     return _build_signal(meta["kind"], ts, n, *rows)
 
 
@@ -336,7 +335,7 @@ def _read_json(text: str):
     if not isinstance(rows, list):
         raise SignalFormatError("missing 'rows' list")
     blocks = (rows[at : at + _IO_BLOCK_ROWS] for at in range(0, len(rows), _IO_BLOCK_ROWS))
-    return _build_signal(kind, ts, n, *_rows(map(_json_stages, blocks), len(rows)))
+    return _build_signal(kind, ts, n, *_rows(map(_json_stages, blocks)))
 
 
 def _json_stages(rows):

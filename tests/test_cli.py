@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convfourier import cli, fourier, generators, signals
+from convfourier import cli, convolution, fourier, generators, signals
 from convfourier.cli import build_parser, main
 from convfourier.io import read_signal
 from test_harness import FAULTS
@@ -870,7 +870,7 @@ def test_linear_conv_work_budget_exit_4(capsys, monkeypatch):
     inputs = {"f": signals.DiscreteSignal(0, np.zeros(2**17)),
               "g": signals.DiscreteSignal(0, np.zeros(2**16 + 1))}
     monkeypatch.setattr(cli, "read_signal", inputs.__getitem__)
-    monkeypatch.setitem(cli._CONV_OPS, "discrete", _refuse)
+    monkeypatch.setattr(convolution, "discrete_convolve", _refuse)
     code, out, err = run(capsys, "conv", "f", "g")
     one_error_line(code, out, err, 4)
     assert "conv work budget exceeded: 131072 x 65537 samples" in err

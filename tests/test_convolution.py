@@ -272,6 +272,39 @@ class TestMixedConvolve:
             mixed_convolve(SampledSignal(0.5, 0, [1]), PeriodicSampledSignal(0.25, [1]))
 
 
+# variant name -> a random operand of the kind it convolves, for a ts and a period
+_OPERANDS = {
+    "discrete_convolve": lambda rng, ts, n: DiscreteSignal(
+        int(rng.integers(-6, 7)), rand_values(rng, int(rng.integers(0, 9)))),
+    "approx_analog_convolve": lambda rng, ts, n: SampledSignal(
+        ts, int(rng.integers(-6, 7)), rand_values(rng, int(rng.integers(0, 9)))),
+    "periodic_convolve_discrete": lambda rng, ts, n: PeriodicDiscreteSignal(rand_values(rng, n)),
+    "periodic_convolve_analog": lambda rng, ts, n: PeriodicSampledSignal(ts, rand_values(rng, n)),
+}
+
+
+class TestConvolveByKind:
+    @pytest.mark.parametrize("variant", _OPERANDS)
+    def test_is_its_kinds_variant_bit_for_bit(self, variant):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            ts, n = 0.125 * int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            f, g = (_OPERANDS[variant](rng, ts, n) for _ in "fg")
+            got, want = convolution._convolve(f, g), getattr(convolution, variant)(f, g)
+            assert type(got) is type(want)
+            assert got.samples.tobytes() == want.samples.tobytes()
+            fields = {k: v for k, v in vars(want).items() if k != "samples"}
+            assert {k: v for k, v in vars(got).items() if k != "samples"} == fields
+
+    @pytest.mark.parametrize("variant", _OPERANDS)
+    def test_follows_a_patch_of_its_variant(self, monkeypatch, variant):
+        rng = np.random.default_rng(13)
+        f, g = (_OPERANDS[variant](rng, 0.25, 4) for _ in "fg")
+        monkeypatch.setattr(convolution, variant, lambda *args: args)
+        got = convolution._convolve(f, g)
+        assert len(got) == 2 and got[0] is f and got[1] is g
+
+
 class TestExpFactorDiscrete:
     def test_delta_gives_one(self):
         for a in (2, -1, 1j, 0.5 + 0.5j):

@@ -217,7 +217,7 @@ FAULTS = {
     "_unit_roots at harmonic n + 1": (
         [(signals, "_unit_roots", lambda n, period: _exact_unit_roots(n + 1, period))],
         {"eigen.periodic_analog", "eigen.periodic_discrete", "dft.forward", "dft.inverse",
-         "fs.conv_time", "fs.lti_mixed"},
+         "dft.orthogonality", "fs.conv_time", "fs.lti_mixed"},
     ),
 }
 

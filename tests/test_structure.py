@@ -555,3 +555,53 @@ def test_an_index_becomes_a_float_in_one_place():
 ])
 def test_float_index_guard_sees_each_form(source, makes):
     assert any(map(_makes_an_index_float, ast.walk(ast.parse(source)))) is makes
+
+
+# The operands' kind picks the convolution in one place,
+# `convolution._convolve`, which `cli conv`, `fourier._eigenrelation` and
+# `mixed_convolve` call: cli.py and fourier.py name none of the four
+# variants, and no module outside convolution.py holds a table of them.
+_VARIANTS = (
+    "discrete_convolve", "approx_analog_convolve",
+    "periodic_convolve_discrete", "periodic_convolve_analog",
+)
+
+
+def _names_a_variant(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return node.value in _VARIANTS
+    return isinstance(node, (ast.Name, ast.Attribute)) and _attr_or_name(node) in _VARIANTS
+
+
+def _tables_variants(node) -> bool:
+    return isinstance(node, ast.Dict) and any(
+        _names_a_variant(n) for value in node.values for n in ast.walk(value)
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in ("cli.py", "fourier.py")],
+                         ids=lambda p: p.name)
+def test_convolution_is_picked_by_convolve(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = sorted({n.lineno for n in ast.walk(tree) if _names_a_variant(n)})
+    assert not lines, f"{path.name} names a convolution variant at lines {lines}: call conv._convolve"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "convolution.py"], ids=lambda p: p.name)
+def test_no_table_of_convolution_variants(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = sorted({n.lineno for n in ast.walk(tree) if _tables_variants(n)})
+    assert not lines, f"{path.name} holds a table of convolution variants at lines {lines}"
+
+
+@pytest.mark.parametrize("source, names, tables", [
+    ("conv.discrete_convolve(f, g)", True, False), ("convolve = conv.periodic_convolve_analog", True, False),
+    ("approx_analog_convolve(f, g)", True, False), ("getattr(conv, 'periodic_convolve_discrete')", True, False),
+    ("{'discrete': conv.discrete_convolve}", True, True), ("{1: (conv.approx_analog_convolve,)}", True, True),
+    ("conv._convolve(f, g)", False, False), ("conv.mixed_convolve(h, f)", False, False),
+    ("{'discrete': conv._convolve}", False, False), ("'the discrete_convolve variant'", False, False),
+])
+def test_convolution_guards_see_each_form(source, names, tables):
+    nodes = list(ast.walk(ast.parse(source)))
+    assert any(map(_names_a_variant, nodes)) is names
+    assert any(map(_tables_variants, nodes)) is tables

@@ -93,6 +93,9 @@ COMMANDS = {
     "exit 2 idft kind": ["idft", "a1.csv"],
     "exit 3 ts mismatch": ["conv", "a1.csv", "a3.csv"],
     "exit 3 mode mismatch": ["conv", "d1.csv", "d2.csv", "--mode", "analog"],
+    "exit 3 kinds differ": ["conv", "d1.csv", "a1.csv"],
+    "exit 3 kinds differ json": ["conv", "pa1.json", "a1.json", "--format", "json"],
+    "exit 3 period mismatch": ["conv", "pd1.csv", "pd1.json"],
     "exit 4 alias window": ["series", "pa1.csv", "--nmax", "4"],
 }
 
