@@ -65,6 +65,13 @@ __all__ = [
 ]
 
 
+def _require_kind(variant: str, kind: type, f, g):
+    """Raise mixed_convolve's TypeError unless f and g are both of kind."""
+    if not (isinstance(f, kind) and isinstance(g, kind)):
+        pair = f"{type(f).__name__}, {type(g).__name__}"
+        raise TypeError(f"{variant} needs ({kind.__name__}, {kind.__name__}), got ({pair})")
+
+
 def _require_same_ts(f, g):
     if f.ts != g.ts:
         raise GridMismatchError(f"ts mismatch: {f.ts} != {g.ts}")
@@ -82,6 +89,7 @@ def _circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def discrete_convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     """(f*g)(k) = sum_n f(n) g(k-n); exact finite sum over the supports."""
+    _require_kind("discrete_convolve", DiscreteSignal, f, g)
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
         return DiscreteSignal(start=start, samples=np.empty(0, dtype=np.complex128))
@@ -95,6 +103,7 @@ def approx_analog_convolve(f: SampledSignal, g: SampledSignal) -> SampledSignal:
     As ts shrinks this is the Riemann approximation of the convolution
     integral.
     """
+    _require_kind("approx_analog_convolve", SampledSignal, f, g)
     _require_same_ts(f, g)
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
@@ -106,6 +115,7 @@ def periodic_convolve_discrete(
     f: PeriodicDiscreteSignal, g: PeriodicDiscreteSignal
 ) -> PeriodicDiscreteSignal:
     """Circular convolution over one period: sum_{n=0}^{N-1} f(n) g(k-n)."""
+    _require_kind("periodic_convolve_discrete", PeriodicDiscreteSignal, f, g)
     if f.period != g.period:
         raise GridMismatchError(f"period mismatch: {f.period} != {g.period}")
     return PeriodicDiscreteSignal(samples=_circular_convolve(f.samples, g.samples))
@@ -115,6 +125,7 @@ def periodic_convolve_analog(
     f: PeriodicSampledSignal, g: PeriodicSampledSignal
 ) -> PeriodicSampledSignal:
     """Circular approximated analog convolution: ts times the wrap-around sum."""
+    _require_kind("periodic_convolve_analog", PeriodicSampledSignal, f, g)
     _require_same_ts(f, g)
     if f.period_samples != g.period_samples:
         raise GridMismatchError(

@@ -99,6 +99,33 @@ class Report:
         }
 
 
+@dataclass(frozen=True)
+class CheckSpec:
+    """Registry entry: stable id, declared tolerance and its justification."""
+
+    id: str
+    description: str
+    tolerance: float
+    justification: str
+    runner: Callable
+
+
+REGISTRY: tuple = ()
+
+
+def _spec(id: str, description: str, tolerance: float, justification: str):
+    """Declare the decorated runner as the check ``id``: append its CheckSpec
+    to REGISTRY and return the runner unchanged.  The report lists the checks
+    in the order their runners are defined."""
+
+    def declare(runner):
+        global REGISTRY
+        REGISTRY += (CheckSpec(id, description, tolerance, justification, runner),)
+        return runner
+
+    return declare
+
+
 def _finish(spec, residual, scale, note="") -> IdentityCheck:
     """The verdict on one runner result: it passes when residual <= tolerance
     * max(1, scale), with the registry's declared tolerance.  A NaN residual
@@ -192,9 +219,10 @@ def _halving_ratios(residual_at, steps, legs):
 
 
 # --------------------------------------------------------------------------
-# registry runners: each takes (grid, rng, legs), appends one (residual,
-# scale) pair per leg per trial to legs, in the order it computes them, and
-# returns its note or None; trials are a `for _ in range(<literal>)` loop
+# registry runners, in report order, each declared by the _spec above it:
+# each takes (grid, rng, legs), appends one (residual, scale) pair per leg
+# per trial to legs, in the order it computes them, and returns its note or
+# None; trials are a `for _ in range(<literal>)` loop
 # --------------------------------------------------------------------------
 
 def _harmonic_product(convolve, f, g, n):
@@ -243,93 +271,12 @@ def _ft_signal() -> sig.SampledSignal:
     return gen.gaussian(_FT_TS, 6.0)
 
 
-def _run_ft_conv_time(grid, rng, legs):
-    f = _ft_signal()
-    ts = f.ts
-    g = gen.gaussian(ts, 3.0, rate=2.0)
-    fg = conv.approx_analog_convolve(f, g)
-    ks = np.arange(-4, 5)
-    for _ in range(3):
-        w = float(rng.uniform(-12.0, 12.0))
-        fw = four.fourier_transform(f, [w]).values[0]
-        gw = four.fourier_transform(g, [w]).values[0]
-        legs.append(four._eigenrelation(fg, sig._analog_exp(1j * w, ts), gw * fw, ks))
-
-
-def _run_ft_conv_freq(grid, rng, legs):
-    f = _ft_signal()
-    ts = f.ts
-    g = gen.gaussian(ts, 4.0, rate=2.0)
-    dw = _FT_GRID_STEP
-    omegas = _ft_grid()
-    f_spec = four.fourier_transform(f, omegas)
-    g_spec = four.fourier_transform(g, omegas)
-    f_w = sig.SampledSignal(dw, -_FT_GRID_HALF, f_spec.values)
-    g_w = sig.SampledSignal(dw, -_FT_GRID_HALF, g_spec.values)
-    fg_w = conv.approx_analog_convolve(f_w, g_w)
-    t0_index = int(rng.integers(-8, 9))
-    fhat = four.inverse_fourier_transform(f_spec, ts, t0_index, 1).samples[0]
-    ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
-    factor = sig._TWO_PI * (sig._TWO_PI * fhat * ghat)
-    ks = np.arange(-8, 9)
-    legs.append(four._eigenrelation(fg_w, sig._analog_exp(-1j * (t0_index * ts), dw), factor, ks))
-
-
-def _ft_derivative_residual(ts: float) -> float:
-    f = gen.gaussian(ts, 4.0)
-    omegas = _ft_grid()
-    lhs = four.fourier_transform(conv.derivative(f), omegas).values
-    rhs = 1j * omegas * four.fourier_transform(f, omegas).values
-    return four._compare(lhs, rhs).residual
-
-
-def _run_ft_derivative(grid, rng, legs):
-    # the central difference has symbol sin(w ts)/ts = w - w^3 ts^2/6 + ...;
-    # the ladder is fixed so the gate does not depend on the caller's grid
-    return _halving_ratios(_ft_derivative_residual, (1 / 16, 1 / 32, 1 / 64), legs)
-
-
-def _run_ft_time_shift(grid, rng, legs):
-    f = _ft_signal()
-    omegas = _ft_grid()
-    lag = int(rng.integers(-16, 17)) * f.ts
-    lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
-    rhs = np.exp(-1j * omegas * lag) * four.fourier_transform(f, omegas).values
-    legs.append(four._compare(lhs, rhs))
-
-
-def _run_ft_duality(grid, rng, legs):
-    # oracle-calibrated fixed grid: pulse at _FT_TS, spectrum on |w| <= 32 pi
-    p = gen.pulse(_FT_TS)
-    dw = _FT_GRID_STEP
-    k_half = 256
-    omegas = np.arange(-k_half, k_half + 1) * dw
-    spec = four.fourier_transform(p, omegas)
-    spectrum_as_signal = sig.SampledSignal(dw, -k_half, spec.values)
-    w_prime = np.arange(-8, 9) * 0.25
-    second = four.fourier_transform(spectrum_as_signal, w_prime).values
-    want = sig._TWO_PI * np.where(np.abs(w_prime) < 0.5, 1.0, 0.0)
-    mask = np.abs(np.abs(w_prime) - 0.5) > 0.2
-    legs.append(four._compare(second[mask], want[mask]))
-    return "fixed oracle grid; residual dominated by band truncation of the pulse spectrum"
-
-
-def _run_ft_time_scale(grid, rng, legs):
-    f = _ft_signal()
-    omegas = _ft_grid()
-    # a = -1: time reversal flips the frequency axis exactly; the even oracle
-    # is moved 7 samples off centre, or a reversal that returned it unchanged
-    # would pass
-    off_centre = sig.SampledSignal(f.ts, f.start + 7, f.samples)
-    lhs = four.fourier_transform(conv.scale_time(off_centre, -1), omegas).values
-    rhs = four.fourier_transform(off_centre, omegas).values[::-1]
-    legs.append(four._compare(lhs, rhs))
-    # a = 2: f(2t) has the transform 1/2 F(w/2), with F taken on f's own grid
-    lhs = four.fourier_transform(conv.scale_time(f, 2), omegas).values
-    rhs = 0.5 * four.fourier_transform(f, omegas / 2.0).values
-    legs.append(four._compare(lhs, rhs))
-
-
+@_spec(
+    "conv.commutativity",
+    "discrete convolution commutes",
+    1e-12,
+    "identical finite sums accumulated in different orders; roundoff only",
+)
 def _run_commutativity(grid, rng, legs):
     for _ in range(20):
         f = _random_discrete(rng)
@@ -337,6 +284,12 @@ def _run_commutativity(grid, rng, legs):
         legs.append(_same_signal(conv.discrete_convolve(f, g), conv.discrete_convolve(g, f)))
 
 
+@_spec(
+    "conv.associativity",
+    "discrete convolution associates",
+    1e-10,
+    "double summation of <=16-tap signals; roundoff only",
+)
 def _run_associativity(grid, rng, legs):
     for _ in range(20):
         f = _random_discrete(rng)
@@ -347,6 +300,12 @@ def _run_associativity(grid, rng, legs):
         legs.append(_same_signal(a, b))
 
 
+@_spec(
+    "conv.identity_discrete",
+    "the unit impulse is the identity of discrete convolution",
+    0.0,
+    "single-tap accumulation is exact in floating point",
+)
 def _run_identity_discrete(grid, rng, legs):
     d = sig.delta_signal()
     for _ in range(20):
@@ -354,6 +313,12 @@ def _run_identity_discrete(grid, rng, legs):
         legs.append(_same_signal(conv.discrete_convolve(d, f), f))
 
 
+@_spec(
+    "conv.identity_analog",
+    "the 1/ts narrow pulse is the identity of approximated analog convolution",
+    1e-15,
+    "two roundings in ts * (1/ts); exact when ts is a power of two",
+)
 def _run_identity_analog(grid, rng, legs):
     d = sig.delta_approx(grid.ts)
     for _ in range(20):
@@ -361,6 +326,12 @@ def _run_identity_analog(grid, rng, legs):
         legs.append(_same_signal(conv.approx_analog_convolve(d, f), f))
 
 
+@_spec(
+    "conv.mixed_associativity",
+    "folding a finite signal onto a period commutes with circular convolution",
+    1e-9,
+    "full-period reindexing is a bijection; roundoff only",
+)
 def _run_mixed_associativity(grid, rng, legs):
     n = max(2, grid.n // 8)
     for _ in range(5):
@@ -389,10 +360,22 @@ def _derivative_residual(ts: float) -> float:
     return four._compare(lhs.samples[1:-1], rhs.samples).residual
 
 
+@_spec(
+    "conv.derivative",
+    "derivative transfers across convolution at second-order grid accuracy",
+    0.5,
+    "central difference is second order: halving ts must quarter the residual (ratio 4 +- 0.5)",
+)
 def _run_derivative(grid, rng, legs):
     return _halving_ratios(_derivative_residual, (0.1, 0.05, 0.025), legs)
 
 
+@_spec(
+    "conv.time_shift",
+    "shifting either factor shifts the convolution",
+    1e-12,
+    "start-index arithmetic; sample values are reused bitwise",
+)
 def _run_time_shift(grid, rng, legs):
     for _ in range(10):
         f = _random_discrete(rng)
@@ -405,6 +388,12 @@ def _run_time_shift(grid, rng, legs):
         legs.append(_same_signal(lhs_g, base))
 
 
+@_spec(
+    "conv.time_scale",
+    "time reversal distributes over convolution with the scaling rule",
+    1e-12,
+    "a = -1 is a grid-exact reindexing; identical sums in reversed order",
+)
 def _run_time_scale(grid, rng, legs):
     for _ in range(10):
         f = _random_sampled(rng, grid.ts)
@@ -415,6 +404,12 @@ def _run_time_scale(grid, rng, legs):
         legs.append(_same_signal(lhs, rhs))
 
 
+@_spec(
+    "eigen.analog",
+    "convolving with e^(a t) returns the exponential times its Riemann factor",
+    1e-12,
+    "both sides are the same finite sum split differently; roundoff only",
+)
 def _run_eigen_analog(grid, rng, legs):
     ts = grid.ts
     for _ in range(10):
@@ -425,6 +420,12 @@ def _run_eigen_analog(grid, rng, legs):
         legs.append(four._eigenrelation(f, sig._analog_exp(a, ts), factor, ks))
 
 
+@_spec(
+    "eigen.discrete",
+    "convolving with a^k returns the exponential times its power-series factor",
+    1e-10,
+    "geometric factors up to 2^24 amplify roundoff; relative to the window max",
+)
 def _run_eigen_discrete(grid, rng, legs):
     for _ in range(20):
         f = _random_discrete(rng, start_hi=0)
@@ -435,6 +436,12 @@ def _run_eigen_discrete(grid, rng, legs):
         legs.append(four._eigenrelation(f, sig._discrete_exp(a), factor, ks))
 
 
+@_spec(
+    "eigen.periodic_analog",
+    "circular convolution with a sampled harmonic scales it by the one-period factor",
+    1e-9,
+    "FFT circular convolution against the one-period Riemann sum; roundoff only",
+)
 def _run_eigen_periodic_analog(grid, rng, legs):
     for _ in range(10):
         f = _random_trig_poly(rng, grid)
@@ -442,6 +449,12 @@ def _run_eigen_periodic_analog(grid, rng, legs):
         legs.append(four.fs_eigencheck(f, n))
 
 
+@_spec(
+    "eigen.periodic_discrete",
+    "circular convolution with a root-of-unity exponential scales it by the N-term factor",
+    1e-10,
+    "FFT circular convolution against the direct N-term power sum; roundoff only",
+)
 def _run_eigen_periodic_discrete(grid, rng, legs):
     for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
@@ -450,6 +463,12 @@ def _run_eigen_periodic_discrete(grid, rng, legs):
         legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), factor))
 
 
+@_spec(
+    "fs.forward",
+    "series analysis: the one-period factors recover a trig polynomial's coefficients",
+    1e-9,
+    "band-limited input, exact root-of-unity sums; roundoff only",
+)
 def _run_fs_forward(grid, rng, legs):
     for _ in range(10):
         coeffs = _unit_disk(rng, 2 * grid.n_max + 1)
@@ -457,6 +476,13 @@ def _run_fs_forward(grid, rng, legs):
         legs.append(four._compare(spectrum.coeffs, coeffs))
 
 
+@_spec(
+    "fs.inverse",
+    "series synthesis: the coefficient sequence convolved with the conjugate "
+    "exponential returns T times the signal value",
+    1e-9,
+    "finite coefficient window of a band-limited signal; roundoff only",
+)
 def _run_fs_inverse(grid, rng, legs):
     ks = np.arange(-8, 9)
     for _ in range(5):
@@ -468,6 +494,13 @@ def _run_fs_inverse(grid, rng, legs):
         legs.append(four._eigenrelation(f_sig, sig._discrete_exp(a), f.period_t * f.value(k0), ks))
 
 
+@_spec(
+    "dft.forward",
+    "periodic discrete exponentials are eigensignals of circular convolution",
+    1e-10,
+    "FFT spectrum against FFT circular convolution and the direct N-term power sum; "
+    "roundoff only",
+)
 def _run_dft_forward(grid, rng, legs):
     for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
@@ -480,6 +513,12 @@ def _run_dft_forward(grid, rng, legs):
         legs.append(four._compare(spectrum.values[n], power_sum))
 
 
+@_spec(
+    "dft.inverse",
+    "the spectrum convolved with the conjugate exponential returns N times the sample",
+    1e-10,
+    "FFT circular convolution plus the fft/ifft round trip; roundoff only",
+)
 def _run_dft_inverse(grid, rng, legs):
     for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
@@ -491,6 +530,12 @@ def _run_dft_inverse(grid, rng, legs):
         legs.append(four._compare(four.idft(spectrum).samples, f.samples))
 
 
+@_spec(
+    "dft.orthogonality",
+    "distinct harmonics annihilate; equal harmonics give N times the harmonic",
+    1e-9,
+    "root-of-unity geometric sums cancel to roundoff; scale is N",
+)
 def _run_dft_orthogonality(grid, rng, legs):
     n = grid.n
     if n <= 16:
@@ -515,6 +560,12 @@ def _run_dft_orthogonality(grid, rng, legs):
     return f"{m.shape[0]} pairs"
 
 
+@_spec(
+    "ft.forward",
+    "finite signals convolved with e^(j w t) return the exponential times F(w)",
+    1e-10,
+    "same finite sum split two ways; roundoff only",
+)
 def _run_ft_forward(grid, rng, legs):
     ts = grid.ts
     for _ in range(10):
@@ -525,6 +576,12 @@ def _run_ft_forward(grid, rng, legs):
         legs.append(four._eigenrelation(f, sig._analog_exp(1j * w, ts), fw, ks))
 
 
+@_spec(
+    "ft.inverse",
+    "the spectrum convolved on the frequency grid returns 2*pi times the reconstruction",
+    1e-10,
+    "identity is exact for the grid-truncated reconstruction; roundoff only",
+)
 def _run_ft_inverse(grid, rng, legs):
     f = _ft_signal()
     ts = f.ts
@@ -540,6 +597,12 @@ def _run_ft_inverse(grid, rng, legs):
         legs.append(four._eigenrelation(spec_signal, e, sig._TWO_PI * fhat, ks))
 
 
+@_spec(
+    "fs.conv_time",
+    "time-domain circular convolution multiplies one-period harmonic factors",
+    1e-9,
+    "convolution theorem over a full period; FFT roundoff only",
+)
 def _run_fs_conv_time(grid, rng, legs):
     for _ in range(5):
         f = _random_trig_poly(rng, grid)
@@ -548,6 +611,12 @@ def _run_fs_conv_time(grid, rng, legs):
         legs.append(_harmonic_product(conv.periodic_convolve_analog, f, g, n))
 
 
+@_spec(
+    "fs.conv_freq",
+    "convolving coefficient spectra matches the pointwise product of the signals",
+    1e-8,
+    "finite spectra of band-limited signals make the convolution a finite sum",
+)
 def _run_fs_conv_freq(grid, rng, legs):
     for _ in range(5):
         f = _random_trig_poly(rng, grid)
@@ -555,6 +624,12 @@ def _run_fs_conv_freq(grid, rng, legs):
         legs.append(_fs_conv_freq(f, g, int(rng.integers(0, grid.n)), grid.n_max))
 
 
+@_spec(
+    "fs.lti_mixed",
+    "finite impulse response on periodic input scales harmonics by the response factor",
+    1e-8,
+    "mixed fold plus circular convolution are exact finite sums",
+)
 def _run_fs_lti_mixed(grid, rng, legs):
     # periodic input through a finite impulse response: each harmonic is
     # scaled by the response's own factor, ((h*u) (*) x_n) = U(n) H(n) x_n
@@ -565,6 +640,139 @@ def _run_fs_lti_mixed(grid, rng, legs):
         legs.append(_harmonic_product(conv.mixed_convolve, h, u, n))
 
 
+@_spec(
+    "ft.conv_time",
+    "spectrum of a time-domain convolution is the product of the spectra",
+    1e-10,
+    "Riemann factors of the scaled convolution factor exactly",
+)
+def _run_ft_conv_time(grid, rng, legs):
+    f = _ft_signal()
+    ts = f.ts
+    g = gen.gaussian(ts, 3.0, rate=2.0)
+    fg = conv.approx_analog_convolve(f, g)
+    ks = np.arange(-4, 5)
+    for _ in range(3):
+        w = float(rng.uniform(-12.0, 12.0))
+        fw = four.fourier_transform(f, [w]).values[0]
+        gw = four.fourier_transform(g, [w]).values[0]
+        legs.append(four._eigenrelation(fg, sig._analog_exp(1j * w, ts), gw * fw, ks))
+
+
+@_spec(
+    "ft.conv_freq",
+    "convolving two spectra synthesizes 2*pi times the product signal",
+    1e-8,
+    "identity is exact against the grid-truncated reconstructions",
+)
+def _run_ft_conv_freq(grid, rng, legs):
+    f = _ft_signal()
+    ts = f.ts
+    g = gen.gaussian(ts, 4.0, rate=2.0)
+    dw = _FT_GRID_STEP
+    omegas = _ft_grid()
+    f_spec = four.fourier_transform(f, omegas)
+    g_spec = four.fourier_transform(g, omegas)
+    f_w = sig.SampledSignal(dw, -_FT_GRID_HALF, f_spec.values)
+    g_w = sig.SampledSignal(dw, -_FT_GRID_HALF, g_spec.values)
+    fg_w = conv.approx_analog_convolve(f_w, g_w)
+    t0_index = int(rng.integers(-8, 9))
+    fhat = four.inverse_fourier_transform(f_spec, ts, t0_index, 1).samples[0]
+    ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
+    factor = sig._TWO_PI * (sig._TWO_PI * fhat * ghat)
+    ks = np.arange(-8, 9)
+    legs.append(four._eigenrelation(fg_w, sig._analog_exp(-1j * (t0_index * ts), dw), factor, ks))
+
+
+def _ft_derivative_residual(ts: float) -> float:
+    f = gen.gaussian(ts, 4.0)
+    omegas = _ft_grid()
+    lhs = four.fourier_transform(conv.derivative(f), omegas).values
+    rhs = 1j * omegas * four.fourier_transform(f, omegas).values
+    return four._compare(lhs, rhs).residual
+
+
+@_spec(
+    "ft.derivative",
+    "spectrum of the grid derivative converges to j*omega times the spectrum at second order",
+    0.5,
+    "central-difference symbol error is w^3 ts^2/6: halving ts must quarter the residual "
+    "(ratio 4 +- 0.5) on a fixed Gaussian ladder ts = 1/16, 1/32, 1/64",
+)
+def _run_ft_derivative(grid, rng, legs):
+    # the central difference has symbol sin(w ts)/ts = w - w^3 ts^2/6 + ...;
+    # the ladder is fixed so the gate does not depend on the caller's grid
+    return _halving_ratios(_ft_derivative_residual, (1 / 16, 1 / 32, 1 / 64), legs)
+
+
+@_spec(
+    "ft.time_shift",
+    "an on-grid time shift multiplies the spectrum by a linear phase",
+    1e-10,
+    "phase factors of shifted grid times; roundoff only",
+)
+def _run_ft_time_shift(grid, rng, legs):
+    f = _ft_signal()
+    omegas = _ft_grid()
+    lag = int(rng.integers(-16, 17)) * f.ts
+    lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
+    rhs = np.exp(-1j * omegas * lag) * four.fourier_transform(f, omegas).values
+    legs.append(four._compare(lhs, rhs))
+
+
+@_spec(
+    "ft.duality",
+    "transforming a spectrum again returns 2*pi times the time-reversed signal",
+    0.05,
+    "fixed oracle-calibrated grid; residual dominated by band truncation (measured "
+    "residual 0.0829 at scale 2*pi: 0.0132 relative, margin 0.26)",
+)
+def _run_ft_duality(grid, rng, legs):
+    # oracle-calibrated fixed grid: pulse at _FT_TS, spectrum on |w| <= 32 pi
+    p = gen.pulse(_FT_TS)
+    dw = _FT_GRID_STEP
+    k_half = 256
+    omegas = np.arange(-k_half, k_half + 1) * dw
+    spec = four.fourier_transform(p, omegas)
+    spectrum_as_signal = sig.SampledSignal(dw, -k_half, spec.values)
+    w_prime = np.arange(-8, 9) * 0.25
+    second = four.fourier_transform(spectrum_as_signal, w_prime).values
+    want = sig._TWO_PI * np.where(np.abs(w_prime) < 0.5, 1.0, 0.0)
+    mask = np.abs(np.abs(w_prime) - 0.5) > 0.2
+    legs.append(four._compare(second[mask], want[mask]))
+    return "fixed oracle grid; residual dominated by band truncation of the pulse spectrum"
+
+
+@_spec(
+    "ft.time_scale",
+    "grid-exact rescaling maps the spectrum to (1/|a|) F(omega/a)",
+    1e-10,
+    "reversal is an exact reindexing of the Riemann sum; the a = 2 leg sums the "
+    "Gaussian at steps 2 ts and ts, whose spectral replicas (Poisson) are below "
+    "e^-7000 on |omega| <= 16 pi, so roundoff only (3.3e-16 at scale 0.886)",
+)
+def _run_ft_time_scale(grid, rng, legs):
+    f = _ft_signal()
+    omegas = _ft_grid()
+    # a = -1: time reversal flips the frequency axis exactly; the even oracle
+    # is moved 7 samples off centre, or a reversal that returned it unchanged
+    # would pass
+    off_centre = sig.SampledSignal(f.ts, f.start + 7, f.samples)
+    lhs = four.fourier_transform(conv.scale_time(off_centre, -1), omegas).values
+    rhs = four.fourier_transform(off_centre, omegas).values[::-1]
+    legs.append(four._compare(lhs, rhs))
+    # a = 2: f(2t) has the transform 1/2 F(w/2), with F taken on f's own grid
+    lhs = four.fourier_transform(conv.scale_time(f, 2), omegas).values
+    rhs = 0.5 * four.fourier_transform(f, omegas / 2.0).values
+    legs.append(four._compare(lhs, rhs))
+
+
+@_spec(
+    "ft.discretize",
+    "spectrum samples on the omega0 lattice equal T times the folded signal's coefficients",
+    1e-9,
+    "identical Riemann sums up to full-period phase wrap; roundoff only",
+)
 def _run_ft_discretize(grid, rng, legs):
     # F(n omega0) against T C_n of f folded into one period T.  A pulse of
     # width T fits the 4 T window, so the fold does not alias in time, and
@@ -580,6 +788,12 @@ def _run_ft_discretize(grid, rng, legs):
     legs.append(four._compare(spectrum.values, folded.period_t * coeffs))
 
 
+@_spec(
+    "ft.sampling",
+    "sampling periodizes the spectrum; the reversed samples carry it as their factor",
+    1e-9,
+    "the Riemann spectrum of a sampled signal is exactly 2*pi/ts periodic",
+)
 def _run_ft_sampling(grid, rng, legs):
     # a fixed 37-sample pulse at the grid's ts: the identity is about ts, and
     # a fixed length keeps the work the same at every ts.  Off-centre, and of
@@ -608,6 +822,12 @@ def _run_ft_sampling(grid, rng, legs):
     legs.append(four._compare(lhs, rebuilt.values))
 
 
+@_spec(
+    "dft.vs_series",
+    "the DFT of one period of samples equals N times the series coefficients",
+    1e-10,
+    "both sides reduce to the same root-of-unity sums via independent code paths",
+)
 def _run_dft_vs_series(grid, rng, legs):
     for _ in range(5):
         f = _random_trig_poly(rng, grid)
@@ -615,244 +835,6 @@ def _run_dft_vs_series(grid, rng, legs):
         spectrum = four.fourier_coefficients(f, grid.n_max)
         values = four.dft(sig.PeriodicDiscreteSignal(f.samples)).values
         legs.append(four._compare(values[spectrum.harmonics() % grid.n], grid.n * spectrum.coeffs))
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """Registry entry: stable id, declared tolerance and its justification."""
-
-    id: str
-    description: str
-    tolerance: float
-    justification: str
-    runner: Callable
-
-
-REGISTRY: tuple = (
-    CheckSpec(
-        "conv.commutativity",
-        "discrete convolution commutes",
-        1e-12,
-        "identical finite sums accumulated in different orders; roundoff only",
-        _run_commutativity,
-    ),
-    CheckSpec(
-        "conv.associativity",
-        "discrete convolution associates",
-        1e-10,
-        "double summation of <=16-tap signals; roundoff only",
-        _run_associativity,
-    ),
-    CheckSpec(
-        "conv.identity_discrete",
-        "the unit impulse is the identity of discrete convolution",
-        0.0,
-        "single-tap accumulation is exact in floating point",
-        _run_identity_discrete,
-    ),
-    CheckSpec(
-        "conv.identity_analog",
-        "the 1/ts narrow pulse is the identity of approximated analog convolution",
-        1e-15,
-        "two roundings in ts * (1/ts); exact when ts is a power of two",
-        _run_identity_analog,
-    ),
-    CheckSpec(
-        "conv.mixed_associativity",
-        "folding a finite signal onto a period commutes with circular convolution",
-        1e-9,
-        "full-period reindexing is a bijection; roundoff only",
-        _run_mixed_associativity,
-    ),
-    CheckSpec(
-        "conv.derivative",
-        "derivative transfers across convolution at second-order grid accuracy",
-        0.5,
-        "central difference is second order: halving ts must quarter the residual (ratio 4 +- 0.5)",
-        _run_derivative,
-    ),
-    CheckSpec(
-        "conv.time_shift",
-        "shifting either factor shifts the convolution",
-        1e-12,
-        "start-index arithmetic; sample values are reused bitwise",
-        _run_time_shift,
-    ),
-    CheckSpec(
-        "conv.time_scale",
-        "time reversal distributes over convolution with the scaling rule",
-        1e-12,
-        "a = -1 is a grid-exact reindexing; identical sums in reversed order",
-        _run_time_scale,
-    ),
-    CheckSpec(
-        "eigen.analog",
-        "convolving with e^(a t) returns the exponential times its Riemann factor",
-        1e-12,
-        "both sides are the same finite sum split differently; roundoff only",
-        _run_eigen_analog,
-    ),
-    CheckSpec(
-        "eigen.discrete",
-        "convolving with a^k returns the exponential times its power-series factor",
-        1e-10,
-        "geometric factors up to 2^24 amplify roundoff; relative to the window max",
-        _run_eigen_discrete,
-    ),
-    CheckSpec(
-        "eigen.periodic_analog",
-        "circular convolution with a sampled harmonic scales it by the one-period factor",
-        1e-9,
-        "FFT circular convolution against the one-period Riemann sum; roundoff only",
-        _run_eigen_periodic_analog,
-    ),
-    CheckSpec(
-        "eigen.periodic_discrete",
-        "circular convolution with a root-of-unity exponential scales it by the N-term factor",
-        1e-10,
-        "FFT circular convolution against the direct N-term power sum; roundoff only",
-        _run_eigen_periodic_discrete,
-    ),
-    CheckSpec(
-        "fs.forward",
-        "series analysis: the one-period factors recover a trig polynomial's coefficients",
-        1e-9,
-        "band-limited input, exact root-of-unity sums; roundoff only",
-        _run_fs_forward,
-    ),
-    CheckSpec(
-        "fs.inverse",
-        "series synthesis: the coefficient sequence convolved with the conjugate "
-        "exponential returns T times the signal value",
-        1e-9,
-        "finite coefficient window of a band-limited signal; roundoff only",
-        _run_fs_inverse,
-    ),
-    CheckSpec(
-        "dft.forward",
-        "periodic discrete exponentials are eigensignals of circular convolution",
-        1e-10,
-        "FFT spectrum against FFT circular convolution and the direct N-term power sum; "
-        "roundoff only",
-        _run_dft_forward,
-    ),
-    CheckSpec(
-        "dft.inverse",
-        "the spectrum convolved with the conjugate exponential returns N times the sample",
-        1e-10,
-        "FFT circular convolution plus the fft/ifft round trip; roundoff only",
-        _run_dft_inverse,
-    ),
-    CheckSpec(
-        "dft.orthogonality",
-        "distinct harmonics annihilate; equal harmonics give N times the harmonic",
-        1e-9,
-        "root-of-unity geometric sums cancel to roundoff; scale is N",
-        _run_dft_orthogonality,
-    ),
-    CheckSpec(
-        "ft.forward",
-        "finite signals convolved with e^(j w t) return the exponential times F(w)",
-        1e-10,
-        "same finite sum split two ways; roundoff only",
-        _run_ft_forward,
-    ),
-    CheckSpec(
-        "ft.inverse",
-        "the spectrum convolved on the frequency grid returns 2*pi times the reconstruction",
-        1e-10,
-        "identity is exact for the grid-truncated reconstruction; roundoff only",
-        _run_ft_inverse,
-    ),
-    CheckSpec(
-        "fs.conv_time",
-        "time-domain circular convolution multiplies one-period harmonic factors",
-        1e-9,
-        "convolution theorem over a full period; FFT roundoff only",
-        _run_fs_conv_time,
-    ),
-    CheckSpec(
-        "fs.conv_freq",
-        "convolving coefficient spectra matches the pointwise product of the signals",
-        1e-8,
-        "finite spectra of band-limited signals make the convolution a finite sum",
-        _run_fs_conv_freq,
-    ),
-    CheckSpec(
-        "fs.lti_mixed",
-        "finite impulse response on periodic input scales harmonics by the response factor",
-        1e-8,
-        "mixed fold plus circular convolution are exact finite sums",
-        _run_fs_lti_mixed,
-    ),
-    CheckSpec(
-        "ft.conv_time",
-        "spectrum of a time-domain convolution is the product of the spectra",
-        1e-10,
-        "Riemann factors of the scaled convolution factor exactly",
-        _run_ft_conv_time,
-    ),
-    CheckSpec(
-        "ft.conv_freq",
-        "convolving two spectra synthesizes 2*pi times the product signal",
-        1e-8,
-        "identity is exact against the grid-truncated reconstructions",
-        _run_ft_conv_freq,
-    ),
-    CheckSpec(
-        "ft.derivative",
-        "spectrum of the grid derivative converges to j*omega times the spectrum at second order",
-        0.5,
-        "central-difference symbol error is w^3 ts^2/6: halving ts must quarter the residual "
-        "(ratio 4 +- 0.5) on a fixed Gaussian ladder ts = 1/16, 1/32, 1/64",
-        _run_ft_derivative,
-    ),
-    CheckSpec(
-        "ft.time_shift",
-        "an on-grid time shift multiplies the spectrum by a linear phase",
-        1e-10,
-        "phase factors of shifted grid times; roundoff only",
-        _run_ft_time_shift,
-    ),
-    CheckSpec(
-        "ft.duality",
-        "transforming a spectrum again returns 2*pi times the time-reversed signal",
-        0.05,
-        "fixed oracle-calibrated grid; residual dominated by band truncation (measured "
-        "residual 0.0829 at scale 2*pi: 0.0132 relative, margin 0.26)",
-        _run_ft_duality,
-    ),
-    CheckSpec(
-        "ft.time_scale",
-        "grid-exact rescaling maps the spectrum to (1/|a|) F(omega/a)",
-        1e-10,
-        "reversal is an exact reindexing of the Riemann sum; the a = 2 leg sums the "
-        "Gaussian at steps 2 ts and ts, whose spectral replicas (Poisson) are below "
-        "e^-7000 on |omega| <= 16 pi, so roundoff only (3.3e-16 at scale 0.886)",
-        _run_ft_time_scale,
-    ),
-    CheckSpec(
-        "ft.discretize",
-        "spectrum samples on the omega0 lattice equal T times the folded signal's coefficients",
-        1e-9,
-        "identical Riemann sums up to full-period phase wrap; roundoff only",
-        _run_ft_discretize,
-    ),
-    CheckSpec(
-        "ft.sampling",
-        "sampling periodizes the spectrum; the reversed samples carry it as their factor",
-        1e-9,
-        "the Riemann spectrum of a sampled signal is exactly 2*pi/ts periodic",
-        _run_ft_sampling,
-    ),
-    CheckSpec(
-        "dft.vs_series",
-        "the DFT of one period of samples equals N times the series coefficients",
-        1e-10,
-        "both sides reduce to the same root-of-unity sums via independent code paths",
-        _run_dft_vs_series,
-    ),
-)
 
 
 def registry_ids() -> tuple:

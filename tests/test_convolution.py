@@ -304,6 +304,21 @@ class TestConvolveByKind:
         got = convolution._convolve(f, g)
         assert len(got) == 2 and got[0] is f and got[1] is g
 
+    @pytest.mark.parametrize("variant, other", [(v, o) for v in _OPERANDS for o in _OPERANDS if v != o])
+    def test_rejects_an_operand_of_another_kind(self, variant, other):
+        rng = np.random.default_rng(14)
+        own, foreign = _OPERANDS[variant](rng, 0.25, 4), _OPERANDS[other](rng, 0.25, 4)
+        kind = type(own).__name__
+        for f, g in ((own, foreign), (foreign, own)):
+            message = f"{variant} needs ({kind}, {kind}), got ({type(f).__name__}, {type(g).__name__})"
+            with pytest.raises(TypeError) as caught:
+                getattr(convolution, variant)(f, g)
+            assert str(caught.value) == message
+        # _convolve picks the variant by f's kind, which then rejects g
+        with pytest.raises(TypeError) as caught:
+            convolution._convolve(own, foreign)
+        assert str(caught.value) == f"{variant} needs ({kind}, {kind}), got ({kind}, {type(foreign).__name__})"
+
 
 class TestExpFactorDiscrete:
     def test_delta_gives_one(self):

@@ -404,6 +404,59 @@ def test_registry_runners_take_grid_rng_legs():
         assert list(inspect.signature(spec.runner).parameters) == ["grid", "rng", "legs"], spec.id
 
 
+# Each identity is stated once: its id, tolerance and justification sit in the
+# one `_spec(...)` decorator of its runner, and no other statement names the
+# runner, so a second table of checks cannot drift from the runners.
+def _is_runner(name) -> bool:
+    return isinstance(name, str) and name.startswith("_run_")
+
+
+def _undeclared_runners(tree) -> list:
+    """A `_run_` function without exactly one decorator, a `_spec(...)` call,
+    and each other place that names a `_run_` function."""
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_runner(node.name):
+            decorators = node.decorator_list
+            declared = len(decorators) == 1 and isinstance(decorators[0], ast.Call) and (
+                getattr(decorators[0].func, "id", None) == "_spec"
+            )
+            if not declared:
+                faults.append(f"{node.name} at line {node.lineno} is not declared by one _spec")
+        elif _is_runner(getattr(node, "id", None) or getattr(node, "attr", None)):
+            faults.append(f"line {node.lineno} names a runner")
+    return faults
+
+
+def test_each_runner_is_declared_once_by_spec():
+    faults = _undeclared_runners(HARNESS_TREE)
+    assert not faults, faults
+
+
+def test_registry_is_in_runner_definition_order():
+    defined = [
+        node.name for node in HARNESS_TREE.body
+        if isinstance(node, ast.FunctionDef) and _is_runner(node.name)
+    ]
+    assert [spec.runner.__name__ for spec in convfourier.harness.REGISTRY] == defined
+
+
+@pytest.mark.parametrize("source, faults", [
+    ("@_spec('a', 'b', 0.0, 'c')\ndef _run_a(grid, rng, legs):\n    pass", 0),
+    ("def _run_a(grid, rng, legs):\n    pass", 1),
+    ("@_spec\ndef _run_a(grid, rng, legs):\n    pass", 1),
+    ("@_spec('a', 'b', 0.0, 'c')\n@_spec('d', 'b', 0.0, 'c')\ndef _run_a(grid, rng, legs):\n    pass", 1),
+    ("@_spec('a', 'b', 0.0, 'c')\n@wrap\ndef _run_a(grid, rng, legs):\n    pass", 1),
+    ("@check('a', 'b', 0.0, 'c')\ndef _run_a(grid, rng, legs):\n    pass", 1),
+    ("REGISTRY = (CheckSpec('a', 'b', 0.0, 'c', _run_a),)", 1),
+    ("RUNNERS = {'a': harness._run_a}", 1), ("_spec('a', 'b', 0.0, 'c')(_run_a)", 1),
+    ("@_spec('a', 'b', 0.0, 'c')\ndef _run_a(grid, rng, legs):\n    return _run_b(grid, rng, legs)", 1),
+    ("def _helper(ts):\n    return _spec", 0), ("runner = spec.runner", 0),
+])
+def test_runner_declaration_guard_sees_each_form(source, faults):
+    assert len(_undeclared_runners(ast.parse(source))) == faults
+
+
 def test_fourier_keeps_one_residual_helper():
     # Every other residual of the catalog is computed in its harness runner.
     # This one stays in fourier while perfbench/spans.py maps it to its
