@@ -65,23 +65,6 @@ def _check_budget(command: str, sizes: str, *bounds):
         raise OverflowError(f"{command} work budget exceeded: {sizes}; the limit is {limits}")
 
 
-def _finite(what: str, compute, *args):
-    """compute(*args), with a result beyond the float64 range raised as OverflowError.
-
-    NumPy's overflow warnings are silenced.  Every signal and spectrum type
-    rejects a non-finite number with ValueError when it is built, so that
-    error, and any other precondition ValueError of the computation, exits 4
-    here; a grid, alias or file error keeps its own exit code.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return compute(*args)
-    except (GridMismatchError, AliasingError, SignalFormatError):
-        raise
-    except ValueError as exc:
-        raise OverflowError(f"{what} overflows float64: {exc}") from None
-
-
 def _generate(args):
     if args.ts is None:
         raise SignalFormatError("--gen requires --ts")
@@ -135,21 +118,23 @@ def _cmd_conv(args) -> int:
             "conv", f"{len(f)} x {len(g)} samples",
             ("len(f)*len(g)", len(f) * len(g), _CONV_MAX_MACS),
         )
-    result = _finite(f"{mode} convolution", conv._convolve, f, g)
+    # main names a result beyond the float64 range by this label, not "conv"
+    args.label = f"{mode} convolution"
+    result = conv._convolve(f, g)
     _write_text((signal_text(result, args.format),), args.out)
     return 0
 
 
 def _cmd_dft(args) -> int:
     f = _single_input(args, "periodic-discrete")
-    spectrum = _finite("dft", four.dft, f)
+    spectrum = four.dft(f)
     _write_text((signal_text(PeriodicDiscreteSignal(spectrum.values), args.format),), args.out)
     return 0
 
 
 def _cmd_idft(args) -> int:
     f = _single_input(args, "periodic-discrete")
-    result = _finite("idft", four.idft, four.DftSpectrum(values=f.samples))
+    result = four.idft(four.DftSpectrum(values=f.samples))
     _write_text((signal_text(result, args.format),), args.out)
     return 0
 
@@ -161,7 +146,7 @@ def _cmd_series(args) -> int:
         "series", f"L={length} samples x {harmonics} harmonics",
         ("L*(2*nmax+1)", length * harmonics, _MAX_TERMS),
     )
-    spectrum = _finite("series", four.fourier_coefficients, f, args.nmax)
+    spectrum = four.fourier_coefficients(f, args.nmax)
     _write_text((series_table_text(spectrum, args.format),), args.out)
     return 0
 
@@ -191,7 +176,7 @@ def _cmd_ft(args) -> int:
             f"--omega-step {args.omega_step} is not resolved in float64 near "
             f"--omega-min {args.omega_min}: {exc}"
         ) from None
-    spectrum = _finite("ft", four.fourier_transform, f, omegas)
+    spectrum = four.fourier_transform(f, omegas)
     _write_text((transform_table_text(spectrum, args.format),), args.out)
     return 0
 
@@ -329,22 +314,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exception type -> exit code; 1 is kept for a failed verification
+# exception type -> exit code, read at the first type of the error's MRO that
+# is a key; 1 is kept for a failed verification.  Every signal and spectrum
+# type rejects a non-finite number with ValueError when it is built, so that
+# error, and any other precondition ValueError of a computation, is a result
+# beyond the float64 range; a grid, alias or file error keeps its own code.
 _EXIT_CODES = {
     SignalFormatError: 2,
     GridMismatchError: 3,
     AliasingError: 4,
     OverflowError: 4,
+    ValueError: 4,
 }
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # NumPy's overflow warnings are silenced: a non-finite result is the
+        # ValueError of the type that holds it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
+        kind = next(t for t in type(exc).__mro__ if t in _EXIT_CODES)
+        message = str(exc)
+        if kind is ValueError:
+            message = f"{getattr(args, 'label', args.command)} overflows float64: {message}"
+        print(f"error: {message}", file=sys.stderr)
+        return _EXIT_CODES[kind]
 
 
 def entry_point():

@@ -267,6 +267,10 @@ def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, a) -> comple
     Convolving f with g(k) = a^k yields F(a) * g; a non-finite sum is
     rejected because the convolution is then ill-defined.
     """
+    if not isinstance(f, (DiscreteSignal, PeriodicDiscreteSignal)):
+        raise TypeError(
+            f"exp_factor_discrete needs a DiscreteSignal or PeriodicDiscreteSignal, got {type(f).__name__}"
+        )
     a = _exp_param(a, discrete=True)
     indices = _float_indices(getattr(f, "start", 0), f.samples.size)
     return _finite(_power_sum(f.samples, indices, np.array([a]))[0])

@@ -296,6 +296,8 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
 
 def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
     """DFT F(n) = sum_m f(m) e^(-j m (2 pi / N) n), computed by FFT."""
+    if not isinstance(f, PeriodicDiscreteSignal):
+        raise TypeError(f"dft needs a PeriodicDiscreteSignal, got {type(f).__name__}")
     return DftSpectrum(values=np.fft.fft(f.samples))
 
 

@@ -126,30 +126,6 @@ def _spec(id: str, description: str, tolerance: float, justification: str):
     return declare
 
 
-def _finish(spec, residual, scale, note="") -> IdentityCheck:
-    """The verdict on one runner result: it passes when residual <= tolerance
-    * max(1, scale), with the registry's declared tolerance.  A NaN residual
-    or a non-finite scale fails with residual inf and a note: ``max(1.0, nan)``
-    is 1.0, and an infinite scale would pass any finite residual."""
-    residual = float(residual)
-    scale = float(scale)
-    tolerance = float(spec.tolerance)
-    passed = residual <= tolerance * max(1.0, scale)
-    if math.isnan(residual) or not math.isfinite(scale):
-        fault = f"failed: non-finite residual {residual!r}, scale {scale!r}"
-        note = f"{note}; {fault}" if note else fault
-        residual, passed = math.inf, False
-    return IdentityCheck(
-        id=spec.id,
-        description=spec.description,
-        residual=residual,
-        scale=scale,
-        tolerance=tolerance,
-        passed=bool(passed),
-        note=note,
-    )
-
-
 # --------------------------------------------------------------------------
 # randomized inputs
 # --------------------------------------------------------------------------
@@ -842,23 +818,40 @@ def registry_ids() -> tuple:
 
 
 def _check(spec, grid: GridParams, rng) -> IdentityCheck:
-    """Run one registry entry and judge it with ``_finish``: the worst residual
-    and the worst scale over the legs the runner recorded, with its note.  A
-    runner that raises, or records no leg, fails with an infinite residual."""
+    """Run one registry entry and judge it at one return: the worst residual
+    and scale over its legs pass when residual <= tolerance * max(1, scale).
+    A runner that raises or records no leg fails with residual inf, and so
+    does a NaN residual or a non-finite scale, with a note: ``max(1.0, nan)``
+    is 1.0, and an infinite scale would pass any finite residual."""
     legs = []
     try:
         # a grid beyond the float64 range (e^(a t) at a large ts, an infinite
         # omega at a subnormal ts) gives non-finite values, which a
-        # constructor rejects or _finish fails; NumPy need not warn
+        # constructor rejects or the verdict fails; NumPy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            note = spec.runner(grid, rng, legs)
+            note = spec.runner(grid, rng, legs) or ""
+        # a check that compares nothing is a gate that cannot fail
+        if not legs:
+            note = "failed: the runner recorded no leg"
     except Exception as exc:
         # a check that cannot be computed is a failure, never a skip
-        return _finish(spec, math.inf, 0.0, f"failed: {type(exc).__name__}: {exc}")
-    if not legs:
-        # a check that compares nothing is a gate that cannot fail
-        return _finish(spec, math.inf, 0.0, "failed: the runner recorded no leg")
-    return _finish(spec, *_worst_of(legs), note or "")
+        legs, note = [], f"failed: {type(exc).__name__}: {exc}"
+    residual, scale = map(float, _worst_of(legs) if legs else (math.inf, 0.0))
+    tolerance = float(spec.tolerance)
+    passed = residual <= tolerance * max(1.0, scale)
+    if math.isnan(residual) or not math.isfinite(scale):
+        fault = f"failed: non-finite residual {residual!r}, scale {scale!r}"
+        note = f"{note}; {fault}" if note else fault
+        residual, passed = math.inf, False
+    return IdentityCheck(
+        id=spec.id,
+        description=spec.description,
+        residual=residual,
+        scale=scale,
+        tolerance=tolerance,
+        passed=bool(passed),
+        note=note,
+    )
 
 
 def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:

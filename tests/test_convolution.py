@@ -343,6 +343,18 @@ class TestExpFactorDiscrete:
             want = power_factor_brute(list(vals), start, a)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize(
+        "other", [SampledSignal(0.5, 3, [1, 2, 3, 4]), PeriodicSampledSignal(0.5, [1, 2, 3, 4])],
+        ids=lambda f: type(f).__name__,
+    )
+    def test_rejects_a_signal_of_another_kind(self, other):
+        # a power sum over a sampled signal's samples would ignore its ts
+        with pytest.raises(TypeError) as caught:
+            exp_factor_discrete(other, 2.0)
+        assert str(caught.value) == (
+            f"exp_factor_discrete needs a DiscreteSignal or PeriodicDiscreteSignal, got {type(other).__name__}"
+        )
+
     def test_overflow_reported(self):
         # a^(-n) overflows for a far-right tap and a tiny base
         f = DiscreteSignal(400, [1.0])

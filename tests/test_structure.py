@@ -352,6 +352,71 @@ def test_harness_folds_legs_once():
     assert len(calls) == 1, f"harness.py calls _worst_of at lines {calls}"
 
 
+def _calls_outside(tree, callee: str, owner: str) -> list:
+    """Lines of each call of `callee` (a name or an attribute) outside the
+    top-level function `owner`."""
+    owners = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owner]
+    inside = {id(n) for f in owners for n in ast.walk(f)}
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _attr_or_name(node.func) == callee and id(node) not in inside
+    ]
+
+
+# A check is judged at one place, the one return of `harness._check`, beside
+# the legs it folds: no other function builds an IdentityCheck, so no verdict
+# skips the pass rule or the non-finite rule.
+def _verdicts_outside_check(tree) -> list:
+    """Lines of each IdentityCheck call outside `_check`, and of each return
+    of `_check` past its first."""
+    returns = [
+        n.lineno for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_check"
+        for n in ast.walk(f) if isinstance(n, ast.Return)
+    ]
+    return returns[1:] + _calls_outside(tree, "IdentityCheck", "_check")
+
+
+def test_harness_judges_a_check_at_one_return():
+    lines = _verdicts_outside_check(HARNESS_TREE)
+    assert not lines, f"harness.py judges a check outside _check's one return, at lines {lines}"
+
+
+@pytest.mark.parametrize("source, faults", [
+    ("def _check(spec):\n    return IdentityCheck(id=spec.id)", 0),
+    ("def _finish(spec):\n    return IdentityCheck(id=spec.id)", 1),
+    ("def _check(spec):\n    return _finish(spec)\ndef _finish(spec):\n    return IdentityCheck(id=spec.id)", 1),
+    ("def _check(spec):\n    if spec:\n        return IdentityCheck(id=1)\n    return IdentityCheck(id=2)", 1),
+    ("check = harness.IdentityCheck('a', 'b', 0.0, 1.0, 1e-9, True)", 1),
+    ("def run_all(checks):\n    return [IdentityCheck(**c) for c in checks]", 1),
+    ("class Report:\n    checks: IdentityCheck", 0), ("isinstance(c, IdentityCheck)", 0),
+])
+def test_verdict_guard_sees_each_form(source, faults):
+    assert len(_verdicts_outside_check(ast.parse(source))) == faults
+
+
+# `cli.main` runs every command under one np.errstate and maps the ValueError
+# of a computation to exit 4, beside `_EXIT_CODES`: no command silences NumPy
+# or maps an error of its own.
+def test_cli_sets_errstate_only_in_main():
+    tree = ast.parse((pathlib.Path(convfourier.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    lines = _calls_outside(tree, "errstate", "main")
+    assert not lines, f"cli.py calls np.errstate outside main at lines {lines}"
+
+
+@pytest.mark.parametrize("source, calls", [
+    ("def main(argv):\n    with np.errstate(over='ignore'):\n        return run(argv)", 0),
+    ("def main(argv):\n    def run():\n        with np.errstate(all='ignore'):\n            pass", 0),
+    ("def _finite(what, compute):\n    with np.errstate(over='ignore', invalid='ignore'):\n"
+     "        return compute()", 1),
+    ("def _cmd_dft(args):\n    with errstate(over='ignore'):\n        return 0", 1),
+    ("with numpy.errstate(all='ignore'):\n    pass", 1), ("silence = np.errstate(over='ignore')", 1),
+    ("class Main:\n    def main(self):\n        np.errstate(over='ignore')", 1),
+    ("def main(argv):\n    return 0\nnp.errstate(over='ignore')", 1), ("state = np.errstate", 0),
+])
+def test_errstate_guard_sees_each_form(source, calls):
+    assert len(_calls_outside(ast.parse(source), "errstate", "main")) == calls
+
+
 # The harness raises nothing of its own: a check fails by its residual
 # against its tolerance, or by an error the library raised.  Only
 # `GridParams` may reject a grid, and only it checks the alias window, which

@@ -35,7 +35,7 @@ def test_cli_digest_commands_exit_as_named(tmp_path):
     codes = {name: cli_digest.run(tmp_path, argv)[0] for name, argv in cli_digest.COMMANDS.items()}
     # "exit N <what>" names the code of a rejected command; the others succeed
     want = {name: int(name.split()[1]) if name.startswith("exit ") else 0 for name in codes}
-    assert codes == want and len(codes) == 37
+    assert codes == want and len(codes) == 47
 
 
 def test_report_digest_prints_the_report_sha256_then_the_total(monkeypatch, capsys):

@@ -51,6 +51,17 @@ FILES = {
         '{"kind": "periodic-analog", "ts": 0.25, "n": 4, '
         '"rows": [[0, 0.25, 0], [1, -1, 0], [2, 0.5, 0.25], [3, 0, 1]]}'
     ),
+    # values whose transform or convolution is beyond the float64 range
+    "big_d.csv": "# kind=discrete\nindex,re,im\n0,1e200,0\n1,1e200,0\n",
+    "big_pd.csv": "# kind=periodic-discrete n=2\nindex,re,im\n0,1e308,0\n1,1e308,0\n",
+    "big_pa.csv": "# kind=periodic-analog ts=1 n=2\nindex,re,im\n0,1e308,0\n1,1e308,0\n",
+    "big_a.csv": "# kind=analog ts=1\nindex,re,im\n0,1e308,0\n1,1e308,0\n",
+    # malformed files; bad_index.csv also holds a bad re, which is reported second
+    "bad_columns.csv": "# kind=discrete\nindex,re,im\n0,1\n",
+    "bad_ts.csv": "# kind=analog ts=0.2_5\nindex,re,im\n0,1,0\n",
+    "bad_index.csv": "# kind=discrete\nindex,re,im\ny,x,0\n",
+    "bad_row.json": '{"kind": "discrete", "rows": [[1, 2]]}',
+    "bad_n.json": '{"kind": "periodic-discrete", "n": 3, "rows": [[0, 1, 0], [1, 2, 0]]}',
 }
 
 OMEGAS = ["--omega-min", "-2", "--omega-max", "2", "--omega-step", "0.5"]
@@ -97,6 +108,16 @@ COMMANDS = {
     "exit 3 kinds differ json": ["conv", "pa1.json", "a1.json", "--format", "json"],
     "exit 3 period mismatch": ["conv", "pd1.csv", "pd1.json"],
     "exit 4 alias window": ["series", "pa1.csv", "--nmax", "4"],
+    "exit 4 conv overflow": ["conv", "big_d.csv", "big_d.csv"],
+    "exit 4 dft overflow": ["dft", "big_pd.csv"],
+    "exit 4 idft overflow": ["idft", "big_pd.csv"],
+    "exit 4 series overflow": ["series", "big_pa.csv", "--nmax", "0"],
+    "exit 4 ft overflow": ["ft", "big_a.csv", *OMEGAS],
+    "exit 2 csv columns": ["conv", "bad_columns.csv", "d1.csv"],
+    "exit 2 ts text": ["ft", "bad_ts.csv", *OMEGAS],
+    "exit 2 index text": ["dft", "bad_index.csv"],
+    "exit 2 json row": ["conv", "d1.json", "bad_row.json"],
+    "exit 2 periodic row count": ["idft", "bad_n.json"],
 }
 
 
