@@ -48,6 +48,7 @@ from .signals import (
     _float_indices,
     _grid_steps,
     _integral,
+    _of_kind,
     periodize,
 )
 
@@ -63,13 +64,6 @@ __all__ = [
     "scale_time",
     "derivative",
 ]
-
-
-def _require_kind(variant: str, kind: type, f, g):
-    """Raise mixed_convolve's TypeError unless f and g are both of kind."""
-    if not (isinstance(f, kind) and isinstance(g, kind)):
-        pair = f"{type(f).__name__}, {type(g).__name__}"
-        raise TypeError(f"{variant} needs ({kind.__name__}, {kind.__name__}), got ({pair})")
 
 
 def _require_same_ts(f, g):
@@ -89,7 +83,7 @@ def _circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def discrete_convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
     """(f*g)(k) = sum_n f(n) g(k-n); exact finite sum over the supports."""
-    _require_kind("discrete_convolve", DiscreteSignal, f, g)
+    _of_kind("discrete_convolve", DiscreteSignal, f, g)
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
         return DiscreteSignal(start=start, samples=np.empty(0, dtype=np.complex128))
@@ -103,7 +97,7 @@ def approx_analog_convolve(f: SampledSignal, g: SampledSignal) -> SampledSignal:
     As ts shrinks this is the Riemann approximation of the convolution
     integral.
     """
-    _require_kind("approx_analog_convolve", SampledSignal, f, g)
+    _of_kind("approx_analog_convolve", SampledSignal, f, g)
     _require_same_ts(f, g)
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
@@ -115,7 +109,7 @@ def periodic_convolve_discrete(
     f: PeriodicDiscreteSignal, g: PeriodicDiscreteSignal
 ) -> PeriodicDiscreteSignal:
     """Circular convolution over one period: sum_{n=0}^{N-1} f(n) g(k-n)."""
-    _require_kind("periodic_convolve_discrete", PeriodicDiscreteSignal, f, g)
+    _of_kind("periodic_convolve_discrete", PeriodicDiscreteSignal, f, g)
     if f.period != g.period:
         raise GridMismatchError(f"period mismatch: {f.period} != {g.period}")
     return PeriodicDiscreteSignal(samples=_circular_convolve(f.samples, g.samples))
@@ -125,7 +119,7 @@ def periodic_convolve_analog(
     f: PeriodicSampledSignal, g: PeriodicSampledSignal
 ) -> PeriodicSampledSignal:
     """Circular approximated analog convolution: ts times the wrap-around sum."""
-    _require_kind("periodic_convolve_analog", PeriodicSampledSignal, f, g)
+    _of_kind("periodic_convolve_analog", PeriodicSampledSignal, f, g)
     _require_same_ts(f, g)
     if f.period_samples != g.period_samples:
         raise GridMismatchError(
@@ -153,14 +147,10 @@ def mixed_convolve(h, f):
     period, so output k is sum_m h(m) f(k-m) with f evaluated periodically
     (scaled by ts in the analog case).
     """
-    pairs = ((SampledSignal, PeriodicSampledSignal), (DiscreteSignal, PeriodicDiscreteSignal))
-    if any(isinstance(h, finite) and isinstance(f, periodic) for finite, periodic in pairs):
-        return _convolve(periodize(h, f.samples.size), f)
-    raise TypeError(
-        f"mixed_convolve needs (SampledSignal, PeriodicSampledSignal) or "
-        f"(DiscreteSignal, PeriodicDiscreteSignal), got "
-        f"({type(h).__name__}, {type(f).__name__})"
-    )
+    h = _of_kind("mixed_convolve", (DiscreteSignal, SampledSignal), h)
+    periodic = PeriodicSampledSignal if isinstance(h, SampledSignal) else PeriodicDiscreteSignal
+    f = _of_kind("mixed_convolve", periodic, f)
+    return _convolve(periodize(h, f.samples.size), f)
 
 
 # Each row block of ``_riemann_sum`` and ``_power_sum`` holds at most this
@@ -267,10 +257,7 @@ def exp_factor_discrete(f: DiscreteSignal | PeriodicDiscreteSignal, a) -> comple
     Convolving f with g(k) = a^k yields F(a) * g; a non-finite sum is
     rejected because the convolution is then ill-defined.
     """
-    if not isinstance(f, (DiscreteSignal, PeriodicDiscreteSignal)):
-        raise TypeError(
-            f"exp_factor_discrete needs a DiscreteSignal or PeriodicDiscreteSignal, got {type(f).__name__}"
-        )
+    f = _of_kind("exp_factor_discrete", (DiscreteSignal, PeriodicDiscreteSignal), f)
     a = _exp_param(a, discrete=True)
     indices = _float_indices(getattr(f, "start", 0), f.samples.size)
     return _finite(_power_sum(f.samples, indices, np.array([a]))[0])
@@ -280,6 +267,7 @@ def exp_factor_analog(f: SampledSignal | PeriodicSampledSignal, a) -> complex:
     """Riemann factor F(a) = ts * sum_k f(k ts) e^(-a k ts) over f's support,
     the stored window [0, T) for a periodic signal; a non-finite sum is rejected.
     F(0) is the Riemann sum of f itself, the factor of the DC harmonic."""
+    f = _of_kind("exp_factor_analog", (SampledSignal, PeriodicSampledSignal), f)
     a = _exp_param(a, discrete=False)
     return _finite(_riemann_sum(f.samples, f.times(), f.ts, np.array([a]))[0])
 
@@ -291,12 +279,11 @@ def shift(f, a):
     in seconds that must be a whole number of steps of ts.  Aperiodic
     signals move their start index, periodic ones rotate their sample window.
     """
+    f = _of_kind("shift", (DiscreteSignal, SampledSignal, PeriodicDiscreteSignal, PeriodicSampledSignal), f)
     if isinstance(f, (DiscreteSignal, PeriodicDiscreteSignal)):
         lag = _integral(a, "discrete shift")
-    elif isinstance(f, (SampledSignal, PeriodicSampledSignal)):
-        lag = _grid_steps(_finite_number(a, "time shift"), f.ts, "time shift", GridMismatchError)
     else:
-        raise TypeError(f"cannot shift {type(f).__name__}")
+        lag = _grid_steps(_finite_number(a, "time shift"), f.ts, "time shift", GridMismatchError)
     if isinstance(f, (DiscreteSignal, SampledSignal)):
         return replace(f, start=f.start + lag)
     return replace(f, samples=np.roll(f.samples, lag))
@@ -312,6 +299,7 @@ def scale_time(f: SampledSignal, a) -> SampledSignal:
     Fraction is read by ``_integral``: a fractional float is rejected, and
     so are a str and a bool.
     """
+    f = _of_kind("scale_time", SampledSignal, f)
     a = a if isinstance(a, Fraction) else Fraction(_integral(a, "scale factor"))
     if a == 0:
         raise ValueError("scale factor must be nonzero")
@@ -336,7 +324,7 @@ def derivative(f: SampledSignal) -> SampledSignal:
 
     The support shrinks by one sample at each end; needs at least 3 samples.
     """
-    if len(f) < 3:
+    if len(_of_kind("derivative", SampledSignal, f)) < 3:
         raise ValueError(f"derivative needs at least 3 samples, got {len(f)}")
     diff = (f.samples[2:] - f.samples[:-2]) / (2.0 * f.ts)
     return SampledSignal(ts=f.ts, start=f.start + 1, samples=diff)

@@ -252,6 +252,7 @@ def fourier_coefficients(f: PeriodicSampledSignal, n_max: int) -> SeriesSpectrum
     F(n) is the eigenfactor of f at a = j n omega0; harmonics are limited to
     |n| <= n_max < N/2 so the sampled grid resolves them without aliasing.
     """
+    f = sig._of_kind("fourier_coefficients", PeriodicSampledSignal, f)
     n_max = _index(n_max, "n_max", minimum=0)
     _check_alias_window(n_max, f.period_samples)
     a = 1j * np.arange(-n_max, n_max + 1) * f.omega0
@@ -278,7 +279,7 @@ def series_synthesize(
     weight, "times" n omega0 and a = -j t.  The library has no caller yet:
     its fs.inverse leg waits for the next golden regeneration (ROADMAP.md, item 12).
     """
-    freqs = spectrum.harmonics() * spectrum.omega0
+    freqs = sig._of_kind("series_synthesize", SeriesSpectrum, spectrum).harmonics() * spectrum.omega0
     return _synthesize(spectrum.coeffs, freqs, 1.0, ts, start, count)
 
 
@@ -288,6 +289,7 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     The left side goes through the circular convolution, the right side
     through the one-period Riemann factor; both are evaluated on f's grid.
     """
+    f = sig._of_kind("fs_eigencheck", PeriodicSampledSignal, f)
     n = _index(n, "n")
     _check_alias_window(abs(n), f.period_samples)
     factor = conv.exp_factor_analog(f, 1j * n * f.omega0)
@@ -296,14 +298,12 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
 
 def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
     """DFT F(n) = sum_m f(m) e^(-j m (2 pi / N) n), computed by FFT."""
-    if not isinstance(f, PeriodicDiscreteSignal):
-        raise TypeError(f"dft needs a PeriodicDiscreteSignal, got {type(f).__name__}")
-    return DftSpectrum(values=np.fft.fft(f.samples))
+    return DftSpectrum(values=np.fft.fft(sig._of_kind("dft", PeriodicDiscreteSignal, f).samples))
 
 
 def idft(spectrum: DftSpectrum) -> PeriodicDiscreteSignal:
     """Inverse DFT f(k) = (1/N) sum_m F(m) e^(j m (2 pi / N) k), computed by FFT."""
-    return PeriodicDiscreteSignal(samples=np.fft.ifft(spectrum.values))
+    return PeriodicDiscreteSignal(samples=np.fft.ifft(sig._of_kind("idft", DftSpectrum, spectrum).values))
 
 
 def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
@@ -312,6 +312,7 @@ def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:
     F(omega) = ts * sum_k f(k ts) e^(-j omega k ts) is the eigenfactor of f
     at a = j omega, for every frequency of the (uniform) grid in one Riemann sum.
     """
+    f = sig._of_kind("fourier_transform", SampledSignal, f)
     omegas = np.atleast_1d(_real_grid(omegas))
     values = conv._riemann_sum(f.samples, f.times(), f.ts, 1j * omegas)
     return TransformSpectrum(omegas=omegas, values=values)
@@ -325,6 +326,7 @@ def inverse_fourier_transform(
     Each output sample is the Riemann sum over the frequency grid with
     weight dw / 2pi and a = -j t.
     """
+    spectrum = sig._of_kind("inverse_fourier_transform", TransformSpectrum, spectrum)
     weight = spectrum.delta_omega / sig._TWO_PI
     return _synthesize(spectrum.values, spectrum.omegas, weight, ts, start, count)
 
@@ -337,6 +339,7 @@ def periodize_spectrum(
     omega_s must be a whole number (at least 1) of grid steps so the replicas
     land on the stored grid; values outside the grid count as zero.
     """
+    spectrum = sig._of_kind("periodize_spectrum", TransformSpectrum, spectrum)
     replicas = _index(replicas, "replicas", minimum=1)
     omega_s = _finite_number(omega_s, "omega_s", positive=True)
     step = _grid_steps(omega_s, spectrum.delta_omega, "omega_s", GridMismatchError, minimum=1)

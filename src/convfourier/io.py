@@ -54,6 +54,7 @@ from .signals import (
     PeriodicDiscreteSignal,
     PeriodicSampledSignal,
     SampledSignal,
+    _of_kind,
 )
 
 __all__ = [
@@ -90,10 +91,9 @@ _TYPES = {
 
 
 def signal_kind(signal) -> str:
-    for kind, cls in _TYPES.items():
-        if isinstance(signal, cls):
-            return kind
-    raise TypeError(f"not a signal type: {type(signal).__name__}")
+    """The file kind of a signal: discrete, analog, periodic-discrete or periodic-analog."""
+    signal = _of_kind("signal_kind", tuple(_TYPES.values()), signal)
+    return next(kind for kind, cls in _TYPES.items() if isinstance(signal, cls))
 
 
 # --------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def _write_text(chunks, path: str):
 
 def series_table_text(spectrum: SeriesSpectrum, fmt: str = "csv") -> str:
     """Coefficient table: C_n plus the one-period factor column F(n) = T * C_n."""
-    t = spectrum.period_t
+    t = _of_kind("series_table_text", SeriesSpectrum, spectrum).period_t
     meta = {"kind": "series", "t": t, "omega0": spectrum.omega0, "n_max": spectrum.n_max}
     c = spectrum.coeffs
     # F(n) as the complex product (T + 0j) * C_n, whose signed zeros differ from T * Re, T * Im
@@ -493,5 +493,6 @@ def series_table_text(spectrum: SeriesSpectrum, fmt: str = "csv") -> str:
 
 def transform_table_text(spectrum: TransformSpectrum, fmt: str = "csv") -> str:
     """Frequency table of F(omega) values."""
+    spectrum = _of_kind("transform_table_text", TransformSpectrum, spectrum)
     columns = [spectrum.omegas, spectrum.values.real, spectrum.values.imag]
     return "".join(_table_text({"kind": "spectrum"}, "omega,re,im", columns, fmt))

@@ -10,7 +10,8 @@ uniform time grid with spacing ``ts`` (seconds), so the value of sample
 ``_as_complex_array`` reads every stored complex array, here and in the
 spectra of ``fourier``, and ``_finite_number`` every stored scalar such as
 ``ts``: a non-finite number, a str or a bool is a ValueError, never parsed
-or read as 0 or 1.
+or read as 0 or 1.  ``_of_kind`` reads every signal or spectrum operand of a
+public call: a value of another kind is a TypeError naming the call.
 
 An exponential signal is its complex parameter ``a`` and its family: e^(a t)
 for ``convolution.exp_factor_analog``, a^k for
@@ -100,6 +101,16 @@ def _finite_number(value, name: str, kind=float, *, positive: bool = False):
     if not (cmath.isfinite(value) and (not positive or value > 0)):
         raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}, got {value}")
     return value
+
+
+def _of_kind(what: str, kinds, *values):
+    """The first of values, each an instance of kinds (a class or a tuple of classes)."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    for value in values:
+        if not isinstance(value, kinds):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise TypeError(f"{what} needs a {names}, got {type(value).__name__}")
+    return values[0]
 
 
 def _exp_param(a, *, discrete: bool) -> complex:
@@ -298,9 +309,8 @@ def periodize(f, period_samples: int):
     when f's support fits in one period this is plain relocation, otherwise
     overlapping wraps add up (time-domain aliasing).
     """
+    f = _of_kind("periodize", (DiscreteSignal, SampledSignal), f)
     n = _index(period_samples, "period", minimum=1)
-    if not isinstance(f, _Finite):
-        raise TypeError(f"cannot periodize {type(f).__name__}")
     folded = np.zeros(n, dtype=np.complex128)
     idx = (f.start % n + np.arange(len(f))) % n
     np.add.at(folded, idx, f.samples)

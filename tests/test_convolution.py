@@ -305,19 +305,14 @@ class TestConvolveByKind:
         assert len(got) == 2 and got[0] is f and got[1] is g
 
     @pytest.mark.parametrize("variant, other", [(v, o) for v in _OPERANDS for o in _OPERANDS if v != o])
-    def test_rejects_an_operand_of_another_kind(self, variant, other):
+    def test_the_variant_of_f_rejects_g(self, variant, other):
+        # each variant's own operands are pinned in tests/test_signals.py's
+        # table of kind errors
         rng = np.random.default_rng(14)
         own, foreign = _OPERANDS[variant](rng, 0.25, 4), _OPERANDS[other](rng, 0.25, 4)
-        kind = type(own).__name__
-        for f, g in ((own, foreign), (foreign, own)):
-            message = f"{variant} needs ({kind}, {kind}), got ({type(f).__name__}, {type(g).__name__})"
-            with pytest.raises(TypeError) as caught:
-                getattr(convolution, variant)(f, g)
-            assert str(caught.value) == message
-        # _convolve picks the variant by f's kind, which then rejects g
         with pytest.raises(TypeError) as caught:
             convolution._convolve(own, foreign)
-        assert str(caught.value) == f"{variant} needs ({kind}, {kind}), got ({kind}, {type(foreign).__name__})"
+        assert str(caught.value) == f"{variant} needs a {type(own).__name__}, got {type(foreign).__name__}"
 
 
 class TestExpFactorDiscrete:
@@ -342,18 +337,6 @@ class TestExpFactorDiscrete:
             got = exp_factor_discrete(DiscreteSignal(start, vals), a)
             want = power_factor_brute(list(vals), start, a)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-    @pytest.mark.parametrize(
-        "other", [SampledSignal(0.5, 3, [1, 2, 3, 4]), PeriodicSampledSignal(0.5, [1, 2, 3, 4])],
-        ids=lambda f: type(f).__name__,
-    )
-    def test_rejects_a_signal_of_another_kind(self, other):
-        # a power sum over a sampled signal's samples would ignore its ts
-        with pytest.raises(TypeError) as caught:
-            exp_factor_discrete(other, 2.0)
-        assert str(caught.value) == (
-            f"exp_factor_discrete needs a DiscreteSignal or PeriodicDiscreteSignal, got {type(other).__name__}"
-        )
 
     def test_overflow_reported(self):
         # a^(-n) overflows for a far-right tap and a tiny base

@@ -290,18 +290,6 @@ class TestDft:
         out = dft(PeriodicDiscreteSignal([1, 1, 1, 1]))
         assert np.allclose(out.values, [4, 0, 0, 0], atol=1e-14)
 
-    @pytest.mark.parametrize(
-        "other",
-        [DiscreteSignal(3, [1, 2, 3, 4]), SampledSignal(0.5, 0, [1, 2, 3, 4]),
-         PeriodicSampledSignal(0.5, [1, 2, 3, 4])],
-        ids=lambda f: type(f).__name__,
-    )
-    def test_rejects_a_signal_of_another_kind(self, other):
-        # the FFT of the samples alone would drop a start index and a ts
-        with pytest.raises(TypeError) as caught:
-            dft(other)
-        assert str(caught.value) == f"dft needs a PeriodicDiscreteSignal, got {type(other).__name__}"
-
     def test_two_point(self):
         out = dft(PeriodicDiscreteSignal([1, 1j]))
         assert np.allclose(out.values, [1 + 1j, 1 - 1j], atol=1e-15)

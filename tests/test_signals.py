@@ -1,11 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfourier import signals
+from convfourier import convolution as conv
+from convfourier import fourier as four
+from convfourier import io, signals
 from convfourier.convolution import (
     approx_analog_convolve,
     derivative,
@@ -22,7 +25,6 @@ from convfourier.fourier import (
     inverse_fourier_transform,
 )
 from convfourier.harness import GridParams
-from convfourier.io import signal_kind
 from convfourier.signals import (
     DiscreteSignal,
     PeriodicDiscreteSignal,
@@ -348,21 +350,88 @@ class TestPeriodize:
         assert list(folded.samples.real) == [2, 2]
 
 
-@pytest.mark.parametrize(
-    "call, x, message",
-    [
-        (lambda x: shift(x, 1), DftSpectrum([1]), "cannot shift DftSpectrum"),
-        (lambda x: periodize(x, 4), DftSpectrum([1]), "cannot periodize DftSpectrum"),
-        # a periodic signal has no start; this was an AttributeError
-        (lambda x: periodize(x, 4), PeriodicDiscreteSignal([1, 2]),
-         "cannot periodize PeriodicDiscreteSignal"),
-        (signal_kind, DftSpectrum([1]), "not a signal type: DftSpectrum"),
-    ],
-    ids=["shift", "periodize", "periodize-periodic", "signal_kind"],
-)
-def test_a_non_signal_is_a_type_error(call, x, message):
-    with pytest.raises(TypeError, match=f"^{message}$"):
+# ---------------------------------------------------------------------------
+# Every signal or spectrum operand of a public call is read by
+# signals._of_kind, before any other argument: a value of another kind (one of
+# the four signals, the three spectra or a plain array) is a TypeError naming
+# the call and the kinds it takes.
+# ---------------------------------------------------------------------------
+_OF_EACH_KIND = {
+    DiscreteSignal: DiscreteSignal(0, [1, 2, 3, 4]),
+    SampledSignal: SampledSignal(0.5, 0, [1, 2, 3, 4]),
+    PeriodicDiscreteSignal: PeriodicDiscreteSignal([1, 2, 3, 4]),
+    PeriodicSampledSignal: PeriodicSampledSignal(0.5, [1, 2, 3, 4]),
+    SeriesSpectrum: SeriesSpectrum(2.0, [1, 2, 3]),
+    DftSpectrum: DftSpectrum([1, 2, 3, 4]),
+    TransformSpectrum: TransformSpectrum([0.0, 0.5], [1, 2]),
+    np.ndarray: np.arange(4.0),
+}
+_SIGNALS = (DiscreteSignal, SampledSignal, PeriodicDiscreteSignal, PeriodicSampledSignal)
+_D, _S, _PD, _PS = (_OF_EACH_KIND[kind] for kind in _SIGNALS)
+# (the call with its operand x, the kinds x takes, the call on x); the other
+# operands are of their own kind, and every argument that is not an operand
+# is invalid, so a call that read one before x would raise a ValueError
+_OPERANDS = [
+    ("discrete_convolve(x, g)", (DiscreteSignal,), lambda x: conv.discrete_convolve(x, _D)),
+    ("discrete_convolve(f, x)", (DiscreteSignal,), lambda x: conv.discrete_convolve(_D, x)),
+    ("approx_analog_convolve(x, g)", (SampledSignal,), lambda x: conv.approx_analog_convolve(x, _S)),
+    ("approx_analog_convolve(f, x)", (SampledSignal,), lambda x: conv.approx_analog_convolve(_S, x)),
+    ("periodic_convolve_discrete(x, g)", (PeriodicDiscreteSignal,),
+     lambda x: conv.periodic_convolve_discrete(x, _PD)),
+    ("periodic_convolve_discrete(f, x)", (PeriodicDiscreteSignal,),
+     lambda x: conv.periodic_convolve_discrete(_PD, x)),
+    ("periodic_convolve_analog(x, g)", (PeriodicSampledSignal,),
+     lambda x: conv.periodic_convolve_analog(x, _PS)),
+    ("periodic_convolve_analog(f, x)", (PeriodicSampledSignal,),
+     lambda x: conv.periodic_convolve_analog(_PS, x)),
+    ("mixed_convolve(x, f)", (DiscreteSignal, SampledSignal), lambda x: conv.mixed_convolve(x, _PD)),
+    ("mixed_convolve(discrete h, x)", (PeriodicDiscreteSignal,), lambda x: conv.mixed_convolve(_D, x)),
+    ("mixed_convolve(sampled h, x)", (PeriodicSampledSignal,), lambda x: conv.mixed_convolve(_S, x)),
+    ("exp_factor_discrete(x, 0)", (DiscreteSignal, PeriodicDiscreteSignal),
+     lambda x: conv.exp_factor_discrete(x, 0)),
+    ("exp_factor_analog(x, nan)", (SampledSignal, PeriodicSampledSignal),
+     lambda x: conv.exp_factor_analog(x, math.nan)),
+    ("shift(x, 0.5)", _SIGNALS, lambda x: conv.shift(x, 0.5)),
+    ("scale_time(x, 0)", (SampledSignal,), lambda x: conv.scale_time(x, 0)),
+    ("derivative(x)", (SampledSignal,), conv.derivative),
+    ("periodize(x, 0)", (DiscreteSignal, SampledSignal), lambda x: periodize(x, 0)),
+    ("fourier_coefficients(x, -1)", (PeriodicSampledSignal,), lambda x: four.fourier_coefficients(x, -1)),
+    ("series_synthesize(x, 0, 0, -1)", (SeriesSpectrum,), lambda x: four.series_synthesize(x, 0.0, 0, -1)),
+    ("fs_eigencheck(x, 0.5)", (PeriodicSampledSignal,), lambda x: four.fs_eigencheck(x, 0.5)),
+    ("dft(x)", (PeriodicDiscreteSignal,), four.dft),
+    ("idft(x)", (DftSpectrum,), four.idft),
+    ("fourier_transform(x, [1j])", (SampledSignal,), lambda x: four.fourier_transform(x, [1j])),
+    ("inverse_fourier_transform(x, 0, 0, -1)", (TransformSpectrum,),
+     lambda x: four.inverse_fourier_transform(x, 0.0, 0, -1)),
+    ("periodize_spectrum(x, 0, 0)", (TransformSpectrum,), lambda x: four.periodize_spectrum(x, 0.0, 0)),
+    ("signal_kind(x)", _SIGNALS, io.signal_kind),
+    ("signal_text(x, 'xml')", _SIGNALS, lambda x: io.signal_text(x, "xml")),
+    ("write_signal(x, devnull, 'xml')", _SIGNALS, lambda x: io.write_signal(x, os.devnull, "xml")),
+    ("series_table_text(x, 'xml')", (SeriesSpectrum,), lambda x: io.series_table_text(x, "xml")),
+    ("transform_table_text(x, 'xml')", (TransformSpectrum,), lambda x: io.transform_table_text(x, "xml")),
+]
+# the signal writers read their signal's kind through signal_kind
+_NAMED_BY = {"signal_text": "signal_kind", "write_signal": "signal_kind"}
+
+
+def _kind_error(label, kinds, got) -> str:
+    name = label.partition("(")[0]
+    return f"{_NAMED_BY.get(name, name)} needs a {' or '.join(k.__name__ for k in kinds)}, got {got.__name__}"
+
+
+_FOREIGN_OPERANDS = [
+    pytest.param(call, value, _kind_error(label, kinds, kind), id=f"{label}-{kind.__name__}")
+    for label, kinds, call in _OPERANDS
+    for kind, value in _OF_EACH_KIND.items()
+    if kind not in kinds
+]
+
+
+@pytest.mark.parametrize("call, x, message", _FOREIGN_OPERANDS)
+def test_an_operand_of_another_kind_is_a_type_error(call, x, message):
+    with pytest.raises(TypeError) as caught:
         call(x)
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +439,6 @@ def test_a_non_signal_is_a_type_error(call, x, message):
 # a float, a bool or a string is a ValueError, never truncated by int().
 # ---------------------------------------------------------------------------
 
-from convfourier import fourier as four  # noqa: E402
 from convfourier.generators import cosine, square  # noqa: E402
 from convfourier.harness import GridParams  # noqa: E402
 

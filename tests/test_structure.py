@@ -723,3 +723,29 @@ def test_convolution_guards_see_each_form(source, names, tables):
     nodes = list(ast.walk(ast.parse(source)))
     assert any(map(_names_a_variant, nodes)) is names
     assert any(map(_tables_variants, nodes)) is tables
+
+
+# A signal's or spectrum's kind is read in one place, `signals._of_kind`,
+# as every number is read by a `signals` reader: no other code in the
+# package raises a TypeError.
+def _raises_type_error(node) -> bool:
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return _attr_or_name(exc) == "TypeError"
+
+
+def test_a_kind_is_read_in_one_place():
+    assert _sites(_raises_type_error) == [("signals.py", "_of_kind")]
+
+
+@pytest.mark.parametrize("source, raises", [
+    ('raise TypeError(f"cannot shift {type(f).__name__}")', True), ("raise TypeError", True),
+    ("raise TypeError(message) from None", True), ("raise builtins.TypeError('x')", True),
+    ("def check(f):\n    if not isinstance(f, kind):\n        raise TypeError(f)", True),
+    ("raise argparse.ArgumentTypeError(str(exc)) from None", False), ("raise ValueError('x')", False),
+    ("try:\n    f()\nexcept TypeError:\n    raise", False), ("error = TypeError('x')", False),
+    ("sig._of_kind('dft', PeriodicDiscreteSignal, f)", False),
+])
+def test_type_error_guard_sees_each_form(source, raises):
+    assert any(map(_raises_type_error, ast.walk(ast.parse(source)))) is raises
