@@ -9,23 +9,22 @@ factor; the ``exp_factor_*`` functions compute that factor directly.
 Linear convolutions are direct sums (``np.convolve``); circular ones go
 through the FFT (``ifft(fft(a) * fft(b))``), with one ``fft`` call on the
 stacked pair.  Outputs are deterministic
-for identical inputs.  The ``exp_factor_*`` power and Riemann sums serve
-as the independent reference.  A periodic signal's factor is the sum over
-its stored period, so one factor function serves each exponential family,
-periodic or not.
+for identical inputs.  The ``exp_factor_*`` sums serve as the independent
+reference.  A periodic signal's factor is the sum over its stored period,
+so one factor function serves each exponential family, periodic or not.
 
-``_riemann_sum`` is the one kernel behind every analog factor and every
-transform in ``fourier``: ts * sum_k s_k e^(-a_m t_k) for a whole array of
-exponents a_m in one call.  It assumes the times form an arithmetic
-progression t_k = t_0 + k h and splits each exponential into a two-level
-table, e^(-a t_(jb+i)) = e^(-a t_(jb)) e^(-a (t_i - t_0)) with
-b = ceil(sqrt(L)), so M exponents over L samples take O(M sqrt(L)) exps,
-O(M L) multiply-adds and O(L + block) memory.  A call whose largest
-|Re a| (b - 1) h would exceed 700 takes a narrower table for every exponent,
-each contracted on its own, never through BLAS: the Fourier transform at
-omega is the eigenfactor at a = j omega bit for bit.  ``_power_sum`` is
-its discrete twin, sum_n s_n a_m^(-n) for a whole array of bases a_m,
-worked in row blocks of at most ``_RIEMANN_BLOCK`` powers.
+``_riemann_sum`` is the one kernel behind every factor and every transform
+in ``fourier``: ts * sum_k s_k e^(-a_m t_k) for a whole array of exponents
+a_m in one call.  It assumes the times form an arithmetic progression
+t_k = t_0 + k h and splits each exponential into a two-level table,
+e^(-a t_(jb+i)) = e^(-a t_(jb)) e^(-a (t_i - t_0)) with b = ceil(sqrt(L)),
+so M exponents over L samples take O(M sqrt(L)) exps, O(M L) multiply-adds
+and O(L + block) memory.  A call whose largest |Re a| (b - 1) h would
+exceed 700 takes a narrower table for every exponent, each contracted on
+its own, never through BLAS: the Fourier transform at omega is the
+eigenfactor at a = j omega bit for bit.  A discrete factor is the same sum
+at unit step in the exponents Log a, since a^(-n) = e^(-n Log a) for every
+integer n (``_power_sum``).
 ``fourier``, ``harness`` and ``cli`` import this module, never a name from it.
 """
 
@@ -153,10 +152,9 @@ def mixed_convolve(h, f):
     return _convolve(periodize(h, f.samples.size), f)
 
 
-# Each row block of ``_riemann_sum`` and ``_power_sum`` holds at most this
-# many entries per table, so a call's temporaries stay near three such tables
-# (48 KiB) for any number of exponents; at 2^11 the ft.* checks raised
-# verify's peak by 30 KiB.
+# Each row block of ``_riemann_sum`` holds at most this many entries per
+# table, so a call's temporaries stay near three such tables (48 KiB) for any
+# number of exponents; at 2^11 the ft.* checks raised verify's peak by 30 KiB.
 _RIEMANN_BLOCK = 2**10
 # The largest |Re a| * (t_i - t_0) of a fine-table entry: e^700 is finite in
 # float64 (which overflows above e^709.78).
@@ -165,26 +163,11 @@ _EXP_REACH = 700.0
 
 def _power_sum(samples: np.ndarray, indices: np.ndarray, a) -> np.ndarray:
     """sum_n samples[n] a_m^(-indices[n]) for each base a_m of the 1-d array a,
-    the indices as floats (``signals._float_indices``).
-
-    Rows go in blocks of at most _RIEMANN_BLOCK powers, and each row is
-    reduced on its own in a fixed order, so a base's value does not depend
-    on the other bases of the call.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    out = np.zeros(a.size, dtype=np.complex128)
-    if samples.size == 0:
-        return out
-    exponents = -indices
-    rows = max(1, _RIEMANN_BLOCK // samples.size)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    the indices as floats (``signals._float_indices``): the Riemann sum at
+    unit step in the exponents Log a.  perfbench/spans.py reads this name."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         # a non-finite factor is rejected by exp_factor_*'s finiteness check
-        for lo in range(0, a.size, rows):
-            # one statement, so a block's temporaries are freed before the next
-            out[lo : lo + rows] = np.add.reduce(
-                samples * np.power(a[lo : lo + rows, None], exponents), axis=1
-            )
-    return out
+        return _riemann_sum(samples, indices, 1.0, np.log(np.asarray(a, dtype=np.complex128)))
 
 
 def _riemann_sum(samples: np.ndarray, times: np.ndarray, ts: float, a) -> np.ndarray:

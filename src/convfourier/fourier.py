@@ -5,9 +5,8 @@ exponential family: Fourier series coefficients come from the one-period
 Riemann factor at a = j n omega0 (divided by T), the DFT is the exact
 N-term factor at the N-th roots of unity, and the Fourier transform is the
 Riemann factor at a = j omega on a uniform frequency grid.  ``dft`` and
-``idft`` run on ``np.fft``; the direct N-term power sum
-``convolution.exp_factor_discrete`` is the independent reference they are
-checked against.
+``idft`` run on ``np.fft``; the harness checks them against direct N-term
+sums, which share no code with the FFT.
 
 Every other transform here is one call of the batched Riemann sum
 ``convolution._riemann_sum``, with one exponent per output point: a = j omega
@@ -276,8 +275,8 @@ def series_synthesize(
     """Truncated synthesis sum_{|n| <= n_max} C_n e^(j n omega0 t) on a grid.
 
     Each output sample is the Riemann sum over the harmonics with unit
-    weight, "times" n omega0 and a = -j t.  The library has no caller yet:
-    its fs.inverse leg waits for the next golden regeneration (ROADMAP.md, item 12).
+    weight, "times" n omega0 and a = -j t.  The harness's fs.inverse checks
+    T times the synthesis against T times the signal value.
     """
     freqs = sig._of_kind("series_synthesize", SeriesSpectrum, spectrum).harmonics() * spectrum.omega0
     return _synthesize(spectrum.coeffs, freqs, 1.0, ts, start, count)

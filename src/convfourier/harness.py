@@ -236,15 +236,19 @@ def _ft_grid():
 
 
 def _ft_signal() -> sig.SampledSignal:
-    """Input of the ft.* property checks: e^(-t^2) on |t| <= 6 at ts = 1/64.
+    """Input of the ft.* property checks: e^(-(t - 7 ts)^2) on |t - 7 ts| <= 6
+    at ts = 1/64.
 
+    Off centre, so F(-omega) != F(omega): a conjugated exponential, or a
+    reversal that returns the signal unchanged, fails the checks that use it.
     Its spectrum lies inside the fixed frequency grid |omega| <= 16 pi, and
     it is the same whatever grid the caller runs, so these checks never mix
     the caller's ts with a frequency grid calibrated for another one.
     ft.derivative runs on its own fixed ladder of steps, ft.duality on a pulse
     at this ts.
     """
-    return gen.gaussian(_FT_TS, 6.0)
+    f = gen.gaussian(_FT_TS, 6.0)
+    return sig.SampledSignal(f.ts, f.start + 7, f.samples)
 
 
 @_spec(
@@ -429,7 +433,9 @@ def _run_eigen_periodic_analog(grid, rng, legs):
     "eigen.periodic_discrete",
     "circular convolution with a root-of-unity exponential scales it by the N-term factor",
     1e-10,
-    "FFT circular convolution against the direct N-term power sum; roundoff only",
+    "FFT circular convolution against the direct N-term factor at the rounded base "
+    "e^(2 pi j n / N); roundoff, plus the base's rounding, which its powers up to N - 1 "
+    "grow by O(N u)",
 )
 def _run_eigen_periodic_discrete(grid, rng, legs):
     for _ in range(10):
@@ -467,15 +473,19 @@ def _run_fs_inverse(grid, rng, legs):
         f_sig = sig.DiscreteSignal(-grid.n_max, f.period_t * spectrum.coeffs)
         k0 = int(rng.integers(0, grid.n))
         a = np.exp(-1j * f.omega0 * (k0 * f.ts))
-        legs.append(four._eigenrelation(f_sig, sig._discrete_exp(a), f.period_t * f.value(k0), ks))
+        want = f.period_t * f.value(k0)
+        legs.append(four._eigenrelation(f_sig, sig._discrete_exp(a), want, ks))
+        # the synthesis sum at t = k0 ts, by its own Riemann path
+        synthesized = four.series_synthesize(spectrum, f.ts, k0, 1).samples
+        legs.append(four._compare(f.period_t * synthesized, want))
 
 
 @_spec(
     "dft.forward",
     "periodic discrete exponentials are eigensignals of circular convolution",
     1e-10,
-    "FFT spectrum against FFT circular convolution and the direct N-term power sum; "
-    "roundoff only",
+    "FFT spectrum against FFT circular convolution and the direct N-term sum, each "
+    "phase reduced mod N before its exp; roundoff only",
 )
 def _run_dft_forward(grid, rng, legs):
     for _ in range(10):
@@ -483,10 +493,11 @@ def _run_dft_forward(grid, rng, legs):
         spectrum = four.dft(f)
         n = int(rng.integers(0, grid.n))
         legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.values[n]))
-        # the direct N-term power sum keeps an independent side: both of the
-        # above run on the FFT
-        power_sum = conv.exp_factor_discrete(f, np.exp(1j * sig._TWO_PI * n / grid.n))
-        legs.append(four._compare(spectrum.values[n], power_sum))
+        # the direct N-term sum keeps an independent side: both of the above
+        # run on the FFT.  Each phase n m is reduced mod N before its exp, so
+        # the sum does not carry a rounded base's error into its N-th power
+        phases = sig._analog_exp(-1j * sig._TWO_PI / grid.n, 1.0)((n * np.arange(grid.n)) % grid.n)
+        legs.append(four._compare(spectrum.values[n], np.sum(f.samples * phases)))
 
 
 @_spec(
@@ -730,12 +741,9 @@ def _run_ft_duality(grid, rng, legs):
 def _run_ft_time_scale(grid, rng, legs):
     f = _ft_signal()
     omegas = _ft_grid()
-    # a = -1: time reversal flips the frequency axis exactly; the even oracle
-    # is moved 7 samples off centre, or a reversal that returned it unchanged
-    # would pass
-    off_centre = sig.SampledSignal(f.ts, f.start + 7, f.samples)
-    lhs = four.fourier_transform(conv.scale_time(off_centre, -1), omegas).values
-    rhs = four.fourier_transform(off_centre, omegas).values[::-1]
+    # a = -1: time reversal flips the frequency axis exactly
+    lhs = four.fourier_transform(conv.scale_time(f, -1), omegas).values
+    rhs = four.fourier_transform(f, omegas).values[::-1]
     legs.append(four._compare(lhs, rhs))
     # a = 2: f(2t) has the transform 1/2 F(w/2), with F taken on f's own grid
     lhs = four.fourier_transform(conv.scale_time(f, 2), omegas).values

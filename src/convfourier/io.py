@@ -440,9 +440,10 @@ def _json_text_blocks(meta, columns):
     yield "\n    ]\n  ]\n}\n"
 
 
-def _signal_table(signal):
-    """(meta, header, columns) of a signal's table."""
-    kind = signal_kind(signal)
+def _signal_table(signal, what: str):
+    """(meta, header, columns) of a signal's table; a value of another kind is
+    a TypeError naming ``what``, the caller."""
+    kind = signal_kind(_of_kind(what, tuple(_TYPES.values()), signal))
     meta = {"kind": kind}
     if kind.endswith("analog"):
         meta["ts"] = signal.ts
@@ -455,7 +456,7 @@ def _signal_table(signal):
 
 def signal_text(signal, fmt: str = "csv") -> str:
     """Serialize a signal to CSV or JSON text."""
-    return "".join(_table_text(*_signal_table(signal), fmt))
+    return "".join(_table_text(*_signal_table(signal, "signal_text"), fmt))
 
 
 def write_signal(signal, path: str, fmt: str = "csv"):
@@ -463,7 +464,7 @@ def write_signal(signal, path: str, fmt: str = "csv"):
     when ``path`` is ``-``, one block of rows at a time.  The library's file
     writer, the counterpart of ``read_signal``; the CLI does not call it yet
     (ROADMAP.md, item 9)."""
-    _write_text(_table_text(*_signal_table(signal), fmt), path)
+    _write_text(_table_text(*_signal_table(signal, "write_signal"), fmt), path)
 
 
 def _write_text(chunks, path: str):

@@ -86,6 +86,7 @@ _exact_power_sum = convolution._power_sum
 _exact_dft = fourier.dft
 _exact_scale_time = convolution.scale_time
 _exact_transform = fourier.fourier_transform
+_exact_synthesize = fourier.series_synthesize
 _exact_analog_exp = signals._analog_exp
 _exact_discrete_exp = signals._discrete_exp
 _exact_unit_roots = signals._unit_roots
@@ -104,6 +105,11 @@ def late_transform(f, omegas):
 def conjugated_coefficients(f, n_max):
     spectrum = _exact_coefficients(f, n_max)
     return dataclasses.replace(spectrum, coeffs=np.conj(spectrum.coeffs))
+
+
+def mirrored_synthesis(spectrum, ts, start, count):
+    """series_synthesize at e^(-j n omega0 t): C_n read as C_-n."""
+    return _exact_synthesize(dataclasses.replace(spectrum, coeffs=spectrum.coeffs[::-1]), ts, start, count)
 
 
 def forward_difference(f):
@@ -146,6 +152,10 @@ FAULTS = {
         [(fourier, "fourier_transform", late_transform)],
         {"ft.forward", "ft.conv_time", "ft.discretize", "ft.duality", "ft.time_scale",
          "ft.sampling"},
+    ),
+    "series_synthesize with the harmonic sign flipped": (
+        [(fourier, "series_synthesize", mirrored_synthesis)],
+        {"fs.inverse"},
     ),
     "conjugated fourier_coefficients": (
         [(fourier, "fourier_coefficients", conjugated_coefficients)],
@@ -207,10 +217,9 @@ FAULTS = {
     # one binding per family: fourier and harness call each through the
     # signals module
     "_analog_exp with a conjugated": (
-        # ft.conv_time, ft.conv_freq and ft.inverse pass under it: their oracle
-        # inputs are real and even, so F(-w) = F(w)
+        # the ft.* oracle input is off centre, so F(-w) != F(w)
         [(signals, "_analog_exp", lambda a, step: _exact_analog_exp(np.conj(a), step))],
-        {"eigen.analog", "ft.forward"},
+        {"eigen.analog", "ft.forward", "ft.inverse", "ft.conv_time", "ft.conv_freq"},
     ),
     "_discrete_exp with the base conjugated": (
         [(signals, "_discrete_exp", lambda a: _exact_discrete_exp(np.conj(a)))],
@@ -262,7 +271,7 @@ LADDER = {
     ),
     "_power_sum output": (
         convolution, "_power_sum", lambda eps: _scaled(_exact_power_sum, eps),
-        1e-9, {"eigen.discrete", "eigen.periodic_discrete", "dft.forward"},
+        1e-9, {"eigen.discrete", "eigen.periodic_discrete"},
     ),
     "_riemann_sum exponent": (
         convolution, "_riemann_sum", _riemann_exponent_scaled,
@@ -385,8 +394,8 @@ class TestRunAll:
                              ids=[*GOLDEN_GRIDS, "ts0.3"])
     def test_passes_at_seeds_1_to_10(self, grid):
         # the last bits of a residual move with the order of its roundoff
-        # (np.power against Python's **, one order of e^(a k step)'s product
-        # against another); no verdict may move with them
+        # (the exp-log factor against np.power, one order of e^(a k step)'s
+        # product against another); no verdict may move with them
         failed = {seed: [c.id for c in run_all(grid, seed).checks if not c.passed] for seed in range(1, 11)}
         assert failed == dict.fromkeys(range(1, 11), [])
 
@@ -545,12 +554,18 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 class TestGoldenReports:
     """Seed-42 ``verify --out`` reports, stored as the CLI wrote them; a change
-    that moves any byte of a residual, scale or note shows here."""
+    that moves any byte of a residual, scale or note shows here.  The last bits
+    of a residual also move with the NumPy build and the CPU, so
+    ``verify_seed42_build.json`` records the build that wrote them."""
 
     @pytest.mark.parametrize("name, grid", GOLDEN_GRIDS.items())
     def test_report_is_byte_identical(self, name, grid):
         text = json.dumps(run_all(grid=grid, seed=42).to_dict(), indent=2) + "\n"
         assert text == (DATA / f"verify_seed42_{name}.json").read_text(encoding="utf-8")
+
+    def test_build_is_recorded(self):
+        build = json.loads((DATA / "verify_seed42_build.json").read_text(encoding="utf-8"))
+        assert sorted(build) == ["cpu_model", "numpy", "platform", "python"]
 
 
 class TestDftOrthogonalityPairs:

@@ -410,13 +410,9 @@ _OPERANDS = [
     ("series_table_text(x, 'xml')", (SeriesSpectrum,), lambda x: io.series_table_text(x, "xml")),
     ("transform_table_text(x, 'xml')", (TransformSpectrum,), lambda x: io.transform_table_text(x, "xml")),
 ]
-# the signal writers read their signal's kind through signal_kind
-_NAMED_BY = {"signal_text": "signal_kind", "write_signal": "signal_kind"}
-
-
 def _kind_error(label, kinds, got) -> str:
     name = label.partition("(")[0]
-    return f"{_NAMED_BY.get(name, name)} needs a {' or '.join(k.__name__ for k in kinds)}, got {got.__name__}"
+    return f"{name} needs a {' or '.join(k.__name__ for k in kinds)}, got {got.__name__}"
 
 
 _FOREIGN_OPERANDS = [

@@ -749,3 +749,30 @@ def test_a_kind_is_read_in_one_place():
 ])
 def test_type_error_guard_sees_each_form(source, raises):
     assert any(map(_raises_type_error, ast.walk(ast.parse(source)))) is raises
+
+
+# A discrete factor is the Riemann sum in Log a (`convolution._power_sum`), so
+# NumPy's power appears in one place, the power-law exponential
+# `signals._discrete_exp`, which eigen.discrete compares against that factor.
+_POWERS = ("power", "float_power")
+
+
+def _uses_numpy_power(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in _POWERS for alias in node.names)
+    return isinstance(node, (ast.Name, ast.Attribute)) and _attr_or_name(node) in _POWERS
+
+
+def test_numpy_power_is_the_discrete_exponential_alone():
+    assert _sites(_uses_numpy_power) == [("signals.py", "_discrete_exp")]
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("np.power(a, k)", True), ("numpy.power(a[:, None], -indices)", True),
+    ("power(a, k)", True), ("np.float_power(a, k)", True), ("pow_ = np.power", True),
+    ("from numpy import power", True), ("from numpy import exp, float_power", True),
+    ("np.exp(-a * k)", False), ("a ** k", False), ("_RIEMANN_BLOCK = 2**10", False),
+    ("conv._power_sum(s, k, a)", False), ("np.log(a)", False),
+])
+def test_numpy_power_guard_sees_each_form(source, uses):
+    assert any(map(_uses_numpy_power, ast.walk(ast.parse(source)))) is uses
