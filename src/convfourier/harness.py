@@ -8,11 +8,17 @@ a fixed seed: randomized inputs are trigonometric polynomials with
 harmonics below the alias limit and coefficients in the complex unit disk,
 so every identity is exactly representable on the grid and residuals
 measure implementation error only.
+
+Each check draws from its own standard-library ``random.Random``, seeded
+with the seed and the check's id (``_stream``), and builds every draw from
+``random()``.  So a check's inputs do not depend on its position in the
+catalog or on the NumPy version, and a run never imports ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -130,9 +136,27 @@ def _spec(id: str, description: str, tolerance: float, justification: str):
 # randomized inputs
 # --------------------------------------------------------------------------
 
+def _integer(rng, lo, hi):
+    """An integer in lo..hi-1 from one ``rng.random()``; (hi - lo) * random()
+    rounds below hi - lo for every span below 2^53."""
+    return lo + int((hi - lo) * rng.random())
+
+
+def _nonzero(rng, reach):
+    """An integer in -reach..-1 or 1..reach: a sign, then a magnitude."""
+    return (1 - 2 * _integer(rng, 0, 2)) * _integer(rng, 1, reach + 1)
+
+
+def _uniform(rng, lo, hi):
+    """A float in [lo, hi) from one ``rng.random()``."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _unit_disk(rng, size):
-    """Uniform draws from the complex unit disk."""
-    return np.sqrt(rng.random(size)) * np.exp(1j * sig._TWO_PI * rng.random(size))
+    """Uniform draws from the complex unit disk: 2 size ``rng.random()`` calls,
+    size radii, then size angles (random() never returns the sentinel 2.0)."""
+    radii, angles = np.fromiter(iter(rng.random, 2.0), float, 2 * size).reshape(2, size)
+    return np.sqrt(radii) * np.exp(1j * sig._TWO_PI * angles)
 
 
 def _trig_poly(grid: GridParams, coeffs) -> sig.PeriodicSampledSignal:
@@ -152,8 +176,8 @@ def _random_trig_poly(rng, grid: GridParams) -> sig.PeriodicSampledSignal:
 
 
 def _random_discrete(rng, max_len=16, start_hi=8) -> sig.DiscreteSignal:
-    length = int(rng.integers(1, max_len + 1))
-    start = int(rng.integers(-8, start_hi + 1))
+    length = _integer(rng, 1, max_len + 1)
+    start = _integer(rng, -8, start_hi + 1)
     return sig.DiscreteSignal(start, _unit_disk(rng, length))
 
 
@@ -360,7 +384,7 @@ def _run_time_shift(grid, rng, legs):
     for _ in range(10):
         f = _random_discrete(rng)
         g = _random_discrete(rng)
-        lag = int(rng.integers(-6, 7))
+        lag = _integer(rng, -6, 7)
         base = conv.shift(conv.discrete_convolve(f, g), lag)
         lhs_f = conv.discrete_convolve(conv.shift(f, lag), g)
         lhs_g = conv.discrete_convolve(f, conv.shift(g, lag))
@@ -392,12 +416,19 @@ def _run_time_scale(grid, rng, legs):
 )
 def _run_eigen_analog(grid, rng, legs):
     ts = grid.ts
+    # the 1/ts pulse at the fixed oracle step has the factor 1 exactly, so a
+    # relative fault eps in the factor reads eps at a scale of at least 1,
+    # where the random inputs' factors of about 0.05 hide it under the floor
+    # of 1; at the grid's ts the pulse's height overflows at ts = 5e-324
+    pulse, pulse_ks = sig.delta_approx(_FT_TS), np.arange(-4, 5)
     for _ in range(10):
         f = _random_sampled(rng, ts)
-        a = complex(rng.uniform(-1.0, 1.0), rng.uniform(-8.0, 8.0))
+        a = complex(_uniform(rng, -1.0, 1.0), _uniform(rng, -8.0, 8.0))
         ks = np.arange(f.start - 4, f.end + 4)
         factor = conv.exp_factor_analog(f, a)
         legs.append(four._eigenrelation(f, sig._analog_exp(a, ts), factor, ks))
+        pulse_factor = conv.exp_factor_analog(pulse, a)
+        legs.append(four._eigenrelation(pulse, sig._analog_exp(a, _FT_TS), pulse_factor, pulse_ks))
 
 
 @_spec(
@@ -409,8 +440,8 @@ def _run_eigen_analog(grid, rng, legs):
 def _run_eigen_discrete(grid, rng, legs):
     for _ in range(20):
         f = _random_discrete(rng, start_hi=0)
-        mag = rng.uniform(0.5, 2.0)
-        a = mag * np.exp(1j * sig._TWO_PI * rng.uniform())
+        mag = _uniform(rng, 0.5, 2.0)
+        a = mag * np.exp(1j * sig._TWO_PI * rng.random())
         ks = np.arange(f.start - 4, f.end + 4)
         factor = conv.exp_factor_discrete(f, a)
         legs.append(four._eigenrelation(f, sig._discrete_exp(a), factor, ks))
@@ -425,7 +456,7 @@ def _run_eigen_discrete(grid, rng, legs):
 def _run_eigen_periodic_analog(grid, rng, legs):
     for _ in range(10):
         f = _random_trig_poly(rng, grid)
-        n = int(rng.integers(-grid.n_max, grid.n_max + 1))
+        n = _integer(rng, -grid.n_max, grid.n_max + 1)
         legs.append(four.fs_eigencheck(f, n))
 
 
@@ -440,7 +471,7 @@ def _run_eigen_periodic_analog(grid, rng, legs):
 def _run_eigen_periodic_discrete(grid, rng, legs):
     for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
-        n = int(rng.integers(0, grid.n))
+        n = _integer(rng, 0, grid.n)
         factor = conv.exp_factor_discrete(f, np.exp(1j * sig._TWO_PI * n / grid.n))
         legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), factor))
 
@@ -471,7 +502,7 @@ def _run_fs_inverse(grid, rng, legs):
         f = _random_trig_poly(rng, grid)
         spectrum = four.fourier_coefficients(f, grid.n_max)
         f_sig = sig.DiscreteSignal(-grid.n_max, f.period_t * spectrum.coeffs)
-        k0 = int(rng.integers(0, grid.n))
+        k0 = _integer(rng, 0, grid.n)
         a = np.exp(-1j * f.omega0 * (k0 * f.ts))
         want = f.period_t * f.value(k0)
         legs.append(four._eigenrelation(f_sig, sig._discrete_exp(a), want, ks))
@@ -491,7 +522,7 @@ def _run_dft_forward(grid, rng, legs):
     for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
-        n = int(rng.integers(0, grid.n))
+        n = _integer(rng, 0, grid.n)
         legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.values[n]))
         # the direct N-term sum keeps an independent side: both of the above
         # run on the FFT.  Each phase n m is reduced mod N before its exp, so
@@ -511,7 +542,7 @@ def _run_dft_inverse(grid, rng, legs):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
-        k = int(rng.integers(0, grid.n))
+        k = _integer(rng, 0, grid.n)
         xk = sig._unit_roots(k, grid.n)
         legs.append(four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k)))
         legs.append(four._compare(four.idft(spectrum).samples, f.samples))
@@ -528,10 +559,13 @@ def _run_dft_orthogonality(grid, rng, legs):
     if n <= 16:
         m, k = np.divmod(np.arange(n * n), n)
     else:
-        # the same pairs as 200 scalar draws of m, then k
-        m, k = rng.integers(0, n, size=(200, 2)).T
+        # 184 drawn pairs, m then k, then every max(1, n // 16)-th diagonal
+        # pair and its antipode k = m + n/2, where x_2m and x_2k meet: a
+        # harmonic doubled by a fault shows on no other distinct pair
+        m, k = np.array([(_integer(rng, 0, n), _integer(rng, 0, n)) for _ in range(184)]).T
         diagonal = np.arange(0, n, max(1, n // 16))
-        m, k = np.concatenate((m, diagonal)), np.concatenate((k, diagonal))
+        m = np.concatenate((m, diagonal, diagonal))
+        k = np.concatenate((k, diagonal, (diagonal + n // 2) % n))
     # x_m (*) x_k = N delta(m - k) x_k against scale N, one circular
     # convolution per block of _RIEMANN_BLOCK // (2 N) pairs; each pair's
     # residual is the one it has alone, bit for bit.  Every x_m and x_k is
@@ -557,7 +591,7 @@ def _run_ft_forward(grid, rng, legs):
     ts = grid.ts
     for _ in range(10):
         f = _random_sampled(rng, ts)
-        w = float(rng.uniform(-0.5, 0.5) * math.pi / ts)
+        w = _uniform(rng, -0.5, 0.5) * math.pi / ts
         ks = np.arange(f.start - 4, f.end + 4)
         fw = four.fourier_transform(f, [w]).values[0]
         legs.append(four._eigenrelation(f, sig._analog_exp(1j * w, ts), fw, ks))
@@ -578,7 +612,7 @@ def _run_ft_inverse(grid, rng, legs):
     ks = np.arange(-8, 9)
     reach = sig._grid_steps(2.0, ts, "t0 window")
     for _ in range(5):
-        t0_index = int(rng.integers(-reach, reach + 1))
+        t0_index = _integer(rng, -reach, reach + 1)
         fhat = four.inverse_fourier_transform(spectrum, ts, t0_index, 1).samples[0]
         e = sig._analog_exp(-1j * (t0_index * ts), dw)
         legs.append(four._eigenrelation(spec_signal, e, sig._TWO_PI * fhat, ks))
@@ -594,7 +628,7 @@ def _run_fs_conv_time(grid, rng, legs):
     for _ in range(5):
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
-        n = int(rng.integers(-grid.n_max, grid.n_max + 1))
+        n = _integer(rng, -grid.n_max, grid.n_max + 1)
         legs.append(_harmonic_product(conv.periodic_convolve_analog, f, g, n))
 
 
@@ -608,7 +642,7 @@ def _run_fs_conv_freq(grid, rng, legs):
     for _ in range(5):
         f = _random_trig_poly(rng, grid)
         g = _random_trig_poly(rng, grid)
-        legs.append(_fs_conv_freq(f, g, int(rng.integers(0, grid.n)), grid.n_max))
+        legs.append(_fs_conv_freq(f, g, _integer(rng, 0, grid.n), grid.n_max))
 
 
 @_spec(
@@ -623,7 +657,7 @@ def _run_fs_lti_mixed(grid, rng, legs):
     for _ in range(5):
         h = _random_sampled(rng, grid.ts, max_len=min(16, grid.n))
         u = _random_trig_poly(rng, grid)
-        n = int(rng.integers(-grid.n_max, grid.n_max + 1))
+        n = _integer(rng, -grid.n_max, grid.n_max + 1)
         legs.append(_harmonic_product(conv.mixed_convolve, h, u, n))
 
 
@@ -640,7 +674,9 @@ def _run_ft_conv_time(grid, rng, legs):
     fg = conv.approx_analog_convolve(f, g)
     ks = np.arange(-4, 5)
     for _ in range(3):
-        w = float(rng.uniform(-12.0, 12.0))
+        # |w| <= 6 keeps the product spectrum, pi e^(-w^2 / 4) for these
+        # Gaussians, far above roundoff, where a conjugated exponential shows
+        w = _uniform(rng, -6.0, 6.0)
         fw = four.fourier_transform(f, [w]).values[0]
         gw = four.fourier_transform(g, [w]).values[0]
         legs.append(four._eigenrelation(fg, sig._analog_exp(1j * w, ts), gw * fw, ks))
@@ -663,7 +699,8 @@ def _run_ft_conv_freq(grid, rng, legs):
     f_w = sig.SampledSignal(dw, -_FT_GRID_HALF, f_spec.values)
     g_w = sig.SampledSignal(dw, -_FT_GRID_HALF, g_spec.values)
     fg_w = conv.approx_analog_convolve(f_w, g_w)
-    t0_index = int(rng.integers(-8, 9))
+    # t0 = 0 would make the test exponential 1, which no start or phase fault changes
+    t0_index = _nonzero(rng, 8)
     fhat = four.inverse_fourier_transform(f_spec, ts, t0_index, 1).samples[0]
     ghat = four.inverse_fourier_transform(g_spec, ts, t0_index, 1).samples[0]
     factor = sig._TWO_PI * (sig._TWO_PI * fhat * ghat)
@@ -701,7 +738,8 @@ def _run_ft_derivative(grid, rng, legs):
 def _run_ft_time_shift(grid, rng, legs):
     f = _ft_signal()
     omegas = _ft_grid()
-    lag = int(rng.integers(-16, 17)) * f.ts
+    # lag 0 would leave both sides the same transform
+    lag = _nonzero(rng, 16) * f.ts
     lhs = four.fourier_transform(conv.shift(f, lag), omegas).values
     rhs = np.exp(-1j * omegas * lag) * four.fourier_transform(f, omegas).values
     legs.append(four._compare(lhs, rhs))
@@ -825,6 +863,12 @@ def registry_ids() -> tuple:
     return tuple(spec.id for spec in REGISTRY)
 
 
+def _stream(seed: int, spec) -> random.Random:
+    """The draws of one check at ``seed``: a ``random.Random`` seeded with the
+    text "<seed>:<check id>", whatever the check's place in REGISTRY."""
+    return random.Random(f"{seed}:{spec.id}")
+
+
 def _check(spec, grid: GridParams, rng) -> IdentityCheck:
     """Run one registry entry and judge it at one return: the worst residual
     and scale over its legs pass when residual <= tolerance * max(1, scale).
@@ -873,10 +917,7 @@ def run_all(grid: GridParams | None = None, seed: int = 42) -> Report:
     """
     grid = GridParams() if grid is None else grid
     seed = sig._index(seed, "seed", minimum=0)
-    streams = np.random.SeedSequence(seed).spawn(len(REGISTRY))
-    checks = tuple(
-        _check(spec, grid, np.random.default_rng(stream)) for spec, stream in zip(REGISTRY, streams)
-    )
+    checks = tuple(_check(spec, grid, _stream(seed, spec)) for spec in REGISTRY)
     return Report(
         checks=checks,
         seed=seed,

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -714,6 +718,27 @@ class TestVerify:
         report = json.loads((tmp_path / "r.json").read_text())
         assert not [c["id"] for c in report["checks"] if c["skipped"] or not c["passed"]]
 
+    def test_loads_no_numpy_random(self, tmp_path):
+        # the harness draws from the standard library's random; a first import
+        # of numpy.random would be most of a one-shot verify's memory.  On a
+        # NumPy that imports numpy.random eagerly, `import convfourier.cli`
+        # has loaded it already
+        script = (
+            "import sys\n"
+            "import convfourier.cli\n"
+            "before = set(sys.modules)\n"
+            "code = convfourier.cli.main(['verify', '--seed', '1', '--out', sys.argv[1]])\n"
+            "loaded = set(sys.modules) - before\n"
+            "print(code, *sorted(m for m in loaded if m.split('.')[:2] == ['numpy', 'random']))\n"
+        )
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
     def test_reports_byte_identical(self, tmp_path, capsys):
         p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["verify", "--seed", "7", "--out", p1]) == 0
@@ -755,7 +780,7 @@ class TestVerify:
         # a RuntimeWarning, raised as an error under pytest, would be the note instead
         report = json.loads((tmp_path / "r.json").read_text())
         check = next(c for c in report["checks"] if c["id"] == "eigen.analog")
-        assert check["note"] == "failed: ValueError: eigenfactor is not finite; the convolution is ill-defined for this parameter"
+        assert check["note"] == "failed: ValueError: samples contain non-finite values"
 
     def test_alias_grid_exit_4(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "8", "--nmax", "8")

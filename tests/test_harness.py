@@ -63,12 +63,13 @@ def verdict(check_id, result):
     """The harness verdict on a helper's (residual, scale) pair, recorded as
     the one leg of a stub runner."""
     spec = dataclasses.replace(SPECS[check_id], runner=lambda grid, rng, legs: legs.append(result))
-    return harness._check(spec, GridParams(), np.random.default_rng(0))
+    return harness._check(spec, GridParams(), None)
 
 
-def evaluate(check_id, grid, rng):
-    """The verdict of one registry entry, run as run_all runs it."""
-    return harness._check(SPECS[check_id], grid, rng)
+def evaluate(check_id, grid, seed=42):
+    """The verdict of one registry entry, run as run_all runs it at ``seed``."""
+    spec = SPECS[check_id]
+    return harness._check(spec, grid, harness._stream(seed, spec))
 
 
 # Mutation adequacy (DeMillo, Lipton & Sayward, "Hints on test data selection",
@@ -251,7 +252,9 @@ def _riemann_exponent_scaled(eps):
 # The fault-sensitivity ladder: the smallest relative fault (1 + eps), on the
 # decades 1e-15 .. 1e-6, that the catalog catches on the default grid at seed
 # 42, with the checks that catch it there.  A test passes whenever the true
-# threshold is at or below its pin, so a pin may only be lowered.
+# threshold is at or below its pin, so a pin may only be lowered.  The pins
+# in SEED_FREE_PINS also hold at seeds 1-5; the other two are roundoff
+# margins, which hold at seed 42 and at most seeds, not at every one.
 LADDER = {
     "discrete_convolve output": (
         convolution, "discrete_convolve", lambda eps: _scaled(_exact_discrete, eps, "samples"),
@@ -280,14 +283,28 @@ LADDER = {
 }
 
 
+SEED_FREE_PINS = ("discrete_convolve output", "_riemann_sum output", "_power_sum output",
+                  "_riemann_sum exponent")
+
+# the seeds at which every FAULTS entry and SEED_FREE_PINS must hold: a check
+# that catches a fault only at some draws holds by luck
+SEEDS = (42, 1, 2, 3, 4, 5)
+
+
+def _missed(must_fail, seeds):
+    """{seed: the checks of must_fail that pass at seed}, for each seed at which any does."""
+    passed = {seed: {c.id for c in run_all(seed=seed).checks if c.passed} for seed in seeds}
+    return {seed: sorted(must_fail & ids) for seed, ids in passed.items() if must_fail & ids}
+
+
 class TestFaultMatrix:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_fault_fails_its_checks(self, monkeypatch, fault):
         patches, must_fail = FAULTS[fault]
         for module, name, replacement in patches:
             monkeypatch.setattr(module, name, replacement)
-        failed = {c.id for c in run_all().checks if not c.passed}
-        assert must_fail <= failed, sorted(must_fail - failed)
+        missed = _missed(must_fail, SEEDS)
+        assert not missed, missed
 
     def test_every_check_can_fail(self):
         caught = set().union(*(must_fail for _, must_fail in FAULTS.values()))
@@ -310,8 +327,8 @@ class TestFaultMatrix:
     def test_relative_fault_is_caught_at_its_pin(self, monkeypatch, fault):
         module, name, faulty, eps, must_fail = LADDER[fault]
         monkeypatch.setattr(module, name, faulty(eps))
-        failed = {c.id for c in run_all().checks if not c.passed}
-        assert must_fail <= failed, sorted(must_fail - failed)
+        missed = _missed(must_fail, SEEDS if fault in SEED_FREE_PINS else SEEDS[:1])
+        assert not missed, missed
 
 
 class TestRegistry:
@@ -419,13 +436,14 @@ class TestRunAll:
         check = next(c for c in report.checks if c.id == "eigen.analog")
         assert not check.skipped and not check.passed
         assert check.residual == math.inf
-        assert check.note == "failed: ValueError: eigenfactor is not finite; the convolution is ill-defined for this parameter"
+        assert check.note == "failed: ValueError: samples contain non-finite values"
         assert not report.passed
 
     def test_overflowing_right_side_fails_without_warning(self):
-        # at ts=60 the window stays finite but e^(a t) on the right side overflows;
-        # a RuntimeWarning, raised as an error under pytest, would be the note instead
-        check = next(c for c in run_all(GridParams(ts=60.0)).checks if c.id == "eigen.analog")
+        # at ts=60 and seed 38 the window stays finite but e^(a t) on the right
+        # side overflows; a RuntimeWarning, raised as an error under pytest,
+        # would be the note instead
+        check = next(c for c in run_all(GridParams(ts=60.0), seed=38).checks if c.id == "eigen.analog")
         assert not check.passed
         assert check.note == "failed: non-finite residual inf, scale inf"
 
@@ -526,7 +544,7 @@ class TestRunAll:
         spec = dataclasses.replace(
             SPECS["conv.commutativity"], runner=lambda grid, rng, legs: legs.append((0.0, scale))
         )
-        result = harness._check(spec, GridParams(), np.random.default_rng(0))
+        result = harness._check(spec, GridParams(), None)
         assert not result.passed
         assert result.residual == math.inf
         assert result.note == f"failed: non-finite residual 0.0, scale {scale!r}"
@@ -534,7 +552,7 @@ class TestRunAll:
     def test_runner_without_a_leg_fails(self):
         # a check that compares nothing is a gate that cannot fail
         spec = dataclasses.replace(SPECS["conv.commutativity"], runner=lambda grid, rng, legs: None)
-        result = harness._check(spec, GridParams(), np.random.default_rng(0))
+        result = harness._check(spec, GridParams(), None)
         assert not result.passed
         assert result.residual == math.inf
         assert result.note.startswith("failed:")
@@ -547,6 +565,47 @@ class TestRunAll:
             set(c) == {"id", "description", "residual", "scale", "tolerance", "passed", "skipped", "note"}
             for c in d["checks"]
         )
+
+
+class _Draws:
+    """A stand-in stream whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+# the largest value random() returns
+_TOP = 1.0 - 2.0**-53
+
+
+class TestDraws:
+    """Every input is drawn from the check's own stream by ``random()`` alone."""
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 3), (-8, 9), (0, 65536), (-(2**51), 2**52)])
+    def test_integer_spans_lo_to_hi_minus_1(self, lo, hi):
+        assert harness._integer(_Draws(0.0), lo, hi) == lo
+        assert harness._integer(_Draws(_TOP), lo, hi) == hi - 1
+
+    def test_nonzero_skips_zero(self):
+        # a sign, then a magnitude in 1..reach
+        draws = [(sign, size) for sign in (0.0, _TOP) for size in (0.0, _TOP)]
+        assert [harness._nonzero(_Draws(*pair), 8) for pair in draws] == [1, 8, -1, -8]
+
+    def test_unit_disk_takes_size_radii_then_size_angles(self):
+        stream = _Draws(0.25, 1.0 / 3.0, 0.0, 0.5, 0.125)
+        z = harness._unit_disk(stream, 2)
+        np.testing.assert_allclose(z, [0.5, np.sqrt(1.0 / 3.0) * -1.0], atol=1e-15)
+        assert stream.values == [0.125]
+
+    def test_a_check_draws_the_same_wherever_it_stands(self, monkeypatch):
+        grid = GridParams(n=16, n_max=2)
+        ahead = run_all(grid, seed=7).to_dict()["checks"]
+        monkeypatch.setattr(harness, "REGISTRY", REGISTRY[::-1])
+        reversed_run = run_all(grid, seed=7).to_dict()["checks"]
+        assert reversed_run == ahead[::-1]
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -569,19 +628,10 @@ class TestGoldenReports:
 
 
 class TestDftOrthogonalityPairs:
-    @pytest.mark.parametrize("n", [7, 16, 64, 1024])
-    def test_vectorised_draw_is_the_scalar_draws(self, n):
-        # 200 pairs in one draw are the 400 scalar draws m, k, m, k, ...
-        scalar, vector = np.random.default_rng(n), np.random.default_rng(n)
-        pairs = [(int(scalar.integers(0, n)), int(scalar.integers(0, n))) for _ in range(200)]
-        assert vector.integers(0, n, size=(200, 2)).tolist() == [list(p) for p in pairs]
-        # and the streams stay in step after it
-        assert scalar.integers(0, n) == vector.integers(0, n)
-
     @pytest.mark.parametrize("n, pairs", [(7, 49), (16, 256), (64, 216), (1024, 216)])
     def test_note_counts_the_pairs(self, n, pairs):
         grid = GridParams(n=n, ts=1 / n, n_max=min(3, (n - 1) // 2))
-        result = evaluate("dft.orthogonality", grid, np.random.default_rng(42))
+        result = evaluate("dft.orthogonality", grid)
         assert (result.scale, result.note) == (float(n), f"{pairs} pairs")
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 257, 1024])
@@ -589,10 +639,10 @@ class TestDftOrthogonalityPairs:
         # the runner works the pairs in row blocks of _RIEMANN_BLOCK // (2 n);
         # each pair alone goes through the signal path
         grid = GridParams(n=n, ts=1 / n, n_max=0)
-        result = evaluate("dft.orthogonality", grid, np.random.default_rng(n))
+        result = evaluate("dft.orthogonality", grid, seed=n)
         alone = [
             fourier._eigenrelation(harmonic_signal(m, n), signals._unit_roots(k, n), float(n * (m == k)))
-            for m, k in _orthogonality_pairs(n, np.random.default_rng(n))
+            for m, k in _orthogonality_pairs(n, seed=n)
         ]
         assert (result.residual, result.scale) == (max(r.residual for r in alone), float(n))
 
@@ -606,7 +656,7 @@ class TestDftOrthogonalityPairs:
             return out * np.nan if len(calls) == 1 else out
 
         monkeypatch.setattr(convolution, "_circular_convolve", nan_first_block)
-        result = evaluate("dft.orthogonality", GridParams(), np.random.default_rng(42))
+        result = evaluate("dft.orthogonality", GridParams())
         assert len(calls) == 27
         assert (result.passed, result.residual) == (False, math.inf)
         assert result.note == "216 pairs; failed: non-finite residual nan, scale 64.0"
@@ -617,12 +667,13 @@ class TestDftOrthogonalityPairs:
         # whose residual is the worst of its own pairs alone
         rows = max(1, convolution._RIEMANN_BLOCK // (2 * n))
         grid, legs = GridParams(n=n, ts=1 / n, n_max=0), []
-        SPECS["dft.orthogonality"].runner(grid, np.random.default_rng(n), legs)
+        spec = SPECS["dft.orthogonality"]
+        spec.runner(grid, harness._stream(n, spec), legs)
         alone = [
             fourier._eigenrelation(
                 harmonic_signal(m, n), signals._unit_roots(k, n), float(n * (m == k))
             ).residual
-            for m, k in _orthogonality_pairs(n, np.random.default_rng(n))
+            for m, k in _orthogonality_pairs(n, seed=n)
         ]
         blocks = [alone[lo : lo + rows] for lo in range(0, len(alone), rows)]
         assert legs == [(max(block), float(n)) for block in blocks]
@@ -637,7 +688,7 @@ class TestDftOrthogonalityPairs:
             return _exact_unit_roots(harmonic, period)
 
         monkeypatch.setattr(signals, "_unit_roots", counted)
-        evaluate("dft.orthogonality", grid, np.random.default_rng(n))
+        evaluate("dft.orthogonality", grid, seed=n)
         assert tables == [n]
 
     @pytest.mark.parametrize("block", [13, 26], ids=["middle", "last"])
@@ -650,15 +701,16 @@ class TestDftOrthogonalityPairs:
             return out * np.nan if len(calls) == block + 1 else out
 
         monkeypatch.setattr(convolution, "_circular_convolve", nan_one_block)
-        result = evaluate("dft.orthogonality", GridParams(), np.random.default_rng(42))
+        result = evaluate("dft.orthogonality", GridParams())
         assert len(calls) == 27
         assert (result.passed, result.residual) == (False, math.inf)
 
     def test_216_pairs_at_64_samples_stay_under_96_kib(self):
-        runner = SPECS["dft.orthogonality"].runner
+        spec = SPECS["dft.orthogonality"]
+        runner = spec.runner
         # a first call in the process also fills NumPy's FFT caches (about 140 KiB)
-        runner(GridParams(), np.random.default_rng(1), [])
-        grid, rng, legs = GridParams(), np.random.default_rng(1), []
+        runner(GridParams(), harness._stream(1, spec), [])
+        grid, rng, legs = GridParams(), harness._stream(1, spec), []
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -669,13 +721,17 @@ class TestDftOrthogonalityPairs:
         assert len(legs) == 27 and peak < 96 * 1024, peak
 
 
-def _orthogonality_pairs(n, rng):
-    """The (m, k) pairs dft.orthogonality checks: every pair up to n = 16, else
-    200 drawn pairs and every max(1, n // 16)-th diagonal pair."""
+def _orthogonality_pairs(n, seed):
+    """The (m, k) pairs dft.orthogonality checks at ``seed``: every pair up to
+    n = 16, else 184 pairs drawn m then k, each as int(n * random()) from the
+    check's stream, then every max(1, n // 16)-th diagonal pair, then the
+    antipode (m, m + n // 2 mod n) of each."""
     if n <= 16:
         return [divmod(i, n) for i in range(n * n)]
-    drawn = [tuple(pair) for pair in rng.integers(0, n, size=(200, 2)).tolist()]
-    return drawn + [(m, m) for m in range(0, n, max(1, n // 16))]
+    rng = harness._stream(seed, SPECS["dft.orthogonality"])
+    drawn = [(int(n * rng.random()), int(n * rng.random())) for _ in range(184)]
+    diagonal = range(0, n, max(1, n // 16))
+    return drawn + [(m, m) for m in diagonal] + [(m, (m + n // 2) % n) for m in diagonal]
 
 
 class TestWorstOf:
@@ -793,18 +849,17 @@ class TestFtSampling:
             return exact(f, omegas)
 
         monkeypatch.setattr(fourier, "fourier_transform", recording)
-        result = evaluate("ft.sampling", GridParams(ts=ts), None)
+        result = evaluate("ft.sampling", GridParams(ts=ts))
         assert transformed == [(37, ts)]
         assert result.passed
 
 
 class TestCheckFtProperties:
-    """The ft.* runners, on a random stream other than run_all's."""
+    """The ft.* runners, at a seed other than the default."""
 
     def test_all_selectors_pass(self):
-        rng = np.random.default_rng(3)
         ft_ids = [i for i in EXPECTED_IDS if i.startswith("ft.")]
-        assert all(evaluate(i, GridParams(), rng).passed for i in ft_ids)
+        assert all(evaluate(i, GridParams(), seed=3).passed for i in ft_ids)
 
     @pytest.mark.parametrize(
         "check_id",
@@ -814,11 +869,9 @@ class TestCheckFtProperties:
     def test_property_checks_run_on_a_fixed_oracle(self, check_id):
         # the caller's grid, even one as coarse as ts = 4, must not reach their inputs
         coarse = GridParams(n=16, ts=4.0, n_max=2)
-        assert evaluate(check_id, coarse, np.random.default_rng(3)) == evaluate(
-            check_id, GridParams(), np.random.default_rng(3)
-        )
+        assert evaluate(check_id, coarse, seed=3) == evaluate(check_id, GridParams(), seed=3)
 
     def test_identity_check_invariant(self):
-        result = evaluate("ft.derivative", GridParams(), None)
+        result = evaluate("ft.derivative", GridParams())
         assert isinstance(result, IdentityCheck)
         assert result.passed == (result.residual <= result.tolerance * max(1.0, result.scale))

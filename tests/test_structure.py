@@ -776,3 +776,42 @@ def test_numpy_power_is_the_discrete_exponential_alone():
 ])
 def test_numpy_power_guard_sees_each_form(source, uses):
     assert any(map(_uses_numpy_power, ast.walk(ast.parse(source)))) is uses
+
+
+# The harness draws its inputs from the standard library's `random`, so no
+# module of the package reaches `numpy.random`: its first import is the
+# larger part of a one-shot `verify`'s memory, and its streams change with
+# the NumPy version.
+def _names_numpy_random(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[:2] == ["numpy", "random"] or (
+            module == ["numpy"] and any(alias.name == "random" for alias in node.names)
+        )
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "random"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES + [pathlib.Path(convfourier.__file__)], ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if _names_numpy_random(node)]
+    assert not lines, f"{path.name} names numpy.random at lines {lines}"
+
+
+@pytest.mark.parametrize("source, names", [
+    ("np.random.default_rng(seed)", True), ("np.random.x", True),
+    ("numpy.random.SeedSequence(42).spawn(31)", True), ("import numpy.random", True),
+    ("import numpy.random as npr", True), ("import numpy.random.mtrand", True),
+    ("from numpy import random", True), ("from numpy import fft, random as nr", True),
+    ("from numpy.random import default_rng", True),
+    ("import random", False), ("random.Random('42:conv.commutativity')", False),
+    ("rng.random()", False), ("np.fft.ifft(spectrum)", False), ("import numpy as np", False),
+    ("from numpy import fft", False), ("import numpy.fft", False), ("self.random", False),
+])
+def test_numpy_random_guard_sees_each_form(source, names):
+    assert any(map(_names_numpy_random, ast.walk(ast.parse(source)))) is names

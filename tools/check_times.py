@@ -2,9 +2,10 @@
 on three fixed grids at seed 42: one check id per line, one column per grid,
 in milliseconds.
 
-Each call draws from the check's own stream, as ``run_all`` at that seed
-draws it, so a check does the same work here as in ``verify``.  Run it
-against two checkouts, alternating between them, and compare the columns:
+Each call draws from the check's own stream, ``harness._stream``, as
+``run_all`` at that seed draws it, so a check does the same work here as in
+``verify``.  Run it against two checkouts, alternating between them, and
+compare the columns:
 
     PYTHONPATH=<checkout>/src python tools/check_times.py > times.txt
 
@@ -13,8 +14,6 @@ beside the spread of the same checkout run against itself.
 """
 
 import time
-
-import numpy as np
 
 from convfourier import harness
 
@@ -30,12 +29,11 @@ REPEATS = 5
 def check_times(grid, repeats=REPEATS):
     """{check id: the best wall time in seconds of ``repeats`` calls of
     ``harness._check``}, in registry order."""
-    streams = np.random.SeedSequence(SEED).spawn(len(harness.REGISTRY))
     times = {}
-    for spec, stream in zip(harness.REGISTRY, streams):
+    for spec in harness.REGISTRY:
         best = float("inf")
         for _ in range(repeats):
-            rng = np.random.default_rng(stream)
+            rng = harness._stream(SEED, spec)
             start = time.perf_counter()
             harness._check(spec, grid, rng)
             best = min(best, time.perf_counter() - start)
