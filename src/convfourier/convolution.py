@@ -6,7 +6,10 @@ circular versions of both for periodic signals.  Convolving any of them
 with an exponential signal multiplies the exponential by a constant
 factor; the ``exp_factor_*`` functions compute that factor directly.
 
-Linear convolutions are direct sums (``np.convolve``); circular ones go
+Linear convolutions are direct sums (``np.convolve``, in ``_direct_sum``);
+with ``valid=True`` they return only the complete overlaps, the outputs
+where the shorter operand lies wholly inside the longer one, each the same
+dot product as the full result's output at that index.  Circular ones go
 through the FFT (``ifft(fft(a) * fft(b))``), with one ``fft`` call on the
 stacked pair.  Outputs are deterministic
 for identical inputs.  The ``exp_factor_*`` sums serve as the independent
@@ -80,28 +83,45 @@ def _circular_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(fa * fb)
 
 
-def discrete_convolve(f: DiscreteSignal, g: DiscreteSignal) -> DiscreteSignal:
-    """(f*g)(k) = sum_n f(n) g(k-n); exact finite sum over the supports."""
-    _of_kind("discrete_convolve", DiscreteSignal, f, g)
+def _direct_sum(f, g, valid: bool):
+    """(start, samples) of the direct sum f * g: every output, or with valid
+    only the complete overlaps, from f.start + g.start + min(len f, len g) - 1.
+    An empty operand gives no output."""
     start = f.start + g.start
     if len(f) == 0 or len(g) == 0:
-        return DiscreteSignal(start=start, samples=np.empty(0, dtype=np.complex128))
-    return DiscreteSignal(start=start, samples=np.convolve(f.samples, g.samples))
+        return start, np.empty(0, dtype=np.complex128)
+    if not valid:
+        return start, np.convolve(f.samples, g.samples)
+    return start + min(f.samples.size, g.samples.size) - 1, np.convolve(f.samples, g.samples, "valid")
 
 
-def approx_analog_convolve(f: SampledSignal, g: SampledSignal) -> SampledSignal:
+def discrete_convolve(
+    f: DiscreteSignal, g: DiscreteSignal, *, valid: bool = False
+) -> DiscreteSignal:
+    """(f*g)(k) = sum_n f(n) g(k-n); exact finite sum over the supports.
+
+    With ``valid=True`` only the outputs where the shorter operand lies
+    wholly inside the longer one, bit for bit those of the full result.
+    """
+    _of_kind("discrete_convolve", DiscreteSignal, f, g)
+    start, samples = _direct_sum(f, g, valid)
+    return DiscreteSignal(start=start, samples=samples)
+
+
+def approx_analog_convolve(
+    f: SampledSignal, g: SampledSignal, *, valid: bool = False
+) -> SampledSignal:
     """Approximated analog convolution: ts times the discrete convolution.
 
     Both signals must share the same ts; there is no silent resampling.
     As ts shrinks this is the Riemann approximation of the convolution
-    integral.
+    integral.  ``valid=True`` keeps only the complete overlaps, as in
+    ``discrete_convolve``.
     """
     _of_kind("approx_analog_convolve", SampledSignal, f, g)
     _require_same_ts(f, g)
-    start = f.start + g.start
-    if len(f) == 0 or len(g) == 0:
-        return SampledSignal(ts=f.ts, start=start, samples=np.empty(0, dtype=np.complex128))
-    return SampledSignal(ts=f.ts, start=start, samples=f.ts * np.convolve(f.samples, g.samples))
+    start, samples = _direct_sum(f, g, valid)
+    return SampledSignal(ts=f.ts, start=start, samples=f.ts * samples)
 
 
 def periodic_convolve_discrete(
@@ -127,13 +147,14 @@ def periodic_convolve_analog(
     return PeriodicSampledSignal(ts=f.ts, samples=f.ts * _circular_convolve(f.samples, g.samples))
 
 
-def _convolve(f, g):
+def _convolve(f, g, *, valid: bool = False):
     """f * g by the convolution of the operands' kind, read from f's type; each
-    variant is called by its module name, so a patch here reaches every caller."""
+    variant is called by its module name, so a patch here reaches every caller.
+    ``valid`` goes to a linear variant; every circular output is complete."""
     if isinstance(f, DiscreteSignal):
-        return discrete_convolve(f, g)
+        return discrete_convolve(f, g, valid=valid)
     if isinstance(f, SampledSignal):
-        return approx_analog_convolve(f, g)
+        return approx_analog_convolve(f, g, valid=valid)
     if isinstance(f, PeriodicDiscreteSignal):
         return periodic_convolve_discrete(f, g)
     return periodic_convolve_analog(f, g)

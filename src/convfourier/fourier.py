@@ -22,10 +22,12 @@ eigenfactor goes through ``exp_factor_analog``, never a one-exponent
 ``_riemann_sum``.  The library's one alias-window test (2|n| < N) is
 ``_check_alias_window``, its one max-norm comparison is ``_compare``, and
 its one eigenrelation f * e = factor * e, for all four convolutions, is
-``_eigenrelation``.  Its circular branch also takes a row stack of discrete
-periods, one circular convolution for the whole stack, so the harness checks
-blocks of harmonic pairs x_m (*) x_n in one call each.  A harmonic index is
-an integer, never truncated: 1.7 is rejected, not read as harmonic 1.
+``_eigenrelation``; its linear branch convolves only the complete overlaps
+it reads (``valid=True``), not all of f * e.  Its circular branch also
+takes a row stack of discrete periods, one circular convolution for the
+whole stack, so the harness checks blocks of harmonic pairs x_m (*) x_n in
+one call each.  A harmonic index is an integer, never truncated: 1.7 is
+rejected, not read as harmonic 1.
 
 The three spectrum types hold numbers by the rule of ``signals``, and a
 spectrum's omegas are checked before its values.
@@ -206,7 +208,8 @@ def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
     """Residual of f * e = factor * e, e(k) = expo(k), by ``conv._convolve``:
     circular over one period when ``ks`` is None (f periodic), else linear at
     the sorted indices ``ks``, with e on exactly the indices that overlap f
-    from some k, so every overlap is complete.
+    from some k.  The linear convolution returns only the complete overlaps,
+    ks[0]..ks[-1], and is read as a signal at ks: an output off ks reads 0.
 
     f may also be a (rows, N) array of discrete periods, with expo giving a
     (rows, N) array and factor a (rows, 1) column: one circular convolution
@@ -219,8 +222,12 @@ def _eigenrelation(f, expo, factor, ks=None) -> ResidualReport:
         return _compare(conv._convolve(f, replace(f, samples=e)).samples, factor * e)
     e_start = int(ks[0]) - (f.end - 1)
     e_idx = np.arange(e_start, int(ks[-1]) - f.start + 1)
-    out = conv._convolve(f, replace(f, start=e_start, samples=expo(e_idx)))
-    return _compare(out.samples[ks - out.start], factor * expo(ks))
+    out = conv._convolve(f, replace(f, start=e_start, samples=expo(e_idx)), valid=True)
+    i = ks - out.start
+    stored = (i >= 0) & (i < out.samples.size)
+    lhs = np.zeros(ks.size, dtype=np.complex128)
+    lhs[stored] = out.samples[i[stored]]
+    return _compare(lhs, factor * expo(ks))
 
 
 def harmonic_signal(n: int, period: int) -> PeriodicDiscreteSignal:

@@ -284,6 +284,53 @@ _OPERANDS = {
 }
 
 
+_LINEAR = ("discrete_convolve", "approx_analog_convolve")
+
+
+def _operand(variant, start, samples):
+    """An operand of a linear variant, at ts = 0.125 for the analog one."""
+    if variant == "discrete_convolve":
+        return DiscreteSignal(start, samples)
+    return SampledSignal(0.125, start, samples)
+
+
+class TestValidWindow:
+    """valid=True keeps the outputs where the shorter operand lies wholly
+    inside the longer one, each bit for bit the full result's output there."""
+
+    @pytest.mark.parametrize("variant", _LINEAR)
+    @pytest.mark.parametrize("len_f, len_g", [
+        (1, 1), (1, 7), (3, 7), (7, 7), (7, 3), (7, 1), (5, 64), (1153, 1161),
+    ])
+    def test_is_the_full_results_complete_overlaps(self, variant, len_f, len_g):
+        rng = np.random.default_rng(len_f * 10_000 + len_g)
+        f, g = _operand(variant, -3, rand_values(rng, len_f)), _operand(variant, 5, rand_values(rng, len_g))
+        convolve = getattr(convolution, variant)
+        full, window = convolve(f, g), convolve(f, g, valid=True)
+        assert type(window) is type(full)
+        assert window.start == f.start + g.start + min(len_f, len_g) - 1
+        assert len(window) == abs(len_f - len_g) + 1
+        lo = window.start - full.start
+        assert np.array_equal(window.samples, full.samples[lo : lo + len(window)])
+
+    @pytest.mark.parametrize("variant", _LINEAR)
+    def test_empty_operand_gives_empty_result(self, variant):
+        convolve = getattr(convolution, variant)
+        for f, g in (
+            (_operand(variant, 2, []), _operand(variant, -1, [1, 2])),
+            (_operand(variant, 2, [1, 2]), _operand(variant, -1, [])),
+        ):
+            out = convolve(f, g, valid=True)
+            assert len(out) == 0 and out.start == 1
+            assert out.samples.dtype == np.complex128
+
+    @pytest.mark.parametrize("variant", _LINEAR)
+    def test_window_is_keyword_only(self, variant):
+        f = _OPERANDS[variant](np.random.default_rng(17), 0.25, 4)
+        with pytest.raises(TypeError):
+            getattr(convolution, variant)(f, f, True)
+
+
 class TestConvolveByKind:
     @pytest.mark.parametrize("variant", _OPERANDS)
     def test_is_its_kinds_variant_bit_for_bit(self, variant):
@@ -301,9 +348,24 @@ class TestConvolveByKind:
     def test_follows_a_patch_of_its_variant(self, monkeypatch, variant):
         rng = np.random.default_rng(13)
         f, g = (_OPERANDS[variant](rng, 0.25, 4) for _ in "fg")
-        monkeypatch.setattr(convolution, variant, lambda *args: args)
+        monkeypatch.setattr(convolution, variant, lambda *args, **window: args)
         got = convolution._convolve(f, g)
         assert len(got) == 2 and got[0] is f and got[1] is g
+
+    @pytest.mark.parametrize("valid", [False, True])
+    @pytest.mark.parametrize("variant", _LINEAR)
+    def test_forwards_the_window(self, monkeypatch, variant, valid):
+        rng = np.random.default_rng(15)
+        f, g = (_OPERANDS[variant](rng, 0.25, 4) for _ in "fg")
+        monkeypatch.setattr(convolution, variant, lambda *args, **window: window)
+        assert convolution._convolve(f, g, valid=valid) == {"valid": valid}
+
+    @pytest.mark.parametrize("variant", ["periodic_convolve_discrete", "periodic_convolve_analog"])
+    def test_circular_output_is_complete_under_the_window(self, variant):
+        rng = np.random.default_rng(16)
+        f, g = (_OPERANDS[variant](rng, 0.25, 6) for _ in "fg")
+        got = convolution._convolve(f, g, valid=True)
+        assert got.samples.tobytes() == getattr(convolution, variant)(f, g).samples.tobytes()
 
     @pytest.mark.parametrize("variant, other", [(v, o) for v in _OPERANDS for o in _OPERANDS if v != o])
     def test_the_variant_of_f_rejects_g(self, variant, other):

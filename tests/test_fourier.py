@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -515,7 +516,7 @@ def test_eigenrelation_of_every_convolution(monkeypatch, family):
     # double loop over an exponential wider than the overlapping indices
     name = "approx_analog_convolve" if isinstance(f, SampledSignal) else "discrete_convolve"
     kernel, outs = getattr(conv, name), []
-    monkeypatch.setattr(conv, name, lambda x, y: outs.append(kernel(x, y)) or outs[-1])
+    monkeypatch.setattr(conv, name, lambda x, y, **window: outs.append(kernel(x, y, **window)) or outs[-1])
     fourier._eigenrelation(f, expo, factor, ks)
     (out,) = outs
     lo = int(ks[0]) - f.end - 2
@@ -525,6 +526,24 @@ def test_eigenrelation_of_every_convolution(monkeypatch, family):
     for k in ks:
         want_k = getattr(f, "ts", 1.0) * want[k - start]
         assert abs(out.value(k) - want_k) <= 1e-12 * max(1.0, abs(want_k))
+
+
+@pytest.mark.parametrize("shift", [1, -1, 8, -40, 10**6])
+@pytest.mark.parametrize("family", [linear_discrete, linear_analog], ids=lambda family: family.__name__)
+def test_eigenrelation_at_a_shifted_output_fails_by_its_residual(monkeypatch, family, shift):
+    # the linear branch reads the output as a signal at ks, so an output start
+    # off by any amount reads zero off the support: a residual, not an IndexError
+    f, expo, factor, ks = family(np.random.default_rng(31))
+    name = "approx_analog_convolve" if isinstance(f, SampledSignal) else "discrete_convolve"
+    kernel = getattr(conv, name)
+
+    def shifted(x, y, **window):
+        out = kernel(x, y, **window)
+        return replace(out, start=out.start + shift)
+
+    monkeypatch.setattr(conv, name, shifted)
+    residual, scale = fourier._eigenrelation(f, expo, factor, ks)
+    assert math.isfinite(residual) and residual > 1e-3 * max(1.0, scale)
 
 
 class TestFourierTransform:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -118,17 +119,23 @@ def forward_difference(f):
     return SampledSignal(ts=f.ts, start=f.start + 1, samples=diff)
 
 
-def _started_at(convolve, start_of):
-    """convolve, with the output's start index replaced by start_of(f, g)."""
-    return lambda f, g: dataclasses.replace(convolve(f, g), start=start_of(f, g))
+# The convolution faults take the kernels' ``valid`` window and fault the
+# windowed result as they fault the full one.
+def _started_at(convolve, offset_of):
+    """convolve, with the output's start index moved by offset_of(f, g)."""
+    def started(f, g, *, valid=False):
+        out = convolve(f, g, valid=valid)
+        return dataclasses.replace(out, start=out.start + offset_of(f, g))
+
+    return started
 
 
-def _discrete_conjugating(f, g):
-    return _exact_discrete(f, signals.DiscreteSignal(g.start, np.conj(g.samples)))
+def _discrete_conjugating(f, g, *, valid=False):
+    return _exact_discrete(f, signals.DiscreteSignal(g.start, np.conj(g.samples)), valid=valid)
 
 
-def _analog_without_ts(f, g):
-    out = _exact_analog(f, g)
+def _analog_without_ts(f, g, *, valid=False):
+    out = _exact_analog(f, g, valid=valid)
     return dataclasses.replace(out, samples=out.samples / f.ts)
 
 
@@ -168,11 +175,11 @@ FAULTS = {
          "dft.orthogonality", "fs.conv_time", "fs.lti_mixed", "dft.vs_series"},
     ),
     "discrete_convolve start +1": (
-        [(convolution, "discrete_convolve", _started_at(_exact_discrete, lambda f, g: f.start + g.start + 1))],
+        [(convolution, "discrete_convolve", _started_at(_exact_discrete, lambda f, g: 1))],
         {"conv.identity_discrete", "eigen.discrete", "fs.inverse", "fs.conv_freq"},
     ),
     "discrete_convolve start f.start - g.start": (
-        [(convolution, "discrete_convolve", _started_at(_exact_discrete, lambda f, g: f.start - g.start))],
+        [(convolution, "discrete_convolve", _started_at(_exact_discrete, lambda f, g: -2 * g.start))],
         {"conv.commutativity", "conv.associativity", "conv.identity_discrete", "conv.time_shift",
          "eigen.discrete", "fs.inverse", "fs.conv_freq"},
     ),
@@ -187,7 +194,7 @@ FAULTS = {
          "ft.inverse", "ft.conv_time", "ft.conv_freq"},
     ),
     "approx_analog_convolve start f.start - g.start": (
-        [(convolution, "approx_analog_convolve", _started_at(_exact_analog, lambda f, g: f.start - g.start))],
+        [(convolution, "approx_analog_convolve", _started_at(_exact_analog, lambda f, g: -2 * g.start))],
         {"conv.identity_analog", "conv.time_scale", "eigen.analog", "ft.forward", "ft.inverse",
          "ft.conv_time", "ft.conv_freq"},
     ),
@@ -236,8 +243,8 @@ FAULTS = {
 
 def _scaled(exact, eps, field=None):
     """exact, with its array output, or that output's ``field``, times (1 + eps)."""
-    def scaled(*args):
-        out = exact(*args)
+    def scaled(*args, **kwargs):
+        out = exact(*args, **kwargs)
         if field is None:
             return out * (1 + eps)
         return dataclasses.replace(out, **{field: getattr(out, field) * (1 + eps)})
@@ -291,20 +298,60 @@ SEED_FREE_PINS = ("discrete_convolve output", "_riemann_sum output", "_power_sum
 SEEDS = (42, 1, 2, 3, 4, 5)
 
 
-def _missed(must_fail, seeds):
+def _missed(must_fail, reports):
     """{seed: the checks of must_fail that pass at seed}, for each seed at which any does."""
-    passed = {seed: {c.id for c in run_all(seed=seed).checks if c.passed} for seed in seeds}
+    passed = {seed: {c.id for c in report.checks if c.passed} for seed, report in reports.items()}
     return {seed: sorted(must_fail & ids) for seed, ids in passed.items() if must_fail & ids}
+
+
+def _reports(seeds):
+    return {seed: run_all(seed=seed) for seed in seeds}
+
+
+@functools.cache
+def _under_fault(fault):
+    """{seed: run_all's report} at each of SEEDS, with FAULTS[fault] patched in."""
+    with pytest.MonkeyPatch.context() as patched:
+        for module, name, replacement in FAULTS[fault][0]:
+            patched.setattr(module, name, replacement)
+        return _reports(SEEDS)
+
+
+def _fails_by_a_number(note) -> bool:
+    """Whether a check's note leaves its failure to its residual, a non-finite
+    residual or a ValueError the library raised: a fault must show as a wrong
+    number, not as a patch the library cannot call (a TypeError) or a read
+    off an array (an IndexError)."""
+    raised = note.partition("failed: ")[2]
+    return not raised or raised.startswith(("non-finite residual", "ValueError: "))
 
 
 class TestFaultMatrix:
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_fault_fails_its_checks(self, monkeypatch, fault):
-        patches, must_fail = FAULTS[fault]
-        for module, name, replacement in patches:
-            monkeypatch.setattr(module, name, replacement)
-        missed = _missed(must_fail, SEEDS)
+    def test_fault_fails_its_checks(self, fault):
+        missed = _missed(FAULTS[fault][1], _under_fault(fault))
         assert not missed, missed
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_fails_by_its_residual(self, fault):
+        must_fail = FAULTS[fault][1]
+        raised = {
+            seed: [(c.id, c.note) for c in report.checks if c.id in must_fail and not _fails_by_a_number(c.note)]
+            for seed, report in _under_fault(fault).items()
+        }
+        raised = {seed: notes for seed, notes in raised.items() if notes}
+        assert not raised, raised
+
+    def test_failure_note_reader(self):
+        for note in ("", "3 pairs", "failed: non-finite residual nan, scale 1.0",
+                     "failed: ValueError: samples contain non-finite values",
+                     "halving ratios 4.000 (want 4); failed: non-finite residual inf, scale inf"):
+            assert _fails_by_a_number(note), note
+        for note in ("failed: TypeError: f() got an unexpected keyword argument 'valid'",
+                     "failed: IndexError: index 9 is out of bounds for axis 0 with size 9",
+                     "failed: the runner recorded no leg",
+                     "failed: OverflowError: 5 samples from index 0 reach past 2^53"):
+            assert not _fails_by_a_number(note), note
 
     def test_every_check_can_fail(self):
         caught = set().union(*(must_fail for _, must_fail in FAULTS.values()))
@@ -327,7 +374,7 @@ class TestFaultMatrix:
     def test_relative_fault_is_caught_at_its_pin(self, monkeypatch, fault):
         module, name, faulty, eps, must_fail = LADDER[fault]
         monkeypatch.setattr(module, name, faulty(eps))
-        missed = _missed(must_fail, SEEDS if fault in SEED_FREE_PINS else SEEDS[:1])
+        missed = _missed(must_fail, _reports(SEEDS if fault in SEED_FREE_PINS else SEEDS[:1]))
         assert not missed, missed
 
 
@@ -706,19 +753,33 @@ class TestDftOrthogonalityPairs:
         assert (result.passed, result.residual) == (False, math.inf)
 
     def test_216_pairs_at_64_samples_stay_under_96_kib(self):
-        spec = SPECS["dft.orthogonality"]
-        runner = spec.runner
-        # a first call in the process also fills NumPy's FFT caches (about 140 KiB)
-        runner(GridParams(), harness._stream(1, spec), [])
-        grid, rng, legs = GridParams(), harness._stream(1, spec), []
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            runner(grid, rng, legs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        legs, peak = _warm_peak("dft.orthogonality")
         assert len(legs) == 27 and peak < 96 * 1024, peak
+
+
+def _warm_peak(check_id, seed=1):
+    """(legs, traced peak in bytes) of a check's runner on the default grid at
+    ``seed``, after a first call, which also fills NumPy's FFT caches (about
+    140 KiB)."""
+    spec = SPECS[check_id]
+    spec.runner(GridParams(), harness._stream(seed, spec), [])
+    grid, rng, legs = GridParams(), harness._stream(seed, spec), []
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        spec.runner(grid, rng, legs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return legs, peak
+
+
+def test_ft_conv_time_stays_under_112_kib():
+    # each eigenrelation leg convolves only the 9 complete overlaps it reads;
+    # the full 2313-output convolution of f * g with the exponential peaked
+    # at 141 KiB
+    legs, peak = _warm_peak("ft.conv_time")
+    assert len(legs) == 3 and peak < 112 * 1024, peak
 
 
 def _orthogonality_pairs(n, seed):

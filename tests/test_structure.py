@@ -815,3 +815,36 @@ def test_no_numpy_random(path):
 ])
 def test_numpy_random_guard_sees_each_form(source, names):
     assert any(map(_names_numpy_random, ast.walk(ast.parse(source)))) is names
+
+
+# A linear convolution is one direct sum, `convolution._direct_sum`, which
+# both linear variants call with or without their `valid` window: no module
+# keeps a second direct-sum kernel beside it, so every check that convolves
+# runs the sum `cli conv` runs.
+_DIRECT_SUMS = ("convolve", "correlate")
+
+
+def _names_a_direct_sum(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy" and any(
+            alias.name in _DIRECT_SUMS for alias in node.names
+        )
+    return (
+        isinstance(node, ast.Attribute) and node.attr in _DIRECT_SUMS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    )
+
+
+def test_a_linear_convolution_is_one_direct_sum():
+    assert _sites(_names_a_direct_sum) == [("convolution.py", "_direct_sum")]
+
+
+@pytest.mark.parametrize("source, names", [
+    ("np.convolve(a, b)", True), ("np.convolve(a, b, 'valid')", True), ("numpy.correlate(a, b)", True),
+    ("kernel = np.convolve", True), ("from numpy import convolve", True),
+    ("from numpy import correlate as c", True),
+    ("conv._convolve(f, g, valid=True)", False), ("convolve(f, g)", False),
+    ("conv.discrete_convolve(f, g)", False), ("np.fft.ifft(fa * fb)", False),
+])
+def test_direct_sum_guard_sees_each_form(source, names):
+    assert any(map(_names_a_direct_sum, ast.walk(ast.parse(source)))) is names

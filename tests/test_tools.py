@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pathlib
 import time
+import tracemalloc
 
 from convfourier.harness import REGISTRY, GridParams, run_all
 
@@ -26,6 +27,14 @@ def test_check_times_times_every_check_once_per_repeat():
     assert list(times) == [spec.id for spec in REGISTRY] and len(times) == 31
     assert all(t > 0 for t in times.values()), times
     assert elapsed < 2.0, elapsed
+
+
+def test_check_peaks_traces_every_check_and_stops_tracing():
+    check_peaks = _load("check_times").check_peaks
+    peaks = check_peaks(GridParams(n=16, ts=1 / 16, n_max=2))
+    assert list(peaks) == [spec.id for spec in REGISTRY] and len(peaks) == 31
+    assert all(p > 0 for p in peaks.values()), peaks
+    assert not tracemalloc.is_tracing()
 
 
 def test_cli_digest_commands_exit_as_named(tmp_path):
