@@ -19,7 +19,6 @@ from .convolution import (
     shift,
 )
 from .fourier import (
-    DftSpectrum,
     ResidualReport,
     SeriesSpectrum,
     TransformSpectrum,

@@ -30,7 +30,7 @@ from .io import (
     signal_text,
     transform_table_text,
 )
-from .signals import AliasingError, GridMismatchError, PeriodicDiscreteSignal
+from .signals import AliasingError, GridMismatchError
 from .signals import _check_ts, _finite_number, _index
 
 # the flags each built-in signal reads; any other of --ts, --n and --width is
@@ -44,11 +44,12 @@ _GEN_FLAGS = {"pulse": ("ts", "width"), "cos": ("ts", "n"), "square": ("ts", "n"
 # (np.convolve) 4.4 s for 2^33 multiply-adds, and `verify` about 7 s at
 # n*(2*nmax+1) = 2^24.  The `--gen` limit bounds memory, not time: the
 # samples, their copies, their times and the Riemann sum's zero-padded copy
-# are full-length arrays, so a 2^22-sample pulse, cosine or square wave peaks
-# near 200 MiB resident.  On the output side, io formats a table in row
-# blocks but hands it over as one string, so writing an output peaks near
-# 2.7x its CSV text or 2.4x its JSON text (traced; 129 and 197 MiB for
-# `ft` at 2^20 frequencies), about 0.5 and 0.8 GiB at the 2^22-frequency
+# are full-length arrays, so `series` of a 2^22-sample cosine or square wave,
+# or `ft` of a 2^22-sample pulse, peaks at 191 MiB resident (ru_maxrss; 32 MiB
+# of it is the interpreter and NumPy).  On the output side, io formats a
+# table in row blocks but hands it over as one string, so writing an output
+# peaks near 2.7x its CSV text or 2.4x its JSON text (traced; 129 and 197 MiB
+# for `ft` at 2^20 frequencies), about 0.5 and 0.8 GiB at the 2^22-frequency
 # limit.
 _GEN_MAX_SAMPLES = 2**22
 _FT_MAX_FREQUENCIES = 2**22
@@ -127,15 +128,13 @@ def _cmd_conv(args) -> int:
 
 def _cmd_dft(args) -> int:
     f = _single_input(args, "periodic-discrete")
-    spectrum = four.dft(f)
-    _write_text((signal_text(PeriodicDiscreteSignal(spectrum.values), args.format),), args.out)
+    _write_text((signal_text(four.dft(f), args.format),), args.out)
     return 0
 
 
 def _cmd_idft(args) -> int:
     f = _single_input(args, "periodic-discrete")
-    result = four.idft(four.DftSpectrum(values=f.samples))
-    _write_text((signal_text(result, args.format),), args.out)
+    _write_text((signal_text(four.idft(f), args.format),), args.out)
     return 0
 
 

@@ -29,7 +29,9 @@ whole stack, so the harness checks blocks of harmonic pairs x_m (*) x_n in
 one call each.  A harmonic index is an integer, never truncated: 1.7 is
 rejected, not read as harmonic 1.
 
-The three spectrum types hold numbers by the rule of ``signals``, and a
+The DFT's spectrum is itself a periodic discrete signal: ``dft`` and
+``idft`` each map a ``PeriodicDiscreteSignal`` to another.  The two
+spectrum types hold numbers by the rule of ``signals``, and a transform
 spectrum's omegas are checked before its values.
 """
 
@@ -58,7 +60,6 @@ from .signals import (
 
 __all__ = [
     "SeriesSpectrum",
-    "DftSpectrum",
     "TransformSpectrum",
     "ResidualReport",
     "harmonic_signal",
@@ -109,23 +110,6 @@ class SeriesSpectrum:
         if abs(n) > self.n_max:
             return 0j
         return complex(self.coeffs[self.n_max + n])
-
-
-@dataclass(frozen=True, eq=False)
-class DftSpectrum:
-    """DFT values F(n), n = 0..N-1, with implied period-N extension."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_complex_array(self.values, what="values", minimum=1))
-
-    @property
-    def period(self) -> int:
-        return self.values.size
-
-    def value(self, n: int) -> complex:
-        return complex(self.values[_index(n, "n") % self.period])
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,14 +286,14 @@ def fs_eigencheck(f: PeriodicSampledSignal, n: int) -> ResidualReport:
     return _eigenrelation(f, sig._unit_roots(n, f.period_samples), factor)
 
 
-def dft(f: PeriodicDiscreteSignal) -> DftSpectrum:
-    """DFT F(n) = sum_m f(m) e^(-j m (2 pi / N) n), computed by FFT."""
-    return DftSpectrum(values=np.fft.fft(sig._of_kind("dft", PeriodicDiscreteSignal, f).samples))
+def dft(f: PeriodicDiscreteSignal) -> PeriodicDiscreteSignal:
+    """DFT F(n) = sum_m f(m) e^(-j m (2 pi / N) n), computed by FFT: a period-N signal."""
+    return PeriodicDiscreteSignal(np.fft.fft(sig._of_kind("dft", PeriodicDiscreteSignal, f).samples))
 
 
-def idft(spectrum: DftSpectrum) -> PeriodicDiscreteSignal:
+def idft(spectrum: PeriodicDiscreteSignal) -> PeriodicDiscreteSignal:
     """Inverse DFT f(k) = (1/N) sum_m F(m) e^(j m (2 pi / N) k), computed by FFT."""
-    return PeriodicDiscreteSignal(samples=np.fft.ifft(sig._of_kind("idft", DftSpectrum, spectrum).values))
+    return PeriodicDiscreteSignal(np.fft.ifft(sig._of_kind("idft", PeriodicDiscreteSignal, spectrum).samples))
 
 
 def fourier_transform(f: SampledSignal, omegas) -> TransformSpectrum:

@@ -19,17 +19,14 @@ def pulse(ts: float, width: float = 1.0) -> SampledSignal:
     """
     ts = _check_ts(ts)
     steps = _grid_steps(_finite_number(width, "width"), ts, "pulse width", minimum=1)
-    return SampledSignal(ts=ts, start=-(steps // 2), samples=np.ones(steps, dtype=np.complex128))
+    return SampledSignal(ts=ts, start=-(steps // 2), samples=np.ones(steps))
 
 
 def cosine(n_samples: int, ts: float) -> PeriodicSampledSignal:
     """One period of cos(omega0 * t) on an N-sample grid.  Harmonic n is
     ``fourier.sampled_harmonic(n, N, ts).samples.real``."""
     n_samples = _index(n_samples, "n_samples", minimum=1)
-    k = np.arange(n_samples)
-    return PeriodicSampledSignal(
-        ts=ts, samples=np.cos(_TWO_PI * k / n_samples).astype(np.complex128)
-    )
+    return PeriodicSampledSignal(ts=ts, samples=np.cos(_TWO_PI * np.arange(n_samples) / n_samples))
 
 
 def square(n_samples: int, ts: float) -> PeriodicSampledSignal:
@@ -37,7 +34,7 @@ def square(n_samples: int, ts: float) -> PeriodicSampledSignal:
     n_samples = _index(n_samples, "n_samples", minimum=2)
     if n_samples % 2:
         raise ValueError(f"square wave needs an even sample count, got {n_samples}")
-    samples = np.ones(n_samples, dtype=np.complex128)
+    samples = np.ones(n_samples)
     samples[n_samples // 2 :] = -1.0
     return PeriodicSampledSignal(ts=ts, samples=samples)
 

@@ -523,12 +523,12 @@ def _run_dft_forward(grid, rng, legs):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
         n = _integer(rng, 0, grid.n)
-        legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.values[n]))
+        legs.append(four._eigenrelation(f, sig._unit_roots(n, grid.n), spectrum.samples[n]))
         # the direct N-term sum keeps an independent side: both of the above
         # run on the FFT.  Each phase n m is reduced mod N before its exp, so
         # the sum does not carry a rounded base's error into its N-th power
         phases = sig._analog_exp(-1j * sig._TWO_PI / grid.n, 1.0)((n * np.arange(grid.n)) % grid.n)
-        legs.append(four._compare(spectrum.values[n], np.sum(f.samples * phases)))
+        legs.append(four._compare(spectrum.samples[n], np.sum(f.samples * phases)))
 
 
 @_spec(
@@ -541,10 +541,9 @@ def _run_dft_inverse(grid, rng, legs):
     for _ in range(10):
         f = sig.PeriodicDiscreteSignal(_unit_disk(rng, grid.n))
         spectrum = four.dft(f)
-        spec_signal = sig.PeriodicDiscreteSignal(spectrum.values)
         k = _integer(rng, 0, grid.n)
         xk = sig._unit_roots(k, grid.n)
-        legs.append(four._eigenrelation(spec_signal, lambda i: np.conj(xk(i)), grid.n * f.value(k)))
+        legs.append(four._eigenrelation(spectrum, lambda i: np.conj(xk(i)), grid.n * f.value(k)))
         legs.append(four._compare(four.idft(spectrum).samples, f.samples))
 
 
@@ -855,7 +854,7 @@ def _run_dft_vs_series(grid, rng, legs):
         f = _random_trig_poly(rng, grid)
         # the DFT of one period of samples at harmonic n (mod N) is N C_n
         spectrum = four.fourier_coefficients(f, grid.n_max)
-        values = four.dft(sig.PeriodicDiscreteSignal(f.samples)).values
+        values = four.dft(sig.PeriodicDiscreteSignal(f.samples)).samples
         legs.append(four._compare(values[spectrum.harmonics() % grid.n], grid.n * spectrum.coeffs))
 
 

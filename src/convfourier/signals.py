@@ -219,6 +219,12 @@ class PeriodicDiscreteSignal(_Periodic):
     def period(self) -> int:
         return self.samples.size
 
+    @property
+    def values(self) -> np.ndarray:
+        """``samples``, kept only for perfbench's ``TERMS["fourier.idft"]`` read of
+        ``idft``'s argument until ROADMAP item 1a; no library code reads it."""
+        return self.samples
+
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal(_Finite):

@@ -134,7 +134,7 @@ def test_criterion_5_bridge_identities():
     spectrum = fourier_coefficients(f, 3)
     ok &= abs(spectrum.coefficient(1) - 0.5) <= 1e-10 * 0.5
     ok &= abs(spectrum.coefficient(-1) - 0.5) <= 1e-10 * 0.5
-    values = dft(PeriodicDiscreteSignal(f.samples)).values
+    values = dft(PeriodicDiscreteSignal(f.samples)).samples
     ok &= abs(values[1] - n_samples / 2) <= 1e-10 * (n_samples / 2)
     factor = exp_factor_analog(f, 1j * 2 * math.pi / period_t)
     ok &= abs(factor - period_t * spectrum.coefficient(1)) <= 1e-10 * abs(factor)
@@ -146,7 +146,7 @@ def test_criterion_5_bridge_identities():
     for _ in range(20):
         f = band_limited(rng, n_samples, ts, n_max)
         spectrum = fourier_coefficients(f, n_max)
-        values = dft(PeriodicDiscreteSignal(f.samples)).values
+        values = dft(PeriodicDiscreteSignal(f.samples)).samples
         for n in range(-n_max, n_max + 1):
             c_n = spectrum.coefficient(n)
             oracle = riemann_factor_brute(list(f.samples), 0, ts, 1j * n * omega0) / period_t

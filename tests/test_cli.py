@@ -30,6 +30,15 @@ def write(path, text):
     return str(path)
 
 
+def python(cwd, *argv):
+    """A fresh interpreter, run in cwd, that imports this checkout's convfourier."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 DISCRETE_A = "# kind=discrete\nindex,re,im\n0,1,0\n1,2,0\n2,3,0\n"
 DISCRETE_B = "# kind=discrete\nindex,re,im\n0,1,0\n1,1,0\n"
 DELTA = "# kind=discrete\nindex,re,im\n0,1,0\n"
@@ -731,12 +740,7 @@ class TestVerify:
             "loaded = set(sys.modules) - before\n"
             "print(code, *sorted(m for m in loaded if m.split('.')[:2] == ['numpy', 'random']))\n"
         )
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "r.json")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = python(tmp_path, "-c", script, str(tmp_path / "r.json"))
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
     def test_reports_byte_identical(self, tmp_path, capsys):
@@ -826,6 +830,14 @@ def test_result_beyond_float64_exit_4(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     one_error_line(code, out, err, 4)
     assert "overflows float64" in err
+
+
+def test_dft_overflow_names_the_spectrum_samples(tmp_path, capsys):
+    # the DFT's spectrum is a periodic discrete signal, built by its constructor
+    f = write(tmp_path / "pd.csv", OVERFLOWING["pd.csv"])
+    assert run(capsys, "dft", f) == (
+        4, "", "error: dft overflows float64: samples contain non-finite values\n"
+    )
 
 
 def test_unresolvable_frequency_grid_exit_2(tmp_path, capsys):
@@ -1044,3 +1056,18 @@ def test_arguments_emit_only_known_options(command, data):
     argv = data.draw(arguments(command))
     known = SUBCOMMANDS[argv[0]]._option_string_actions
     assert [a for a in argv if a.startswith("--") and a.split("=")[0] not in known] == []
+
+
+# The shipped entry point: `python -m convfourier.cli` runs ``entry_point``,
+# which exits with ``main``'s code.
+def test_entry_point_writes_what_main_writes(tmp_path):
+    argv = ["verify", "--seed", "1", "--n", "16", "--nmax", "2", "--out"]
+    done = python(tmp_path, "-m", "convfourier.cli", *argv, "shipped.json")
+    assert done.returncode == 0, done.stderr
+    assert main([*argv, str(tmp_path / "in_process.json")]) == 0
+    assert (tmp_path / "shipped.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+
+def test_entry_point_error_is_one_line(tmp_path):
+    done = python(tmp_path, "-m", "convfourier.cli", "conv", "missing.csv", "other.csv")
+    one_error_line(done.returncode, done.stdout, done.stderr, 2)

@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from convfourier.generators import gaussian, pulse
+from convfourier.generators import cosine, gaussian, pulse, square
 
 
 @pytest.mark.parametrize("make", [pulse, gaussian], ids=["pulse", "gaussian"])
@@ -67,3 +68,24 @@ def test_gaussian_rate_scales_the_exponent():
     t = np.arange(-4, 5) * 0.25
     assert np.array_equal(gaussian(0.25, 1.0).samples, np.exp(-t * t))
     assert np.array_equal(gaussian(0.25, 1.0, rate=2.0).samples, np.exp(-2.0 * t * t))
+
+
+_N = 2**16
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: pulse(1.0 / _N), lambda: cosine(_N, 1.0 / _N), lambda: square(_N, 1.0 / _N)],
+    ids=["pulse", "cosine", "square"],
+)
+def test_generator_makes_one_complex_copy(make):
+    # the constructor makes the one complex copy (1 MiB at 2^16 samples) of a
+    # real 0.5 MiB array; a complex array handed to it is a second 1 MiB copy
+    make()
+    tracemalloc.start()
+    try:
+        make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * 2**20

@@ -276,7 +276,7 @@ LADDER = {
         1e-10, {"eigen.periodic_discrete", "dft.forward", "dft.inverse"},
     ),
     "dft values": (
-        fourier, "dft", lambda eps: _scaled(_exact_dft, eps, "values"),
+        fourier, "dft", lambda eps: _scaled(_exact_dft, eps, "samples"),
         1e-10, {"dft.forward", "dft.inverse"},
     ),
     "_power_sum output": (
@@ -528,7 +528,7 @@ class TestRunAll:
         circular, dft = convolution._circular_convolve, fourier.dft
         monkeypatch.setattr(convolution, "_circular_convolve", lambda a, b: 2 * circular(a, b))
         monkeypatch.setattr(
-            fourier, "dft", lambda f: fourier.DftSpectrum(values=2 * dft(f).values)
+            fourier, "dft", lambda f: signals.PeriodicDiscreteSignal(2 * dft(f).samples)
         )
         checks = {c.id: c for c in run_all().checks}
         assert not checks["dft.forward"].passed

@@ -19,7 +19,6 @@ from convfourier.convolution import (
     shift,
 )
 from convfourier.fourier import (
-    DftSpectrum,
     SeriesSpectrum,
     TransformSpectrum,
     inverse_fourier_transform,
@@ -229,7 +228,6 @@ _VALUE_TYPES = {
     "SampledSignal": lambda v: SampledSignal(0.5, 0, v),
     "PeriodicSampledSignal": lambda v: PeriodicSampledSignal(0.5, v),
     "SeriesSpectrum": lambda v: SeriesSpectrum(1.0, v),
-    "DftSpectrum": DftSpectrum,
     "TransformSpectrum": lambda v: TransformSpectrum([0.0], v),
 }
 _SCALARS = {
@@ -302,6 +300,12 @@ class TestPeriodicSignals:
         with pytest.raises(ValueError):
             PeriodicDiscreteSignal([])
 
+    def test_values_is_samples(self):
+        # perfbench's TERMS["fourier.idft"] reads .values of idft's argument,
+        # which is a DFT spectrum and so a periodic discrete signal
+        f = four.dft(PeriodicDiscreteSignal([1, 2, 3]))
+        assert f.values is f.samples
+
     def test_period_t_is_derived(self):
         f = PeriodicSampledSignal(ts=0.25, samples=[1, 2, 3, 4])
         assert f.period_t == 4 * 0.25
@@ -353,7 +357,7 @@ class TestPeriodize:
 # ---------------------------------------------------------------------------
 # Every signal or spectrum operand of a public call is read by
 # signals._of_kind, before any other argument: a value of another kind (one of
-# the four signals, the three spectra or a plain array) is a TypeError naming
+# the four signals, the two spectra or a plain array) is a TypeError naming
 # the call and the kinds it takes.
 # ---------------------------------------------------------------------------
 _OF_EACH_KIND = {
@@ -362,7 +366,6 @@ _OF_EACH_KIND = {
     PeriodicDiscreteSignal: PeriodicDiscreteSignal([1, 2, 3, 4]),
     PeriodicSampledSignal: PeriodicSampledSignal(0.5, [1, 2, 3, 4]),
     SeriesSpectrum: SeriesSpectrum(2.0, [1, 2, 3]),
-    DftSpectrum: DftSpectrum([1, 2, 3, 4]),
     TransformSpectrum: TransformSpectrum([0.0, 0.5], [1, 2]),
     np.ndarray: np.arange(4.0),
 }
@@ -399,7 +402,7 @@ _OPERANDS = [
     ("series_synthesize(x, 0, 0, -1)", (SeriesSpectrum,), lambda x: four.series_synthesize(x, 0.0, 0, -1)),
     ("fs_eigencheck(x, 0.5)", (PeriodicSampledSignal,), lambda x: four.fs_eigencheck(x, 0.5)),
     ("dft(x)", (PeriodicDiscreteSignal,), four.dft),
-    ("idft(x)", (DftSpectrum,), four.idft),
+    ("idft(x)", (PeriodicDiscreteSignal,), four.idft),
     ("fourier_transform(x, [1j])", (SampledSignal,), lambda x: four.fourier_transform(x, [1j])),
     ("inverse_fourier_transform(x, 0, 0, -1)", (TransformSpectrum,),
      lambda x: four.inverse_fourier_transform(x, 0.0, 0, -1)),
@@ -428,6 +431,30 @@ def test_an_operand_of_another_kind_is_a_type_error(call, x, message):
     with pytest.raises(TypeError) as caught:
         call(x)
     assert str(caught.value) == message
+
+
+# A DFT spectrum is a periodic discrete signal: every call treats dft(f) as it
+# treats the signal with the same samples, taking it where it takes a
+# PeriodicDiscreteSignal and refusing it with the same TypeError elsewhere.
+def _outcome(call, x):
+    try:
+        got = call(x)
+    except (TypeError, ValueError) as caught:
+        return type(caught), str(caught)
+    if isinstance(got, PeriodicDiscreteSignal):
+        return type(got), got.samples.tolist()
+    return type(got), got
+
+
+@pytest.mark.parametrize(
+    "label, kinds, call", [pytest.param(*operand, id=operand[0]) for operand in _OPERANDS]
+)
+def test_a_dft_spectrum_is_a_periodic_discrete_signal_to_every_call(label, kinds, call):
+    spectrum = four.dft(_PD)
+    outcome = _outcome(call, spectrum)
+    assert outcome == _outcome(call, PeriodicDiscreteSignal(spectrum.samples.copy()))
+    if PeriodicDiscreteSignal not in kinds:
+        assert outcome == (TypeError, _kind_error(label, kinds, PeriodicDiscreteSignal))
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +594,8 @@ def test_float_indices_are_exact_up_to_2_53(start):
 
 # ---------------------------------------------------------------------------
 # Every lower bound on an integer argument is checked by the reader itself,
-# `_index(value, name, minimum)`, with one message; the periodic types and
-# DftSpectrum take at least one entry through `_as_complex_array`.
+# `_index(value, name, minimum)`, with one message; the periodic types take
+# at least one entry through `_as_complex_array`.
 # ---------------------------------------------------------------------------
 
 from convfourier.harness import run_all  # noqa: E402
@@ -608,7 +635,6 @@ def test_bound_is_checked_by_the_reader(site):
 NON_EMPTY_ARRAYS = {
     "PeriodicDiscreteSignal": (PeriodicDiscreteSignal, "samples"),
     "PeriodicSampledSignal": (lambda a: PeriodicSampledSignal(0.5, a), "samples"),
-    "DftSpectrum": (DftSpectrum, "values"),
 }
 
 

@@ -4,9 +4,13 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import platform
 import time
 import tracemalloc
 
+import numpy as np
+
+import convfourier
 from convfourier.harness import REGISTRY, GridParams, run_all
 
 TOOLS = pathlib.Path(__file__).parents[1] / "tools"
@@ -55,4 +59,10 @@ def test_report_digest_prints_the_report_sha256_then_the_total(monkeypatch, caps
     text = json.dumps(run_all(GridParams(), 1).to_dict(), indent=2)
     digest = hashlib.sha256(text.encode()).hexdigest()
     total = hashlib.sha256(digest.encode()).hexdigest()
-    assert capsys.readouterr().out == f"default seed=1 {digest}\ntotal {total}\n"
+    build = (
+        f"build python={platform.python_version()} numpy={np.__version__} "
+        f"platform={platform.platform()} library={convfourier.__file__}"
+    )
+    assert capsys.readouterr().out == f"{build}\ndefault seed=1 {digest}\ntotal {total}\n"
+    # both digest tools name the build alike, so their outputs diff alike
+    assert _load("cli_digest").build_line() == build

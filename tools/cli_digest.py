@@ -1,7 +1,10 @@
 """Print the SHA-256 of each CLI command's stdout, stderr, exit code and
 ``--out`` file, for a fixed set of commands.
 
-Each line is one command; the last line digests every command together.
+The first line names the build: Python, NumPy, platform and the path of the
+``convfourier`` package imported, so a diff of two outputs shows a build
+mismatch, or a PYTHONPATH that reaches the wrong checkout, before any digest.
+Each other line is one command; the last line digests every command together.
 The inputs are the literal texts below, written to a temporary directory, so
 they do not depend on the checkout under test.  Run it against two checkouts
 and compare the outputs:
@@ -17,8 +20,12 @@ import hashlib
 import io
 import json
 import pathlib
+import platform
 import tempfile
 
+import numpy as np
+
+import convfourier
 from convfourier.cli import main
 
 FILES = {
@@ -134,7 +141,15 @@ def run(folder: pathlib.Path, argv):
     return code, stdout.getvalue(), stderr.getvalue(), written
 
 
+def build_line() -> str:
+    return (
+        f"build python={platform.python_version()} numpy={np.__version__} "
+        f"platform={platform.platform()} library={convfourier.__file__}"
+    )
+
+
 def main_digest():
+    print(build_line())
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         folder = pathlib.Path(tmp)

@@ -1,6 +1,10 @@
 """Print the SHA-256 of the ``verify`` report JSON on a fixed set of grids and seeds.
 
-Each line is one grid and seed; the last line digests every report together.
+The first line names the build: Python, NumPy, platform and the path of the
+``convfourier`` package imported, so a diff of two outputs shows a build
+mismatch, or a PYTHONPATH that reaches the wrong checkout, before any digest.
+Each other line is one grid and seed; the last line digests every report
+together.
 Run it against two checkouts and compare the outputs:
 
     PYTHONPATH=<checkout>/src python tools/report_digest.py > digests.txt
@@ -11,7 +15,11 @@ host and one NumPy build.
 
 import hashlib
 import json
+import platform
 
+import numpy as np
+
+import convfourier
 from convfourier.harness import GridParams, run_all
 
 GRIDS = {
@@ -30,7 +38,15 @@ GRIDS = {
 SEEDS = (1, 2, 3, 42)
 
 
+def build_line() -> str:
+    return (
+        f"build python={platform.python_version()} numpy={np.__version__} "
+        f"platform={platform.platform()} library={convfourier.__file__}"
+    )
+
+
 def main():
+    print(build_line())
     total = hashlib.sha256()
     for name, params in GRIDS.items():
         for seed in SEEDS:
