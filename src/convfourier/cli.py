@@ -50,7 +50,9 @@ _GEN_FLAGS = {"pulse": ("ts", "width"), "cos": ("ts", "n"), "square": ("ts", "n"
 # table in row blocks but hands it over as one string, so writing an output
 # peaks near 2.7x its CSV text or 2.4x its JSON text (traced; 129 and 197 MiB
 # for `ft` at 2^20 frequencies), about 0.5 and 0.8 GiB at the 2^22-frequency
-# limit.
+# limit.  Linear `conv` holds a copy of both inputs besides them: NumPy
+# 2.4.6's np.convolve copies a read-only operand before it sums, and every
+# signal's samples are read-only (convolution._direct_sum).
 _GEN_MAX_SAMPLES = 2**22
 _FT_MAX_FREQUENCIES = 2**22
 _MAX_TERMS = 2**30
@@ -274,23 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
         "as the inputs' kind sets the convolution",
     )
     _add_io_flags(p, with_gen=False)
-    p.set_defaults(func=_cmd_conv)
 
     p = sub.add_parser("dft", help="discrete Fourier transform of a periodic-discrete file")
     p.add_argument("input")
     _add_io_flags(p, with_gen=False)
-    p.set_defaults(func=_cmd_dft)
 
     p = sub.add_parser("idft", help="inverse DFT of a periodic-discrete spectrum file")
     p.add_argument("input")
     _add_io_flags(p, with_gen=False)
-    p.set_defaults(func=_cmd_idft)
 
     p = sub.add_parser("series", help="Fourier series coefficients of a periodic-analog file")
     p.add_argument("input", nargs="?")
     p.add_argument("--nmax", type=_NMAX, required=True, help="largest harmonic |n| to compute")
     _add_io_flags(p, with_gen=True)
-    p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("ft", help="Fourier transform of a finite analog file")
     p.add_argument("input", nargs="?")
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=_OMEGA, required=True)
     p.add_argument("--omega-step", type=_OMEGA_STEP, required=True)
     _add_io_flags(p, with_gen=True)
-    p.set_defaults(func=_cmd_ft)
 
     p = sub.add_parser("verify", help="run the full identity catalog and emit a JSON report")
     p.add_argument("--seed", type=_SEED, default=42)
@@ -308,9 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax", type=_NMAX, default=GridParams.n_max, help="harmonic window for random signals"
     )
     p.add_argument("--out", default="-", help="report path ('-' for stdout)")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
+
+
+# Built once per process: argparse's formatters, sections and actions form
+# reference cycles, so a parser built per call left about 350 objects to the
+# cyclic collector.  It holds flags, type readers and help text, never a
+# library result; main looks each command up by name at call time, so a
+# patch of a _cmd_* function still reaches it.
+_PARSER = build_parser()
 
 
 # exception type -> exit code, read at the first type of the error's MRO that
@@ -329,11 +333,11 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         # NumPy's overflow warnings are silenced: a non-finite result is the
         # ValueError of the type that holds it
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return globals()[f"_cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as exc:
         kind = next(t for t in type(exc).__mro__ if t in _EXIT_CODES)
         message = str(exc)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -671,11 +672,108 @@ def test_gen_flag_the_input_does_not_read_exit_2(tmp_path, capsys, argv, message
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["ft", "--help"]], ids=" ".join)
-def test_help_exits_0(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: convfourier")
+def test_help_exits_0(capsys, monkeypatch, argv):
+    # the parser is built at import, but argparse sizes its help to COLUMNS
+    # when it prints: main prints a fresh parser's help at either width
+    texts = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        before, shared, fresh = capsys.readouterr().out.split("usage: convfourier")
+        assert before == "" and shared == fresh
+        texts.append(shared)
+    assert texts[0] != texts[1]
+
+
+# The parser is built once, at import, and every call parses with it.  A
+# call reads no flag of the call before it, whatever that call set or got
+# wrong, and a command is looked up by name at call time.
+PD = "# kind=periodic-discrete n=2\nindex,re,im\n0,1,0\n1,2,0\n"
+ANALOG = "# kind=analog ts=0.5\nindex,re,im\n0,1,0\n1,2,0\n"
+OMEGAS = ["--omega-min", "0", "--omega-max", "1", "--omega-step", "0.5"]
+# command -> (a call that sets every optional flag, one that sets none)
+EVERY_THEN_NONE = {
+    "conv": (["conv", "D", "D", "--mode", "discrete", "--format", "json"], ["conv", "D", "D"]),
+    "dft": (["dft", "P", "--format", "json"], ["dft", "P"]),
+    "idft": (["idft", "P", "--format", "json"], ["idft", "P"]),
+    "series": (["series", "--gen", "cos", "--n", "8", "--ts", "0.25", "--nmax", "1", "--format", "json"],
+               ["series", "W", "--nmax", "0"]),
+    "ft": (["ft", "--gen", "pulse", "--ts", "0.25", "--width", "2", *OMEGAS, "--format", "json"],
+           ["ft", "A", *OMEGAS]),
+    "verify": (["verify", "--seed", "7", "--n", "16", "--ts", "0.0625", "--nmax", "2"],
+               ["verify", "--n", "16", "--nmax", "2"]),
+}
+
+
+def _inputs(tmp_path, argv):
+    files = {"D": DISCRETE_A, "P": PD, "W": WAVE, "A": ANALOG}
+    return [write(tmp_path / f"{a}.csv", files[a]) if a in files else a for a in argv]
+
+
+@pytest.mark.parametrize("command", EVERY_THEN_NONE)
+def test_a_call_reads_no_flag_of_the_call_before(tmp_path, capsys, monkeypatch, command):
+    every, none = (_inputs(tmp_path, argv) for argv in EVERY_THEN_NONE[command])
+    real, seen = getattr(cli, f"_cmd_{command}"), []
+
+    def recorded(args):
+        seen.append(dict(vars(args)))
+        return real(args)
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", recorded)
+    first = run(capsys, *none)
+    assert run(capsys, *every, "--out", str(tmp_path / "every"))[0] == 0
+    assert run(capsys, *none) == first and first[0] == 0
+    # the namespace a fresh parser gives: each flag the call left out at its default
+    assert seen[-1] == vars(build_parser().parse_args(none))
+    if command == "verify":
+        report = json.loads(first[1])
+        assert (report["seed"], report["grid_params"]["ts"]) == (42, 0.015625)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["verify", "--n", "16", "--bogus"], "unrecognized arguments: --bogus"),
+    (["ft", "--gen", "pulse", "--ts", "0.25", "--omega-min", "0", "--omega-step", "1"],
+     "the following arguments are required: --omega-max"),
+], ids=["bogus", "ft-omega-max"])
+def test_a_usage_error_leaves_the_next_call_alone(tmp_path, capsys, bad, message):
+    good = _inputs(tmp_path, ["dft", "P"])
+    before = run(capsys, *good)
+    assert run(capsys, *bad) == (2, "", f"error: {message}\n")
+    assert run(capsys, *good) == before and before[0] == 0
+
+
+def test_main_looks_its_command_up_by_name(tmp_path, capsys, monkeypatch):
+    # a patch of a command reaches main, as a patch of a kernel reaches its callers
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_dft", lambda args: calls.append(args.input) or 0)
+    path = write(tmp_path / "p.csv", PD)
+    assert run(capsys, "dft", path) == (0, "", "")
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("argv", [["conv", "D", "D"], ["verify", "--n", "16", "--nmax", "2"]],
+                         ids=lambda argv: argv[0])
+def test_a_call_leaves_no_argparse_object_to_the_collector(tmp_path, argv):
+    # a parser built per call left its reference cycles (347 objects for
+    # conv, 380 for verify) to the cyclic collector on every call
+    argv = [*_inputs(tmp_path, argv), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 # An --out that cannot be written exits 2 with one "error:" line in every

@@ -417,6 +417,44 @@ def test_errstate_guard_sees_each_form(source, calls):
     assert len(_calls_outside(ast.parse(source), "errstate", "main")) == calls
 
 
+# `cli.py` builds its parser once, at import: argparse's formatters, sections
+# and actions form reference cycles, so a parser built per call left about
+# 350 objects to the cyclic collector on every call.  `main` only parses.
+def _parser_builds(tree) -> list:
+    """(owner, callee) of each build_parser or _Parser call; the owner is the
+    innermost enclosing def, class or lambda, or None at module level."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call) and _attr_or_name(node.func) in ("build_parser", "_Parser"):
+            sites.append((owner, _attr_or_name(node.func)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_cli_builds_its_parser_once_at_import():
+    tree = ast.parse((pathlib.Path(convfourier.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    assert _parser_builds(tree) == [("build_parser", "_Parser"), (None, "build_parser")]
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("_PARSER = build_parser()", [(None, "build_parser")]),
+    ("def main(argv):\n    return build_parser().parse_args(argv)", [("main", "build_parser")]),
+    ("def main(argv):\n    return cli._Parser(prog='x').parse_args(argv)", [("main", "_Parser")]),
+    ("parse = lambda argv: build_parser().parse_args(argv)", [("<lambda>", "build_parser")]),
+    ("def main(argv):\n    def inner():\n        return build_parser()", [("inner", "build_parser")]),
+    ("if True:\n    _PARSER = build_parser()", [(None, "build_parser")]),
+    ("def main(argv):\n    return _PARSER.parse_args(argv)", []),
+])
+def test_parser_build_guard_sees_each_form(source, sites):
+    assert _parser_builds(ast.parse(source)) == sites
+
+
 # The harness raises nothing of its own: a check fails by its residual
 # against its tolerance, or by an error the library raised.  Only
 # `GridParams` may reject a grid, and only it checks the alias window, which
